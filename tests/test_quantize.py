@@ -1,10 +1,15 @@
 import pytest
 
-from weakhopf import quantize, verify_quantization
+from weakhopf import canonical_r, quantize, transmute, verify_quantization
 from weakhopf.errors import NotCocommutative
 from weakhopf.linalg import Matrix, Q0, Q1
 from weakhopf.quantize import adjoint_action_matrices, product_exchange_law
-from weakhopf.zoo import trivial_cocycle
+from weakhopf.zoo import (
+    GroupoidSpec,
+    dihedral_group_algebra,
+    groupoid_algebra,
+    trivial_cocycle,
+)
 
 
 def test_diag2_table(diag2):
@@ -152,3 +157,16 @@ def test_invalid_cocycle_rejected(kd4):
     f[0] += 1
     with pytest.raises(InconsistentStructure):
         quantize(kd4.algebra, WeakCocycle(tuple(f), kd4.cocycle.finv))
+
+
+def test_trivial_quantization_is_canonical_transmutation(corpus):
+    # with F = Delta(1) the deformed maps reduce to the transmutation by
+    # the canonical R = Delta_cop(1) Delta(1) through the identity
+    algebras = [fx.algebra for fx in corpus] + [
+        dihedral_group_algebra(4),
+        groupoid_algebra(GroupoidSpec.pair_groupoid(3)),
+    ]
+    for H in algebras:
+        p_r = transmute(H, canonical_r(H))
+        p_f = quantize(H, trivial_cocycle(H))
+        assert p_r.structurally_equal(p_f), H.basis_names

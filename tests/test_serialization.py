@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from weakhopf import identity_morphism, quantize, regular_module, transmute
@@ -109,6 +111,46 @@ antipode:
 def test_presentation_golden_bytes(diag2):
     p = transmute(diag2.algebra, diag2.qt)
     assert serialize_presentation(p) == DIAG2_PRESENTATION
+
+
+# SHA-256 of serialize_presentation for (transmute(H, qt), quantize(H, F))
+# on each builtin fixture.  Any change to either construction that alters
+# a single byte of a presentation shows up here.
+PRESENTATION_DIGESTS = {
+    "diag2": (
+        "e25c88a783712538d6a28108731e2327ab6a5b627bbc14fb629412f18a4d0dc1",
+        "e25c88a783712538d6a28108731e2327ab6a5b627bbc14fb629412f18a4d0dc1",
+    ),
+    "kz2": (
+        "bb8da3d6c2508e257501d348c2882521575a5dc4305c0b4b98cb2c90ee935138",
+        "bb8da3d6c2508e257501d348c2882521575a5dc4305c0b4b98cb2c90ee935138",
+    ),
+    "pair2": (
+        "b6762ff308044fc2d3235e3cf55649de939f7f6916e25c1efcce0023d20103f1",
+        "b6762ff308044fc2d3235e3cf55649de939f7f6916e25c1efcce0023d20103f1",
+    ),
+    "kd4": (
+        "e397ecd2a613a057cfb8e2eb1904ecfbe48729c35cf247e0394a3cc560c89e3b",
+        "5b9cc1815af4e4623e74f2bcc3de4a2af43b0b4a15592fad9945a332d76877e4",
+    ),
+    "kd4_diag2": (
+        "2d49be593d6c9c9633ceb6abf2965b1856a0814f80155b16e5229ddcb9ba7318",
+        "0327e53da0c44324c34a9e3b23cb3c3728d857dcc4f15e2d2417576215831328",
+    ),
+}
+
+
+def test_presentation_digests(corpus):
+    def digest(p):
+        return hashlib.sha256(serialize_presentation(p).encode("utf-8")).hexdigest()
+
+    assert sorted(fx.name for fx in corpus) == sorted(PRESENTATION_DIGESTS)
+    for fx in corpus:
+        got = (
+            digest(transmute(fx.algebra, fx.qt)),
+            digest(quantize(fx.algebra, fx.cocycle)),
+        )
+        assert got == PRESENTATION_DIGESTS[fx.name], fx.name
 
 
 def test_parse_error_empty_section():
