@@ -18,7 +18,7 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import Matrix, Q0, Q1, frac, kron, SubspaceBasis
+from .linalg import Matrix, Q0, Q1, frac, kron, outer, SubspaceBasis
 from .report import VerificationReport, Witness, comparison
 
 # ---------------------------------------------------------------------------
@@ -216,58 +216,40 @@ class WeakBialgebra:
             mats.append(m)
         return tuple(mats)
 
+    def _eps_map(self, leg, left) -> Matrix:
+        """h -> eps(x h) y (left) or eps(h x) y (right) as a matrix, summed
+        over the terms of Delta(1) with x on the given leg, y on the other."""
+        n = self.dim
+        m = Matrix.zero(n, n)
+        for pair, c in self.delta_one_sparse.items():
+            x, y = pair[leg], pair[1 - leg]
+            for i in range(n):
+                s = self.counit_of(self.mul[x][i] if left else self.mul[i][x])
+                if s:
+                    m.data[y][i] += c * s
+        return m
+
     @cached_property
     def eps_t_mat(self) -> Matrix:
         """eps_t(h) = eps(1_1 h) 1_2 as a matrix."""
-        n = self.dim
-        m = Matrix.zero(n, n)
-        for (a, b), c in self.delta_one_sparse.items():
-            for i in range(n):
-                s = self.counit_of(self.mul_elem_basis(a, i))
-                if s:
-                    m.data[b][i] += c * s
-        return m
+        return self._eps_map(0, left=True)
 
     @cached_property
     def eps_s_mat(self) -> Matrix:
         """eps_s(h) = 1_1 eps(h 1_2) as a matrix."""
-        n = self.dim
-        m = Matrix.zero(n, n)
-        for (a, b), c in self.delta_one_sparse.items():
-            for i in range(n):
-                s = self.counit_of(self.mul_elem_basis(i, b))
-                if s:
-                    m.data[a][i] += c * s
-        return m
+        return self._eps_map(1, left=False)
 
     @cached_property
     def eps_s_bar_mat(self) -> Matrix:
         """bar eps_s(h) = eps(h 1_1) 1_2."""
-        n = self.dim
-        m = Matrix.zero(n, n)
-        for (a, b), c in self.delta_one_sparse.items():
-            for i in range(n):
-                s = self.counit_of(self.mul_elem_basis(i, a))
-                if s:
-                    m.data[b][i] += c * s
-        return m
+        return self._eps_map(0, left=False)
 
     @cached_property
     def eps_t_bar_mat(self) -> Matrix:
         """bar eps_t(h) = 1_1 eps(1_2 h)."""
-        n = self.dim
-        m = Matrix.zero(n, n)
-        for (a, b), c in self.delta_one_sparse.items():
-            for i in range(n):
-                s = self.counit_of(self.mul_elem_basis(b, i))
-                if s:
-                    m.data[a][i] += c * s
-        return m
+        return self._eps_map(1, left=True)
 
     # -- elementwise operations ------------------------------------------
-
-    def mul_elem_basis(self, i, j) -> tuple:
-        return self.mul[i][j]
 
     def mul_elem(self, x, y) -> tuple:
         """Product of two elements given as dense coefficient vectors."""
@@ -378,24 +360,6 @@ class QuantumGroupoid:
 
     def s_inv_of(self, x) -> tuple:
         return self.antipode_inv.apply(x)
-
-    def apply2(self, f: Matrix, g: Matrix, x2) -> tuple:
-        """(f (x) g) applied to a dense dim^2 vector."""
-        n = self.base.dim
-        out = [Q0] * (n * n)
-        for flat, c in enumerate(x2):
-            if not c:
-                continue
-            i, j = divmod(flat, n)
-            fi = f.column(i)
-            gj = g.column(j)
-            for a, fa in enumerate(fi):
-                if fa:
-                    ca = c * fa
-                    for b, gb in enumerate(gj):
-                        if gb:
-                            out[a * n + b] += ca * gb
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -691,13 +655,7 @@ def check_quantum_groupoid(H: QuantumGroupoid) -> VerificationReport:
             lhs = B.comul_of(S.column(i))
             rhs = [Q0] * (n * n)
             for (a, b), c in B.comul_cols[i].items():
-                sb = S.column(b)
-                sa = S.column(a)
-                for p, cp in enumerate(sb):
-                    if cp:
-                        for q, cq in enumerate(sa):
-                            if cq:
-                                rhs[p * n + q] += c * cp * cq
+                outer(S.column(b), S.column(a), c, rhs)
             yield (i,), lhs, tuple(rhs)
 
     comparison(rep, "antipode-anti-comultiplicative", anticomul_pairs())

@@ -39,28 +39,22 @@ def vec(values) -> tuple:
     return tuple(frac(v) for v in values)
 
 
-def vec_is_zero(v) -> bool:
-    return all(x == 0 for x in v)
+def outer(x, y, c=Q1, out=None):
+    """c (x (x) y) as a flat vector of length len(x) * len(y).
 
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def dot(a, b) -> Fraction:
-    s = Q0
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+    With out given (a list), the product is added into it in place.
+    """
+    if out is None:
+        out = [Q0] * (len(x) * len(y))
+    width = len(y)
+    for p, cp in enumerate(x):
+        if cp:
+            base = p * width
+            ccp = c * cp
+            for q, cq in enumerate(y):
+                if cq:
+                    out[base + q] += ccp * cq
+    return out
 
 
 class Matrix:
@@ -111,9 +105,6 @@ class Matrix:
         if cols is None:
             cols = len(rws[0]) if rws else 0
         return cls([list(r) for r in rws], len(rws), cols)
-
-    def copy(self) -> "Matrix":
-        return Matrix([row[:] for row in self.data], self.rows, self.cols)
 
     def __eq__(self, other):
         return (
@@ -184,16 +175,6 @@ class Matrix:
 
     def column(self, j) -> tuple:
         return tuple(row[j] for row in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -367,9 +348,6 @@ class SubspaceBasis:
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
-
-    def contains_all(self, vectors) -> bool:
-        return all(self.contains(v) for v in vectors)
 
     def embedding(self) -> Matrix:
         """ambient_dim x dim matrix whose columns are the basis vectors."""

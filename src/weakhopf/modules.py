@@ -67,61 +67,78 @@ class HModule:
         """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
         if getattr(self, "_validated", False):
             return self
-        H = self.algebra
-        cols = self.sparse_columns()
-        for i in range(H.dim):
-            ci = cols[i]
-            for j in range(H.dim):
-                cj = cols[j]
-                row = H.mul_rows.get((i, j), {})
-                for v in range(self.dim):
-                    lhs = {}
-                    for k, c in row.items():
-                        for r, val in cols[k][v].items():
-                            lhs[r] = lhs.get(r, Q0) + c * val
-                    rhs = {}
-                    for s, cs in cj[v].items():
-                        for r, val in ci[s].items():
-                            rhs[r] = rhs.get(r, Q0) + cs * val
-                    lhs = {r: c for r, c in lhs.items() if c}
-                    rhs = {r: c for r, c in rhs.items() if c}
-                    if lhs != rhs:
-                        raise InconsistentStructure(
-                            "action is not multiplicative at basis pair (%d, %d)"
-                            % (i, j)
-                        )
-        for v in range(self.dim):
-            acc = {}
-            for i, c in enumerate(H.unit):
-                if c:
-                    for r, val in cols[i][v].items():
-                        acc[r] = acc.get(r, Q0) + c * val
-            acc = {r: c for r, c in acc.items() if c}
-            if acc != {v: Q1}:
-                raise InconsistentStructure("unit does not act as the identity")
+        mult, unit = self._first_failures()
+        if mult is not None:
+            raise InconsistentStructure(
+                "action is not multiplicative at basis pair (%d, %d)" % mult[:2]
+            )
+        if unit is not None:
+            raise InconsistentStructure("unit does not act as the identity")
         self._validated = True
         return self
 
+    def _first_failures(self):
+        """First failing basis tuple of each module axiom, on sparse columns.
+
+        Returns (mult, unit): mult is the first (i, j, v) in loop order with
+        (e_i e_j) . v != e_i . (e_j . v), unit the first v with 1 . v != v;
+        each is None when its axiom holds.
+        """
+        H = self.algebra
+        cols = self.sparse_columns()
+
+        def first_mult():
+            for i in range(H.dim):
+                ci = cols[i]
+                for j in range(H.dim):
+                    cj = cols[j]
+                    row = H.mul_rows.get((i, j), {})
+                    for v in range(self.dim):
+                        lhs = {}
+                        for k, c in row.items():
+                            for r, val in cols[k][v].items():
+                                lhs[r] = lhs.get(r, Q0) + c * val
+                        rhs = {}
+                        for s, cs in cj[v].items():
+                            for r, val in ci[s].items():
+                                rhs[r] = rhs.get(r, Q0) + cs * val
+                        lhs = {r: c for r, c in lhs.items() if c}
+                        rhs = {r: c for r, c in rhs.items() if c}
+                        if lhs != rhs:
+                            return i, j, v
+            return None
+
+        def first_unit():
+            for v in range(self.dim):
+                acc = {}
+                for i, c in enumerate(H.unit):
+                    if c:
+                        for r, val in cols[i][v].items():
+                            acc[r] = acc.get(r, Q0) + c * val
+                if {r: c for r, c in acc.items() if c} != {v: Q1}:
+                    return v
+            return None
+
+        return first_mult(), first_unit()
+
 
 def check_module(M: HModule) -> VerificationReport:
+    """Both module axioms; a failing check carries the dense columns at its
+    first failing basis tuple."""
     rep = VerificationReport("module")
     H = M.algebra
-
-    def mult_pairs():
-        for i in range(H.dim):
-            for j in range(H.dim):
-                lhs = M.act_element(H.mul[i][j])
-                rhs = M.mats[i] * M.mats[j]
-                for col in range(M.dim):
-                    yield (i, j, col), lhs.column(col), rhs.column(col)
-
-    comparison(rep, "action-multiplicative", mult_pairs())
-    one = M.act_element(H.unit)
-    comparison(
-        rep,
-        "unit-acts-as-identity",
-        (((j,), one.column(j), Matrix.identity(M.dim).column(j)) for j in range(M.dim)),
-    )
+    mult, unit = M._first_failures()
+    pairs = []
+    if mult is not None:
+        i, j, v = mult
+        lhs = M.act_element(H.mul[i][j]).column(v)
+        pairs.append((mult, lhs, M.mats[i].apply(M.mats[j].column(v))))
+    comparison(rep, "action-multiplicative", pairs)
+    pairs = []
+    if unit is not None:
+        ident = Matrix.identity(M.dim).column(unit)
+        pairs.append(((unit,), M.act_element(H.unit).column(unit), ident))
+    comparison(rep, "unit-acts-as-identity", pairs)
     return rep
 
 
@@ -139,7 +156,6 @@ def ht_module(H: QuantumGroupoid):
     Returns (basis of H_t, HModule in H_t coordinates).
     """
     ht = target_subalgebra(H)
-    emb = ht.embedding()
     mats = []
     for i in range(H.dim):
         cols = []
@@ -256,16 +272,6 @@ def truncated_tensor(
     )
 
 
-def plain_tensor_action(tt: TruncatedTensor, i) -> Matrix:
-    """Ambient-coordinates action of basis element i on the tensor square."""
-    H = tt.left.algebra
-    if tt.variant == "plain":
-        col = H.comul_map.column(i)
-    else:
-        raise ValueError("plain action requested from a twisted tensor")
-    return _componentwise_action(tt.left, tt.right, col)
-
-
 # ---------------------------------------------------------------------------
 # braidings
 
@@ -356,11 +362,6 @@ class BraidContext:
     def tensor(self, M, N, validate=True) -> TruncatedTensor:
         return truncated_tensor(M, N, self.variant, self.wc, validate=validate)
 
-    def braiding_pair(self, M, N, tensors=None):
-        if self.kind == "psi":
-            return braiding_psi(self.qt, M, N, tensors)
-        return braiding_phi(self.wc, M, N, tensors)
-
     def braiding_plain(self, M, N) -> Matrix:
         if self.kind == "psi":
             return braiding_psi_plain(self.algebra, self.qt, M, N)
@@ -370,19 +371,6 @@ class BraidContext:
         if self.kind == "psi":
             return self.algebra.comul_map.column(i)
         return twisted_coproduct_column(self.algebra, self.wc, i)
-
-    def coproduct_of(self, x) -> tuple:
-        H = self.algebra
-        out = [Q0] * (H.dim * H.dim)
-        for i, c in enumerate(x):
-            if c:
-                for flat, c2 in enumerate(self.coproduct_column(i)):
-                    if c2:
-                        out[flat] += c * c2
-        return tuple(out)
-
-    def unit_coproduct(self) -> tuple:
-        return self.coproduct_of(self.algebra.unit)
 
     def unit_coproduct_power(self, k) -> dict:
         """Iterated coproduct of 1 as a sparse element of H^(x)k."""
@@ -458,7 +446,21 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     """
     rep = VerificationReport("coherence")
     H = ctx.algebra
-    n = H.dim
+    w3 = ctx.unit_coproduct_power(3)
+
+    def triple_projector(A, B, C):
+        """Delta^2(1) acting on A (x) B (x) C in plain coordinates."""
+        dim = A.dim * B.dim * C.dim
+        out = Matrix.zero(dim, dim)
+        for (a, b, c), coeff in w3.items():
+            term = kron(kron(A.mats[a], B.mats[b]), C.mats[c])
+            for r in range(dim):
+                trow = term.data[r]
+                orow = out.data[r]
+                for j in range(dim):
+                    if trow[j]:
+                        orow[j] += coeff * trow[j]
+        return out
 
     t_mn = ctx.tensor(M, N, validate=False)
     t_np = ctx.tensor(N, P, validate=False)
@@ -473,16 +475,7 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     rep.add("bracketing-subspaces-equal", sub_l == sub_r)
 
     # triple projector in plain coordinates spans the same subspace
-    w3 = ctx.unit_coproduct_power(3)
-    triple = Matrix.zero(M.dim * N.dim * P.dim, M.dim * N.dim * P.dim)
-    for (a, b, c), coeff in w3.items():
-        term = kron(kron(M.mats[a], N.mats[b]), P.mats[c])
-        for r in range(triple.rows):
-            trow = term.data[r]
-            orow = triple.data[r]
-            for j in range(triple.cols):
-                if trow[j]:
-                    orow[j] += coeff * trow[j]
+    triple = triple_projector(M, N, P)
     rep.add("iterated-unit-projector-subspace", triple.column_space() == sub_l)
 
     # hexagon 1: braiding M past N (x) P equals braiding in two steps,
@@ -520,20 +513,9 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
         for vj in range(M.dim):
             for row, val in enumerate(act_r.column(vj)):
                 r_plain.data[row][vj * zmod.dim + zi] = val
-    w3z = ctx.unit_coproduct_power(3)
-    triple_z = Matrix.zero(
-        M.dim * zmod.dim * N.dim, M.dim * zmod.dim * N.dim
-    )
-    for (a, b, c), coeff in w3z.items():
-        term = kron(kron(M.mats[a], zmod.mats[b]), N.mats[c])
-        for r in range(triple_z.rows):
-            trow = term.data[r]
-            orow = triple_z.data[r]
-            for j in range(triple_z.cols):
-                if trow[j]:
-                    orow[j] += coeff * trow[j]
     lhs = kron(Matrix.identity(M.dim), l_plain)
     rhs = kron(r_plain, Matrix.identity(N.dim))
+    triple_z = triple_projector(M, zmod, N)
     rep.add("unitor-triangle", _equal_on_subspace(lhs, rhs, triple_z))
     return rep
 

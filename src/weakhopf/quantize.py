@@ -9,37 +9,25 @@ the undeformed antipode, as an object of the twisted module category.
 
 from __future__ import annotations
 
-from .algebra import QuantumGroupoid, target_subalgebra
-from .errors import ClosureViolation, InconsistentStructure, NotCocommutative
-from .linalg import Matrix, Q0
-from .modules import BraidContext, HModule
-from .report import VerificationReport, Witness, comparison
+from .algebra import (
+    QuantumGroupoid,
+    dense_of_sparse,
+    sparse_embed,
+    sparse_mul,
+    sparse_of_dense,
+)
+from .errors import InconsistentStructure, NotCocommutative
+from .linalg import Q0, outer
+from .modules import BraidContext
+from .report import VerificationReport, comparison
 from .structures import WeakCocycle
 from .transmute import (
     BraidedHopfPresentation,
-    centralizer,
+    _present,
+    ambient_action,
+    identity_morphism,
     verify_braided_hopf,
 )
-from .algebra import dense_of_sparse, sparse_embed, sparse_mul, sparse_of_dense
-
-
-def adjoint_action_matrices(H: QuantumGroupoid):
-    """Ambient matrices of Ad_{e_i}(g) = (e_i)_1 g S((e_i)_2)."""
-    mats = []
-    for i in range(H.dim):
-        acc = Matrix.zero(H.dim, H.dim)
-        for (a, b), c in H.comul_cols[i].items():
-            term = H.left_mult(H.basis_vector(a)) * H.right_mult(
-                H.antipode.column(b)
-            )
-            for r in range(H.dim):
-                trow = term.data[r]
-                arow = acc.data[r]
-                for j in range(H.dim):
-                    if trow[j]:
-                        arow[j] += c * trow[j]
-        mats.append(acc)
-    return mats
 
 
 def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
@@ -49,109 +37,33 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
     if H.mul2(wc.f, wc.finv) != H.delta_one:
         raise InconsistentStructure("F F^-1 != Delta(1); not a valid cocycle")
 
-    carrier = centralizer(H)
-    ht = target_subalgebra(H)
-    m = carrier.dim
     n = H.dim
-    ad = adjoint_action_matrices(H)
-
-    def to_carrier(v, what, idx):
-        coords = carrier.coordinates(v)
-        if coords is None:
-            raise ClosureViolation(
-                "%s escaped the carrier" % what,
-                witness=Witness(tuple(idx), tuple(v), (), what),
-            )
-        return coords
-
-    action_mats = []
-    for i in range(n):
-        cols = [
-            to_carrier(ad[i].apply(cv), "adjoint action", (i, k))
-            for k, cv in enumerate(carrier.vectors)
-        ]
-        action_mats.append(Matrix.from_columns(cols, m))
-    action = HModule(H, action_mats, name="adjoint")
-    action.validate()
-
+    f = identity_morphism(H)
+    ad = ambient_action(f)
     fs = [(divmod(flat, n), c) for flat, c in enumerate(wc.f) if c]
     fis = [(divmod(flat, n), c) for flat, c in enumerate(wc.finv) if c]
 
-    mul = Matrix.zero(m, m * m)
-    for i, ci in enumerate(carrier.vectors):
-        for j, cj in enumerate(carrier.vectors):
-            val = [Q0] * n
-            for (x, y), c in fs:
-                prod = H.mul_elem(ad[x].apply(ci), ad[y].apply(cj))
-                for r, cr in enumerate(prod):
-                    if cr:
-                        val[r] += c * cr
-            coords = to_carrier(tuple(val), "deformed product", (i, j))
-            for r, c in enumerate(coords):
-                mul.data[r][i * m + j] = c
+    def product(a, b):
+        # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
+        val = [Q0] * n
+        for (x, y), c in fs:
+            prod = H.mul_elem(ad[x].apply(a), ad[y].apply(b))
+            for r, cr in enumerate(prod):
+                if cr:
+                    val[r] += c * cr
+        return val
 
-    unit = Matrix.from_columns(
-        [to_carrier(x, "unit image", (k,)) for k, x in enumerate(ht.vectors)], m
-    )
-
-    comul = Matrix.zero(m * m, m)
-    for k, cv in enumerate(carrier.vectors):
+    def coproduct(a):
+        # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
         val = [Q0] * (n * n)
-        dl = H.comul_of(cv)
-        for flat, c in enumerate(dl):
-            if not c:
-                continue
-            a1, a2 = divmod(flat, n)
-            for (x, y), cf in fis:
-                left = ad[x].column(a1)
-                right = ad[y].column(a2)
-                cc = c * cf
-                for p, cp in enumerate(left):
-                    if cp:
-                        base = p * n
-                        ccp = cc * cp
-                        for q, cq in enumerate(right):
-                            if cq:
-                                val[base + q] += ccp * cq
-        coords = carrier.pair_coordinates(val)
-        if coords is None:
-            raise ClosureViolation(
-                "deformed coproduct escaped the carrier tensor square",
-                witness=Witness((k,), tuple(val), (), "deformed coproduct"),
-            )
-        for r, c in enumerate(coords):
-            comul.data[r][k] = c
+        for flat, c in enumerate(H.comul_of(a)):
+            if c:
+                a1, a2 = divmod(flat, n)
+                for (x, y), cf in fis:
+                    outer(ad[x].column(a1), ad[y].column(a2), c * cf, val)
+        return val
 
-    counit = Matrix.zero(ht.dim, m)
-    for k, cv in enumerate(carrier.vectors):
-        val = H.eps_t_mat.apply(cv)
-        coords = ht.coordinates(val)
-        if coords is None:
-            raise ClosureViolation(
-                "counit escaped the target subalgebra",
-                witness=Witness((k,), tuple(val), (), "counit"),
-            )
-        for r, c in enumerate(coords):
-            counit.data[r][k] = c
-
-    antipode_cols = [
-        to_carrier(H.antipode.apply(cv), "antipode", (k,))
-        for k, cv in enumerate(carrier.vectors)
-    ]
-    antipode = Matrix.from_columns(antipode_cols, m)
-
-    return BraidedHopfPresentation(
-        acting=H,
-        ambient=H,
-        carrier=carrier,
-        ht=ht,
-        action=action,
-        mul=mul,
-        unit=unit,
-        comul=comul,
-        counit=counit,
-        antipode=antipode,
-    )
+    return _present(f, ad, product, coproduct, H.antipode.apply)
 
 
 def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):

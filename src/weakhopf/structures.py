@@ -26,7 +26,7 @@ from .errors import (
     NotCocommutative,
     UNotInvertible,
 )
-from .linalg import Matrix, Q0, Q1, vec
+from .linalg import Matrix, Q0, Q1, outer, vec
 from .report import VerificationReport, Witness, comparison
 
 
@@ -85,11 +85,6 @@ def swap2(H, x2) -> tuple:
 
 def element2_sparse(H, x2):
     return sparse_of_dense(x2, H.dim, 2)
-
-
-def tensor_id_embed(H, x2, slots, k) -> dict:
-    """x2 placed at the two given slots of H^(x)k, unit elsewhere (sparse)."""
-    return sparse_embed(element2_sparse(H, x2), k, slots, H.unit_sparse)
 
 
 def _coproduct_leg(H, x2, which) -> dict:
@@ -198,22 +193,11 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
     from .algebra import source_subalgebra, target_subalgebra
 
     rep = VerificationReport("r-identities")
-    n = H.dim
     r, rinv = qt.r, qt.rinv
     ht = target_subalgebra(H)
     hs = source_subalgebra(H)
     S = H.antipode
     Sinv = H.antipode_inv
-
-    def emb2(x, y):
-        # dense 2-tensor x (x) y from two dense elements
-        out = [Q0] * (n * n)
-        for a, ca in enumerate(x):
-            if ca:
-                for b, cb in enumerate(y):
-                    if cb:
-                        out[a * n + b] += ca * cb
-        return tuple(out)
 
     one = H.unit
 
@@ -233,33 +217,33 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
 
     ht_pairs(
         "target-right-exchange",
-        lambda z: H.mul2(emb2(one, z), r),
-        lambda z: H.mul2(r, emb2(z, one)),
+        lambda z: H.mul2(outer(one, z), r),
+        lambda z: H.mul2(r, outer(z, one)),
     )
     hs_pairs(
         "source-left-exchange",
-        lambda y: H.mul2(emb2(y, one), r),
-        lambda y: H.mul2(r, emb2(one, y)),
+        lambda y: H.mul2(outer(y, one), r),
+        lambda y: H.mul2(r, outer(one, y)),
     )
     ht_pairs(
         "target-antipode-left",
-        lambda z: H.mul2(emb2(z, one), r),
-        lambda z: H.mul2(emb2(one, S.apply(z)), r),
+        lambda z: H.mul2(outer(z, one), r),
+        lambda z: H.mul2(outer(one, S.apply(z)), r),
     )
     hs_pairs(
         "source-antipode-right",
-        lambda y: H.mul2(emb2(one, y), r),
-        lambda y: H.mul2(emb2(S.apply(y), one), r),
+        lambda y: H.mul2(outer(one, y), r),
+        lambda y: H.mul2(outer(S.apply(y), one), r),
     )
     ht_pairs(
         "target-antipode-inverse",
-        lambda z: H.mul2(r, emb2(one, z)),
-        lambda z: H.mul2(r, emb2(Sinv.apply(z), one)),
+        lambda z: H.mul2(r, outer(one, z)),
+        lambda z: H.mul2(r, outer(Sinv.apply(z), one)),
     )
     hs_pairs(
         "source-antipode-inverse",
-        lambda y: H.mul2(r, emb2(y, one)),
-        lambda y: H.mul2(r, emb2(one, Sinv.apply(y))),
+        lambda y: H.mul2(r, outer(y, one)),
+        lambda y: H.mul2(r, outer(one, Sinv.apply(y))),
     )
 
     comparison(rep, "source-marginal-first-leg",
@@ -348,16 +332,9 @@ def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRepo
                      "S^2 vs conjugation by u (first rows)"),
     )
 
-    n = H.dim
     du = H.comul_of(u)
-    uu = [Q0] * (n * n)
-    for a, ca in enumerate(u):
-        if ca:
-            for b, cb in enumerate(u):
-                if cb:
-                    uu[a * n + b] += ca * cb
     rinv21 = swap2(H, qt.rinv)
-    rhs = H.mul2(H.mul2(qt.rinv, rinv21), tuple(uu))
+    rhs = H.mul2(H.mul2(qt.rinv, rinv21), tuple(outer(u, u)))
     comparison(rep, "coproduct-of-u", [((), du, rhs)],
                "Delta(u) vs R^-1 R21^-1 (u (x) u)")
     return rep
@@ -420,39 +397,30 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
     one = H.unit
     Sinv = H.antipode_inv
 
-    def emb2(x, y):
-        out = [Q0] * (n * n)
-        for a, ca in enumerate(x):
-            if ca:
-                for b, cb in enumerate(y):
-                    if cb:
-                        out[a * n + b] += ca * cb
-        return tuple(out)
-
     comparison(rep, "source-second-leg",
-               (((i,), H.mul2(emb2(one, y), f), H.mul2(f, emb2(y, one)))
+               (((i,), H.mul2(outer(one, y), f), H.mul2(f, outer(y, one)))
                 for i, y in enumerate(hs.vectors)),
                "(1 (x) y)F vs F(y (x) 1)")
     comparison(rep, "target-first-leg",
-               (((i,), H.mul2(emb2(z, one), f), H.mul2(f, emb2(one, z)))
+               (((i,), H.mul2(outer(z, one), f), H.mul2(f, outer(one, z)))
                 for i, z in enumerate(ht.vectors)),
                "(z (x) 1)F vs F(1 (x) z)")
     comparison(rep, "finv-source",
-               (((i,), H.mul2(finv, emb2(one, y)), H.mul2(emb2(y, one), finv))
+               (((i,), H.mul2(finv, outer(one, y)), H.mul2(outer(y, one), finv))
                 for i, y in enumerate(hs.vectors)),
                "F^-1(1 (x) y) vs (y (x) 1)F^-1")
     comparison(rep, "finv-target",
-               (((i,), H.mul2(finv, emb2(z, one)), H.mul2(emb2(one, z), finv))
+               (((i,), H.mul2(finv, outer(z, one)), H.mul2(outer(one, z), finv))
                 for i, z in enumerate(ht.vectors)),
                "F^-1(z (x) 1) vs (1 (x) z)F^-1")
     comparison(rep, "finv-source-antipode",
-               (((i,), H.mul2(emb2(one, y), finv),
-                 H.mul2(emb2(Sinv.apply(y), one), finv))
+               (((i,), H.mul2(outer(one, y), finv),
+                 H.mul2(outer(Sinv.apply(y), one), finv))
                 for i, y in enumerate(hs.vectors)),
                "(1 (x) y)F^-1 vs (S^-1(y) (x) 1)F^-1")
     comparison(rep, "f-target-antipode",
-               (((i,), H.mul2(f, emb2(z, one)),
-                 H.mul2(f, emb2(one, Sinv.apply(z))))
+               (((i,), H.mul2(f, outer(z, one)),
+                 H.mul2(f, outer(one, Sinv.apply(z))))
                 for i, z in enumerate(ht.vectors)),
                "F(z (x) 1) vs F(1 (x) S^-1(z))")
 
@@ -519,29 +487,13 @@ def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):
 
 def conjugator_coproduct_sides(H, wc, v_inv=None):
     """Both sides of Delta(v^-1) = ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1."""
-    n = H.dim
     if v_inv is None:
-        v_inv = [Q0] * n
-        for flat, c in enumerate(wc.f):
-            if not c:
-                continue
-            a, b = divmod(flat, n)
-            term = H.mul_elem(H.antipode.column(a), H.basis_vector(b))
-            for k, ck in enumerate(term):
-                if ck:
-                    v_inv[k] += c * ck
-        v_inv = tuple(v_inv)
+        v_inv = conjugator_elements(H, wc)[1]
     lhs = H.comul_of(v_inv)
     ss_f21inv = apply_to_leg(
         H, H.antipode, apply_to_leg(H, H.antipode, swap2(H, wc.finv), 0), 1
     )
-    vv = [Q0] * (n * n)
-    for a, ca in enumerate(v_inv):
-        if ca:
-            for b, cb in enumerate(v_inv):
-                if cb:
-                    vv[a * n + b] += ca * cb
-    rhs = H.mul2(H.mul2(ss_f21inv, tuple(vv)), wc.finv)
+    rhs = H.mul2(H.mul2(ss_f21inv, tuple(outer(v_inv, v_inv))), wc.finv)
     return lhs, rhs
 
 

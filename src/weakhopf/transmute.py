@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .algebra import QuantumGroupoid, target_subalgebra, source_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
-from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron
-from .modules import BraidContext, HModule, ht_module, unitors
+from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron, outer
+from .modules import BraidContext, HModule, _componentwise_action, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -71,13 +71,7 @@ def check_morphism(f: QGMorphism) -> VerificationReport:
             lhs = L.comul_of(m.column(i))
             rhs = [Q0] * (L.dim * L.dim)
             for (a, b), c in H.comul_cols[i].items():
-                fa = m.column(a)
-                fb = m.column(b)
-                for p, cp in enumerate(fa):
-                    if cp:
-                        for q, cq in enumerate(fb):
-                            if cq:
-                                rhs[p * L.dim + q] += c * cp * cq
+                outer(m.column(a), m.column(b), c, rhs)
             yield (i,), lhs, tuple(rhs)
 
     comparison(rep, "comultiplicative", comul_pairs())
@@ -140,6 +134,120 @@ class BraidedHopfPresentation:
         )
 
 
+def ambient_action(f: QGMorphism):
+    """Matrices of h . l = f(h_1) l f(S(h_2)) on the target of f, one per
+    basis element h of the source (the adjoint action when f = id)."""
+    H, L = f.source, f.target
+    fs_of = [f.apply(H.antipode.column(i)) for i in range(H.dim)]
+    mats = []
+    for i in range(H.dim):
+        acc = Matrix.zero(L.dim, L.dim)
+        for (a, b), c in H.comul_cols[i].items():
+            term = L.left_mult(f.matrix.column(a)) * L.right_mult(fs_of[b])
+            for r in range(L.dim):
+                trow = term.data[r]
+                arow = acc.data[r]
+                for j in range(L.dim):
+                    if trow[j]:
+                        arow[j] += c * trow[j]
+        mats.append(acc)
+    return mats
+
+
+def _present(f: QGMorphism, ad, product, coproduct, antipode):
+    """The presentation on the centralizer carrier of f.target.
+
+    Every construction shares the carrier, H_t, the action ad (which is
+    ambient_action(f)), the unit z -> f(z) and the counit
+    eps(l) = eps_L(f(1_1) l) 1_2.  The three rules give the rest:
+    product(a, b), coproduct(a) and antipode(a) take carrier vectors to
+    ambient vectors (coproduct to the ambient tensor square).  Raises
+    ClosureViolation when a map leaves its codomain.
+    """
+    H, L = f.source, f.target
+    carrier = centralizer(L)
+    ht = target_subalgebra(H)
+    m = carrier.dim
+
+    def to_carrier(v, what, idx):
+        coords = carrier.coordinates(v)
+        if coords is None:
+            raise ClosureViolation(
+                "%s escaped the carrier" % what,
+                witness=Witness(tuple(idx), tuple(v), (), what),
+            )
+        return coords
+
+    action_mats = []
+    for i in range(H.dim):
+        cols = [
+            to_carrier(ad[i].apply(cv), "module action", (i, k))
+            for k, cv in enumerate(carrier.vectors)
+        ]
+        action_mats.append(Matrix.from_columns(cols, m))
+    action = HModule(H, action_mats, name="carrier")
+    action.validate()
+
+    mul = Matrix.zero(m, m * m)
+    for i, ci in enumerate(carrier.vectors):
+        for j, cj in enumerate(carrier.vectors):
+            coords = to_carrier(product(ci, cj), "product", (i, j))
+            for r, c in enumerate(coords):
+                mul.data[r][i * m + j] = c
+
+    unit = Matrix.from_columns(
+        [to_carrier(f.apply(x), "unit image", (k,)) for k, x in enumerate(ht.vectors)],
+        m,
+    )
+
+    comul = Matrix.zero(m * m, m)
+    for k, cv in enumerate(carrier.vectors):
+        val = coproduct(cv)
+        coords = carrier.pair_coordinates(val)
+        if coords is None:
+            raise ClosureViolation(
+                "coproduct escaped the carrier tensor square",
+                witness=Witness((k,), tuple(val), (), "coproduct"),
+            )
+        for r, c in enumerate(coords):
+            comul.data[r][k] = c
+
+    ones = [(f.matrix.column(a), b, c) for (a, b), c in H.delta_one_sparse.items()]
+    counit = Matrix.zero(ht.dim, m)
+    for k, cv in enumerate(carrier.vectors):
+        val = [Q0] * H.dim
+        for f1, b, c in ones:
+            s = L.counit_of(L.mul_elem(f1, cv))
+            if s:
+                val[b] += c * s
+        coords = ht.coordinates(tuple(val))
+        if coords is None:
+            raise ClosureViolation(
+                "counit escaped the target subalgebra",
+                witness=Witness((k,), tuple(val), (), "counit"),
+            )
+        for r, c in enumerate(coords):
+            counit.data[r][k] = c
+
+    antipode = Matrix.from_columns(
+        [to_carrier(antipode(cv), "antipode", (k,))
+         for k, cv in enumerate(carrier.vectors)],
+        m,
+    )
+    return BraidedHopfPresentation(
+        acting=H,
+        ambient=L,
+        carrier=carrier,
+        ht=ht,
+        action=action,
+        mul=mul,
+        unit=unit,
+        comul=comul,
+        counit=counit,
+        antipode=antipode,
+    )
+
+
 def transmute(
     H: QuantumGroupoid,
     qt: QTStructure,
@@ -156,131 +264,34 @@ def transmute(
     if f.source is not H or f.target is not L:
         raise MismatchedAlgebra("morphism endpoints do not match the inputs")
 
-    carrier = centralizer(L)
-    ht = target_subalgebra(H)
-    m = carrier.dim
     n = H.dim
-
+    ad = ambient_action(f)
     f_of = [f.matrix.column(i) for i in range(n)]
     fs_of = [f.apply(H.antipode.column(i)) for i in range(n)]
-
-    # ambient action of each H basis element: h . l = f(h_1) l f(S(h_2))
-    ambient_action = []
-    for i in range(n):
-        acc = Matrix.zero(L.dim, L.dim)
-        for (a, b), c in H.comul_cols[i].items():
-            term = L.left_mult(f_of[a]) * L.right_mult(fs_of[b])
-            for r in range(L.dim):
-                trow = term.data[r]
-                arow = acc.data[r]
-                for j in range(L.dim):
-                    if trow[j]:
-                        arow[j] += c * trow[j]
-        ambient_action.append(acc)
-
-    def to_carrier(v, what, idx):
-        coords = carrier.coordinates(v)
-        if coords is None:
-            raise ClosureViolation(
-                "%s escaped the carrier" % what,
-                witness=Witness(tuple(idx), tuple(v), (), what),
-            )
-        return coords
-
-    action_mats = []
-    for i in range(n):
-        cols = [
-            to_carrier(ambient_action[i].apply(cv), "module action", (i, k))
-            for k, cv in enumerate(carrier.vectors)
-        ]
-        action_mats.append(Matrix.from_columns(cols, m))
-    action = HModule(H, action_mats, name="carrier")
-    action.validate()
-
-    mul = Matrix.zero(m, m * m)
-    for i, ci in enumerate(carrier.vectors):
-        for j, cj in enumerate(carrier.vectors):
-            coords = to_carrier(L.mul_elem(ci, cj), "product", (i, j))
-            for r, c in enumerate(coords):
-                mul.data[r][i * m + j] = c
-
-    unit = Matrix.from_columns(
-        [to_carrier(f.apply(x), "unit image", (k,)) for k, x in enumerate(ht.vectors)],
-        m,
-    )
-
     rs = [(divmod(flat, n), c) for flat, c in enumerate(qt.r) if c]
 
-    comul = Matrix.zero(m * m, m)
-    for k, cv in enumerate(carrier.vectors):
+    def coproduct(l):
         # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
         val = [Q0] * (L.dim * L.dim)
-        dl = L.comul_of(cv)
-        for flat, c in enumerate(dl):
-            if not c:
-                continue
-            l1, l2 = divmod(flat, L.dim)
-            for (x, y), cr in rs:
-                left = L.mul_elem(L.basis_vector(l1), fs_of[y])
-                right = ambient_action[x].column(l2)
-                cc = c * cr
-                for p, cp in enumerate(left):
-                    if cp:
-                        base = p * L.dim
-                        ccp = cc * cp
-                        for q, cq in enumerate(right):
-                            if cq:
-                                val[base + q] += ccp * cq
-        coords = carrier.pair_coordinates(val)
-        if coords is None:
-            raise ClosureViolation(
-                "coproduct escaped the carrier tensor square",
-                witness=Witness((k,), tuple(val), (), "coproduct"),
-            )
-        for r, c in enumerate(coords):
-            comul.data[r][k] = c
+        for flat, c in enumerate(L.comul_of(l)):
+            if c:
+                l1, l2 = divmod(flat, L.dim)
+                for (x, y), cr in rs:
+                    left = L.mul_elem(L.basis_vector(l1), fs_of[y])
+                    outer(left, ad[x].column(l2), c * cr, val)
+        return val
 
-    counit = Matrix.zero(ht.dim, m)
-    for k, cv in enumerate(carrier.vectors):
-        # eps(l) = eps_L(f(1_1) l) 1_2 in H_t coordinates
-        val = [Q0] * n
-        for (a, b), c in H.delta_one_sparse.items():
-            s = L.counit_of(L.mul_elem(f_of[a], cv))
-            if s:
-                val[b] += c * s
-        coords = ht.coordinates(tuple(val))
-        if coords is None:
-            raise ClosureViolation(
-                "counit escaped the target subalgebra",
-                witness=Witness((k,), tuple(val), (), "counit"),
-            )
-        for r, c in enumerate(coords):
-            counit.data[r][k] = c
-
-    antipode_cols = []
-    for k, cv in enumerate(carrier.vectors):
+    def antipode(l):
         # S(l) = f(R^(2)) S_L(R^(1) . l)
         val = [Q0] * L.dim
         for (x, y), cr in rs:
-            term = L.mul_elem(f_of[y], L.antipode.apply(ambient_action[x].apply(cv)))
+            term = L.mul_elem(f_of[y], L.antipode.apply(ad[x].apply(l)))
             for r, c in enumerate(term):
                 if c:
                     val[r] += cr * c
-        antipode_cols.append(to_carrier(tuple(val), "antipode", (k,)))
-    antipode = Matrix.from_columns(antipode_cols, m)
+        return val
 
-    return BraidedHopfPresentation(
-        acting=H,
-        ambient=L,
-        carrier=carrier,
-        ht=ht,
-        action=action,
-        mul=mul,
-        unit=unit,
-        comul=comul,
-        counit=counit,
-        antipode=antipode,
-    )
+    return _present(f, ad, L.mul_elem, coproduct, antipode)
 
 
 # ---------------------------------------------------------------------------
@@ -312,70 +323,34 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     rep.add("product-factors-through-tensor", p.mul * t2.projector == p.mul)
     rep.add("coproduct-lands-in-tensor", t2.projector * p.comul == p.comul)
 
-    # (a) all five maps are module morphisms
+    # (a) all five maps are module morphisms: x . (h on the source) equals
+    # (h on the target) . x for every basis element h
     _, htmod = ht_module(H)
     mul_inc = p.mul * t2.inclusion
-    comparison(
-        rep,
-        "product-module-morphism",
-        (
-            ((h,), col_l, col_r)
-            for h in range(H.dim)
-            for col_l, col_r in _columns_pair(
-                mul_inc * t2.module.mats[h], cmod.mats[h] * mul_inc
-            )
-        ),
-    )
-    comparison(
-        rep,
-        "unit-module-morphism",
-        (
-            ((h,), col_l, col_r)
-            for h in range(H.dim)
-            for col_l, col_r in _columns_pair(
-                p.unit * htmod.mats[h], cmod.mats[h] * p.unit
-            )
-        ),
-    )
-    big2 = [_plain_pair_action(cmod, ctx.coproduct_column(h)) for h in range(H.dim)]
-    comparison(
-        rep,
-        "coproduct-module-morphism",
-        (
-            ((h,), col_l, col_r)
-            for h in range(H.dim)
-            for col_l, col_r in _columns_pair(
-                p.comul * cmod.mats[h], big2[h] * p.comul
-            )
-        ),
-    )
-    comparison(
-        rep,
-        "counit-module-morphism",
-        (
-            ((h,), col_l, col_r)
-            for h in range(H.dim)
-            for col_l, col_r in _columns_pair(
-                p.counit * cmod.mats[h], htmod.mats[h] * p.counit
-            )
-        ),
-    )
-    comparison(
-        rep,
-        "antipode-module-morphism",
-        (
-            ((h,), col_l, col_r)
-            for h in range(H.dim)
-            for col_l, col_r in _columns_pair(
-                p.antipode * cmod.mats[h], cmod.mats[h] * p.antipode
-            )
-        ),
-    )
+    big2 = [
+        _componentwise_action(cmod, cmod, ctx.coproduct_column(h)) for h in range(H.dim)
+    ]
+    for name, x, src, dst in (
+        ("product", mul_inc, t2.module.mats, cmod.mats),
+        ("unit", p.unit, htmod.mats, cmod.mats),
+        ("coproduct", p.comul, cmod.mats, big2),
+        ("counit", p.counit, cmod.mats, htmod.mats),
+        ("antipode", p.antipode, cmod.mats, cmod.mats),
+    ):
+        comparison(
+            rep,
+            name + "-module-morphism",
+            (
+                ((h,), col_l, col_r)
+                for h in range(H.dim)
+                for col_l, col_r in _columns_pair(x * src[h], dst[h] * x)
+            ),
+        )
 
     # (b) associativity on the iterated truncated tensor, spanned by the
     # columns of the triple unit-coproduct projector
     mul_cols = _sparse_cols(p.mul)
-    act_cols = [_sparse_cols(mat) for mat in cmod.mats]
+    act_cols = cmod.sparse_columns()
     w3 = ctx.unit_coproduct_power(3)
 
     def triple_column(i, j, k):
@@ -439,15 +414,16 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     ht_emb = p.ht.embedding()
     eps_emb = ht_emb * p.counit  # carrier -> acting algebra coordinates
 
-    def counit_left_pairs():
+    def counit_law_pairs(leg, acting):
+        # eps acts from the given leg of Delta(k) on the other leg
         for k in range(m):
             out = [Q0] * m
-            col = p.comul.column(k)
-            for flat, c in enumerate(col):
+            for flat, c in enumerate(p.comul.column(k)):
                 if not c:
                     continue
-                i, j = divmod(flat, m)
-                acted = cmod.act_element(eps_emb.column(i)).column(j)
+                pair = divmod(flat, m)
+                z = acting(eps_emb.column(pair[leg]))
+                acted = cmod.act_element(z).column(pair[1 - leg])
                 for r, cr in enumerate(acted):
                     if cr:
                         out[r] += c * cr
@@ -455,25 +431,8 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
                 Q1 if r == k else Q0 for r in range(m)
             )
 
-    comparison(rep, "counit-law-left", counit_left_pairs())
-
-    def counit_right_pairs():
-        for k in range(m):
-            out = [Q0] * m
-            col = p.comul.column(k)
-            for flat, c in enumerate(col):
-                if not c:
-                    continue
-                i, j = divmod(flat, m)
-                acted = cmod.act_element(H.s_inv_of(eps_emb.column(j))).column(i)
-                for r, cr in enumerate(acted):
-                    if cr:
-                        out[r] += c * cr
-            yield (k,), tuple(out), tuple(
-                Q1 if r == k else Q0 for r in range(m)
-            )
-
-    comparison(rep, "counit-law-right", counit_right_pairs())
+    comparison(rep, "counit-law-left", counit_law_pairs(0, lambda z: z))
+    comparison(rep, "counit-law-right", counit_law_pairs(1, H.s_inv_of))
 
     # (d) braided bialgebra compatibility on the truncated tensor square
     comul_cols = _sparse_cols(p.comul)
@@ -529,13 +488,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     # (f) the unit is grouplike (up to truncation)
     onec = p.unit_element_coords()
     lhs = p.comul.apply(onec)
-    oo = [Q0] * (m * m)
-    for i, ci in enumerate(onec):
-        if ci:
-            for j, cj in enumerate(onec):
-                if cj:
-                    oo[i * m + j] += ci * cj
-    rhs = t2.projector.apply(tuple(oo))
+    rhs = t2.projector.apply(outer(onec, onec))
     comparison(rep, "unit-grouplike", [((), lhs, rhs)])
 
     # (g) both antipode axioms
@@ -558,10 +511,3 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
 def _columns_pair(a: Matrix, b: Matrix):
     for j in range(a.cols):
         yield a.column(j), b.column(j)
-
-
-def _plain_pair_action(cmod: HModule, elem2) -> Matrix:
-    """Componentwise action of an H (x) H element on carrier (x) carrier."""
-    from .modules import _componentwise_action
-
-    return _componentwise_action(cmod, cmod, elem2)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import Matrix, Q0, kron
 from .modules import HModule, truncated_tensor
-from .quantize import adjoint_action_matrices, quantize
+from .quantize import quantize
 from .report import VerificationReport, Witness, comparison
 from .structures import (
     QTStructure,
@@ -40,7 +40,13 @@ from .structures import (
     swap2,
     twist_elements,
 )
-from .transmute import BraidedHopfPresentation, centralizer, transmute
+from .transmute import (
+    BraidedHopfPresentation,
+    ambient_action,
+    centralizer,
+    identity_morphism,
+    transmute,
+)
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def _alpha_between(H, wc, tw: TwistedPair):
     twisted = tw.algebra
     c_src = centralizer(H)
     c_dst = centralizer(twisted)
-    ad = adjoint_action_matrices(H)
+    ad = ambient_action(identity_morphism(H))
     fs = [(divmod(flat, n), c) for flat, c in enumerate(wc.f) if c]
     fis = [(divmod(flat, n), c) for flat, c in enumerate(wc.finv) if c]
 

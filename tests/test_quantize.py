@@ -3,7 +3,7 @@ import pytest
 from weakhopf import canonical_r, quantize, transmute, verify_quantization
 from weakhopf.errors import NotCocommutative
 from weakhopf.linalg import Matrix, Q0, Q1
-from weakhopf.quantize import adjoint_action_matrices, product_exchange_law
+from weakhopf.quantize import product_exchange_law
 from weakhopf.zoo import (
     GroupoidSpec,
     dihedral_group_algebra,
@@ -99,7 +99,18 @@ def ordinary_hopf_twist_oracle(H, wc):
     an ordinary Hopf algebra (target subalgebra spanned by 1, no truncation),
     written independently of the carrier machinery."""
     n = H.dim
-    ad = adjoint_action_matrices(H)
+    # Ad_{e_i} = sum over Delta(e_i) of (left mult by e_a)(right mult by S(e_b))
+    ad = []
+    for i in range(n):
+        acc = Matrix.zero(n, n)
+        for flat, c in enumerate(H.comul_map.column(i)):
+            if c:
+                a, b = divmod(flat, n)
+                term = H.left_mult(H.basis_vector(a)) * H.right_mult(
+                    H.antipode.column(b)
+                )
+                acc = acc + term.scale(c)
+        ad.append(acc)
     mul = Matrix.zero(n, n * n)
     for i in range(n):
         for j in range(n):
