@@ -90,6 +90,18 @@ def sparse_embed(s, k, slots, unit_sparse):
     return {i: c for i, c in out.items() if c != 0}
 
 
+def sparse_coproduct_leg(s, leg, cols):
+    """Apply a coproduct, given as cols[i] = {(p, q): c}, to slot leg of the
+    sparse k-tensor s; returns the sparse (k+1)-tensor."""
+    out = {}
+    for idx, c in s.items():
+        head, tail = idx[:leg], idx[leg + 1:]
+        for pq, c2 in cols[idx[leg]].items():
+            key = head + pq + tail
+            out[key] = out.get(key, Q0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
 class WeakBialgebra:
     """Finite-dimensional weak bialgebra presented by structure constants."""
 
@@ -174,10 +186,7 @@ class WeakBialgebra:
 
     @cached_property
     def delta_one_sparse(self):
-        n = self.dim
-        return {
-            (f // n, f % n): c for f, c in enumerate(self.delta_one) if c
-        }
+        return sparse_of_dense(self.delta_one, self.dim, 2)
 
     @cached_property
     def delta_cop_one(self) -> tuple:
@@ -290,31 +299,13 @@ class WeakBialgebra:
 
     def left_mult(self, x) -> Matrix:
         n = self.dim
-        m = Matrix.zero(n, n)
-        for i, c in enumerate(x):
-            if c:
-                li = self.left_mult_mats[i]
-                for r in range(n):
-                    row = li.data[r]
-                    mrow = m.data[r]
-                    for j in range(n):
-                        if row[j]:
-                            mrow[j] += c * row[j]
-        return m
+        mats = self.left_mult_mats
+        return Matrix.lincomb(((c, mats[i]) for i, c in enumerate(x) if c), n, n)
 
     def right_mult(self, x) -> Matrix:
         n = self.dim
-        m = Matrix.zero(n, n)
-        for i, c in enumerate(x):
-            if c:
-                ri = self.right_mult_mats[i]
-                for r in range(n):
-                    row = ri.data[r]
-                    mrow = m.data[r]
-                    for j in range(n):
-                        if row[j]:
-                            mrow[j] += c * row[j]
-        return m
+        mats = self.right_mult_mats
+        return Matrix.lincomb(((c, mats[i]) for i, c in enumerate(x) if c), n, n)
 
     def basis_vector(self, i) -> tuple:
         return tuple(Q1 if j == i else Q0 for j in range(self.dim))
@@ -416,65 +407,39 @@ def solve_antipode(B: WeakBialgebra):
     n = B.dim
     rows = []
     rhs = []
+    ident_cols = [B.basis_vector(a) for a in range(n)]
     eps_s_cols = [B.eps_s_mat.column(a) for a in range(n)]
     eps_t_cols = [B.eps_t_mat.column(a) for a in range(n)]
+    # One block of n rows per (i, axiom).  Each axiom is a sum over
+    # Delta(e_i) = sum c e_x (x) e_y with S on one leg and a known map K
+    # (id, eps_s or eps_t) on the other; the right-hand side is a known
+    # matrix, or None for S(e_i) itself (the third axiom S * id * S = S
+    # through the first two), which moves to the left.
+    blocks = (
+        (0, ident_cols, B.eps_s_mat),  # S * id = eps_s
+        (1, ident_cols, B.eps_t_mat),  # id * S = eps_t
+        (1, eps_s_cols, None),  # eps_s * S = S
+        (0, eps_t_cols, None),  # S * eps_t = S
+    )
     # unknown s[r*n + c] = coefficient of e_r in S(e_c)
     for i in range(n):
-        col = B.comul_cols[i]
-        # (S * id)(e_i) = sum d[i][a][b] S(e_a) e_b  = eps_s(e_i)
-        coeff = [[Q0] * (n * n) for _ in range(n)]
-        for (a, b), c in col.items():
-            for j in range(n):
-                row = B.mul_rows.get((j, b))
-                if row:
-                    for k, ck in row.items():
-                        coeff[k][j * n + a] += c * ck
-        for k in range(n):
-            rows.append(coeff[k])
-            rhs.append(B.eps_s_mat.data[k][i])
-        # (id * S)(e_i) = sum d[i][a][b] e_a S(e_b) = eps_t(e_i)
-        coeff = [[Q0] * (n * n) for _ in range(n)]
-        for (a, b), c in col.items():
-            for j in range(n):
-                row = B.mul_rows.get((a, j))
-                if row:
-                    for k, ck in row.items():
-                        coeff[k][j * n + b] += c * ck
-        for k in range(n):
-            rows.append(coeff[k])
-            rhs.append(B.eps_t_mat.data[k][i])
-        # (eps_s * S)(e_i) = S(e_i): the third axiom through the first
-        coeff = [[Q0] * (n * n) for _ in range(n)]
-        for (a, b), c in col.items():
-            ea = eps_s_cols[a]
-            for p, cp in enumerate(ea):
-                if not cp:
-                    continue
-                for j in range(n):
-                    row = B.mul_rows.get((p, j))
-                    if row:
-                        for k, ck in row.items():
-                            coeff[k][j * n + b] += c * cp * ck
-        for k in range(n):
-            coeff[k][k * n + i] -= Q1
-            rows.append(coeff[k])
-            rhs.append(Q0)
-        # (S * eps_t)(e_i) = S(e_i): the third axiom through the second
-        coeff = [[Q0] * (n * n) for _ in range(n)]
-        for (a, b), c in col.items():
-            tb = eps_t_cols[b]
-            for q, cq in enumerate(tb):
-                if not cq:
-                    continue
-                for j in range(n):
-                    row = B.mul_rows.get((j, q))
-                    if row:
-                        for k, ck in row.items():
-                            coeff[k][j * n + a] += c * cq * ck
-        for k in range(n):
-            coeff[k][k * n + i] -= Q1
-            rows.append(coeff[k])
-            rhs.append(Q0)
+        for s_leg, known, target in blocks:
+            coeff = [[Q0] * (n * n) for _ in range(n)]
+            for pair, c in B.comul_cols[i].items():
+                x = pair[s_leg]
+                for p, cp in enumerate(known[pair[1 - s_leg]]):
+                    if not cp:
+                        continue
+                    for j in range(n):
+                        row = B.mul_rows.get((j, p) if s_leg == 0 else (p, j))
+                        if row:
+                            for k, ck in row.items():
+                                coeff[k][j * n + x] += c * cp * ck
+            for k in range(n):
+                if target is None:
+                    coeff[k][k * n + i] -= Q1
+                rows.append(coeff[k])
+                rhs.append(Q0 if target is None else target.data[k][i])
     system = Matrix(rows, len(rows), n * n)
     try:
         sol = system.solve(rhs, unique=True)
@@ -518,24 +483,11 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     comparison(rep, "unit-law", unit_pairs())
 
     def coassoc_pairs():
-        cm = B.comul_map
+        cols = B.comul_cols
         for i in range(n):
-            d = cm.column(i)
-            lhs = [Q0] * (n ** 3)
-            rhs = [Q0] * (n ** 3)
-            for flat, c in enumerate(d):
-                if not c:
-                    continue
-                a, b = divmod(flat, n)
-                for f2, c2 in enumerate(cm.column(a)):
-                    if c2:
-                        p, q = divmod(f2, n)
-                        lhs[(p * n + q) * n + b] += c * c2
-                for f2, c2 in enumerate(cm.column(b)):
-                    if c2:
-                        p, q = divmod(f2, n)
-                        rhs[(a * n + p) * n + q] += c * c2
-            yield (i,), tuple(lhs), tuple(rhs)
+            lhs = sparse_coproduct_leg(cols[i], 0, cols)
+            rhs = sparse_coproduct_leg(cols[i], 1, cols)
+            yield (i,), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3)
 
     comparison(rep, "coassociativity", coassoc_pairs())
 
@@ -564,12 +516,7 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     # weak unit axiom: Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1))
     #                            = (1 (x) Delta(1))(Delta(1) (x) 1)
     d1 = B.delta_one_sparse
-    d2 = {}
-    for (a, b), c in d1.items():
-        for (p, q), c2 in B.comul_cols[a].items():
-            key = (p, q, b)
-            d2[key] = d2.get(key, Q0) + c * c2
-    d2 = {k: v for k, v in d2.items() if v}
+    d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
     left3 = sparse_embed(d1, 3, (0, 1), B.unit_sparse)
     right3 = sparse_embed(d1, 3, (1, 2), B.unit_sparse)
     prod_a = sparse_mul(B, left3, right3, 3)

@@ -21,7 +21,6 @@ from .algebra import (
 from .errors import (
     AntipodeNotInvertible,
     ParseError,
-    PreconditionUnmet,
     TwistAxiomFailure,
     WeakHopfError,
 )
@@ -94,16 +93,18 @@ def _require_groupoid(obj, path):
     raise _InputError("%s: expected a quantum-groupoid document" % path)
 
 
-def _bind_qt(obj, H, path):
-    if not isinstance(obj, ParsedQT):
-        raise _InputError("%s: expected a qt-structure document" % path)
-    if obj.basis_names != tuple(H.basis_names):
-        raise _InputError("%s: basis does not match the algebra" % path)
-    return obj.structure
+_STRUCTURE_DOCS = {
+    "qt": (ParsedQT, "qt-structure"),
+    "cocycle": (ParsedCocycle, "cocycle"),
+}
 
-def _bind_cocycle(obj, H, path):
-    if not isinstance(obj, ParsedCocycle):
-        raise _InputError("%s: expected a cocycle document" % path)
+
+def _bind(path, want, H):
+    """Load the qt-structure or cocycle document at path for the algebra H."""
+    cls, kind = _STRUCTURE_DOCS[want]
+    obj = _load_object(path, want)
+    if not isinstance(obj, cls):
+        raise _InputError("%s: expected a %s document" % (path, kind))
     if obj.basis_names != tuple(H.basis_names):
         raise _InputError("%s: basis does not match the algebra" % path)
     return obj.structure
@@ -181,10 +182,7 @@ def _cmd_check(args) -> int:
             pending_qt.append((path, _load_object(path, "qt")))
             pending_cocycle.append((path, _load_object(path, "cocycle")))
             continue
-        try:
-            obj = _load_object(path, "any")
-        except _InputError:
-            raise
+        obj = _load_object(path, "any")
         out.json_objects.append(path)
         if isinstance(obj, QuantumGroupoid) or isinstance(obj, WeakBialgebra):
             algebras.append((path, obj))
@@ -264,7 +262,7 @@ def _cmd_check(args) -> int:
 def _cmd_transmute(args) -> int:
     out = _Output(args.format, args.out)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
-    qt = _bind_qt(_load_object(args.qt, "qt"), H, args.qt)
+    qt = _bind(args.qt, "qt", H)
     target = None
     morphism = None
     if args.target:
@@ -302,7 +300,7 @@ def _cmd_transmute(args) -> int:
 def _cmd_quantize(args) -> int:
     out = _Output(args.format, args.out)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
-    wc = _bind_cocycle(_load_object(args.cocycle, "cocycle"), H, args.cocycle)
+    wc = _bind(args.cocycle, "cocycle", H)
     failed = False
     rep = check_weak_cocycle(H, wc)
     out.add_report(args.cocycle, rep)
@@ -321,8 +319,8 @@ def _cmd_quantize(args) -> int:
 def _cmd_twist(args) -> int:
     out = _Output(args.format, args.out)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
-    qt = _bind_qt(_load_object(args.qt, "qt"), H, args.qt)
-    wc = _bind_cocycle(_load_object(args.cocycle, "cocycle"), H, args.cocycle)
+    qt = _bind(args.qt, "qt", H)
+    wc = _bind(args.cocycle, "cocycle", H)
     try:
         pair = twist(H, qt, wc)
     except TwistAxiomFailure as exc:
@@ -344,12 +342,8 @@ def _cmd_twist(args) -> int:
 def _cmd_verify_iso(args) -> int:
     out = _Output(args.format, args.out)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
-    wc = _bind_cocycle(_load_object(args.cocycle, "cocycle"), H, args.cocycle)
-    try:
-        qt = canonical_r(H)
-        result = verify_isomorphism(H, qt, wc)
-    except (PreconditionUnmet, WeakHopfError) as exc:
-        raise _InputError(str(exc)) from exc
+    wc = _bind(args.cocycle, "cocycle", H)
+    result = verify_isomorphism(H, canonical_r(H), wc)
     out.add_report(args.algebra, result.report)
     left = serialize_presentation(result.quantized)
     right = serialize_presentation(result.twisted_transmuted)
@@ -400,8 +394,6 @@ def _cmd_zoo(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "structured"), default="text")
-    sub.add_argument("--fail-fast", action="store_true")
-    sub.add_argument("--with-hexagons", action="store_true")
     sub.add_argument("--out", default=None)
 
 
@@ -414,6 +406,8 @@ def build_parser():
 
     p = sub.add_parser("check", help="run axiom suites on the given objects")
     p.add_argument("inputs", nargs="+", help="paths or zoo:NAME")
+    p.add_argument("--fail-fast", action="store_true")
+    p.add_argument("--with-hexagons", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("transmute", help="braided Hopf structure on a centralizer")
@@ -471,9 +465,6 @@ def run(argv=None) -> int:
         out.add_report("", rep)
         out.render(1)
         return 1
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except WeakHopfError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -26,10 +26,6 @@ class NonUniqueSolution(WeakHopfError):
     pass
 
 
-class NoAntipode(WeakHopfError):
-    pass
-
-
 class NonUniqueAntipode(WeakHopfError):
     pass
 

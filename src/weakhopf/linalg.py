@@ -57,6 +57,23 @@ def outer(x, y, c=Q1, out=None):
     return out
 
 
+def lincomb(terms, n) -> tuple:
+    """sum c v over the (c, v) pairs of terms, as a length-n tuple.
+
+    Every "add c times this vector" sum in the package goes through here,
+    once per output vector.
+    """
+    out = [Q0] * n
+    for c, v in terms:
+        if len(v) != n:
+            raise DimensionMismatch("lincomb term has wrong length")
+        if c:
+            for r, x in enumerate(v):
+                if x:
+                    out[r] += c * x
+    return tuple(out)
+
+
 class Matrix:
     """Dense rows x cols matrix of Fractions acting on column vectors."""
 
@@ -85,6 +102,20 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = Q1
         return m
+
+    @classmethod
+    def lincomb(cls, terms, rows, cols):
+        """sum c M over the (c, M) pairs of terms, as a rows x cols matrix."""
+        out = cls.zero(rows, cols)
+        for c, m in terms:
+            if m.rows != rows or m.cols != cols:
+                raise DimensionMismatch("lincomb term has wrong shape")
+            if c:
+                for orow, mrow in zip(out.data, m.data):
+                    for j, x in enumerate(mrow):
+                        if x:
+                            orow[j] += c * x
+        return out
 
     @classmethod
     def from_columns(cls, columns, rows=None):

@@ -14,6 +14,8 @@ from typing import Optional
 from .algebra import (
     QuantumGroupoid,
     epsilon_t,
+    sparse_coproduct_leg,
+    sparse_of_dense,
     target_subalgebra,
 )
 from .errors import (
@@ -39,17 +41,9 @@ class HModule:
 
     def act_element(self, x) -> Matrix:
         """Action matrix of an algebra element given by coefficients."""
-        m = Matrix.zero(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                mi = self.mats[i]
-                for r in range(self.dim):
-                    row = mi.data[r]
-                    mrow = m.data[r]
-                    for j in range(self.dim):
-                        if row[j]:
-                            mrow[j] += c * row[j]
-        return m
+        return Matrix.lincomb(
+            ((c, self.mats[i]) for i, c in enumerate(x) if c), self.dim, self.dim
+        )
 
     def sparse_columns(self):
         """Per basis element, the action matrix columns as sparse dicts."""
@@ -208,10 +202,7 @@ def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     od = out.data
     nz_m = {}
     nz_n = {}
-    for flat, c in enumerate(elem2):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
+    for (a, b), c in sparse_of_dense(elem2, n, 2).items():
         if a not in nz_m:
             nz_m[a] = _nonzeros(M.mats[a])
         if b not in nz_n:
@@ -375,18 +366,13 @@ class BraidContext:
     def unit_coproduct_power(self, k) -> dict:
         """Iterated coproduct of 1 as a sparse element of H^(x)k."""
         H = self.algebra
-        n = H.dim
-        cur = {(i,): c for i, c in enumerate(H.unit) if c}
+        cur = dict(H.unit_sparse)
         for _ in range(k - 1):
-            nxt = {}
-            for idx, c in cur.items():
-                first = idx[0]
-                for flat, c2 in enumerate(self.coproduct_column(first)):
-                    if c2:
-                        a, b = divmod(flat, n)
-                        key = (a, b) + idx[1:]
-                        nxt[key] = nxt.get(key, Q0) + c * c2
-            cur = {kk: v for kk, v in nxt.items() if v}
+            cols = {
+                i: sparse_of_dense(self.coproduct_column(i), H.dim, 2)
+                for i in {idx[0] for idx in cur}
+            }
+            cur = sparse_coproduct_leg(cur, 0, cols)
         return cur
 
 
@@ -406,20 +392,8 @@ def unitors(M: HModule, ctx: BraidContext):
     t_l = ctx.tensor(zmod, M)
     t_r = ctx.tensor(M, zmod)
 
-    l_plain = Matrix.zero(M.dim, zmod.dim * M.dim)
-    for zi in range(zmod.dim):
-        act = M.act_element(ht.vectors[zi])
-        for vi in range(M.dim):
-            col = act.column(vi)
-            for r in range(M.dim):
-                l_plain.data[r][zi * M.dim + vi] = col[r]
-    r_plain = Matrix.zero(M.dim, M.dim * zmod.dim)
-    for zi in range(zmod.dim):
-        act = M.act_element(H.s_inv_of(ht.vectors[zi]))
-        for vi in range(M.dim):
-            col = act.column(vi)
-            for r in range(M.dim):
-                r_plain.data[r][vi * zmod.dim + zi] = col[r]
+    l_plain = _unitor_plain(M, ht, left=True)
+    r_plain = _unitor_plain(M, ht, left=False)
 
     l_mat = l_plain * t_l.inclusion
     r_mat = r_plain * t_r.inclusion
@@ -433,6 +407,21 @@ def unitors(M: HModule, ctx: BraidContext):
         if r_mat * t_r.module.mats[h] != M.mats[h] * r_mat:
             raise InconsistentStructure("right unitor is not a module morphism")
     return l_mat, r_mat, t_l, t_r
+
+
+def _unitor_plain(M: HModule, ht: SubspaceBasis, left) -> Matrix:
+    """The left unitor z (x) v -> z . v on plain H_t (x) M coordinates, or
+    the right unitor v (x) z -> S^-1(z) . v on plain M (x) H_t coordinates."""
+    H = M.algebra
+    t = ht.dim
+    out = Matrix.zero(M.dim, t * M.dim)
+    for zi, z in enumerate(ht.vectors):
+        act = M.act_element(z if left else H.s_inv_of(z))
+        for vi in range(M.dim):
+            col = zi * M.dim + vi if left else vi * t + zi
+            for r in range(M.dim):
+                out.data[r][col] = act.data[r][vi]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +440,12 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     def triple_projector(A, B, C):
         """Delta^2(1) acting on A (x) B (x) C in plain coordinates."""
         dim = A.dim * B.dim * C.dim
-        out = Matrix.zero(dim, dim)
-        for (a, b, c), coeff in w3.items():
-            term = kron(kron(A.mats[a], B.mats[b]), C.mats[c])
-            for r in range(dim):
-                trow = term.data[r]
-                orow = out.data[r]
-                for j in range(dim):
-                    if trow[j]:
-                        orow[j] += coeff * trow[j]
-        return out
+        return Matrix.lincomb(
+            ((coeff, kron(kron(A.mats[a], B.mats[b]), C.mats[c]))
+             for (a, b, c), coeff in w3.items()),
+            dim,
+            dim,
+        )
 
     t_mn = ctx.tensor(M, N, validate=False)
     t_np = ctx.tensor(N, P, validate=False)
@@ -502,17 +487,8 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
 
     # unitor triangle: (id (x) l) = (r (x) id) across M (x) H_t (x) N
     ht, zmod = ht_module(H)
-    l_plain = Matrix.zero(N.dim, zmod.dim * N.dim)
-    r_plain = Matrix.zero(M.dim, M.dim * zmod.dim)
-    for zi, z in enumerate(ht.vectors):
-        act_l = N.act_element(z)
-        act_r = M.act_element(H.s_inv_of(z))
-        for vj in range(N.dim):
-            for row, val in enumerate(act_l.column(vj)):
-                l_plain.data[row][zi * N.dim + vj] = val
-        for vj in range(M.dim):
-            for row, val in enumerate(act_r.column(vj)):
-                r_plain.data[row][vj * zmod.dim + zi] = val
+    l_plain = _unitor_plain(N, ht, left=True)
+    r_plain = _unitor_plain(M, ht, left=False)
     lhs = kron(Matrix.identity(M.dim), l_plain)
     rhs = kron(r_plain, Matrix.identity(N.dim))
     triple_z = triple_projector(M, zmod, N)

@@ -12,12 +12,13 @@ from __future__ import annotations
 from .algebra import (
     QuantumGroupoid,
     dense_of_sparse,
+    sparse_coproduct_leg,
     sparse_embed,
     sparse_mul,
     sparse_of_dense,
 )
 from .errors import InconsistentStructure, NotCocommutative
-from .linalg import Q0, outer
+from .linalg import Q0, lincomb, outer
 from .modules import BraidContext
 from .report import VerificationReport, comparison
 from .structures import WeakCocycle
@@ -40,27 +41,21 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
     n = H.dim
     f = identity_morphism(H)
     ad = ambient_action(f)
-    fs = [(divmod(flat, n), c) for flat, c in enumerate(wc.f) if c]
-    fis = [(divmod(flat, n), c) for flat, c in enumerate(wc.finv) if c]
+    fs = sparse_of_dense(wc.f, n, 2).items()
+    fis = sparse_of_dense(wc.finv, n, 2).items()
 
     def product(a, b):
         # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
-        val = [Q0] * n
-        for (x, y), c in fs:
-            prod = H.mul_elem(ad[x].apply(a), ad[y].apply(b))
-            for r, cr in enumerate(prod):
-                if cr:
-                    val[r] += c * cr
-        return val
+        return lincomb(
+            ((c, H.mul_elem(ad[x].apply(a), ad[y].apply(b))) for (x, y), c in fs), n
+        )
 
     def coproduct(a):
         # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
         val = [Q0] * (n * n)
-        for flat, c in enumerate(H.comul_of(a)):
-            if c:
-                a1, a2 = divmod(flat, n)
-                for (x, y), cf in fis:
-                    outer(ad[x].column(a1), ad[y].column(a2), c * cf, val)
+        for (a1, a2), c in sparse_of_dense(H.comul_of(a), n, 2).items():
+            for (x, y), cf in fis:
+                outer(ad[x].column(a1), ad[y].column(a2), c * cf, val)
         return val
 
     return _present(f, ad, product, coproduct, H.antipode.apply)
@@ -73,18 +68,11 @@ def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):
     RHS: F12 F34 F^-1_23 (F21)_23 F^-1_13 F^-1_24 over independent copies.
     """
     n = H.dim
+    cols = H.comul_cols
 
     def delta_delta(x2):
-        out = {}
-        for flat, c in enumerate(x2):
-            if not c:
-                continue
-            a, b = divmod(flat, n)
-            for (p, q), c1 in H.comul_cols[a].items():
-                for (r, s), c2 in H.comul_cols[b].items():
-                    key = (p, q, r, s)
-                    out[key] = out.get(key, Q0) + c * c1 * c2
-        return {k: v for k, v in out.items() if v}
+        x3 = sparse_coproduct_leg(sparse_of_dense(x2, n, 2), 1, cols)
+        return sparse_coproduct_leg(x3, 0, cols)
 
     def swap23(sp):
         return {(a, c, b, d): v for (a, b, c, d), v in sp.items()}

@@ -86,41 +86,30 @@ def _serialize_lines(kind, names, sections):
     return "\n".join(lines) + "\n"
 
 
-def serialize_weak_bialgebra(B: WeakBialgebra) -> str:
+def _bialgebra_sections(B):
     n = B.dim
     mul_rows = [B.mul[i][j] for i in range(n) for j in range(n)]
     comul_rows = [
         tuple(B.comul[i][j][k] for j in range(n) for k in range(n)) for i in range(n)
     ]
-    return _serialize_lines(
-        "weak-bialgebra",
-        B.basis_names,
-        [
-            ("mul", mul_rows),
-            ("unit", [B.unit]),
-            ("comul", comul_rows),
-            ("counit", [B.counit]),
-        ],
-    )
+    return [
+        ("mul", mul_rows),
+        ("unit", [B.unit]),
+        ("comul", comul_rows),
+        ("counit", [B.counit]),
+    ]
+
+
+def serialize_weak_bialgebra(B: WeakBialgebra) -> str:
+    return _serialize_lines("weak-bialgebra", B.basis_names, _bialgebra_sections(B))
 
 
 def serialize_quantum_groupoid(H: QuantumGroupoid) -> str:
-    n = H.dim
-    mul_rows = [H.mul[i][j] for i in range(n) for j in range(n)]
-    comul_rows = [
-        tuple(H.comul[i][j][k] for j in range(n) for k in range(n)) for i in range(n)
-    ]
-    s_rows = [H.antipode.column(i) for i in range(n)]
+    s_rows = [H.antipode.column(i) for i in range(H.dim)]
     return _serialize_lines(
         "quantum-groupoid",
         H.basis_names,
-        [
-            ("mul", mul_rows),
-            ("unit", [H.unit]),
-            ("comul", comul_rows),
-            ("counit", [H.counit]),
-            ("antipode", s_rows),
-        ],
+        _bialgebra_sections(H) + [("antipode", s_rows)],
     )
 
 
@@ -255,6 +244,27 @@ class _Reader:
                 ) from exc
         return tuple(out)
 
+    def basis(self, dim_key, basis_key):
+        """A positive dimension field, then a basis line with that many
+        names; returns the names."""
+        text = self.key_line(dim_key)
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise ParseError(
+                "bad dimension %r" % text, line=self.pos, field=dim_key
+            ) from exc
+        if n < 1:
+            raise ParseError("dimension must be positive", line=self.pos, field=dim_key)
+        names = tuple(self.key_line(basis_key).split())
+        if len(names) != n:
+            raise ParseError(
+                "basis has %d names, %s is %d" % (len(names), dim_key, n),
+                line=self.pos,
+                field=basis_key,
+            )
+        return names
+
     def vector_field(self, key, count):
         return self.rationals(self.key_line(key), count, key)
 
@@ -277,20 +287,8 @@ def parse(text: str):
         raise ParseError("presentations are write-only artifacts", line=1, field="kind")
     if kind not in KINDS:
         raise ParseError("unknown kind %r" % kind, line=r.pos, field="kind")
-    dim_text = r.key_line("dim")
-    try:
-        n = int(dim_text)
-    except ValueError as exc:
-        raise ParseError("bad dimension %r" % dim_text, line=r.pos, field="dim") from exc
-    if n < 1:
-        raise ParseError("dimension must be positive", line=r.pos, field="dim")
-    names = tuple(r.key_line("basis").split())
-    if len(names) != n:
-        raise ParseError(
-            "basis has %d names, dim is %d" % (len(names), n),
-            line=r.pos,
-            field="basis",
-        )
+    names = r.basis("dim", "basis")
+    n = len(names)
 
     if kind in ("weak-bialgebra", "quantum-groupoid"):
         mul_rows = r.block_field("mul", n * n, n)
@@ -327,20 +325,8 @@ def parse(text: str):
         return ParsedCocycle(names, WeakCocycle(f, finv))
 
     if kind == "morphism":
-        tdim_text = r.key_line("target-dim")
-        try:
-            tdim = int(tdim_text)
-        except ValueError as exc:
-            raise ParseError(
-                "bad target dimension %r" % tdim_text, line=r.pos, field="target-dim"
-            ) from exc
-        tnames = tuple(r.key_line("target-basis").split())
-        if len(tnames) != tdim:
-            raise ParseError(
-                "target basis has %d names, target-dim is %d" % (len(tnames), tdim),
-                line=r.pos,
-                field="target-basis",
-            )
+        tnames = r.basis("target-dim", "target-basis")
+        tdim = len(tnames)
         mat_rows = r.block_field("matrix", n, tdim)
         r.expect_done()
         matrix = Matrix.zero(tdim, n)
@@ -350,20 +336,7 @@ def parse(text: str):
         return ParsedMorphism(names, tnames, matrix)
 
     # module
-    adim_text = r.key_line("algebra-dim")
-    try:
-        adim = int(adim_text)
-    except ValueError as exc:
-        raise ParseError(
-            "bad algebra dimension %r" % adim_text, line=r.pos, field="algebra-dim"
-        ) from exc
-    anames = tuple(r.key_line("algebra-basis").split())
-    if len(anames) != adim:
-        raise ParseError(
-            "algebra basis has %d names, algebra-dim is %d" % (len(anames), adim),
-            line=r.pos,
-            field="algebra-basis",
-        )
-    action_rows = r.block_field("action", adim, n * n)
+    anames = r.basis("algebra-dim", "algebra-basis")
+    action_rows = r.block_field("action", len(anames), n * n)
     r.expect_done()
     return ParsedModule(names, anames, action_rows)

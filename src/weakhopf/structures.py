@@ -15,6 +15,7 @@ from typing import Tuple
 from .algebra import (
     QuantumGroupoid,
     dense_of_sparse,
+    sparse_coproduct_leg,
     sparse_embed,
     sparse_mul,
     sparse_of_dense,
@@ -26,7 +27,7 @@ from .errors import (
     NotCocommutative,
     UNotInvertible,
 )
-from .linalg import Matrix, Q0, Q1, outer, vec
+from .linalg import Matrix, Q0, Q1, lincomb, outer, vec
 from .report import VerificationReport, Witness, comparison
 
 
@@ -76,42 +77,9 @@ class TwistElements:
 def swap2(H, x2) -> tuple:
     n = H.dim
     out = [Q0] * (n * n)
-    for flat, c in enumerate(x2):
-        if c:
-            a, b = divmod(flat, n)
-            out[b * n + a] += c
+    for (a, b), c in sparse_of_dense(x2, n, 2).items():
+        out[b * n + a] = c
     return tuple(out)
-
-
-def element2_sparse(H, x2):
-    return sparse_of_dense(x2, H.dim, 2)
-
-
-def _coproduct_leg(H, x2, which) -> dict:
-    """(Delta (x) id) or (id (x) Delta) of a dense 2-tensor, sparse 3-tensor."""
-    n = H.dim
-    out = {}
-    for flat, c in enumerate(x2):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
-        if which == "left":
-            for (p, q), c2 in H.comul_cols[a].items():
-                key = (p, q, b)
-                out[key] = out.get(key, Q0) + c * c2
-        else:
-            for (p, q), c2 in H.comul_cols[b].items():
-                key = (a, p, q)
-                out[key] = out.get(key, Q0) + c * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def coproduct_tensor_left(H, x2) -> dict:
-    return _coproduct_leg(H, x2, "left")
-
-
-def coproduct_tensor_right(H, x2) -> dict:
-    return _coproduct_leg(H, x2, "right")
 
 
 def apply_to_leg(H, mat: Matrix, x2, leg) -> tuple:
@@ -157,11 +125,11 @@ def check_quasitriangular(H: QuantumGroupoid, qt: QTStructure) -> VerificationRe
     comparison(rep, "r-invertibility-right", [((), H.mul2(rinv, r), d1)],
                "R^-1 R vs Delta(1)")
 
-    rs = element2_sparse(H, r)
+    rs = sparse_of_dense(r, n, 2)
     r13 = sparse_embed(rs, 3, (0, 2), H.unit_sparse)
     r12 = sparse_embed(rs, 3, (0, 1), H.unit_sparse)
     r23 = sparse_embed(rs, 3, (1, 2), H.unit_sparse)
-    lhs = coproduct_tensor_right(H, r)
+    lhs = sparse_coproduct_leg(rs, 1, H.comul_cols)
     rhs = sparse_mul(H, r13, r12, 3)
     comparison(
         rep,
@@ -169,7 +137,7 @@ def check_quasitriangular(H: QuantumGroupoid, qt: QTStructure) -> VerificationRe
         [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
         "(id (x) Delta)R vs R13 R12",
     )
-    lhs = coproduct_tensor_left(H, r)
+    lhs = sparse_coproduct_leg(rs, 0, H.comul_cols)
     rhs = sparse_mul(H, r13, r23, 3)
     comparison(
         rep,
@@ -274,22 +242,16 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
 
 def _drinfeld_raw(H, qt):
     n = H.dim
-    u = [Q0] * n
-    u_inv = [Q0] * n
-    s2 = H.antipode * H.antipode
-    for flat, c in enumerate(qt.r):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
-        term = H.mul_elem(H.antipode.column(b), H.basis_vector(a))
-        for k, ck in enumerate(term):
-            if ck:
-                u[k] += c * ck
-        term = H.mul_elem(H.basis_vector(b), s2.column(a))
-        for k, ck in enumerate(term):
-            if ck:
-                u_inv[k] += c * ck
-    return tuple(u), tuple(u_inv)
+    S = H.antipode
+    s2 = S * S
+    rs = sparse_of_dense(qt.r, n, 2).items()
+    u = lincomb(
+        ((c, H.mul_elem(S.column(b), H.basis_vector(a))) for (a, b), c in rs), n
+    )
+    u_inv = lincomb(
+        ((c, H.mul_elem(H.basis_vector(b), s2.column(a))) for (a, b), c in rs), n
+    )
+    return u, u_inv
 
 
 def drinfeld_element(H: QuantumGroupoid, qt: QTStructure) -> DrinfeldElement:
@@ -375,16 +337,16 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
     comparison(rep, "f-invertibility-right", [((), H.mul2(finv, f), d1c)],
                "F^-1 F vs Delta_cop(1)")
 
-    fs = element2_sparse(H, f)
-    fis = element2_sparse(H, finv)
+    fs = sparse_of_dense(f, n, 2)
+    fis = sparse_of_dense(finv, n, 2)
     f12 = sparse_embed(fs, 3, (0, 1), H.unit_sparse)
     f23 = sparse_embed(fs, 3, (1, 2), H.unit_sparse)
     fi12 = sparse_embed(fis, 3, (0, 1), H.unit_sparse)
     fi23 = sparse_embed(fis, 3, (1, 2), H.unit_sparse)
-    df_l = coproduct_tensor_left(H, f)
-    df_r = coproduct_tensor_right(H, f)
-    dfi_l = coproduct_tensor_left(H, finv)
-    dfi_r = coproduct_tensor_right(H, finv)
+    df_l = sparse_coproduct_leg(fs, 0, H.comul_cols)
+    df_r = sparse_coproduct_leg(fs, 1, H.comul_cols)
+    dfi_l = sparse_coproduct_leg(fis, 0, H.comul_cols)
+    dfi_r = sparse_coproduct_leg(fis, 1, H.comul_cols)
 
     lhs = sparse_mul(H, df_l, f12, 3)
     rhs = sparse_mul(H, df_r, f23, 3)
@@ -462,26 +424,17 @@ def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):
     """(v, v^-1, v v^-1) without any verification; the product is
     informational only."""
     n = H.dim
-    v = [Q0] * n
-    v_inv = [Q0] * n
-    for flat, c in enumerate(wc.finv):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
-        term = H.mul_elem(H.basis_vector(a), H.antipode.column(b))
-        for k, ck in enumerate(term):
-            if ck:
-                v[k] += c * ck
-    for flat, c in enumerate(wc.f):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
-        term = H.mul_elem(H.antipode.column(a), H.basis_vector(b))
-        for k, ck in enumerate(term):
-            if ck:
-                v_inv[k] += c * ck
-    v = tuple(v)
-    v_inv = tuple(v_inv)
+    S = H.antipode
+    v = lincomb(
+        ((c, H.mul_elem(H.basis_vector(a), S.column(b)))
+         for (a, b), c in sparse_of_dense(wc.finv, n, 2).items()),
+        n,
+    )
+    v_inv = lincomb(
+        ((c, H.mul_elem(S.column(a), H.basis_vector(b)))
+         for (a, b), c in sparse_of_dense(wc.f, n, 2).items()),
+        n,
+    )
     return v, v_inv, H.mul_elem(v, v_inv)
 
 

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import QuantumGroupoid, target_subalgebra, source_subalgebra
+from .algebra import (
+    QuantumGroupoid,
+    source_subalgebra,
+    sparse_coproduct_leg,
+    sparse_of_dense,
+    target_subalgebra,
+)
 from .errors import ClosureViolation, MismatchedAlgebra
-from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron, outer
+from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron, lincomb, outer
 from .modules import BraidContext, HModule, _componentwise_action, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
@@ -139,19 +145,15 @@ def ambient_action(f: QGMorphism):
     basis element h of the source (the adjoint action when f = id)."""
     H, L = f.source, f.target
     fs_of = [f.apply(H.antipode.column(i)) for i in range(H.dim)]
-    mats = []
-    for i in range(H.dim):
-        acc = Matrix.zero(L.dim, L.dim)
-        for (a, b), c in H.comul_cols[i].items():
-            term = L.left_mult(f.matrix.column(a)) * L.right_mult(fs_of[b])
-            for r in range(L.dim):
-                trow = term.data[r]
-                arow = acc.data[r]
-                for j in range(L.dim):
-                    if trow[j]:
-                        arow[j] += c * trow[j]
-        mats.append(acc)
-    return mats
+    return [
+        Matrix.lincomb(
+            ((c, L.left_mult(f.matrix.column(a)) * L.right_mult(fs_of[b]))
+             for (a, b), c in H.comul_cols[i].items()),
+            L.dim,
+            L.dim,
+        )
+        for i in range(H.dim)
+    ]
 
 
 def _present(f: QGMorphism, ad, product, coproduct, antipode):
@@ -268,28 +270,24 @@ def transmute(
     ad = ambient_action(f)
     f_of = [f.matrix.column(i) for i in range(n)]
     fs_of = [f.apply(H.antipode.column(i)) for i in range(n)]
-    rs = [(divmod(flat, n), c) for flat, c in enumerate(qt.r) if c]
+    rs = sparse_of_dense(qt.r, n, 2).items()
 
     def coproduct(l):
         # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
         val = [Q0] * (L.dim * L.dim)
-        for flat, c in enumerate(L.comul_of(l)):
-            if c:
-                l1, l2 = divmod(flat, L.dim)
-                for (x, y), cr in rs:
-                    left = L.mul_elem(L.basis_vector(l1), fs_of[y])
-                    outer(left, ad[x].column(l2), c * cr, val)
+        for (l1, l2), c in sparse_of_dense(L.comul_of(l), L.dim, 2).items():
+            for (x, y), cr in rs:
+                left = L.mul_elem(L.basis_vector(l1), fs_of[y])
+                outer(left, ad[x].column(l2), c * cr, val)
         return val
 
     def antipode(l):
         # S(l) = f(R^(2)) S_L(R^(1) . l)
-        val = [Q0] * L.dim
-        for (x, y), cr in rs:
-            term = L.mul_elem(f_of[y], L.antipode.apply(ad[x].apply(l)))
-            for r, c in enumerate(term):
-                if c:
-                    val[r] += cr * c
-        return val
+        return lincomb(
+            ((cr, L.mul_elem(f_of[y], L.antipode.apply(ad[x].apply(l))))
+             for (x, y), cr in rs),
+            L.dim,
+        )
 
     return _present(f, ad, L.mul_elem, coproduct, antipode)
 
@@ -413,29 +411,23 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
 
     ht_emb = p.ht.embedding()
     eps_emb = ht_emb * p.counit  # carrier -> acting algebra coordinates
+    comul_cols = [sparse_of_dense(p.comul.column(k), m, 2) for k in range(m)]
 
     def counit_law_pairs(leg, acting):
         # eps acts from the given leg of Delta(k) on the other leg
         for k in range(m):
-            out = [Q0] * m
-            for flat, c in enumerate(p.comul.column(k)):
-                if not c:
-                    continue
-                pair = divmod(flat, m)
-                z = acting(eps_emb.column(pair[leg]))
-                acted = cmod.act_element(z).column(pair[1 - leg])
-                for r, cr in enumerate(acted):
-                    if cr:
-                        out[r] += c * cr
-            yield (k,), tuple(out), tuple(
-                Q1 if r == k else Q0 for r in range(m)
+            out = lincomb(
+                ((c, cmod.act_element(acting(eps_emb.column(pair[leg])))
+                  .column(pair[1 - leg]))
+                 for pair, c in comul_cols[k].items()),
+                m,
             )
+            yield (k,), out, tuple(Q1 if r == k else Q0 for r in range(m))
 
     comparison(rep, "counit-law-left", counit_law_pairs(0, lambda z: z))
     comparison(rep, "counit-law-right", counit_law_pairs(1, H.s_inv_of))
 
     # (d) braided bialgebra compatibility on the truncated tensor square
-    comul_cols = _sparse_cols(p.comul)
     braid_plain = ctx.braiding_plain(cmod, cmod)
     braid_cols = _sparse_cols(braid_plain)
 
@@ -444,17 +436,8 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
             w = t2.inclusion.column(bidx)
             mw = p.mul.apply(w)
             lhs = p.comul.apply(mw)
-            x4 = {}
-            for flat, c in enumerate(w):
-                if not c:
-                    continue
-                i, j = divmod(flat, m)
-                for fi, c1 in comul_cols[i].items():
-                    pp, qq = divmod(fi, m)
-                    for fj, c2 in comul_cols[j].items():
-                        rr, ss = divmod(fj, m)
-                        key = (pp, qq, rr, ss)
-                        x4[key] = x4.get(key, Q0) + c * c1 * c2
+            x3 = sparse_coproduct_leg(sparse_of_dense(w, m, 2), 1, comul_cols)
+            x4 = sparse_coproduct_leg(x3, 0, comul_cols)
             rhs = [Q0] * (m * m)
             for (pp, qq, rr, ss), c in x4.items():
                 for fb, cb in braid_cols[qq * m + rr].items():
@@ -472,16 +455,12 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
         for bidx in range(t2.dim):
             w = t2.inclusion.column(bidx)
             lhs = ht_emb.apply(p.counit.apply(p.mul.apply(w)))
-            rhs = [Q0] * H.dim
-            for flat, c in enumerate(w):
-                if not c:
-                    continue
-                i, j = divmod(flat, m)
-                prod = H.mul_elem(eps_emb.column(i), eps_emb.column(j))
-                for r, cr in enumerate(prod):
-                    if cr:
-                        rhs[r] += c * cr
-            yield (bidx,), lhs, tuple(rhs)
+            rhs = lincomb(
+                ((c, H.mul_elem(eps_emb.column(i), eps_emb.column(j)))
+                 for (i, j), c in sparse_of_dense(w, m, 2).items()),
+                H.dim,
+            )
+            yield (bidx,), lhs, rhs
 
     comparison(rep, "counit-multiplicative", counit_mult_pairs())
 

@@ -17,6 +17,7 @@ from .algebra import (
     WeakBialgebra,
     check_quantum_groupoid,
     check_weak_bialgebra,
+    sparse_of_dense,
 )
 from .errors import (
     AntipodeNotInvertible,
@@ -26,8 +27,8 @@ from .errors import (
     PreconditionUnmet,
     TwistAxiomFailure,
 )
-from .linalg import Matrix, Q0, kron
-from .modules import HModule, truncated_tensor
+from .linalg import Matrix, kron, lincomb
+from .modules import HModule, truncated_tensor, twisted_coproduct_column
 from .quantize import quantize
 from .report import VerificationReport, Witness, comparison
 from .structures import (
@@ -73,12 +74,10 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     n = H.dim
     tw = twist_elements(H, wc)
 
-    comul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
+    comul = []
     for i in range(n):
-        col = H.mul2(H.mul2(wc.finv, H.comul_map.column(i)), wc.f)
-        for flat, c in enumerate(col):
-            a, b = divmod(flat, n)
-            comul[i][a][b] = c
+        col = twisted_coproduct_column(H, wc, i)
+        comul.append([col[a * n:(a + 1) * n] for a in range(n)])
 
     lv = H.left_mult(tw.v)
     rvinv = H.right_mult(tw.v_inv)
@@ -140,76 +139,66 @@ def alpha_map(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle):
     """
     _require_canonical(H, qt)
     tw = twist(H, qt, wc)
-    return _alpha_between(H, wc, tw)[:2]
+    return _alpha_between(H, wc, tw, centralizer(H), centralizer(tw.algebra))
 
 
-def _alpha_between(H, wc, tw: TwistedPair):
+def _alpha_between(H, wc, tw: TwistedPair, c_src, c_dst):
+    """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
+    twisted algebra."""
     n = H.dim
-    twisted = tw.algebra
-    c_src = centralizer(H)
-    c_dst = centralizer(twisted)
     ad = ambient_action(identity_morphism(H))
-    fs = [(divmod(flat, n), c) for flat, c in enumerate(wc.f) if c]
-    fis = [(divmod(flat, n), c) for flat, c in enumerate(wc.finv) if c]
+    fs = sparse_of_dense(wc.f, n, 2).items()
+    fis = sparse_of_dense(wc.finv, n, 2).items()
 
-    alpha_cols = []
-    for a in c_src.vectors:
-        val = [Q0] * n
-        for (x, y), c in fs:
-            term = H.mul_elem(ad[x].apply(a), H.basis_vector(y))
-            for r, cr in enumerate(term):
-                if cr:
-                    val[r] += c * cr
-        coords = c_dst.coordinates(tuple(val))
-        if coords is None:
-            raise CarrierMismatch("comparison map leaves the twisted carrier")
-        alpha_cols.append(coords)
-    alpha = Matrix.from_columns(alpha_cols, c_dst.dim)
-
-    # independent equivalent form: F^-(1) a S(F^-(2)) v^-1
-    alt_cols = []
-    for a in c_src.vectors:
-        val = [Q0] * n
-        for (x, y), c in fis:
-            term = H.mul_elem(
-                H.mul_elem(
-                    H.mul_elem(H.basis_vector(x), a), H.antipode.column(y)
-                ),
-                tw.v.v_inv,
+    def carrier_map(src, dst, rule, pairs, what):
+        """Columns sum_(x, y) c rule(a, x, y) over the terms of pairs, in dst
+        coordinates, for each ambient vector a of src."""
+        cols = []
+        for a in src:
+            coords = dst.coordinates(
+                lincomb(((c, rule(a, x, y)) for (x, y), c in pairs), n)
             )
-            for r, cr in enumerate(term):
-                if cr:
-                    val[r] += c * cr
-        coords = c_dst.coordinates(tuple(val))
-        if coords is None:
-            raise CarrierMismatch("equivalent form leaves the twisted carrier")
-        alt_cols.append(coords)
-    alt = Matrix.from_columns(alt_cols, c_dst.dim)
+            if coords is None:
+                raise CarrierMismatch(what)
+            cols.append(coords)
+        return Matrix.from_columns(cols, dst.dim)
+
+    alpha = carrier_map(
+        c_src.vectors,
+        c_dst,
+        lambda a, x, y: H.mul_elem(ad[x].apply(a), H.basis_vector(y)),
+        fs,
+        "comparison map leaves the twisted carrier",
+    )
+    # independent equivalent form: F^-(1) a S(F^-(2)) v^-1
+    alt = carrier_map(
+        c_src.vectors,
+        c_dst,
+        lambda a, x, y: H.mul_elem(
+            H.mul_elem(H.mul_elem(H.basis_vector(x), a), H.antipode.column(y)),
+            tw.v.v_inv,
+        ),
+        fis,
+        "equivalent form leaves the twisted carrier",
+    )
     if alpha != alt:
         raise InconsistentStructure(
             "the two expressions for the comparison map disagree"
         )
-
-    inv_cols = []
-    for a in c_dst.vectors:
-        val = [Q0] * n
-        av = H.mul_elem(a, tw.v.v)
-        for (x, y), c in fs:
-            term = H.mul_elem(
-                H.mul_elem(H.basis_vector(x), av), H.antipode.column(y)
-            )
-            for r, cr in enumerate(term):
-                if cr:
-                    val[r] += c * cr
-        coords = c_src.coordinates(tuple(val))
-        if coords is None:
-            raise CarrierMismatch("inverse comparison map leaves the carrier")
-        inv_cols.append(coords)
-    alpha_inv = Matrix.from_columns(inv_cols, c_src.dim)
+    # the inverse F^(1) (a v) S(F^(2)), over a v for each a of c_dst
+    alpha_inv = carrier_map(
+        [H.mul_elem(a, tw.v.v) for a in c_dst.vectors],
+        c_src,
+        lambda av, x, y: H.mul_elem(
+            H.mul_elem(H.basis_vector(x), av), H.antipode.column(y)
+        ),
+        fs,
+        "inverse comparison map leaves the carrier",
+    )
 
     if not (alpha * alpha_inv).is_identity() or not (alpha_inv * alpha).is_identity():
         raise InconsistentStructure("comparison map is not a two-sided bijection")
-    return alpha, alpha_inv, c_src, c_dst
+    return alpha, alpha_inv
 
 
 @dataclass
@@ -234,10 +223,10 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
     twisted = tw.algebra
     p_f = quantize(H, wc)
     p_t = transmute(twisted, tw.qt)
-    alpha, alpha_inv, c_src, c_dst = _alpha_between(H, wc, tw)
+    alpha, alpha_inv = _alpha_between(H, wc, tw, p_f.carrier, p_t.carrier)
 
     rep = VerificationReport("isomorphism")
-    m = c_src.dim
+    m = p_f.carrier_dim
 
     # (1) module map.  Under the identification of the twisted module
     # category with the modules of the twisted algebra (the identity on

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakhopf import (
     QuantumGroupoid,
@@ -12,8 +15,9 @@ from weakhopf import (
     source_subalgebra,
     target_subalgebra,
 )
+from weakhopf.algebra import dense_of_sparse, sparse_coproduct_leg, sparse_of_dense
 from weakhopf.errors import AntipodeNotInvertible
-from weakhopf.linalg import Matrix, Q0
+from weakhopf.linalg import Matrix, Q0, kron
 
 ZERO2 = (Q0, Q0)
 
@@ -190,3 +194,26 @@ def test_target_membership_characterization(corpus):
                     if cq:
                         rhs[a * n + q] += c * cq
             assert lhs == tuple(rhs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    ),
+    max_size=8,
+))
+def test_sparse_coproduct_leg_matches_dense_kron(kd4_diag2, entries):
+    # reference: (Delta (x) id) and (id (x) Delta) as dense Kronecker maps
+    H = kd4_diag2.algebra
+    n = H.dim
+    x = [Q0] * (n * n)
+    for i, j, c in entries:
+        x[i * n + j] += c
+    s = sparse_of_dense(x, n, 2)
+    ident = Matrix.identity(n)
+    for leg, dense_map in ((0, kron(H.comul_map, ident)), (1, kron(ident, H.comul_map))):
+        got = dense_of_sparse(sparse_coproduct_leg(s, leg, H.comul_cols), n, 3)
+        assert got == dense_map.apply(x), leg

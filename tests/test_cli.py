@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import weakhopf
-from weakhopf.cli import run
+from weakhopf.cli import build_parser, run
+from weakhopf.errors import PreconditionUnmet
 from weakhopf.serialization import serialize_quantum_groupoid
 from weakhopf import zoo
 
@@ -231,3 +233,34 @@ def test_singular_antipode_file_exits_one(tmp_path, capsys):
     path.write_text(text)
     assert run(["check", str(path)]) == 1
     assert "antipode-invertible" in capsys.readouterr().out
+
+
+def test_verify_iso_library_error_exits_two(monkeypatch, capsys):
+    cli = importlib.import_module("weakhopf.cli")
+
+    def refuse(H, qt, wc):
+        raise PreconditionUnmet("needs the canonical structure")
+
+    monkeypatch.setattr(cli, "verify_isomorphism", refuse)
+    argv = ["verify-iso", "--algebra", "zoo:diag2", "--cocycle", "zoo:diag2"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: needs the canonical structure\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transmute", "--algebra", "a", "--qt", "b"],
+        ["quantize", "--algebra", "a", "--cocycle", "c"],
+        ["twist", "--algebra", "a", "--qt", "b", "--cocycle", "c"],
+        ["verify-iso", "--algebra", "a", "--cocycle", "c"],
+        ["zoo"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("flag", ["--fail-fast", "--with-hexagons"])
+def test_check_only_flags_are_rejected_elsewhere(argv, flag):
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [flag])
+    assert exc.value.code == 2

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakhopf.errors import NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, kron
+from weakhopf.errors import DimensionMismatch, NonUniqueSolution
+from weakhopf.linalg import Matrix, SubspaceBasis, kron, lincomb
 
 rationals = st.builds(
     Fraction,
@@ -120,3 +120,36 @@ def test_inverse_round_trip():
     assert inv is not None
     assert (m * inv).is_identity() and (inv * m).is_identity()
     assert Matrix([[1, 2], [2, 4]]).inverse() is None
+
+
+# coefficients with zero drawn often, so zero terms are always exercised
+coefficients = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(coefficients, st.lists(rationals, min_size=3, max_size=3)),
+                max_size=5))
+def test_lincomb_matches_scale_and_add(terms):
+    # reference: each vector as a 3x1 matrix, summed with Matrix.scale and +
+    expected = Matrix.zero(3, 1)
+    for c, v in terms:
+        expected = expected + Matrix.from_columns([v]).scale(c)
+    assert lincomb(terms, 3) == expected.column(0)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(coefficients, matrices2), max_size=5))
+def test_matrix_lincomb_matches_scale_and_add(terms):
+    expected = Matrix.zero(2, 2)
+    for c, m in terms:
+        expected = expected + m.scale(c)
+    assert Matrix.lincomb(terms, 2, 2) == expected
+
+
+def test_lincomb_empty_and_shape_checks():
+    assert lincomb([], 3) == (0, 0, 0)
+    assert Matrix.lincomb([], 2, 3) == Matrix.zero(2, 3)
+    with pytest.raises(DimensionMismatch):
+        lincomb([(Fraction(1), (1, 2))], 3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.lincomb([(Fraction(1), Matrix.identity(3))], 2, 2)

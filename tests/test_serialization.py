@@ -177,6 +177,22 @@ def test_parse_error_bad_rational(diag2):
     assert err.value.field == "r"
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("kind: morphism\ndim: 1\nbasis: e\ntarget-dim: 0\ntarget-basis:\nmatrix:\n\n",
+         "target-dim"),
+        ("kind: module\ndim: 1\nbasis: v1\nalgebra-dim: 0\nalgebra-basis:\naction:\n",
+         "algebra-dim"),
+    ],
+    ids=["morphism", "module"],
+)
+def test_parse_error_zero_secondary_dimension(text, field):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.field == field
+
+
 def test_parse_error_dimension_mismatch(diag2):
     text = serialize_qt(diag2.algebra, diag2.qt)
     with pytest.raises(ParseError):

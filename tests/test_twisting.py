@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from weakhopf import (
@@ -169,3 +171,20 @@ def test_isomorphism_on_mixed_direct_sums(diag2, kz2, pair2):
         assert res.report.passed, [
             c.name for c in res.report.failed_checks()
         ]
+
+
+def test_verify_isomorphism_builds_each_carrier_once(kd4, monkeypatch):
+    # the comparison map reuses the carriers of the two presentations
+    transmute_mod = importlib.import_module("weakhopf.transmute")
+    twisting_mod = importlib.import_module("weakhopf.twisting")
+    real = transmute_mod.centralizer
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(transmute_mod, "centralizer", counting)
+    monkeypatch.setattr(twisting_mod, "centralizer", counting)
+    assert verify_isomorphism(kd4.algebra, kd4.qt, kd4.cocycle).report.passed
+    assert len(calls) == 2
