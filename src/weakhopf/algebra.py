@@ -164,20 +164,18 @@ class WeakBialgebra:
     def mul_map(self) -> Matrix:
         """mu as a dim x dim^2 matrix on flattened tensors."""
         n = self.dim
-        m = Matrix.zero(n, n * n)
-        for (i, j), row in self.mul_rows.items():
-            for k, c in row.items():
-                m.data[k][i * n + j] = c
-        return m
+        return Matrix.from_entries(
+            n, n * n,
+            ((k, i * n + j, c) for (i, j), row in self.mul_rows.items() for k, c in row.items()),
+        )
 
     @cached_property
     def comul_map(self) -> Matrix:
         n = self.dim
-        m = Matrix.zero(n * n, n)
-        for i, col in self.comul_cols.items():
-            for (j, k), c in col.items():
-                m.data[j * n + k][i] = c
-        return m
+        return Matrix.from_entries(
+            n * n, n,
+            ((j * n + k, i, c) for i, col in self.comul_cols.items() for (j, k), c in col.items()),
+        )
 
     @cached_property
     def delta_one(self) -> tuple:
@@ -199,44 +197,32 @@ class WeakBialgebra:
     @cached_property
     def left_mult_mats(self):
         """Matrix of left multiplication by each basis element."""
-        n = self.dim
-        mats = []
-        for i in range(n):
-            m = Matrix.zero(n, n)
-            for j in range(n):
-                row = self.mul_rows.get((i, j))
-                if row:
-                    for k, c in row.items():
-                        m.data[k][j] = c
-            mats.append(m)
-        return tuple(mats)
+        return self._mult_mats(left=True)
 
     @cached_property
     def right_mult_mats(self):
+        return self._mult_mats(left=False)
+
+    def _mult_mats(self, left):
         n = self.dim
-        mats = []
-        for i in range(n):
-            m = Matrix.zero(n, n)
-            for j in range(n):
-                row = self.mul_rows.get((j, i))
-                if row:
-                    for k, c in row.items():
-                        m.data[k][j] = c
-            mats.append(m)
-        return tuple(mats)
+        entries = [[] for _ in range(n)]  # per basis element e_x
+        for (i, j), row in self.mul_rows.items():
+            x, col = (i, j) if left else (j, i)  # column col is e_i e_j
+            entries[x].extend((k, col, c) for k, c in row.items())
+        return tuple(Matrix.from_entries(n, n, e) for e in entries)
 
     def _eps_map(self, leg, left) -> Matrix:
         """h -> eps(x h) y (left) or eps(h x) y (right) as a matrix, summed
         over the terms of Delta(1) with x on the given leg, y on the other."""
         n = self.dim
-        m = Matrix.zero(n, n)
+        entries = []
         for pair, c in self.delta_one_sparse.items():
             x, y = pair[leg], pair[1 - leg]
             for i in range(n):
                 s = self.counit_of(self.mul[x][i] if left else self.mul[i][x])
                 if s:
-                    m.data[y][i] += c * s
-        return m
+                    entries.append((y, i, c * s))
+        return Matrix.from_entries(n, n, entries)
 
     @cached_property
     def eps_t_mat(self) -> Matrix:
@@ -405,7 +391,7 @@ def solve_antipode(B: WeakBialgebra):
     candidates survive (a non-quantum-groupoid input).
     """
     n = B.dim
-    rows = []
+    entries = []  # (row, unknown, coefficient) of the linear system
     rhs = []
     ident_cols = [B.basis_vector(a) for a in range(n)]
     eps_s_cols = [B.eps_s_mat.column(a) for a in range(n)]
@@ -424,7 +410,7 @@ def solve_antipode(B: WeakBialgebra):
     # unknown s[r*n + c] = coefficient of e_r in S(e_c)
     for i in range(n):
         for s_leg, known, target in blocks:
-            coeff = [[Q0] * (n * n) for _ in range(n)]
+            base = len(rhs)
             for pair, c in B.comul_cols[i].items():
                 x = pair[s_leg]
                 for p, cp in enumerate(known[pair[1 - s_leg]]):
@@ -434,13 +420,13 @@ def solve_antipode(B: WeakBialgebra):
                         row = B.mul_rows.get((j, p) if s_leg == 0 else (p, j))
                         if row:
                             for k, ck in row.items():
-                                coeff[k][j * n + x] += c * cp * ck
-            for k in range(n):
-                if target is None:
-                    coeff[k][k * n + i] -= Q1
-                rows.append(coeff[k])
-                rhs.append(Q0 if target is None else target.data[k][i])
-    system = Matrix(rows, len(rows), n * n)
+                                entries.append((base + k, j * n + x, c * cp * ck))
+            if target is None:
+                entries.extend((base + k, k * n + i, -Q1) for k in range(n))
+                rhs.extend([Q0] * n)
+            else:
+                rhs.extend(target.column(i))
+    system = Matrix.from_entries(len(rhs), n * n, entries)
     try:
         sol = system.solve(rhs, unique=True)
     except NonUniqueSolution as exc:

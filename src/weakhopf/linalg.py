@@ -1,11 +1,15 @@
-"""Exact rational dense linear algebra.
+"""Exact rational sparse linear algebra.
 
 Everything downstream (structure constants, axiom checkers, centralizers)
 is built on the kernel in this module: matrices over ``fractions.Fraction``,
 reduced row echelon form, kernels, column spaces and linear solving.  All
 arithmetic is exact; there is no floating point anywhere in the package.
-Intended dimensions are small (ambient spaces up to a few hundred), so the
-dense cubic algorithms below are more than fast enough.
+
+A `Matrix` keeps one ``{col: Fraction}`` dict per row holding the nonzero
+entries only.  Products, Kronecker products, sums and elimination walk those
+dicts, so they cost time in the nonzeros rather than in rows x cols: the
+projectors of truncated tensor products are up to 729 x 729 and almost all
+zero.  ``Matrix.data`` is a dense list-of-lists view built on each access.
 """
 
 from __future__ import annotations
@@ -74,104 +78,212 @@ def lincomb(terms, n) -> tuple:
     return tuple(out)
 
 
-class Matrix:
-    """Dense rows x cols matrix of Fractions acting on column vectors."""
+def _sparse(values, n, what):
+    """{index: Fraction} of the nonzero entries of a length-n sequence."""
+    out = {}
+    length = 0
+    for i, x in enumerate(values):
+        length = i + 1
+        x = frac(x)
+        if x:
+            out[i] = x
+    if length != n:
+        raise DimensionMismatch(what)
+    return out
 
-    __slots__ = ("rows", "cols", "data")
+
+def _transpose(rows, cols):
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _dense(row, n) -> list:
+    out = [Q0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _add_into(row, c, other):
+    """row += c * other in place, dropping entries that cancel."""
+    one = c == 1
+    for j, x in other.items():
+        if not one:
+            x = c * x
+        y = row.get(j)
+        if y is None:
+            row[j] = x
+        else:
+            y += x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
+def _rref_rows(rows):
+    """Reduced row echelon form of the span of sparse rows.
+
+    Returns (nonzero reduced rows in pivot order, pivot columns).  Rows are
+    inserted one at a time into a basis kept fully reduced: every basis row
+    has 1 at its pivot, its smallest column, and 0 at every other pivot
+    column.  The reduced echelon form of a row space is unique, so this is
+    the same matrix column-by-column Gauss-Jordan produces.
+    """
+    basis = {}  # pivot column -> reduced row
+    for row in rows:
+        row = dict(row)
+        # basis rows vanish at the other pivots, so one pass clears them all
+        for p in [p for p in row if p in basis]:
+            _add_into(row, -row[p], basis[p])
+        if not row:
+            continue
+        c = min(row)
+        pv = row[c]
+        if pv != 1:
+            row = {j: x / pv for j, x in row.items()}
+        for other in basis.values():
+            f = other.get(c)
+            if f is not None:
+                _add_into(other, -f, row)
+        basis[c] = row
+    pivots = tuple(sorted(basis))
+    return [basis[p] for p in pivots], pivots
+
+
+class Matrix:
+    """rows x cols matrix of Fractions acting on column vectors.
+
+    ``sparse_rows[i]`` maps each column where row i is nonzero to its entry;
+    no zero is ever stored, so equal matrices have equal rows.  Matrices are
+    shared (cached structure maps, action matrices), so treat the rows as
+    read-only: every operation returns a new matrix.  ``data`` is a dense
+    copy, rebuilt on each access; writing into it changes nothing.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, data, rows=None, cols=None):
+        """From dense rows of anything `frac` accepts; rows and cols fix
+        the shape when data has no rows."""
+        data = list(data)
         if rows is None:
-            self.data = [[frac(x) for x in row] for row in data]
-            self.rows = len(self.data)
-            self.cols = len(self.data[0]) if self.data else 0
-        else:
-            self.rows = rows
-            self.cols = cols
-            self.data = data  # trusted: list of lists of Fractions
-        for row in self.data:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged matrix rows")
+            rows = len(data)
+            cols = len(data[0]) if data else 0
+        if len(data) != rows:
+            raise DimensionMismatch("matrix has %d rows, not %d" % (len(data), rows))
+        self.rows = rows
+        self.cols = cols
+        self.sparse_rows = [_sparse(row, cols, "ragged matrix rows") for row in data]
+
+    @classmethod
+    def _of(cls, rows, cols, sparse_rows):
+        """Trusted constructor: sparse_rows already holds nonzeros only."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.sparse_rows = sparse_rows
+        return m
+
+    @classmethod
+    def from_entries(cls, rows, cols, entries):
+        """Sum of the (r, c, x) entries, each adding the Fraction x at row r,
+        column c."""
+        out = [{} for _ in range(rows)]
+        for r, c, x in entries:
+            row = out[r]
+            y = row.get(c)
+            row[c] = x if y is None else y + x
+        return cls._of(rows, cols, [{j: x for j, x in row.items() if x} for row in out])
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[Q0] * cols for _ in range(rows)], rows, cols)
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = Q1
-        return m
+        return cls._of(n, n, [{i: Q1} for i in range(n)])
 
     @classmethod
     def lincomb(cls, terms, rows, cols):
         """sum c M over the (c, M) pairs of terms, as a rows x cols matrix."""
-        out = cls.zero(rows, cols)
+        out = [{} for _ in range(rows)]
         for c, m in terms:
             if m.rows != rows or m.cols != cols:
                 raise DimensionMismatch("lincomb term has wrong shape")
             if c:
-                for orow, mrow in zip(out.data, m.data):
-                    for j, x in enumerate(mrow):
-                        if x:
-                            orow[j] += c * x
-        return out
+                for orow, mrow in zip(out, m.sparse_rows):
+                    _add_into(orow, c, mrow)
+        return cls._of(rows, cols, out)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        columns = [vec(c) for c in columns]
+        columns = list(columns)
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        m = cls.zero(rows, len(columns))
-        for j, c in enumerate(columns):
-            if len(c) != rows:
-                raise DimensionMismatch("column length mismatch")
-            for i in range(rows):
-                m.data[i][j] = c[i]
-        return m
+        cols = [_sparse(c, rows, "column length mismatch") for c in columns]
+        return cls._of(rows, len(cols), _transpose(cols, rows))
 
     @classmethod
     def from_rows(cls, rws, cols=None):
-        rws = [vec(r) for r in rws]
+        rws = list(rws)
         if cols is None:
             cols = len(rws[0]) if rws else 0
-        return cls([list(r) for r in rws], len(rws), cols)
+        return cls._of(len(rws), cols, [_sparse(r, cols, "row length mismatch") for r in rws])
+
+    @classmethod
+    def vstack(cls, mats, cols):
+        """The rows of each matrix of mats in turn, as one matrix."""
+        rows = []
+        for m in mats:
+            if m.cols != cols:
+                raise DimensionMismatch("vstack term has wrong width")
+            rows.extend(m.sparse_rows)
+        return cls._of(len(rows), cols, rows)
+
+    @property
+    def data(self) -> list:
+        """Dense rows as a fresh list of lists."""
+        return [_dense(row, self.cols) for row in self.sparse_rows]
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __repr__(self):
         return "Matrix(%dx%d)" % (self.rows, self.cols)
 
-    def __add__(self, other):
+    def _plus(self, other, c, what):
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
+            raise DimensionMismatch("matrix %s shape mismatch" % what)
+        out = [dict(row) for row in self.sparse_rows]
+        for orow, brow in zip(out, other.sparse_rows):
+            _add_into(orow, c, brow)
+        return Matrix._of(self.rows, self.cols, out)
+
+    def __add__(self, other):
+        return self._plus(other, Q1, "addition")
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
-        )
+        return self._plus(other, -Q1, "subtraction")
 
     def scale(self, c):
         c = frac(c)
-        return Matrix([[c * x for x in row] for row in self.data], self.rows, self.cols)
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols,
+                          [{j: c * x for j, x in row.items()} for row in self.sparse_rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -179,69 +291,44 @@ class Matrix:
                 "matrix product shape mismatch: %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        out = Matrix.zero(self.rows, other.cols)
-        odata = out.data
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = odata[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
+        brows = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            acc = {}
+            for k, a in arow.items():
+                _add_into(acc, a, brows[k])
+            out.append(acc)
+        return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, v) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        out = [Q0] * self.rows
-        for i, row in enumerate(self.data):
+        out = []
+        for row in self.sparse_rows:
             s = Q0
-            for a, x in zip(row, v):
-                if a and x:
+            for k, a in row.items():
+                x = v[k]
+                if x:
                     s += a * x
-            out[i] = s
+            out.append(s)
         return tuple(out)
 
     def column(self, j) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(row.get(j, Q0) for row in self.sparse_rows)
+
+    def transpose(self) -> "Matrix":
+        return Matrix._of(self.cols, self.rows, _transpose(self.sparse_rows, self.cols))
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            x == (Q1 if i == j else Q0)
-            for i, row in enumerate(self.data)
-            for j, x in enumerate(row)
+        return self.rows == self.cols and all(
+            len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.sparse_rows)
         )
 
     def rref(self):
         """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(m, self.rows, self.cols), tuple(pivots)
+        reduced, pivots = _rref_rows(self.sparse_rows)
+        reduced.extend({} for _ in range(self.rows - len(reduced)))
+        return Matrix._of(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -250,18 +337,20 @@ class Matrix:
         """Canonical basis of the right null space {x : Ax = 0}."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
         vectors = []
-        for fc in free:
-            v = [Q0] * self.cols
-            v[fc] = Q1
+        for fc in range(self.cols):
+            if fc in pivset:
+                continue
+            v = {fc: Q1}
             for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][fc]
-            vectors.append(tuple(v))
-        return SubspaceBasis.from_spanning(self.cols, vectors)
+                x = red.sparse_rows[r].get(fc)
+                if x is not None:
+                    v[pc] = -x
+            vectors.append(v)
+        return SubspaceBasis._spanned(Matrix._of(len(vectors), self.cols, vectors))
 
     def column_space(self) -> "SubspaceBasis":
-        return SubspaceBasis.from_spanning(self.rows, [self.column(j) for j in range(self.cols)])
+        return SubspaceBasis._spanned(self.transpose())
 
     def solve(self, b, unique=False):
         """Some x with Ax = b, or None when inconsistent.
@@ -271,17 +360,20 @@ class Matrix:
         """
         if len(b) != self.rows:
             raise DimensionMismatch("rhs length mismatch")
-        aug = Matrix(
-            [row[:] + [frac(x)] for row, x in zip(self.data, b)], self.rows, self.cols + 1
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        aug = [dict(row) for row in self.sparse_rows]
+        for row, x in zip(aug, b):
+            x = frac(x)
+            if x:
+                row[n] = x
+        red, pivots = Matrix._of(self.rows, n + 1, aug).rref()
+        if n in pivots:
             return None  # a row reduced to [0 ... 0 | 1]
-        if unique and len(pivots) < self.cols:
+        if unique and len(pivots) < n:
             raise NonUniqueSolution("solution space has dimension > 0")
-        x = [Q0] * self.cols
+        x = [Q0] * n
         for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
+            x[pc] = red.sparse_rows[r].get(n, Q0)
         return tuple(x)
 
     def inverse(self):
@@ -289,36 +381,34 @@ class Matrix:
         if self.rows != self.cols:
             return None
         n = self.rows
-        aug = Matrix(
-            [self.data[i][:] + [Q1 if j == i else Q0 for j in range(n)] for i in range(n)],
-            n,
-            2 * n,
-        )
-        red, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+        aug = [dict(row) for row in self.sparse_rows]
+        for i, row in enumerate(aug):
+            row[n + i] = Q1
+        red, pivots = Matrix._of(n, 2 * n, aug).rref()
+        if pivots[:n] != tuple(range(n)):
             return None
-        return Matrix([row[n:] for row in red.data], n, n)
+        return Matrix._of(
+            n, n, [{j - n: x for j, x in row.items() if j >= n} for row in red.sparse_rows]
+        )
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: (A (x) B)[i*rB+k, j*cB+l] = A[i,j] * B[k,l]."""
-    out = Matrix.zero(a.rows * b.rows, a.cols * b.cols)
-    od = out.data
-    for i in range(a.rows):
-        arow = a.data[i]
-        for j in range(a.cols):
-            x = arow[j]
-            if not x:
-                continue
-            roff = i * b.rows
-            coff = j * b.cols
-            for k in range(b.rows):
-                brow = b.data[k]
-                orow = od[roff + k]
-                for l in range(b.cols):
-                    if brow[l]:
-                        orow[coff + l] = x * brow[l]
-    return out
+    width = b.cols
+    out = []
+    for arow in a.sparse_rows:
+        for brow in b.sparse_rows:
+            row = {}
+            for j, x in arow.items():
+                base = j * width
+                if x == 1:
+                    for l, y in brow.items():
+                        row[base + l] = y
+                else:
+                    for l, y in brow.items():
+                        row[base + l] = x * y
+            out.append(row)
+    return Matrix._of(a.rows * b.rows, a.cols * width, out)
 
 
 class SubspaceBasis:
@@ -328,24 +418,27 @@ class SubspaceBasis:
     membership a pivot-indexed reduction.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivots")
+    __slots__ = ("ambient_dim", "vectors", "pivots", "_rows")
 
-    def __init__(self, ambient_dim, vectors, pivots):
+    def __init__(self, ambient_dim, rows, pivots):
+        """rows: the basis as sparse rows in reduced row echelon form with
+        the given pivots; ``vectors`` holds them as dense tuples."""
         self.ambient_dim = ambient_dim
-        self.vectors = tuple(tuple(v) for v in vectors)
+        self._rows = rows
+        self.vectors = tuple(tuple(_dense(row, ambient_dim)) for row in rows)
         self.pivots = tuple(pivots)
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors) -> "SubspaceBasis":
-        vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("spanning vector has wrong length")
-        if not vectors:
-            return cls(ambient_dim, (), ())
-        red, pivots = Matrix.from_rows(vectors, ambient_dim).rref()
-        rows = [tuple(red.data[r]) for r in range(len(pivots))]
-        return cls(ambient_dim, rows, pivots)
+        return cls._spanned(Matrix.from_rows(vectors, ambient_dim))
+
+    @classmethod
+    def _spanned(cls, m: Matrix) -> "SubspaceBasis":
+        """Canonical basis of the span of the rows of m."""
+        if not m.rows:
+            return cls(m.cols, [], ())
+        red, pivots = m.rref()
+        return cls(m.cols, red.sparse_rows[:len(pivots)], pivots)
 
     @property
     def dim(self) -> int:
@@ -382,7 +475,7 @@ class SubspaceBasis:
 
     def embedding(self) -> Matrix:
         """ambient_dim x dim matrix whose columns are the basis vectors."""
-        return Matrix.from_columns(list(self.vectors), self.ambient_dim)
+        return Matrix._of(self.dim, self.ambient_dim, self._rows).transpose()
 
     def pair_coordinates(self, v2):
         """Coordinates of a tensor-square vector in the product basis

@@ -45,18 +45,6 @@ class HModule:
             ((c, self.mats[i]) for i, c in enumerate(x) if c), self.dim, self.dim
         )
 
-    def sparse_columns(self):
-        """Per basis element, the action matrix columns as sparse dicts."""
-        if not hasattr(self, "_sparse_cols"):
-            self._sparse_cols = [
-                [
-                    {r: mat.data[r][c] for r in range(self.dim) if mat.data[r][c]}
-                    for c in range(self.dim)
-                ]
-                for mat in self.mats
-            ]
-        return self._sparse_cols
-
     def validate(self):
         """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
         if getattr(self, "_validated", False):
@@ -79,7 +67,7 @@ class HModule:
         each is None when its axiom holds.
         """
         H = self.algebra
-        cols = self.sparse_columns()
+        cols = [mat.transpose().sparse_rows for mat in self.mats]
 
         def first_mult():
             for i in range(H.dim):
@@ -185,35 +173,21 @@ class TruncatedTensor:
         return self.basis.dim
 
 
-def _nonzeros(mat: Matrix):
-    return [
-        (r, c, v)
-        for r, row in enumerate(mat.data)
-        for c, v in enumerate(row)
-        if v
-    ]
-
-
 def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     """Action of an element of H (x) H on M (x) N (first leg on M)."""
-    n = M.algebra.dim
     nd = N.dim
-    out = Matrix.zero(M.dim * nd, M.dim * nd)
-    od = out.data
-    nz_m = {}
-    nz_n = {}
-    for (a, b), c in sparse_of_dense(elem2, n, 2).items():
-        if a not in nz_m:
-            nz_m[a] = _nonzeros(M.mats[a])
-        if b not in nz_n:
-            nz_n[b] = _nonzeros(N.mats[b])
-        for r1, c1, v1 in nz_m[a]:
-            cv = c * v1
-            base_r = r1 * nd
-            base_c = c1 * nd
-            for r2, c2, v2 in nz_n[b]:
-                od[base_r + r2][base_c + c2] += cv * v2
-    return out
+
+    def entries():
+        for (a, b), c in sparse_of_dense(elem2, M.algebra.dim, 2).items():
+            nrows = N.mats[b].sparse_rows
+            for r1, row1 in enumerate(M.mats[a].sparse_rows):
+                for c1, v1 in row1.items():
+                    cv = c * v1
+                    for r2, row2 in enumerate(nrows):
+                        for c2, v2 in row2.items():
+                            yield r1 * nd + r2, c1 * nd + c2, cv * v2
+
+    return Matrix.from_entries(M.dim * nd, M.dim * nd, entries())
 
 
 def twisted_coproduct_column(H, wc: WeakCocycle, i) -> tuple:
@@ -249,9 +223,9 @@ def truncated_tensor(
     inclusion = basis.embedding()
     # projection = pivot extraction after projecting; satisfies
     # proj . incl = id and incl . proj = projector.
-    sel = Matrix.zero(basis.dim, projector.rows)
-    for r, p in enumerate(basis.pivots):
-        sel.data[r][p] = Q1
+    sel = Matrix.from_entries(
+        basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
+    )
     projection = sel * projector
     big = [_componentwise_action(M, N, col) for col in columns]
     mats = [projection * b * inclusion for b in big]
@@ -268,11 +242,11 @@ def truncated_tensor(
 
 
 def _flip_matrix(m_dim, n_dim) -> Matrix:
-    out = Matrix.zero(n_dim * m_dim, m_dim * n_dim)
-    for a in range(m_dim):
-        for b in range(n_dim):
-            out.data[b * m_dim + a][a * n_dim + b] = Q1
-    return out
+    return Matrix.from_entries(
+        n_dim * m_dim,
+        m_dim * n_dim,
+        ((b * m_dim + a, a * n_dim + b, Q1) for a in range(m_dim) for b in range(n_dim)),
+    )
 
 
 def braiding_psi_plain(H, qt: QTStructure, M: HModule, N: HModule) -> Matrix:
@@ -414,14 +388,13 @@ def _unitor_plain(M: HModule, ht: SubspaceBasis, left) -> Matrix:
     the right unitor v (x) z -> S^-1(z) . v on plain M (x) H_t coordinates."""
     H = M.algebra
     t = ht.dim
-    out = Matrix.zero(M.dim, t * M.dim)
+    entries = []
     for zi, z in enumerate(ht.vectors):
         act = M.act_element(z if left else H.s_inv_of(z))
-        for vi in range(M.dim):
-            col = zi * M.dim + vi if left else vi * t + zi
-            for r in range(M.dim):
-                out.data[r][col] = act.data[r][vi]
-    return out
+        for r, row in enumerate(act.sparse_rows):
+            for vi, x in row.items():
+                entries.append((r, zi * M.dim + vi if left else vi * t + zi, x))
+    return Matrix.from_entries(M.dim, t * M.dim, entries)
 
 
 # ---------------------------------------------------------------------------

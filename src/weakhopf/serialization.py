@@ -9,6 +9,7 @@ fields are errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -27,6 +28,10 @@ KINDS = (
     "morphism",
     "module",
 )
+
+# a canonical rational: no "+", no leading zeros, no "-0", no "/1"; lowest
+# terms are checked against str(Fraction) once the shape matches
+_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,10 @@ class ParsedModule:
         if tuple(algebra.basis_names) != self.algebra_basis_names:
             raise DimensionMismatch("module references a different algebra basis")
         d = len(self.basis_names)
-        mats = []
-        for row in self.action_rows:
-            m = Matrix.zero(d, d)
-            for flat, c in enumerate(row):
-                i, j = divmod(flat, d)
-                m.data[j][i] = c
-            mats.append(m)
+        mats = [
+            Matrix.from_columns([row[i * d:(i + 1) * d] for i in range(d)], d)
+            for row in self.action_rows
+        ]
         return HModule(algebra, mats)
 
 
@@ -138,6 +140,11 @@ def serialize_morphism(f) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_major(mat: Matrix) -> list:
+    """The entries of mat, column after column."""
+    return [x for col in mat.transpose().data for x in col]
+
+
 def serialize_module(M) -> str:
     H = M.algebra
     d = M.dim
@@ -149,9 +156,8 @@ def serialize_module(M) -> str:
         "algebra-basis: %s" % " ".join(H.basis_names),
         "action:",
     ]
-    for a in range(H.dim):
-        row = [M.mats[a].data[j][i] for i in range(d) for j in range(d)]
-        lines.append(_fmt_vec(row))
+    for mat in M.mats:
+        lines.append(_fmt_vec(_column_major(mat)))
     return "\n".join(lines) + "\n"
 
 
@@ -172,9 +178,8 @@ def serialize_presentation(p: BraidedHopfPresentation) -> str:
     lines.append("ht:")
     lines.extend(_fmt_vec(v) for v in p.ht.vectors)
     lines.append("action:")
-    for a in range(p.acting.dim):
-        row = [p.action.mats[a].data[j][i] for i in range(m) for j in range(m)]
-        lines.append(_fmt_vec(row))
+    for mat in p.action.mats:
+        lines.append(_fmt_vec(_column_major(mat)))
     lines.append("mul:")
     lines.extend(_fmt_vec(p.mul.column(c)) for c in range(m * m))
     lines.append("unit:")
@@ -236,12 +241,15 @@ class _Reader:
             )
         out = []
         for p in parts:
-            try:
-                out.append(Fraction(p))
-            except (ValueError, ZeroDivisionError) as exc:
+            # the shape is checked first, so Fraction never sees an exponent
+            x = Fraction(p) if _RATIONAL.fullmatch(p) else None
+            if x is None or str(x) != p:
                 raise ParseError(
-                    "bad rational %r (%s)" % (p, exc), line=self.pos, field=field
-                ) from exc
+                    "bad rational %r (want canonical p/q in lowest terms)" % p,
+                    line=self.pos,
+                    field=field,
+                )
+            out.append(x)
         return tuple(out)
 
     def basis(self, dim_key, basis_key):
@@ -305,10 +313,7 @@ def parse(text: str):
             return WeakBialgebra(names, mul, unit, comul, counit)
         s_rows = r.block_field("antipode", n, n)
         r.expect_done()
-        antipode = Matrix.zero(n, n)
-        for i in range(n):
-            for j in range(n):
-                antipode.data[j][i] = s_rows[i][j]
+        antipode = Matrix.from_columns(s_rows, n)
         base = WeakBialgebra(names, mul, unit, comul, counit)
         return QuantumGroupoid(base, antipode)
 
@@ -329,10 +334,7 @@ def parse(text: str):
         tdim = len(tnames)
         mat_rows = r.block_field("matrix", n, tdim)
         r.expect_done()
-        matrix = Matrix.zero(tdim, n)
-        for i in range(n):
-            for j in range(tdim):
-                matrix.data[j][i] = mat_rows[i][j]
+        matrix = Matrix.from_columns(mat_rows, tdim)
         return ParsedMorphism(names, tnames, matrix)
 
     # module

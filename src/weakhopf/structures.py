@@ -457,28 +457,19 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
 def _solve_sandwiched_inverse(H, x2, left_target, right_target, left_sand, right_sand):
     """Find Y in the sandwich left_sand (H (x) H) right_sand with
     x2 Y = left_target and Y x2 = right_target."""
-    n = H.dim
-    nn = n * n
-    lmul = Matrix.zero(nn, nn)
-    rmul = Matrix.zero(nn, nn)
+    nn = H.dim ** 2
+    lmul, rmul, sand = [], [], []  # columns: images of each basis tensor e
     for j in range(nn):
-        col = [Q0] * nn
-        col[j] = Q1
-        for flat, c in enumerate(H.mul2(x2, tuple(col))):
-            lmul.data[flat][j] = c
-        for flat, c in enumerate(H.mul2(tuple(col), x2)):
-            rmul.data[flat][j] = c
-    sand = Matrix.zero(nn, nn)
-    for j in range(nn):
-        col = [Q0] * nn
-        col[j] = Q1
-        val = H.mul2(H.mul2(left_sand, tuple(col)), right_sand)
-        for flat, c in enumerate(val):
-            sand.data[flat][j] = c
-    ident = Matrix.identity(nn)
-    rows = lmul.data + rmul.data + (sand - ident).data
+        e = tuple(Q1 if i == j else Q0 for i in range(nn))
+        lmul.append(H.mul2(x2, e))
+        rmul.append(H.mul2(e, x2))
+        sand.append(H.mul2(H.mul2(left_sand, e), right_sand))
     rhs = list(left_target) + list(right_target) + [Q0] * nn
-    system = Matrix([row[:] for row in rows], 3 * nn, nn)
+    system = Matrix.vstack(
+        [Matrix.from_columns(lmul, nn), Matrix.from_columns(rmul, nn),
+         Matrix.from_columns(sand, nn) - Matrix.identity(nn)],
+        nn,
+    )
     try:
         sol = system.solve(rhs, unique=True)
     except NonUniqueSolution as exc:

@@ -9,7 +9,7 @@ every axiom of a Hopf algebra internal to a braided category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     QuantumGroupoid,
@@ -32,11 +32,7 @@ def centralizer(L: QuantumGroupoid) -> SubspaceBasis:
         return SubspaceBasis.from_spanning(
             L.dim, [L.basis_vector(i) for i in range(L.dim)]
         )
-    rows = []
-    for x in hs.vectors:
-        comm = L.left_mult(x) - L.right_mult(x)
-        rows.extend(comm.data)
-    stacked = Matrix([row[:] for row in rows], len(rows), L.dim)
+    stacked = Matrix.vstack([L.left_mult(x) - L.right_mult(x) for x in hs.vectors], L.dim)
     return stacked.kernel_basis()
 
 
@@ -116,6 +112,8 @@ class BraidedHopfPresentation:
     comul: Matrix     # carrier -> carrier^2 plain
     counit: Matrix    # carrier -> H_t coords
     antipode: Matrix  # carrier -> carrier
+    # ambient_action of the construction: one ambient matrix per acting basis
+    ad: tuple = field(compare=False, repr=False)
 
     @property
     def carrier_dim(self):
@@ -190,19 +188,19 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
     action = HModule(H, action_mats, name="carrier")
     action.validate()
 
-    mul = Matrix.zero(m, m * m)
-    for i, ci in enumerate(carrier.vectors):
-        for j, cj in enumerate(carrier.vectors):
-            coords = to_carrier(product(ci, cj), "product", (i, j))
-            for r, c in enumerate(coords):
-                mul.data[r][i * m + j] = c
+    mul = Matrix.from_columns(
+        [to_carrier(product(ci, cj), "product", (i, j))
+         for i, ci in enumerate(carrier.vectors)
+         for j, cj in enumerate(carrier.vectors)],
+        m,
+    )
 
     unit = Matrix.from_columns(
         [to_carrier(f.apply(x), "unit image", (k,)) for k, x in enumerate(ht.vectors)],
         m,
     )
 
-    comul = Matrix.zero(m * m, m)
+    comul_cols = []
     for k, cv in enumerate(carrier.vectors):
         val = coproduct(cv)
         coords = carrier.pair_coordinates(val)
@@ -211,11 +209,10 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
                 "coproduct escaped the carrier tensor square",
                 witness=Witness((k,), tuple(val), (), "coproduct"),
             )
-        for r, c in enumerate(coords):
-            comul.data[r][k] = c
+        comul_cols.append(coords)
 
     ones = [(f.matrix.column(a), b, c) for (a, b), c in H.delta_one_sparse.items()]
-    counit = Matrix.zero(ht.dim, m)
+    counit_cols = []
     for k, cv in enumerate(carrier.vectors):
         val = [Q0] * H.dim
         for f1, b, c in ones:
@@ -228,8 +225,7 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
                 "counit escaped the target subalgebra",
                 witness=Witness((k,), tuple(val), (), "counit"),
             )
-        for r, c in enumerate(coords):
-            counit.data[r][k] = c
+        counit_cols.append(coords)
 
     antipode = Matrix.from_columns(
         [to_carrier(antipode(cv), "antipode", (k,))
@@ -244,9 +240,10 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
         action=action,
         mul=mul,
         unit=unit,
-        comul=comul,
-        counit=counit,
+        comul=Matrix.from_columns(comul_cols, m * m),
+        counit=Matrix.from_columns(counit_cols, ht.dim),
         antipode=antipode,
+        ad=tuple(ad),
     )
 
 
@@ -296,13 +293,6 @@ def transmute(
 # the braided Hopf verifier
 
 
-def _sparse_cols(mat: Matrix):
-    return [
-        {r: mat.data[r][j] for r in range(mat.rows) if mat.data[r][j]}
-        for j in range(mat.cols)
-    ]
-
-
 def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> VerificationReport:
     """Every axiom of a Hopf algebra internal to the braided category.
 
@@ -347,8 +337,8 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
 
     # (b) associativity on the iterated truncated tensor, spanned by the
     # columns of the triple unit-coproduct projector
-    mul_cols = _sparse_cols(p.mul)
-    act_cols = cmod.sparse_columns()
+    mul_cols = p.mul.transpose().sparse_rows
+    act_cols = [a.transpose().sparse_rows for a in cmod.mats]
     w3 = ctx.unit_coproduct_power(3)
 
     def triple_column(i, j, k):
@@ -429,7 +419,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
 
     # (d) braided bialgebra compatibility on the truncated tensor square
     braid_plain = ctx.braiding_plain(cmod, cmod)
-    braid_cols = _sparse_cols(braid_plain)
+    braid_cols = braid_plain.transpose().sparse_rows
 
     def compat_pairs():
         for bidx in range(t2.dim):

@@ -139,14 +139,14 @@ def alpha_map(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle):
     """
     _require_canonical(H, qt)
     tw = twist(H, qt, wc)
-    return _alpha_between(H, wc, tw, centralizer(H), centralizer(tw.algebra))
-
-
-def _alpha_between(H, wc, tw: TwistedPair, c_src, c_dst):
-    """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
-    twisted algebra."""
-    n = H.dim
     ad = ambient_action(identity_morphism(H))
+    return _alpha_between(H, wc, tw, ad, centralizer(H), centralizer(tw.algebra))
+
+
+def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
+    """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
+    twisted algebra; ad is the adjoint action of H."""
+    n = H.dim
     fs = sparse_of_dense(wc.f, n, 2).items()
     fis = sparse_of_dense(wc.finv, n, 2).items()
 
@@ -223,7 +223,7 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
     twisted = tw.algebra
     p_f = quantize(H, wc)
     p_t = transmute(twisted, tw.qt)
-    alpha, alpha_inv = _alpha_between(H, wc, tw, p_f.carrier, p_t.carrier)
+    alpha, alpha_inv = _alpha_between(H, wc, tw, p_f.ad, p_f.carrier, p_t.carrier)
 
     rep = VerificationReport("isomorphism")
     m = p_f.carrier_dim

@@ -166,9 +166,9 @@ def groupoid_algebra(spec: GroupoidSpec) -> QuantumGroupoid:
     for i in range(n):
         comul[i][i][i] = Q1
     counit = [Q1] * n
-    antipode = Matrix.zero(n, n)
-    for i, a in enumerate(names):
-        antipode.data[index[spec.inverses[a]]][i] = Q1
+    antipode = Matrix.from_entries(
+        n, n, ((index[spec.inverses[a]], i, Q1) for i, a in enumerate(names))
+    )
     base = WeakBialgebra(names, mul, unit, comul, counit)
     rep = check_weak_bialgebra(base)
     if not rep.passed:
@@ -359,13 +359,13 @@ def direct_sum(A: QuantumGroupoid, B: QuantumGroupoid) -> QuantumGroupoid:
                 comul[na + i][na + j][na + k] = B.comul[i][j][k]
     unit = list(A.unit) + list(B.unit)
     counit = list(A.counit) + list(B.counit)
-    antipode = Matrix.zero(n, n)
-    for i in range(na):
-        for j in range(na):
-            antipode.data[i][j] = A.antipode.data[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            antipode.data[na + i][na + j] = B.antipode.data[i][j]
+    antipode = Matrix.from_entries(
+        n,
+        n,
+        [(i, j, x) for i, row in enumerate(A.antipode.sparse_rows) for j, x in row.items()]
+        + [(na + i, na + j, x)
+           for i, row in enumerate(B.antipode.sparse_rows) for j, x in row.items()],
+    )
     base = WeakBialgebra(names, mul, unit, comul, counit)
     rep = check_weak_bialgebra(base)
     if not rep.passed:

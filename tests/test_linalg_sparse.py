@@ -1,0 +1,178 @@
+"""Differential tests: the sparse-row kernels of `Matrix` against the dense
+reference kernels in `dense_oracle`, on small rational matrices where zeros
+are drawn often and 0-row / 0-column shapes occur."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_oracle as dense
+from weakhopf.errors import NonUniqueSolution
+from weakhopf.linalg import Matrix, kron
+
+Q0 = Fraction(0)
+
+entries = st.one_of(
+    st.just(Q0),
+    st.just(Q0),
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+dims = st.integers(0, 4)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = draw(dims) if rows is None else rows
+    cols = draw(dims) if cols is None else cols
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(data, rows, cols)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) with a * b defined."""
+    a = draw(matrices())
+    return a, draw(matrices(rows=a.cols))
+
+
+@st.composite
+def systems(draw):
+    a = draw(matrices())
+    return a, tuple(draw(entries) for _ in range(a.rows))
+
+
+def assert_sparse(m):
+    """No explicit zero is stored and every column index is in range."""
+    assert len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        assert all(isinstance(x, Fraction) and x for x in row.values())
+        assert all(0 <= j < m.cols for j in row)
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_data_view_round_trips(a):
+    assert_sparse(a)
+    view = a.data
+    assert len(view) == a.rows and all(len(row) == a.cols for row in view)
+    assert Matrix(view, a.rows, a.cols) == a
+    if a.rows and a.cols:  # writing into the view leaves the matrix alone
+        view[0][0] += 1
+        assert a.data[0][0] == view[0][0] - 1
+
+
+@settings(max_examples=150)
+@given(matrix_pairs())
+def test_product_and_apply_match_dense(pair):
+    a, b = pair
+    prod = a * b
+    assert_sparse(prod)
+    assert prod.data == dense.matmul(a, b)
+    for j in range(b.cols):
+        v = b.column(j)
+        assert a.apply(v) == dense.apply(a, v)
+
+
+@settings(max_examples=100)
+@given(matrices(), matrices())
+def test_kron_matches_dense(a, b):
+    k = kron(a, b)
+    assert_sparse(k)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    assert k.data == dense.kron(a, b)
+
+
+@settings(max_examples=100)
+@given(dims, dims, st.data())
+def test_lincomb_matches_dense(rows, cols, data):
+    terms = data.draw(st.lists(st.tuples(entries, matrices(rows, cols)), max_size=4))
+    # each term once more with the opposite sign: everything cancels
+    cancel = terms + [(-c, m) for c, m in terms]
+    got = Matrix.lincomb(terms, rows, cols)
+    assert_sparse(got)
+    assert got.data == dense.lincomb(terms, rows, cols)
+    assert Matrix.lincomb(cancel, rows, cols) == Matrix.zero(rows, cols)
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_rref_matches_dense(a):
+    red, pivots = a.rref()
+    assert_sparse(red)
+    want, want_pivots = dense.rref(a)
+    assert pivots == want_pivots
+    assert red.data == want
+    assert a.rank() == len(want_pivots)
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_kernel_and_column_space_match_dense(a):
+    ker = a.kernel_basis()
+    assert (ker.vectors, ker.pivots) == dense.kernel_basis(a)
+    img = a.column_space()
+    assert (img.vectors, img.pivots) == dense.column_space(a)
+    assert ker.dim + img.dim == a.cols
+
+
+@settings(max_examples=150)
+@given(systems())
+def test_solve_matches_dense(system):
+    a, b = system
+    want, rank = dense.solve(a, b)
+    assert a.solve(b) == want
+    if want is None:  # inconsistent
+        assert a.solve(b, unique=True) is None
+    elif rank < a.cols:
+        with pytest.raises(NonUniqueSolution):
+            a.solve(b, unique=True)
+    else:
+        assert a.solve(b, unique=True) == want
+    if want is not None:
+        assert a.apply(want) == tuple(Fraction(x) for x in b)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
+def test_inverse_matches_dense(a):
+    inv = a.inverse()
+    want = dense.inverse(a)
+    if want is None:
+        assert inv is None
+        assert a.rank() < a.rows
+    else:
+        assert_sparse(inv)
+        assert inv.data == want
+        assert (a * inv).is_identity() and (inv * a).is_identity()
+    if a.rows >= 2:  # a repeated row makes it singular
+        data = a.data
+        data[1] = list(data[0])
+        assert Matrix(data).inverse() is None
+
+
+@settings(max_examples=150)
+@given(st.tuples(dims, dims).flatmap(lambda s: st.tuples(matrices(*s), matrices(*s))))
+def test_no_stored_zero_after_cancellation(pair):
+    a, b = pair
+    zero = Matrix.zero(a.rows, a.cols)
+    for m in (a - a, a + b - b - a, a.scale(0), a.scale(Fraction(1, 2)) * Matrix.zero(a.cols, 0)):
+        assert_sparse(m)
+    assert a - a == zero and hash(a - a) == hash(zero)
+    assert a + b - b == a and hash(a + b - b) == hash(a)
+    assert a.scale(0) == zero
+    assert (a + b).data == [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)]
+
+
+def test_from_entries_sums_and_drops_cancelled_entries():
+    one = Fraction(1)
+    m = Matrix.from_entries(2, 3, [(0, 1, one), (0, 1, -one), (1, 2, one), (1, 2, one)])
+    assert m.sparse_rows == [{}, {2: Fraction(2)}]
+    assert m == Matrix([[0, 0, 0], [0, 0, 2]])
+
+
+def test_transpose_and_vstack():
+    a = Matrix([[1, 0, 2], [0, 0, 3]])
+    assert a.transpose() == Matrix([[1, 0], [0, 0], [2, 3]])
+    assert Matrix.vstack([a, Matrix.zero(0, 3), a], 3) == Matrix(a.data + a.data)

@@ -111,7 +111,7 @@ def ordinary_hopf_twist_oracle(H, wc):
                 )
                 acc = acc + term.scale(c)
         ad.append(acc)
-    mul = Matrix.zero(n, n * n)
+    mul_cols = []
     for i in range(n):
         for j in range(n):
             acc = [Q0] * n
@@ -122,9 +122,8 @@ def ordinary_hopf_twist_oracle(H, wc):
                 prod = H.mul_elem(ad[x].column(i), ad[y].column(j))
                 for k, ck in enumerate(prod):
                     acc[k] += c * ck
-            for k in range(n):
-                mul.data[k][i * n + j] = acc[k]
-    comul = Matrix.zero(n * n, n)
+            mul_cols.append(acc)
+    comul_cols = []
     for i in range(n):
         acc = [Q0] * (n * n)
         for flat, c in enumerate(H.comul_map.column(i)):
@@ -142,9 +141,8 @@ def ordinary_hopf_twist_oracle(H, wc):
                         for q, cq in enumerate(right):
                             if cq:
                                 acc[p * n + q] += c * cf * cp * cq
-        for k in range(n * n):
-            comul.data[k][i] = acc[k]
-    return mul, comul
+        comul_cols.append(acc)
+    return Matrix.from_columns(mul_cols, n), Matrix.from_columns(comul_cols, n * n)
 
 
 def test_ordinary_hopf_oracle_on_kd4(kd4):

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -175,6 +176,25 @@ def test_parse_error_bad_rational(diag2):
     with pytest.raises(ParseError) as err:
         parse(text.replace("1 0 0 1", "1 0 x 1"))
     assert err.value.field == "r"
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e3", "+1", "2/4", "3/1", "-0", "0/2", "01", "1/-2", "1/0"])
+def test_parse_error_non_canonical_rational(diag2, token):
+    # rationals must be written as str(Fraction) writes them; the exponent
+    # form is refused before Fraction() could expand it
+    text = serialize_quantum_groupoid(diag2.algebra)
+    assert "\ncounit: 1 1\n" in text
+    with pytest.raises(ParseError) as err:
+        parse(text.replace("\ncounit: 1 1\n", "\ncounit: 1 %s\n" % token))
+    assert (err.value.field, err.value.line) == ("counit", 13)
+    assert "line 13" in str(err.value) and "'counit'" in str(err.value)
+
+
+def test_canonical_rationals_parse(diag2):
+    text = serialize_quantum_groupoid(diag2.algebra)
+    for token, value in (("-1/2", Fraction(-1, 2)), ("0", 0), ("-7", -7), ("10/3", Fraction(10, 3))):
+        H = parse(text.replace("\ncounit: 1 1\n", "\ncounit: 1 %s\n" % token))
+        assert H.counit == (1, value)
 
 
 @pytest.mark.parametrize(

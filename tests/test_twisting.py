@@ -174,17 +174,28 @@ def test_isomorphism_on_mixed_direct_sums(diag2, kz2, pair2):
 
 
 def test_verify_isomorphism_builds_each_carrier_once(kd4, monkeypatch):
-    # the comparison map reuses the carriers of the two presentations
+    # the comparison map reuses the carriers of the two presentations and
+    # the adjoint action the quantizer built
     transmute_mod = importlib.import_module("weakhopf.transmute")
     twisting_mod = importlib.import_module("weakhopf.twisting")
+    quantize_mod = importlib.import_module("weakhopf.quantize")
     real = transmute_mod.centralizer
+    real_action = transmute_mod.ambient_action
     calls = []
+    action_calls = []
 
     def counting(L):
         calls.append(L)
         return real(L)
 
+    def counting_action(f):
+        action_calls.append(f)
+        return real_action(f)
+
     monkeypatch.setattr(transmute_mod, "centralizer", counting)
     monkeypatch.setattr(twisting_mod, "centralizer", counting)
+    for mod in (transmute_mod, twisting_mod, quantize_mod):
+        monkeypatch.setattr(mod, "ambient_action", counting_action)
     assert verify_isomorphism(kd4.algebra, kd4.qt, kd4.cocycle).report.passed
     assert len(calls) == 2
+    assert len(action_calls) == 2
