@@ -325,7 +325,7 @@ def _cmd_twist(args) -> int:
         pair = twist(H, qt, wc)
     except TwistAxiomFailure as exc:
         rep = VerificationReport("twist")
-        rep.add(exc.check_name, False, Witness((), (), (), str(exc)))
+        rep.add(exc.check_name, False, exc.witness or Witness((), (), (), str(exc)))
         out.add_report(args.algebra, rep)
         out.render(1)
         return 1

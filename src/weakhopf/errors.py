@@ -67,8 +67,11 @@ class InconsistentStructure(WeakHopfError):
 
 
 class TwistAxiomFailure(WeakHopfError):
-    def __init__(self, check_name, message=""):
+    """The twisted structure failed a check; witness is that check's witness."""
+
+    def __init__(self, check_name, message="", witness=None):
         self.check_name = check_name
+        self.witness = witness
         super().__init__(message or "twisted structure failed check %r" % check_name)
 
 

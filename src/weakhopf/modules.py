@@ -13,6 +13,9 @@ from typing import Optional
 
 from .algebra import (
     QuantumGroupoid,
+    _column_pairs,
+    _first_nonmultiplicative,
+    _first_unequal,
     epsilon_t,
     sparse_coproduct_leg,
     sparse_of_dense,
@@ -23,7 +26,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron
+from .linalg import Matrix, Q1, SubspaceBasis, kron
 from .report import VerificationReport, comparison
 from .structures import QTStructure, WeakCocycle, swap2
 
@@ -49,59 +52,15 @@ class HModule:
         """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
         if getattr(self, "_validated", False):
             return self
-        mult, unit = self._first_failures()
-        if mult is not None:
+        bad = _first_nonmultiplicative(self.algebra.mul_rows, self.mats)
+        if bad is not None:
             raise InconsistentStructure(
-                "action is not multiplicative at basis pair (%d, %d)" % mult[:2]
+                "action is not multiplicative at basis pair (%d, %d)" % bad[0]
             )
-        if unit is not None:
+        if not self.act_element(self.algebra.unit).is_identity():
             raise InconsistentStructure("unit does not act as the identity")
         self._validated = True
         return self
-
-    def _first_failures(self):
-        """First failing basis tuple of each module axiom, on sparse columns.
-
-        Returns (mult, unit): mult is the first (i, j, v) in loop order with
-        (e_i e_j) . v != e_i . (e_j . v), unit the first v with 1 . v != v;
-        each is None when its axiom holds.
-        """
-        H = self.algebra
-        cols = [mat.transpose().sparse_rows for mat in self.mats]
-
-        def first_mult():
-            for i in range(H.dim):
-                ci = cols[i]
-                for j in range(H.dim):
-                    cj = cols[j]
-                    row = H.mul_rows.get((i, j), {})
-                    for v in range(self.dim):
-                        lhs = {}
-                        for k, c in row.items():
-                            for r, val in cols[k][v].items():
-                                lhs[r] = lhs.get(r, Q0) + c * val
-                        rhs = {}
-                        for s, cs in cj[v].items():
-                            for r, val in ci[s].items():
-                                rhs[r] = rhs.get(r, Q0) + cs * val
-                        lhs = {r: c for r, c in lhs.items() if c}
-                        rhs = {r: c for r, c in rhs.items() if c}
-                        if lhs != rhs:
-                            return i, j, v
-            return None
-
-        def first_unit():
-            for v in range(self.dim):
-                acc = {}
-                for i, c in enumerate(H.unit):
-                    if c:
-                        for r, val in cols[i][v].items():
-                            acc[r] = acc.get(r, Q0) + c * val
-                if {r: c for r, c in acc.items() if c} != {v: Q1}:
-                    return v
-            return None
-
-        return first_mult(), first_unit()
 
 
 def check_module(M: HModule) -> VerificationReport:
@@ -109,18 +68,10 @@ def check_module(M: HModule) -> VerificationReport:
     first failing basis tuple."""
     rep = VerificationReport("module")
     H = M.algebra
-    mult, unit = M._first_failures()
-    pairs = []
-    if mult is not None:
-        i, j, v = mult
-        lhs = M.act_element(H.mul[i][j]).column(v)
-        pairs.append((mult, lhs, M.mats[i].apply(M.mats[j].column(v))))
-    comparison(rep, "action-multiplicative", pairs)
-    pairs = []
-    if unit is not None:
-        ident = Matrix.identity(M.dim).column(unit)
-        pairs.append(((unit,), M.act_element(H.unit).column(unit), ident))
-    comparison(rep, "unit-acts-as-identity", pairs)
+    comparison(rep, "action-multiplicative",
+               _column_pairs(_first_nonmultiplicative(H.mul_rows, M.mats)))
+    unit = ((), M.act_element(H.unit), Matrix.identity(M.dim))
+    comparison(rep, "unit-acts-as-identity", _column_pairs(_first_unequal([unit])))
     return rep
 
 

@@ -203,6 +203,7 @@ class _Reader:
         if self.lines and self.lines[-1] == "":
             self.lines.pop()
         self.pos = 0
+        self.known = {}  # token -> Fraction, for tokens already accepted
 
     @property
     def lineno(self):
@@ -241,14 +242,17 @@ class _Reader:
             )
         out = []
         for p in parts:
-            # the shape is checked first, so Fraction never sees an exponent
-            x = Fraction(p) if _RATIONAL.fullmatch(p) else None
-            if x is None or str(x) != p:
-                raise ParseError(
-                    "bad rational %r (want canonical p/q in lowest terms)" % p,
-                    line=self.pos,
-                    field=field,
-                )
+            x = self.known.get(p)
+            if x is None:
+                # the shape is checked first, so Fraction never sees an exponent
+                x = Fraction(p) if _RATIONAL.fullmatch(p) else None
+                if x is None or str(x) != p:
+                    raise ParseError(
+                        "bad rational %r (want canonical p/q in lowest terms)" % p,
+                        line=self.pos,
+                        field=field,
+                    )
+                self.known[p] = x
             out.append(x)
         return tuple(out)
 

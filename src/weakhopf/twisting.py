@@ -69,7 +69,8 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     """Build the twisted quantum groupoid and its quasitriangular structure.
 
     All axioms of the result are asserted by the checkers, not assumed;
-    a failure raises TwistAxiomFailure naming the violated check.
+    a failure raises TwistAxiomFailure naming the violated check and
+    carrying its witness.
     """
     n = H.dim
     tw = twist_elements(H, wc)
@@ -84,16 +85,12 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     antipode = lv * rvinv * H.antipode
 
     base = WeakBialgebra(H.basis_names, H.mul, H.unit, comul, H.counit)
-    rep = check_weak_bialgebra(base)
-    if not rep.passed:
-        raise TwistAxiomFailure(rep.failed_checks()[0].name)
+    _require_passed(check_weak_bialgebra(base))
     try:
         twisted = QuantumGroupoid(base, antipode)
     except AntipodeNotInvertible as exc:
         raise TwistAxiomFailure("antipode-invertible", str(exc)) from exc
-    rep = check_quantum_groupoid(twisted)
-    if not rep.passed:
-        raise TwistAxiomFailure(rep.failed_checks()[0].name)
+    _require_passed(check_quantum_groupoid(twisted))
 
     f21inv = swap2(H, wc.finv)
     r_t = H.mul2(H.mul2(f21inv, qt.r), wc.f)
@@ -103,11 +100,15 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
         twisted.mul2(twisted.delta_one, rinv_t), twisted.delta_cop_one
     )
     qt_t = QTStructure(r_t, rinv_t)
-    rep = check_quasitriangular(twisted, qt_t)
-    if not rep.passed:
-        raise TwistAxiomFailure(rep.failed_checks()[0].name)
+    _require_passed(check_quasitriangular(twisted, qt_t))
 
     return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw)
+
+
+def _require_passed(rep: VerificationReport):
+    """Raise TwistAxiomFailure for the first failed check of rep, if any."""
+    for check in rep.failed_checks()[:1]:
+        raise TwistAxiomFailure(check.name, witness=check.witness)
 
 
 def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationReport:

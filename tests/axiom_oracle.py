@@ -1,0 +1,249 @@
+"""Per-tuple reference checkers for the differential tests of the axiom suites.
+
+These are the checkers ``weakhopf.algebra`` and ``weakhopf.modules`` ran
+before the n^3 suites were decided as matrix identities: every axiom is
+compared one basis tuple at a time with dense coefficient vectors, and the
+first failing tuple is the witness.  Nothing in the package calls them; the
+tests compare their reports with the package's, byte for byte.
+"""
+
+from __future__ import annotations
+
+from weakhopf.algebra import (
+    convolve,
+    dense_of_sparse,
+    sparse_coproduct_leg,
+    sparse_embed,
+    sparse_mul,
+)
+from weakhopf.linalg import Matrix, Q0, Q1, outer
+from weakhopf.report import VerificationReport, Witness, comparison
+
+
+def eps_map(B, leg, left) -> Matrix:
+    """h -> eps(x h) y (left) or eps(h x) y (right) over the terms of
+    Delta(1) with x on the given leg, one counit per (term, basis element)."""
+    n = B.dim
+    entries = []
+    for pair, c in B.delta_one_sparse.items():
+        x, y = pair[leg], pair[1 - leg]
+        for i in range(n):
+            s = B.counit_of(B.mul[x][i] if left else B.mul[i][x])
+            if s:
+                entries.append((y, i, c * s))
+    return Matrix.from_entries(n, n, entries)
+
+
+def check_weak_bialgebra(B) -> VerificationReport:
+    """All five weak-bialgebra axiom groups, on basis tuples."""
+    rep = VerificationReport("weak-bialgebra")
+    n = B.dim
+
+    def assoc_pairs():
+        for i in range(n):
+            for j in range(n):
+                ij = B.mul[i][j]
+                for k in range(n):
+                    lhs = B.mul_elem(ij, B.basis_vector(k))
+                    rhs = B.mul_elem(B.basis_vector(i), B.mul[j][k])
+                    yield (i, j, k), lhs, rhs
+
+    comparison(rep, "associativity", assoc_pairs())
+
+    def unit_pairs():
+        for i in range(n):
+            e = B.basis_vector(i)
+            yield (i,), B.mul_elem(B.unit, e), e
+            yield (i,), B.mul_elem(e, B.unit), e
+
+    comparison(rep, "unit-law", unit_pairs())
+
+    def coassoc_pairs():
+        cols = B.comul_cols
+        for i in range(n):
+            lhs = sparse_coproduct_leg(cols[i], 0, cols)
+            rhs = sparse_coproduct_leg(cols[i], 1, cols)
+            yield (i,), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3)
+
+    comparison(rep, "coassociativity", coassoc_pairs())
+
+    def counit_pairs():
+        for i in range(n):
+            e = B.basis_vector(i)
+            left = [Q0] * n
+            right = [Q0] * n
+            for (a, b), c in B.comul_cols[i].items():
+                left[b] += c * B.counit[a]
+                right[a] += c * B.counit[b]
+            yield (i,), tuple(left), e
+            yield (i,), tuple(right), e
+
+    comparison(rep, "counit-axiom", counit_pairs())
+
+    def comult_pairs():
+        for i in range(n):
+            for j in range(n):
+                lhs = B.comul_of(B.mul[i][j])
+                rhs = B.mul2(B.comul_map.column(i), B.comul_map.column(j))
+                yield (i, j), lhs, rhs
+
+    comparison(rep, "comultiplicativity", comult_pairs())
+
+    d1 = B.delta_one_sparse
+    d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
+    left3 = sparse_embed(d1, 3, (0, 1), B.unit_sparse)
+    right3 = sparse_embed(d1, 3, (1, 2), B.unit_sparse)
+    prod_a = sparse_mul(B, left3, right3, 3)
+    prod_b = sparse_mul(B, right3, left3, 3)
+    ok_a = d2 == prod_a
+    ok_b = d2 == prod_b
+    wit = None
+    if not (ok_a and ok_b):
+        bad = prod_a if not ok_a else prod_b
+        wit = Witness(
+            (),
+            dense_of_sparse(d2, n, 3),
+            dense_of_sparse(bad, n, 3),
+            "Delta^2(1) vs ordered products of Delta(1)",
+        )
+    rep.add("weak-unit-axiom", ok_a and ok_b, wit)
+
+    def weak_counit_pairs():
+        for g in range(n):
+            col = B.comul_cols[g]
+            for h in range(n):
+                for l in range(n):
+                    hg = B.mul[h][g]
+                    full = B.counit_of(B.mul_elem(hg, B.basis_vector(l)))
+                    split1 = Q0
+                    split2 = Q0
+                    for (a, b), c in col.items():
+                        e_ha = B.counit_of(B.mul[h][a])
+                        e_bl = B.counit_of(B.mul[b][l])
+                        e_hb = B.counit_of(B.mul[h][b])
+                        e_al = B.counit_of(B.mul[a][l])
+                        split1 += c * e_ha * e_bl
+                        split2 += c * e_hb * e_al
+                    yield (h, g, l), (full, full), (split1, split2)
+
+    comparison(rep, "weak-counit-axiom", weak_counit_pairs())
+    return rep
+
+
+def check_quantum_groupoid(H) -> VerificationReport:
+    """Antipode axioms: convolution identities and (anti)morphism laws."""
+    rep = VerificationReport("quantum-groupoid")
+    B = H.base
+    n = B.dim
+    S = H.antipode
+    ident = Matrix.identity(n)
+
+    lhs = convolve(B, S, ident)
+    comparison(
+        rep,
+        "antipode-left-convolution",
+        (((i,), lhs.column(i), B.eps_s_mat.column(i)) for i in range(n)),
+        "S * id vs eps_s",
+    )
+    lhs = convolve(B, ident, S)
+    comparison(
+        rep,
+        "antipode-right-convolution",
+        (((i,), lhs.column(i), B.eps_t_mat.column(i)) for i in range(n)),
+        "id * S vs eps_t",
+    )
+    lhs = convolve(B, S, convolve(B, ident, S))
+    comparison(
+        rep,
+        "antipode-convolution-identity",
+        (((i,), lhs.column(i), S.column(i)) for i in range(n)),
+        "S * id * S vs S",
+    )
+
+    def antimul_pairs():
+        yield (), H.s_of(B.unit), B.unit
+        for i in range(n):
+            for j in range(n):
+                yield (i, j), H.s_of(B.mul[i][j]), B.mul_elem(
+                    S.column(j), S.column(i)
+                )
+
+    comparison(rep, "antipode-anti-multiplicative", antimul_pairs())
+
+    def anticomul_pairs():
+        for i in range(n):
+            yield (i,), (B.counit_of(S.column(i)),), (B.counit[i],)
+            lhs = B.comul_of(S.column(i))
+            rhs = [Q0] * (n * n)
+            for (a, b), c in B.comul_cols[i].items():
+                outer(S.column(b), S.column(a), c, rhs)
+            yield (i,), lhs, tuple(rhs)
+
+    comparison(rep, "antipode-anti-comultiplicative", anticomul_pairs())
+
+    both = S * H.antipode_inv
+    rep.add(
+        "antipode-invertible",
+        both.is_identity() and (H.antipode_inv * S).is_identity(),
+    )
+    return rep
+
+
+def module_first_failures(M):
+    """(mult, unit): the first (i, j, v) with (e_i e_j) . v != e_i . (e_j . v)
+    and the first v with 1 . v != v, each None when its axiom holds."""
+    H = M.algebra
+    cols = [mat.transpose().sparse_rows for mat in M.mats]
+
+    def first_mult():
+        for i in range(H.dim):
+            ci = cols[i]
+            for j in range(H.dim):
+                cj = cols[j]
+                row = H.mul_rows.get((i, j), {})
+                for v in range(M.dim):
+                    lhs = {}
+                    for k, c in row.items():
+                        for r, val in cols[k][v].items():
+                            lhs[r] = lhs.get(r, Q0) + c * val
+                    rhs = {}
+                    for s, cs in cj[v].items():
+                        for r, val in ci[s].items():
+                            rhs[r] = rhs.get(r, Q0) + cs * val
+                    lhs = {r: c for r, c in lhs.items() if c}
+                    rhs = {r: c for r, c in rhs.items() if c}
+                    if lhs != rhs:
+                        return i, j, v
+        return None
+
+    def first_unit():
+        for v in range(M.dim):
+            acc = {}
+            for i, c in enumerate(H.unit):
+                if c:
+                    for r, val in cols[i][v].items():
+                        acc[r] = acc.get(r, Q0) + c * val
+            if {r: c for r, c in acc.items() if c} != {v: Q1}:
+                return v
+        return None
+
+    return first_mult(), first_unit()
+
+
+def check_module(M) -> VerificationReport:
+    """Both module axioms, with the dense columns at the first failing tuple."""
+    rep = VerificationReport("module")
+    H = M.algebra
+    mult, unit = module_first_failures(M)
+    pairs = []
+    if mult is not None:
+        i, j, v = mult
+        lhs = M.act_element(H.mul[i][j]).column(v)
+        pairs.append((mult, lhs, M.mats[i].apply(M.mats[j].column(v))))
+    comparison(rep, "action-multiplicative", pairs)
+    pairs = []
+    if unit is not None:
+        ident = Matrix.identity(M.dim).column(unit)
+        pairs.append(((unit,), M.act_element(H.unit).column(unit), ident))
+    comparison(rep, "unit-acts-as-identity", pairs)
+    return rep

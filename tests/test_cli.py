@@ -120,6 +120,33 @@ def test_twist_command(emitted, capsys):
     assert "kind: qt-structure" in captured
 
 
+def test_twist_failure_reports_the_check_witness(tmp_path):
+    from weakhopf.serialization import serialize_cocycle, serialize_qt
+    from weakhopf.structures import WeakCocycle
+
+    fx = zoo.fixture("pair2")
+    f = list(fx.cocycle.f)
+    f[1] += 1  # the twisted coproduct is no longer coassociative
+    paths = {}
+    for ext, text in (
+        ("qg", serialize_quantum_groupoid(fx.algebra)),
+        ("qt", serialize_qt(fx.algebra, fx.qt)),
+        ("coc", serialize_cocycle(fx.algebra, WeakCocycle(tuple(f), fx.cocycle.finv))),
+    ):
+        paths[ext] = tmp_path / ("a." + ext)
+        paths[ext].write_text(text)
+    out = tmp_path / "r.json"
+    rc = run([
+        "twist", "--algebra", str(paths["qg"]), "--qt", str(paths["qt"]),
+        "--cocycle", str(paths["coc"]), "--format", "structured", "--out", str(out),
+    ])
+    assert rc == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert (check["suite"], check["name"], check["passed"]) == ("twist", "coassociativity", False)
+    assert check["witness"]["indices"] == [0]
+    assert check["witness"]["lhs"] != check["witness"]["rhs"]
+
+
 def test_verify_iso_command(capsys):
     rc = run(["verify-iso", "--algebra", "zoo:diag2", "--cocycle", "zoo:diag2"])
     assert rc == 0

@@ -190,6 +190,20 @@ def test_parse_error_non_canonical_rational(diag2, token):
     assert "line 13" in str(err.value) and "'counit'" in str(err.value)
 
 
+def test_repeated_non_canonical_rational_fails_at_first_line(diag2):
+    # accepted tokens are remembered per document; a rejected one never is,
+    # so "2/4" after valid tokens on its line, and again later, fails at
+    # its first line
+    lines = serialize_quantum_groupoid(diag2.algebra).split("\n")
+    assert lines[6] == "0 0" and lines[11] == "0 0 0 1"
+    lines[6] = "0 2/4"
+    lines[11] = "0 0 0 2/4"
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines))
+    assert (err.value.field, err.value.line) == ("mul", 7)
+    assert "'2/4'" in str(err.value)
+
+
 def test_canonical_rationals_parse(diag2):
     text = serialize_quantum_groupoid(diag2.algebra)
     for token, value in (("-1/2", Fraction(-1, 2)), ("0", 0), ("-7", -7), ("10/3", Fraction(10, 3))):

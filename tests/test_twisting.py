@@ -157,6 +157,19 @@ def test_twist_rejects_corrupt_cocycle(kd4):
         twist(kd4.algebra, kd4.qt, WeakCocycle(tuple(f), kd4.cocycle.finv))
 
 
+def test_twist_failure_carries_the_check_witness(pair2):
+    from weakhopf.errors import TwistAxiomFailure
+    from weakhopf.structures import WeakCocycle
+
+    f = list(pair2.cocycle.f)
+    f[1] += 1  # the twisted coproduct is no longer coassociative
+    with pytest.raises(TwistAxiomFailure) as err:
+        twist(pair2.algebra, pair2.qt, WeakCocycle(tuple(f), pair2.cocycle.finv))
+    assert err.value.check_name == "coassociativity"
+    wit = err.value.witness
+    assert wit is not None and wit.indices == (0,) and wit.lhs != wit.rhs
+
+
 def test_isomorphism_on_mixed_direct_sums(diag2, kz2, pair2):
     # weak instances with the nontrivial cocycle on the ordinary block
     from weakhopf import canonical_r as _canonical
