@@ -21,13 +21,15 @@ from .errors import (
     NonUniqueSolution,
 )
 from .linalg import Matrix, Q0, Q1, frac, kron, outer, SubspaceBasis
-from .report import VerificationReport, Witness, comparison
+from .report import VerificationReport, Witness, comparison, dense_of_sparse
 
 # ---------------------------------------------------------------------------
 # sparse helpers for elements of H^(x)k, keyed by k-tuples of basis indices
 
 
 def sparse_of_dense(v, n, k):
+    if k == 2:
+        return {divmod(flat, n): c for flat, c in enumerate(v) if c}
     out = {}
     for flat, c in enumerate(v):
         if c:
@@ -40,34 +42,42 @@ def sparse_of_dense(v, n, k):
     return out
 
 
-def dense_of_sparse(s, n, k):
-    out = [Q0] * (n ** k)
-    for idx, c in s.items():
-        flat = 0
-        for i in idx:
-            flat = flat * n + i
-        out[flat] += c
-    return tuple(out)
+def sparse_mul(H, x, y, k, slots=None):
+    """Product x y of sparse elements of H^(x)k.
 
-
-def sparse_mul(H, x, y, k):
-    """Product of two sparse elements of H^(x)k."""
+    With slots, y is a sparse j-tensor standing on those legs of H^(x)k,
+    in order, with the unit on the others (such as R_12 or F^-1_24): a leg
+    times the unit is itself, so x keeps those legs as they are.  Every
+    leg's structure constants are looked up before any coefficient is
+    multiplied, so a pair whose product vanishes costs lookups only.
+    """
+    if slots is not None and not H.unit_acts_right:
+        y, slots = sparse_embed(y, k, slots, H.unit_sparse), None
     rows = H.mul_rows
+    legs = list(range(k)) if slots is None else [None] * k
+    for j, p in enumerate(slots or ()):
+        legs[p] = j
     out = {}
     for ix, cx in x.items():
         for iy, cy in y.items():
-            c = cx * cy
-            terms = [((), c)]
-            for f in range(k):
-                row = rows.get((ix[f], iy[f]))
-                if not row:
-                    terms = None
+            found = []
+            for p, j in enumerate(legs):
+                if j is None:
+                    found.append({ix[p]: Q1})
+                    continue
+                row = rows.get((ix[p], iy[j]))
+                if row is None:
                     break
-                terms = [(idx + (kk,), tc * vc) for idx, tc in terms for kk, vc in row.items()]
-            if terms:
-                for idx, tc in terms:
-                    out[idx] = out.get(idx, Q0) + tc
-    return {i: c for i, c in out.items() if c != 0}
+                found.append(row)
+            else:
+                terms = [((), cx * cy)]
+                for row in found:
+                    terms = [(idx + (kk,), c if v == 1 else c * v)
+                             for idx, c in terms for kk, v in row.items()]
+                for idx, c in terms:
+                    old = out.get(idx)
+                    out[idx] = c if old is None else old + c
+    return {i: c for i, c in out.items() if c}
 
 
 def sparse_embed(s, k, slots, unit_sparse):
@@ -161,6 +171,11 @@ class WeakBialgebra:
     @cached_property
     def unit_sparse(self):
         return {(i,): c for i, c in enumerate(self.unit) if c}
+
+    @cached_property
+    def unit_acts_right(self) -> bool:
+        """x 1 = x for every x; false on an algebra whose unit law fails."""
+        return self.right_mult(self.unit).is_identity()
 
     @cached_property
     def mul_map(self) -> Matrix:
@@ -272,16 +287,6 @@ class WeakBialgebra:
                         out[k] += c * ck
         return tuple(out)
 
-    def mul_tensor(self, x, y, k) -> tuple:
-        """Product in H^(x)k for dense length dim^k vectors."""
-        n = self.dim
-        xs = sparse_of_dense(x, n, k)
-        ys = sparse_of_dense(y, n, k)
-        return dense_of_sparse(sparse_mul(self, xs, ys, k), n, k)
-
-    def mul2(self, x, y) -> tuple:
-        return self.mul_tensor(x, y, 2)
-
     def counit_of(self, x):
         s = Q0
         for c, e in zip(x, self.counit):
@@ -308,20 +313,12 @@ class WeakBialgebra:
     @cached_property
     def is_cocommutative(self) -> bool:
         return all(
-            self.comul[i][j][k] == self.comul[i][k][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
+            col.get((k, j)) == c for col in self.comul_cols.values() for (j, k), c in col.items()
         )
 
     @cached_property
     def is_commutative(self) -> bool:
-        return all(
-            self.mul[i][j][k] == self.mul[j][i][k]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        )
+        return all(self.mul_rows.get((j, i)) == row for (i, j), row in self.mul_rows.items())
 
 
 class QuantumGroupoid:
@@ -505,9 +502,9 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
         for i in range(n):
             lhs = sparse_coproduct_leg(cols[i], 0, cols)
             rhs = sparse_coproduct_leg(cols[i], 1, cols)
-            yield (i,), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3)
+            yield (i,), lhs, rhs
 
-    comparison(rep, "coassociativity", coassoc_pairs())
+    comparison(rep, "coassociativity", coassoc_pairs(), shape=(n, 3))
 
     def counit_pairs():
         for i in range(n):
@@ -531,19 +528,17 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
                 lhs = sparse_coproduct_leg(ij, 0, cols)
                 rhs = sparse_mul(B, cols[i], cols[j], 2)
                 if lhs != rhs:
-                    yield (i, j), dense_of_sparse(lhs, n, 2), dense_of_sparse(rhs, n, 2)
+                    yield (i, j), lhs, rhs
                     return
 
-    comparison(rep, "comultiplicativity", comult_pairs())
+    comparison(rep, "comultiplicativity", comult_pairs(), shape=(n, 2))
 
     # weak unit axiom: Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1))
     #                            = (1 (x) Delta(1))(Delta(1) (x) 1)
     d1 = B.delta_one_sparse
     d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
-    left3 = sparse_embed(d1, 3, (0, 1), B.unit_sparse)
-    right3 = sparse_embed(d1, 3, (1, 2), B.unit_sparse)
-    prod_a = sparse_mul(B, left3, right3, 3)
-    prod_b = sparse_mul(B, right3, left3, 3)
+    prod_a = sparse_mul(B, sparse_embed(d1, 3, (0, 1), B.unit_sparse), d1, 3, (1, 2))
+    prod_b = sparse_mul(B, sparse_embed(d1, 3, (1, 2), B.unit_sparse), d1, 3, (0, 1))
     ok_a = d2 == prod_a
     ok_b = d2 == prod_b
     wit = None

@@ -462,13 +462,11 @@ class SubspaceBasis:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
         coords = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coords, self.vectors):
+        residual = {i: x for i, x in enumerate(v) if x}
+        for c, row in zip(coords, self._rows):
             if c:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        if any(x != 0 for x in residual):
-            return None
-        return coords
+                _add_into(residual, -c, row)
+        return None if residual else coords
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None

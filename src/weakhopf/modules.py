@@ -9,6 +9,7 @@ Braidings are stored as exact matrices between canonical image bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -18,7 +19,6 @@ from .algebra import (
     _first_unequal,
     epsilon_t,
     sparse_coproduct_leg,
-    sparse_of_dense,
     target_subalgebra,
 )
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import Matrix, Q1, SubspaceBasis, kron
 from .report import VerificationReport, comparison
-from .structures import QTStructure, WeakCocycle, swap2
+from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
 
 class HModule:
@@ -125,11 +125,11 @@ class TruncatedTensor:
 
 
 def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
-    """Action of an element of H (x) H on M (x) N (first leg on M)."""
+    """Action of a sparse element of H (x) H on M (x) N (first leg on M)."""
     nd = N.dim
 
     def entries():
-        for (a, b), c in sparse_of_dense(elem2, M.algebra.dim, 2).items():
+        for (a, b), c in elem2.items():
             nrows = N.mats[b].sparse_rows
             for r1, row1 in enumerate(M.mats[a].sparse_rows):
                 for c1, v1 in row1.items():
@@ -141,31 +141,36 @@ def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     return Matrix.from_entries(M.dim * nd, M.dim * nd, entries())
 
 
-def twisted_coproduct_column(H, wc: WeakCocycle, i) -> tuple:
-    """F^-1 Delta(e_i) F as a dense 2-tensor."""
-    return H.mul2(H.mul2(wc.finv, H.comul_map.column(i)), wc.f)
+def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
+    """F^-1 Delta(e_i) F as a sparse 2-tensor."""
+    f, finv = wc.sparse
+    return _mul2(H, finv, H.comul_cols[i], f)
 
 
 def truncated_tensor(
     M: HModule,
     N: HModule,
-    variant: str = "plain",
+    variant="plain",
     wc: Optional[WeakCocycle] = None,
     validate: bool = True,
 ) -> TruncatedTensor:
+    """The truncated tensor of M and N in the plain category, the twisted
+    one of the cocycle wc, or (variant a BraidContext) the context's own,
+    which builds its coproduct columns once for all its tensors."""
     if M.algebra is not N.algebra:
         raise MismatchedAlgebra("modules over different algebras")
     H = M.algebra
-    if variant == "plain":
-        columns = [H.comul_map.column(i) for i in range(H.dim)]
-        unit2 = H.delta_one
+    if isinstance(variant, BraidContext):
+        ctx = variant
+    elif variant == "plain":
+        ctx = BraidContext(H, "psi")
     elif variant == "twisted":
         if wc is None:
             raise MismatchedAlgebra("twisted tensor needs a cocycle")
-        columns = [twisted_coproduct_column(H, wc, i) for i in range(H.dim)]
-        unit2 = H.mul2(wc.finv, wc.f)  # = Delta_cop(1), = Delta(1) when cocommutative
+        ctx = BraidContext(H, "phi", wc=wc)
     else:
         raise ValueError("variant must be 'plain' or 'twisted'")
+    columns, unit2 = ctx.coproduct
 
     projector = _componentwise_action(M, N, unit2)
     if projector * projector != projector:
@@ -178,13 +183,13 @@ def truncated_tensor(
         basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
     )
     projection = sel * projector
-    big = [_componentwise_action(M, N, col) for col in columns]
+    big = [_componentwise_action(M, N, columns[i]) for i in range(H.dim)]
     mats = [projection * b * inclusion for b in big]
     module = HModule(H, mats, name="tensor")
     if validate:
         module.validate()
     return TruncatedTensor(
-        M, N, variant, projector, basis, inclusion, projection, module
+        M, N, ctx.variant, projector, basis, inclusion, projection, module
     )
 
 
@@ -202,13 +207,13 @@ def _flip_matrix(m_dim, n_dim) -> Matrix:
 
 def braiding_psi_plain(H, qt: QTStructure, M: HModule, N: HModule) -> Matrix:
     """v (x) w -> R^(2) . w (x) R^(1) . v on plain coordinates."""
-    r21 = swap2(H, qt.r)
+    r21 = swap2(qt.sparse[0])
     return _componentwise_action(N, M, r21) * _flip_matrix(M.dim, N.dim)
 
 
 def braiding_psi_inverse_plain(H, qt: QTStructure, M: HModule, N: HModule) -> Matrix:
     """w (x) v -> R^-(2) . v (x) R^-(1) . w on plain coordinates."""
-    rinv21 = swap2(H, qt.rinv)
+    rinv21 = swap2(qt.sparse[1])
     return _componentwise_action(M, N, rinv21) * _flip_matrix(N.dim, M.dim)
 
 
@@ -227,7 +232,8 @@ def braiding_psi(qt: QTStructure, M: HModule, N: HModule, tensors=None):
 
 def braiding_phi_plain(H, wc: WeakCocycle, M: HModule, N: HModule) -> Matrix:
     """m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m, plain coordinates."""
-    g = H.mul2(wc.finv, swap2(H, wc.f))
+    f, finv = wc.sparse
+    g = _mul2(H, finv, swap2(f))
     return _componentwise_action(N, M, g) * _flip_matrix(M.dim, N.dim)
 
 
@@ -275,29 +281,32 @@ class BraidContext:
     def variant(self):
         return "plain" if self.kind == "psi" else "twisted"
 
+    @cached_property
+    def coproduct(self):
+        """(columns, unit): the coproduct of each basis element and of 1 as
+        sparse 2-tensors, conjugated by the cocycle (F^-1 Delta(e_i) F and
+        F^-1 F) in the twisted category.  Built once per context."""
+        H = self.algebra
+        if self.kind == "psi":
+            return H.comul_cols, H.delta_one_sparse
+        f, finv = self.wc.sparse
+        columns = [twisted_coproduct_column(H, self.wc, i) for i in range(H.dim)]
+        # F^-1 F = Delta_cop(1), = Delta(1) when cocommutative
+        return columns, _mul2(H, finv, f)
+
     def tensor(self, M, N, validate=True) -> TruncatedTensor:
-        return truncated_tensor(M, N, self.variant, self.wc, validate=validate)
+        return truncated_tensor(M, N, self, validate=validate)
 
     def braiding_plain(self, M, N) -> Matrix:
         if self.kind == "psi":
             return braiding_psi_plain(self.algebra, self.qt, M, N)
         return braiding_phi_plain(self.algebra, self.wc, M, N)
 
-    def coproduct_column(self, i) -> tuple:
-        if self.kind == "psi":
-            return self.algebra.comul_map.column(i)
-        return twisted_coproduct_column(self.algebra, self.wc, i)
-
     def unit_coproduct_power(self, k) -> dict:
         """Iterated coproduct of 1 as a sparse element of H^(x)k."""
-        H = self.algebra
-        cur = dict(H.unit_sparse)
+        cur = dict(self.algebra.unit_sparse)
         for _ in range(k - 1):
-            cols = {
-                i: sparse_of_dense(self.coproduct_column(i), H.dim, 2)
-                for i in {idx[0] for idx in cur}
-            }
-            cur = sparse_coproduct_leg(cur, 0, cols)
+            cur = sparse_coproduct_leg(cur, 0, self.coproduct[0])
         return cur
 
 

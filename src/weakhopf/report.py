@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .linalg import format_frac
+from .linalg import Q0, format_frac
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,30 @@ class VerificationReport:
         return out
 
 
-def comparison(report, name, pairs, detail=""):
-    """Add a check comparing (indices, lhs, rhs) triples; first failure wins."""
+def dense_of_sparse(s, n, k):
+    """The sparse element s of H^(x)k, dim H = n, as a length n^k tuple."""
+    out = [Q0] * (n ** k)
+    for idx, c in s.items():
+        flat = 0
+        for i in idx:
+            flat = flat * n + i
+        out[flat] += c
+    return tuple(out)
+
+
+def comparison(report, name, pairs, detail="", shape=None):
+    """Add a check comparing (indices, lhs, rhs) triples; first failure wins.
+
+    With shape = (n, k), both sides are zero-free sparse elements of
+    H^(x)k, dim H = n, compared as dicts and densified for the witness only.
+    """
     for indices, lhs, rhs in pairs:
-        if tuple(lhs) != tuple(rhs):
-            report.add(name, False, Witness(tuple(indices), tuple(lhs), tuple(rhs), detail))
+        if shape is None:
+            lhs, rhs = tuple(lhs), tuple(rhs)
+        if lhs != rhs:
+            if shape is not None:
+                lhs, rhs = dense_of_sparse(lhs, *shape), dense_of_sparse(rhs, *shape)
+            report.add(name, False, Witness(tuple(indices), lhs, rhs, detail))
             return False
     report.add(name, True)
     return True

@@ -1,20 +1,22 @@
 """Quasitriangular structures and weak invertible unit 2-cocycles.
 
-Both live in H (x) H as dim^2 coefficient vectors.  The checkers verify
-the defining conditions plus the derived identity suites; the construction
-helpers (Drinfeld element, canonical structure on a cocommutative algebra,
-twist elements) validate the identities they rely on instead of assuming
-them.
+Both are given as dim^2 coefficient vectors of H (x) H; the suites read
+them as sparse {(a, b): c} 2-tensors and multiply them in H^(x)k as such.
+The checkers verify the defining conditions plus the derived identity
+suites; the construction helpers (Drinfeld element, canonical structure on
+a cocommutative algebra, twist elements) validate the identities they rely
+on instead of assuming them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 from typing import Tuple
 
 from .algebra import (
     QuantumGroupoid,
-    dense_of_sparse,
     sparse_coproduct_leg,
     sparse_embed,
     sparse_mul,
@@ -27,8 +29,13 @@ from .errors import (
     NotCocommutative,
     UNotInvertible,
 )
-from .linalg import Matrix, Q0, Q1, lincomb, outer, vec
-from .report import VerificationReport, Witness, comparison
+from .linalg import Matrix, Q0, Q1, lincomb, vec
+from .report import VerificationReport, Witness, comparison, dense_of_sparse
+
+
+def _sparse_pair(x, xinv):
+    n = isqrt(len(x))
+    return sparse_of_dense(x, n, 2), sparse_of_dense(xinv, n, 2)
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,11 @@ class QTStructure:
         if len(self.r) != len(self.rinv):
             raise DimensionMismatch("R and its inverse differ in length")
 
+    @cached_property
+    def sparse(self):
+        """(R, R^-1) as sparse 2-tensors."""
+        return _sparse_pair(self.r, self.rinv)
+
 
 @dataclass(frozen=True)
 class WeakCocycle:
@@ -53,6 +65,11 @@ class WeakCocycle:
         object.__setattr__(self, "finv", vec(self.finv))
         if len(self.f) != len(self.finv):
             raise DimensionMismatch("F and its inverse differ in length")
+
+    @cached_property
+    def sparse(self):
+        """(F, F^-1) as sparse 2-tensors."""
+        return _sparse_pair(self.f, self.finv)
 
 
 @dataclass(frozen=True)
@@ -74,31 +91,47 @@ class TwistElements:
     product: Tuple
 
 
-def swap2(H, x2) -> tuple:
-    n = H.dim
-    out = [Q0] * (n * n)
-    for (a, b), c in sparse_of_dense(x2, n, 2).items():
-        out[b * n + a] = c
-    return tuple(out)
+def swap2(x2) -> dict:
+    """The flip a (x) b -> b (x) a of a sparse 2-tensor."""
+    return {(b, a): c for (a, b), c in x2.items()}
 
 
-def apply_to_leg(H, mat: Matrix, x2, leg) -> tuple:
-    """(mat (x) id) or (id (x) mat) applied to a dense 2-tensor."""
-    n = H.dim
-    out = [Q0] * (n * n)
-    for flat, c in enumerate(x2):
-        if not c:
-            continue
-        a, b = divmod(flat, n)
-        if leg == 0:
-            for p, cp in enumerate(mat.column(a)):
-                if cp:
-                    out[p * n + b] += c * cp
-        else:
-            for p, cp in enumerate(mat.column(b)):
-                if cp:
-                    out[a * n + p] += c * cp
-    return tuple(out)
+def apply_to_leg(mat: Matrix, x2, leg) -> dict:
+    """(mat (x) id) or (id (x) mat) applied to a sparse 2-tensor."""
+    cols = [{(p,): c for p, c in col.items()} for col in mat.transpose().sparse_rows]
+    return sparse_coproduct_leg(x2, leg, cols)
+
+
+def _mul2(H, *factors) -> dict:
+    """The product of sparse 2-tensors, left to right."""
+    out = factors[0]
+    for x in factors[1:]:
+        out = sparse_mul(H, out, x, 2)
+    return out
+
+
+def _outer2(x, y) -> dict:
+    """x (x) y of two dense elements as a sparse 2-tensor."""
+    return {(a, b): cx * cy for a, cx in enumerate(x) if cx for b, cy in enumerate(y) if cy}
+
+
+def _left(H, y, leg, x2) -> dict:
+    """(y on leg, 1 on the other leg) x2, for a dense element y."""
+    return _mul2(H, _outer2(y, H.unit) if leg == 0 else _outer2(H.unit, y), x2)
+
+
+def _right(H, x2, y, leg) -> dict:
+    """x2 (y on leg, 1 on the other leg), for a dense element y."""
+    return sparse_mul(H, x2, sparse_of_dense(y, H.dim, 1), 2, (leg,))
+
+
+def _subalgebra_checks(rep, H, checks):
+    """For each (name, subalgebra, lhs, rhs, detail) of checks, compare the
+    sparse 2-tensors lhs(y) and rhs(y) over the basis vectors y of the
+    subalgebra."""
+    for name, sub, lhs, rhs, detail in checks:
+        comparison(rep, name, (((i,), lhs(y), rhs(y)) for i, y in enumerate(sub.vectors)),
+                   detail, (H.dim, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,49 +143,43 @@ def check_quasitriangular(H: QuantumGroupoid, qt: QTStructure) -> VerificationRe
     n = H.dim
     if len(qt.r) != n * n:
         raise DimensionMismatch("R has wrong length for this algebra")
-    r, rinv = qt.r, qt.rinv
-    d1 = H.delta_one
-    d1c = H.delta_cop_one
+    r, rinv = qt.sparse
+    d1 = H.delta_one_sparse
+    d1c = swap2(d1)
+    sq, cube = (n, 2), (n, 3)
 
-    sandwich = H.mul2(H.mul2(d1c, r), d1)
-    comparison(rep, "r-sandwich", [((), sandwich, r)],
-               "Delta_cop(1) R Delta(1) vs R")
-    sandwich = H.mul2(H.mul2(d1, rinv), d1c)
-    comparison(rep, "rinv-sandwich", [((), sandwich, rinv)],
-               "Delta(1) R^-1 Delta_cop(1) vs R^-1")
-    comparison(rep, "r-invertibility-left", [((), H.mul2(r, rinv), d1c)],
-               "R R^-1 vs Delta_cop(1)")
-    comparison(rep, "r-invertibility-right", [((), H.mul2(rinv, r), d1)],
-               "R^-1 R vs Delta(1)")
+    comparison(rep, "r-sandwich", [((), _mul2(H, d1c, r, d1), r)],
+               "Delta_cop(1) R Delta(1) vs R", sq)
+    comparison(rep, "rinv-sandwich", [((), _mul2(H, d1, rinv, d1c), rinv)],
+               "Delta(1) R^-1 Delta_cop(1) vs R^-1", sq)
+    comparison(rep, "r-invertibility-left", [((), _mul2(H, r, rinv), d1c)],
+               "R R^-1 vs Delta_cop(1)", sq)
+    comparison(rep, "r-invertibility-right", [((), _mul2(H, rinv, r), d1)],
+               "R^-1 R vs Delta(1)", sq)
 
-    rs = sparse_of_dense(r, n, 2)
-    r13 = sparse_embed(rs, 3, (0, 2), H.unit_sparse)
-    r12 = sparse_embed(rs, 3, (0, 1), H.unit_sparse)
-    r23 = sparse_embed(rs, 3, (1, 2), H.unit_sparse)
-    lhs = sparse_coproduct_leg(rs, 1, H.comul_cols)
-    rhs = sparse_mul(H, r13, r12, 3)
+    r13 = sparse_embed(r, 3, (0, 2), H.unit_sparse)
     comparison(
         rep,
         "coproduct-second-leg",
-        [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
+        [((), sparse_coproduct_leg(r, 1, H.comul_cols), sparse_mul(H, r13, r, 3, (0, 1)))],
         "(id (x) Delta)R vs R13 R12",
+        cube,
     )
-    lhs = sparse_coproduct_leg(rs, 0, H.comul_cols)
-    rhs = sparse_mul(H, r13, r23, 3)
     comparison(
         rep,
         "coproduct-first-leg",
-        [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
+        [((), sparse_coproduct_leg(r, 0, H.comul_cols), sparse_mul(H, r13, r, 3, (1, 2)))],
         "(Delta (x) id)R vs R13 R23",
+        cube,
     )
 
     def intertwiner_pairs():
         for i in range(n):
-            di = H.comul_map.column(i)
-            yield (i,), H.mul2(swap2(H, di), r), H.mul2(r, di)
+            di = H.comul_cols[i]
+            yield (i,), _mul2(H, swap2(di), r), _mul2(H, r, di)
 
     comparison(rep, "intertwiner", intertwiner_pairs(),
-               "Delta_cop(h) R vs R Delta(h)")
+               "Delta_cop(h) R vs R Delta(h)", sq)
     return rep
 
 
@@ -161,82 +188,45 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
     from .algebra import source_subalgebra, target_subalgebra
 
     rep = VerificationReport("r-identities")
-    r, rinv = qt.r, qt.rinv
+    r, rinv = qt.sparse
     ht = target_subalgebra(H)
     hs = source_subalgebra(H)
     S = H.antipode
     Sinv = H.antipode_inv
+    d1 = H.delta_one_sparse
+    sq = (H.dim, 2)
 
-    one = H.unit
+    _subalgebra_checks(rep, H, (
+        ("target-right-exchange", ht,
+         lambda z: _left(H, z, 1, r), lambda z: _right(H, r, z, 0), ""),
+        ("source-left-exchange", hs,
+         lambda y: _left(H, y, 0, r), lambda y: _right(H, r, y, 1), ""),
+        ("target-antipode-left", ht,
+         lambda z: _left(H, z, 0, r), lambda z: _left(H, S.apply(z), 1, r), ""),
+        ("source-antipode-right", hs,
+         lambda y: _left(H, y, 1, r), lambda y: _left(H, S.apply(y), 0, r), ""),
+        ("target-antipode-inverse", ht,
+         lambda z: _right(H, r, z, 1), lambda z: _right(H, r, Sinv.apply(z), 0), ""),
+        ("source-antipode-inverse", hs,
+         lambda y: _right(H, r, y, 0), lambda y: _right(H, r, Sinv.apply(y), 1), ""),
+    ))
 
-    def ht_pairs(name, lhs_fn, rhs_fn):
-        comparison(
-            rep,
-            name,
-            (((i,), lhs_fn(z), rhs_fn(z)) for i, z in enumerate(ht.vectors)),
-        )
-
-    def hs_pairs(name, lhs_fn, rhs_fn):
-        comparison(
-            rep,
-            name,
-            (((i,), lhs_fn(y), rhs_fn(y)) for i, y in enumerate(hs.vectors)),
-        )
-
-    ht_pairs(
-        "target-right-exchange",
-        lambda z: H.mul2(outer(one, z), r),
-        lambda z: H.mul2(r, outer(z, one)),
-    )
-    hs_pairs(
-        "source-left-exchange",
-        lambda y: H.mul2(outer(y, one), r),
-        lambda y: H.mul2(r, outer(one, y)),
-    )
-    ht_pairs(
-        "target-antipode-left",
-        lambda z: H.mul2(outer(z, one), r),
-        lambda z: H.mul2(outer(one, S.apply(z)), r),
-    )
-    hs_pairs(
-        "source-antipode-right",
-        lambda y: H.mul2(outer(one, y), r),
-        lambda y: H.mul2(outer(S.apply(y), one), r),
-    )
-    ht_pairs(
-        "target-antipode-inverse",
-        lambda z: H.mul2(r, outer(one, z)),
-        lambda z: H.mul2(r, outer(Sinv.apply(z), one)),
-    )
-    hs_pairs(
-        "source-antipode-inverse",
-        lambda y: H.mul2(r, outer(y, one)),
-        lambda y: H.mul2(r, outer(one, Sinv.apply(y))),
-    )
-
-    comparison(rep, "source-marginal-first-leg",
-               [((), apply_to_leg(H, H.eps_s_mat, r, 0), H.delta_one)],
-               "(eps_s (x) id)R vs Delta(1)")
-    comparison(rep, "source-marginal-second-leg",
-               [((), apply_to_leg(H, H.eps_s_mat, r, 1),
-                 apply_to_leg(H, S, H.delta_cop_one, 0))],
-               "(id (x) eps_s)R vs (S (x) id)Delta_cop(1)")
-    comparison(rep, "target-marginal-first-leg",
-               [((), apply_to_leg(H, H.eps_t_mat, r, 0), H.delta_cop_one)],
-               "(eps_t (x) id)R vs Delta_cop(1)")
-    comparison(rep, "target-marginal-second-leg",
-               [((), apply_to_leg(H, H.eps_t_mat, r, 1),
-                 apply_to_leg(H, S, H.delta_one, 0))],
-               "(id (x) eps_t)R vs (S (x) id)Delta(1)")
-    comparison(rep, "antipode-first-leg",
-               [((), apply_to_leg(H, S, r, 0), rinv)],
-               "(S (x) id)R vs R^-1")
-    comparison(rep, "antipode-inverse-second-leg",
-               [((), apply_to_leg(H, Sinv, r, 1), rinv)],
-               "(id (x) S^-1)R vs R^-1")
-    comparison(rep, "antipode-both-legs",
-               [((), apply_to_leg(H, S, apply_to_leg(H, S, r, 0), 1), r)],
-               "(S (x) S)R vs R")
+    for name, lhs, rhs, detail in (
+        ("source-marginal-first-leg", apply_to_leg(H.eps_s_mat, r, 0), d1,
+         "(eps_s (x) id)R vs Delta(1)"),
+        ("source-marginal-second-leg", apply_to_leg(H.eps_s_mat, r, 1),
+         apply_to_leg(S, swap2(d1), 0), "(id (x) eps_s)R vs (S (x) id)Delta_cop(1)"),
+        ("target-marginal-first-leg", apply_to_leg(H.eps_t_mat, r, 0), swap2(d1),
+         "(eps_t (x) id)R vs Delta_cop(1)"),
+        ("target-marginal-second-leg", apply_to_leg(H.eps_t_mat, r, 1),
+         apply_to_leg(S, d1, 0), "(id (x) eps_t)R vs (S (x) id)Delta(1)"),
+        ("antipode-first-leg", apply_to_leg(S, r, 0), rinv, "(S (x) id)R vs R^-1"),
+        ("antipode-inverse-second-leg", apply_to_leg(Sinv, r, 1), rinv,
+         "(id (x) S^-1)R vs R^-1"),
+        ("antipode-both-legs", apply_to_leg(S, apply_to_leg(S, r, 0), 1), r,
+         "(S (x) S)R vs R"),
+    ):
+        comparison(rep, name, [((), lhs, rhs)], detail, sq)
     return rep
 
 
@@ -244,7 +234,7 @@ def _drinfeld_raw(H, qt):
     n = H.dim
     S = H.antipode
     s2 = S * S
-    rs = sparse_of_dense(qt.r, n, 2).items()
+    rs = qt.sparse[0].items()
     u = lincomb(
         ((c, H.mul_elem(S.column(b), H.basis_vector(a))) for (a, b), c in rs), n
     )
@@ -294,11 +284,11 @@ def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRepo
                      "S^2 vs conjugation by u (first rows)"),
     )
 
-    du = H.comul_of(u)
-    rinv21 = swap2(H, qt.rinv)
-    rhs = H.mul2(H.mul2(qt.rinv, rinv21), tuple(outer(u, u)))
+    du = sparse_coproduct_leg(sparse_of_dense(u, H.dim, 1), 0, H.comul_cols)
+    rinv = qt.sparse[1]
+    rhs = _mul2(H, rinv, swap2(rinv), _outer2(u, u))
     comparison(rep, "coproduct-of-u", [((), du, rhs)],
-               "Delta(u) vs R^-1 R21^-1 (u (x) u)")
+               "Delta(u) vs R^-1 R21^-1 (u (x) u)", (H.dim, 2))
     return rep
 
 
@@ -306,9 +296,10 @@ def canonical_r(H: QuantumGroupoid) -> QTStructure:
     """R = Delta_cop(1) Delta(1) for a cocommutative quantum groupoid."""
     if not H.is_cocommutative:
         raise NotCocommutative("canonical structure needs a cocommutative coproduct")
-    r = H.mul2(H.delta_cop_one, H.delta_one)
-    rinv = H.mul2(H.delta_one, H.delta_cop_one)
-    return QTStructure(r, rinv)
+    d1 = H.delta_one_sparse
+    r = _mul2(H, swap2(d1), d1)
+    rinv = _mul2(H, d1, swap2(d1))
+    return QTStructure(dense_of_sparse(r, H.dim, 2), dense_of_sparse(rinv, H.dim, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -322,86 +313,68 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
     n = H.dim
     if len(wc.f) != n * n:
         raise DimensionMismatch("F has wrong length for this algebra")
-    f, finv = wc.f, wc.finv
-    d1 = H.delta_one
-    d1c = H.delta_cop_one
+    f, finv = wc.sparse
+    d1 = H.delta_one_sparse
+    d1c = swap2(d1)
+    sq, cube = (n, 2), (n, 3)
 
-    comparison(rep, "f-sandwich",
-               [((), H.mul2(H.mul2(d1, f), d1c), f)],
-               "Delta(1) F Delta_cop(1) vs F")
-    comparison(rep, "finv-sandwich",
-               [((), H.mul2(H.mul2(d1c, finv), d1), finv)],
-               "Delta_cop(1) F^-1 Delta(1) vs F^-1")
-    comparison(rep, "f-invertibility-left", [((), H.mul2(f, finv), d1)],
-               "F F^-1 vs Delta(1)")
-    comparison(rep, "f-invertibility-right", [((), H.mul2(finv, f), d1c)],
-               "F^-1 F vs Delta_cop(1)")
+    comparison(rep, "f-sandwich", [((), _mul2(H, d1, f, d1c), f)],
+               "Delta(1) F Delta_cop(1) vs F", sq)
+    comparison(rep, "finv-sandwich", [((), _mul2(H, d1c, finv, d1), finv)],
+               "Delta_cop(1) F^-1 Delta(1) vs F^-1", sq)
+    comparison(rep, "f-invertibility-left", [((), _mul2(H, f, finv), d1)],
+               "F F^-1 vs Delta(1)", sq)
+    comparison(rep, "f-invertibility-right", [((), _mul2(H, finv, f), d1c)],
+               "F^-1 F vs Delta_cop(1)", sq)
 
-    fs = sparse_of_dense(f, n, 2)
-    fis = sparse_of_dense(finv, n, 2)
-    f12 = sparse_embed(fs, 3, (0, 1), H.unit_sparse)
-    f23 = sparse_embed(fs, 3, (1, 2), H.unit_sparse)
-    fi12 = sparse_embed(fis, 3, (0, 1), H.unit_sparse)
-    fi23 = sparse_embed(fis, 3, (1, 2), H.unit_sparse)
-    df_l = sparse_coproduct_leg(fs, 0, H.comul_cols)
-    df_r = sparse_coproduct_leg(fs, 1, H.comul_cols)
-    dfi_l = sparse_coproduct_leg(fis, 0, H.comul_cols)
-    dfi_r = sparse_coproduct_leg(fis, 1, H.comul_cols)
-
-    lhs = sparse_mul(H, df_l, f12, 3)
-    rhs = sparse_mul(H, df_r, f23, 3)
+    df_l, df_r, dfi_l, dfi_r = (
+        sparse_coproduct_leg(x, leg, H.comul_cols) for x in (f, finv) for leg in (0, 1)
+    )
     comparison(rep, "cocycle-equation",
-               [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
-               "((Delta (x) id)F)F12 vs ((id (x) Delta)F)F23")
+               [((), sparse_mul(H, df_l, f, 3, (0, 1)), sparse_mul(H, df_r, f, 3, (1, 2)))],
+               "((Delta (x) id)F)F12 vs ((id (x) Delta)F)F23", cube)
 
     ht = target_subalgebra(H)
     hs = source_subalgebra(H)
-    one = H.unit
     Sinv = H.antipode_inv
 
-    comparison(rep, "source-second-leg",
-               (((i,), H.mul2(outer(one, y), f), H.mul2(f, outer(y, one)))
-                for i, y in enumerate(hs.vectors)),
-               "(1 (x) y)F vs F(y (x) 1)")
-    comparison(rep, "target-first-leg",
-               (((i,), H.mul2(outer(z, one), f), H.mul2(f, outer(one, z)))
-                for i, z in enumerate(ht.vectors)),
-               "(z (x) 1)F vs F(1 (x) z)")
-    comparison(rep, "finv-source",
-               (((i,), H.mul2(finv, outer(one, y)), H.mul2(outer(y, one), finv))
-                for i, y in enumerate(hs.vectors)),
-               "F^-1(1 (x) y) vs (y (x) 1)F^-1")
-    comparison(rep, "finv-target",
-               (((i,), H.mul2(finv, outer(z, one)), H.mul2(outer(one, z), finv))
-                for i, z in enumerate(ht.vectors)),
-               "F^-1(z (x) 1) vs (1 (x) z)F^-1")
-    comparison(rep, "finv-source-antipode",
-               (((i,), H.mul2(outer(one, y), finv),
-                 H.mul2(outer(Sinv.apply(y), one), finv))
-                for i, y in enumerate(hs.vectors)),
-               "(1 (x) y)F^-1 vs (S^-1(y) (x) 1)F^-1")
-    comparison(rep, "f-target-antipode",
-               (((i,), H.mul2(f, outer(z, one)),
-                 H.mul2(f, outer(one, Sinv.apply(z))))
-                for i, z in enumerate(ht.vectors)),
-               "F(z (x) 1) vs F(1 (x) S^-1(z))")
+    _subalgebra_checks(rep, H, (
+        ("source-second-leg", hs,
+         lambda y: _left(H, y, 1, f), lambda y: _right(H, f, y, 0),
+         "(1 (x) y)F vs F(y (x) 1)"),
+        ("target-first-leg", ht,
+         lambda z: _left(H, z, 0, f), lambda z: _right(H, f, z, 1),
+         "(z (x) 1)F vs F(1 (x) z)"),
+        ("finv-source", hs,
+         lambda y: _right(H, finv, y, 1), lambda y: _left(H, y, 0, finv),
+         "F^-1(1 (x) y) vs (y (x) 1)F^-1"),
+        ("finv-target", ht,
+         lambda z: _right(H, finv, z, 0), lambda z: _left(H, z, 1, finv),
+         "F^-1(z (x) 1) vs (1 (x) z)F^-1"),
+        ("finv-source-antipode", hs,
+         lambda y: _left(H, y, 1, finv), lambda y: _left(H, Sinv.apply(y), 0, finv),
+         "(1 (x) y)F^-1 vs (S^-1(y) (x) 1)F^-1"),
+        ("f-target-antipode", ht,
+         lambda z: _right(H, f, z, 0), lambda z: _right(H, f, Sinv.apply(z), 1),
+         "F(z (x) 1) vs F(1 (x) S^-1(z))"),
+    ))
 
     # equivalent forms of the cocycle equation, checked rather than assumed
-    lhs = sparse_mul(H, f23, fi12, 3)
-    rhs = sparse_mul(H, dfi_r, df_l, 3)
+    def on(x, slots):
+        return sparse_embed(x, 3, slots, H.unit_sparse)
+
     comparison(rep, "cocycle-form-mixed-left",
-               [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
-               "F23 F^-1_12 vs ((id (x) Delta)F^-1)((Delta (x) id)F)")
-    lhs = sparse_mul(H, f12, fi23, 3)
-    rhs = sparse_mul(H, dfi_l, df_r, 3)
+               [((), sparse_mul(H, on(f, (1, 2)), finv, 3, (0, 1)),
+                 sparse_mul(H, dfi_r, df_l, 3))],
+               "F23 F^-1_12 vs ((id (x) Delta)F^-1)((Delta (x) id)F)", cube)
     comparison(rep, "cocycle-form-mixed-right",
-               [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
-               "F12 F^-1_23 vs ((Delta (x) id)F^-1)((id (x) Delta)F)")
-    lhs = sparse_mul(H, fi23, dfi_r, 3)
-    rhs = sparse_mul(H, fi12, dfi_l, 3)
+               [((), sparse_mul(H, on(f, (0, 1)), finv, 3, (1, 2)),
+                 sparse_mul(H, dfi_l, df_r, 3))],
+               "F12 F^-1_23 vs ((Delta (x) id)F^-1)((id (x) Delta)F)", cube)
     comparison(rep, "cocycle-form-inverse",
-               [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
-               "F^-1_23 (id (x) Delta)F^-1 vs F^-1_12 (Delta (x) id)F^-1")
+               [((), sparse_mul(H, on(finv, (1, 2)), dfi_r, 3),
+                 sparse_mul(H, on(finv, (0, 1)), dfi_l, 3))],
+               "F^-1_23 (id (x) Delta)F^-1 vs F^-1_12 (Delta (x) id)F^-1", cube)
     return rep
 
 
@@ -425,15 +398,12 @@ def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):
     informational only."""
     n = H.dim
     S = H.antipode
+    f, finv = wc.sparse
     v = lincomb(
-        ((c, H.mul_elem(H.basis_vector(a), S.column(b)))
-         for (a, b), c in sparse_of_dense(wc.finv, n, 2).items()),
-        n,
+        ((c, H.mul_elem(H.basis_vector(a), S.column(b))) for (a, b), c in finv.items()), n
     )
     v_inv = lincomb(
-        ((c, H.mul_elem(S.column(a), H.basis_vector(b)))
-         for (a, b), c in sparse_of_dense(wc.f, n, 2).items()),
-        n,
+        ((c, H.mul_elem(S.column(a), H.basis_vector(b))) for (a, b), c in f.items()), n
     )
     return v, v_inv, H.mul_elem(v, v_inv)
 
@@ -442,12 +412,11 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
     """Both sides of Delta(v^-1) = ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1."""
     if v_inv is None:
         v_inv = conjugator_elements(H, wc)[1]
-    lhs = H.comul_of(v_inv)
-    ss_f21inv = apply_to_leg(
-        H, H.antipode, apply_to_leg(H, H.antipode, swap2(H, wc.finv), 0), 1
-    )
-    rhs = H.mul2(H.mul2(ss_f21inv, tuple(outer(v_inv, v_inv))), wc.finv)
-    return lhs, rhs
+    lhs = sparse_coproduct_leg(sparse_of_dense(v_inv, H.dim, 1), 0, H.comul_cols)
+    finv = wc.sparse[1]
+    S = H.antipode
+    ss_f21inv = apply_to_leg(S, apply_to_leg(S, swap2(finv), 0), 1)
+    return lhs, _mul2(H, ss_f21inv, _outer2(v_inv, v_inv), finv)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +426,18 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
 def _solve_sandwiched_inverse(H, x2, left_target, right_target, left_sand, right_sand):
     """Find Y in the sandwich left_sand (H (x) H) right_sand with
     x2 Y = left_target and Y x2 = right_target."""
-    nn = H.dim ** 2
-    lmul, rmul, sand = [], [], []  # columns: images of each basis tensor e
+    n = H.dim
+    nn = n * n
+    x2, left_sand, right_sand = (sparse_of_dense(v, n, 2) for v in (x2, left_sand, right_sand))
+    blocks = ([], [], [])  # (row, column, entry) of the images of each basis tensor
     for j in range(nn):
-        e = tuple(Q1 if i == j else Q0 for i in range(nn))
-        lmul.append(H.mul2(x2, e))
-        rmul.append(H.mul2(e, x2))
-        sand.append(H.mul2(H.mul2(left_sand, e), right_sand))
+        e = {divmod(j, n): Q1}
+        images = (_mul2(H, x2, e), _mul2(H, e, x2), _mul2(H, left_sand, e, right_sand))
+        for block, image in zip(blocks, images):
+            block.extend((a * n + b, j, c) for (a, b), c in image.items())
+    lmul, rmul, sand = (Matrix.from_entries(nn, nn, block) for block in blocks)
     rhs = list(left_target) + list(right_target) + [Q0] * nn
-    system = Matrix.vstack(
-        [Matrix.from_columns(lmul, nn), Matrix.from_columns(rmul, nn),
-         Matrix.from_columns(sand, nn) - Matrix.identity(nn)],
-        nn,
-    )
+    system = Matrix.vstack([lmul, rmul, sand - Matrix.identity(nn)], nn)
     try:
         sol = system.solve(rhs, unique=True)
     except NonUniqueSolution as exc:

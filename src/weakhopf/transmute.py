@@ -267,7 +267,7 @@ def transmute(
     ad = ambient_action(f)
     f_of = [f.matrix.column(i) for i in range(n)]
     fs_of = [f.apply(H.antipode.column(i)) for i in range(n)]
-    rs = sparse_of_dense(qt.r, n, 2).items()
+    rs = qt.sparse[0].items()
 
     def coproduct(l):
         # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
@@ -316,7 +316,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     _, htmod = ht_module(H)
     mul_inc = p.mul * t2.inclusion
     big2 = [
-        _componentwise_action(cmod, cmod, ctx.coproduct_column(h)) for h in range(H.dim)
+        _componentwise_action(cmod, cmod, ctx.coproduct[0][h]) for h in range(H.dim)
     ]
     for name, x, src, dst in (
         ("product", mul_inc, t2.module.mats, cmod.mats),

@@ -9,7 +9,7 @@ the twisted algebra is computed exactly and verified map by map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .algebra import (
@@ -17,7 +17,6 @@ from .algebra import (
     WeakBialgebra,
     check_quantum_groupoid,
     check_weak_bialgebra,
-    sparse_of_dense,
 )
 from .errors import (
     AntipodeNotInvertible,
@@ -27,15 +26,16 @@ from .errors import (
     PreconditionUnmet,
     TwistAxiomFailure,
 )
-from .linalg import Matrix, kron, lincomb
-from .modules import HModule, truncated_tensor, twisted_coproduct_column
+from .linalg import Matrix, Q0, kron, lincomb
+from .modules import BraidContext, HModule, truncated_tensor
 from .quantize import quantize
-from .report import VerificationReport, Witness, comparison
+from .report import VerificationReport, Witness, comparison, dense_of_sparse
 from .structures import (
     QTStructure,
     TwistElements,
     WeakCocycle,
     canonical_r,
+    _mul2,
     check_quasitriangular,
     conjugator_coproduct_sides,
     swap2,
@@ -55,6 +55,8 @@ class TwistedPair:
     original: Tuple  # (H, qt, wc)
     twisted: Tuple   # (H_twisted, qt_twisted)
     v: TwistElements
+    # the F-twisted module category of H, with its coproduct columns built
+    context: BraidContext = field(compare=False, repr=False)
 
     @property
     def algebra(self) -> QuantumGroupoid:
@@ -75,10 +77,11 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     n = H.dim
     tw = twist_elements(H, wc)
 
-    comul = []
-    for i in range(n):
-        col = twisted_coproduct_column(H, wc, i)
-        comul.append([col[a * n:(a + 1) * n] for a in range(n)])
+    ctx = BraidContext(H, "phi", wc=wc)
+    comul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
+    for i, col in enumerate(ctx.coproduct[0]):
+        for (a, b), c in col.items():
+            comul[i][a][b] = c
 
     lv = H.left_mult(tw.v)
     rvinv = H.right_mult(tw.v_inv)
@@ -92,17 +95,16 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
         raise TwistAxiomFailure("antipode-invertible", str(exc)) from exc
     _require_passed(check_quantum_groupoid(twisted))
 
-    f21inv = swap2(H, wc.finv)
-    r_t = H.mul2(H.mul2(f21inv, qt.r), wc.f)
-    rinv_t = H.mul2(H.mul2(wc.finv, qt.rinv), swap2(H, wc.f))
-    # project the computed inverse onto its sandwich subspace
-    rinv_t = twisted.mul2(
-        twisted.mul2(twisted.delta_one, rinv_t), twisted.delta_cop_one
-    )
-    qt_t = QTStructure(r_t, rinv_t)
+    f, finv = wc.sparse
+    r, rinv = qt.sparse
+    r_t = _mul2(H, swap2(finv), r, f)
+    # the computed inverse, projected onto its sandwich subspace
+    d1 = twisted.delta_one_sparse
+    rinv_t = _mul2(twisted, d1, _mul2(H, finv, rinv, swap2(f)), swap2(d1))
+    qt_t = QTStructure(dense_of_sparse(r_t, n, 2), dense_of_sparse(rinv_t, n, 2))
     _require_passed(check_quasitriangular(twisted, qt_t))
 
-    return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw)
+    return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw, context=ctx)
 
 
 def _require_passed(rep: VerificationReport):
@@ -116,7 +118,7 @@ def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> Verificat
     rep = VerificationReport("twist-elements")
     lhs, rhs = conjugator_coproduct_sides(H, wc)
     comparison(rep, "conjugator-coproduct", [((), lhs, rhs)],
-               "Delta(v^-1) vs ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1")
+               "Delta(v^-1) vs ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1", (H.dim, 2))
     return rep
 
 
@@ -148,8 +150,7 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
     """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
     twisted algebra; ad is the adjoint action of H."""
     n = H.dim
-    fs = sparse_of_dense(wc.f, n, 2).items()
-    fis = sparse_of_dense(wc.finv, n, 2).items()
+    fs, fis = (x.items() for x in wc.sparse)
 
     def carrier_map(src, dst, rule, pairs, what):
         """Columns sum_(x, y) c rule(a, x, y) over the terms of pairs, in dst
@@ -248,7 +249,7 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
 
     # (2) algebra map on the twisted tensor square
     cmod = p_f.action
-    t2 = truncated_tensor(cmod, cmod, "twisted", wc)
+    t2 = truncated_tensor(cmod, cmod, tw.context)
     lhs = alpha * p_f.mul * t2.inclusion
     rhs = p_t.mul * kron(alpha, alpha) * t2.inclusion
     comparison(
@@ -313,7 +314,7 @@ def tensor_action_identification(H, wc, M: HModule, N: HModule) -> VerificationR
     qt = canonical_r(H)
     tw = twist(H, qt, wc)
     twisted = tw.algebra
-    t_f = truncated_tensor(M, N, "twisted", wc)
+    t_f = truncated_tensor(M, N, tw.context)
     m_t = HModule(twisted, M.mats, name=M.name)
     n_t = HModule(twisted, N.mats, name=N.name)
     t_p = truncated_tensor(m_t, n_t, "plain")

@@ -147,3 +147,105 @@ def inverse(a):
     if pivots[:n] != tuple(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+# ---------------------------------------------------------------------------
+# products in H^(x)k, as the package computed them before its suites kept
+# k-tensors sparse: both factors and the result as dense length n^k vectors,
+# multiplied by a kernel that multiplies every pair of terms first and looks
+# up the structure constants after
+
+
+def sparse_of_dense(v, n, k):
+    out = {}
+    for flat, c in enumerate(v):
+        if c:
+            idx = []
+            rem = flat
+            for _ in range(k):
+                idx.append(rem % n)
+                rem //= n
+            out[tuple(reversed(idx))] = c
+    return out
+
+
+def dense_of_sparse(s, n, k):
+    out = [Q0] * (n ** k)
+    for idx, c in s.items():
+        flat = 0
+        for i in idx:
+            flat = flat * n + i
+        out[flat] += c
+    return tuple(out)
+
+
+def sparse_mul(H, x, y, k):
+    """Product of two sparse elements of H^(x)k."""
+    rows = H.mul_rows
+    out = {}
+    for ix, cx in x.items():
+        for iy, cy in y.items():
+            c = cx * cy
+            terms = [((), c)]
+            for f in range(k):
+                row = rows.get((ix[f], iy[f]))
+                if not row:
+                    terms = None
+                    break
+                terms = [(idx + (kk,), tc * vc) for idx, tc in terms for kk, vc in row.items()]
+            if terms:
+                for idx, tc in terms:
+                    out[idx] = out.get(idx, Q0) + tc
+    return {i: c for i, c in out.items() if c != 0}
+
+
+def mul_tensor(H, x, y, k):
+    """Product in H^(x)k of dense length dim^k vectors."""
+    n = H.dim
+    xs = sparse_of_dense(x, n, k)
+    ys = sparse_of_dense(y, n, k)
+    return dense_of_sparse(sparse_mul(H, xs, ys, k), n, k)
+
+
+def mul2(H, x, y):
+    return mul_tensor(H, x, y, 2)
+
+
+def swap2(H, x2):
+    """The flip a (x) b -> b (x) a of a dense 2-tensor."""
+    n = H.dim
+    out = [Q0] * (n * n)
+    for (a, b), c in sparse_of_dense(x2, n, 2).items():
+        out[b * n + a] = c
+    return tuple(out)
+
+
+def embed(s, k, slots, unit_sparse):
+    """The sparse j-tensor s on the given legs of H^(x)k, the unit (a sparse
+    1-tensor) on the others."""
+    others = [p for p in range(k) if p not in slots]
+    out = {}
+    for idx, c in s.items():
+        partial = [((), c)]
+        for _ in others:
+            partial = [(o + (u,), pc * cu) for o, pc in partial for (u,), cu in unit_sparse.items()]
+        for oidx, oc in partial:
+            full = [None] * k
+            for p, i in zip(list(slots) + others, idx + oidx):
+                full[p] = i
+            key = tuple(full)
+            out[key] = out.get(key, Q0) + oc
+    return {i: c for i, c in out.items() if c != 0}
+
+
+def coordinates(vectors, pivots, v):
+    """Coefficients of v in the reduced basis vectors with the given pivots,
+    or None when v is outside their span, over a dense residual."""
+    coords = tuple(v[p] for p in pivots)
+    residual = list(v)
+    for c, row in zip(coords, vectors):
+        if c:
+            residual = [x - c * y for x, y in zip(residual, row)]
+    if any(x != 0 for x in residual):
+        return None
+    return coords

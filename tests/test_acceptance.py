@@ -6,6 +6,8 @@ a failure anywhere fails the build.
 
 import json
 
+import dense_oracle as dense
+
 from weakhopf import (
     BraidContext,
     braiding_phi,
@@ -31,7 +33,6 @@ from weakhopf.serialization import (
     serialize_qt,
     serialize_quantum_groupoid,
 )
-from weakhopf.structures import swap2
 from weakhopf.zoo import fixture, fixture_names, trivial_cocycle
 
 
@@ -114,7 +115,7 @@ def test_criterion_4_dihedral_isomorphism(capsys):
         assert res.report[expected].passed
     assert res.report.passed
     # the twisted structure is F21^-1 F and differs from 1 (x) 1
-    expected_r = H.mul2(swap2(H, fx.cocycle.finv), fx.cocycle.f)
+    expected_r = dense.mul2(H, dense.swap2(H, fx.cocycle.finv), fx.cocycle.f)
     assert res.pair.qt.r == expected_r
     assert res.pair.qt.r != tuple(one_one)
     rc = run(["verify-iso", "--algebra", "zoo:kd4", "--cocycle", "zoo:kd4",

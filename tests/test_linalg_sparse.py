@@ -1,6 +1,6 @@
-"""Differential tests: the sparse-row kernels of `Matrix` against the dense
-reference kernels in `dense_oracle`, on small rational matrices where zeros
-are drawn often and 0-row / 0-column shapes occur."""
+"""Differential tests: the sparse-row kernels of `Matrix` and `SubspaceBasis`
+against the dense reference kernels in `dense_oracle`, on small rational
+matrices where zeros are drawn often and 0-row / 0-column shapes occur."""
 
 from fractions import Fraction
 
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
-from weakhopf.errors import NonUniqueSolution
-from weakhopf.linalg import Matrix, kron
+from weakhopf.errors import DimensionMismatch, NonUniqueSolution
+from weakhopf.linalg import Matrix, SubspaceBasis, kron
 
 Q0 = Fraction(0)
 
@@ -176,3 +176,22 @@ def test_transpose_and_vstack():
     a = Matrix([[1, 0, 2], [0, 0, 3]])
     assert a.transpose() == Matrix([[1, 0], [0, 0], [2, 3]])
     assert Matrix.vstack([a, Matrix.zero(0, 3), a], 3) == Matrix(a.data + a.data)
+
+
+@settings(max_examples=150)
+@given(matrices(), st.data())
+def test_coordinates_match_dense(a, data):
+    # the span of a's rows, possibly 0-dimensional; a vector inside it (a
+    # combination of the rows) and one drawn freely, mostly outside
+    basis = SubspaceBasis.from_spanning(a.cols, a.data)
+    vectors, pivots = dense.spanning_basis(a.data, a.cols)
+    assert (basis.vectors, basis.pivots) == (vectors, pivots)
+    coeffs = [data.draw(entries) for _ in range(a.rows)]
+    inside = tuple(sum((c * x for c, x in zip(coeffs, col)), Q0) for col in zip(*a.data)) \
+        if a.rows else (Q0,) * a.cols
+    free = tuple(data.draw(entries) for _ in range(a.cols))
+    for v in (inside, free):
+        assert basis.coordinates(v) == dense.coordinates(vectors, pivots, v)
+    assert basis.coordinates(inside) is not None
+    with pytest.raises(DimensionMismatch):
+        basis.coordinates(free + (Q0,))

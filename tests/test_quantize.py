@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from weakhopf import canonical_r, quantize, transmute, verify_quantization
@@ -179,3 +181,22 @@ def test_trivial_quantization_is_canonical_transmutation(corpus):
         p_r = transmute(H, canonical_r(H))
         p_f = quantize(H, trivial_cocycle(H))
         assert p_r.structurally_equal(p_f), H.basis_names
+
+
+def test_verify_quantization_builds_each_twisted_column_once(kd4, monkeypatch):
+    # the twisted category's context builds F^-1 Delta(e_i) F once per basis
+    # column and every truncated tensor, coproduct column and iterated unit
+    # coproduct reads it from there
+    modules_mod = importlib.import_module("weakhopf.modules")
+    real = modules_mod.twisted_coproduct_column
+    calls = []
+
+    def counting(H, wc, i):
+        calls.append(i)
+        return real(H, wc, i)
+
+    monkeypatch.setattr(modules_mod, "twisted_coproduct_column", counting)
+    H = kd4.algebra
+    p = quantize(H, kd4.cocycle)
+    assert verify_quantization(p, kd4.cocycle).passed
+    assert sorted(calls) == list(range(H.dim))

@@ -2,6 +2,8 @@ import importlib
 
 import pytest
 
+import dense_oracle as dense
+
 from weakhopf import (
     alpha_map,
     canonical_r,
@@ -13,7 +15,7 @@ from weakhopf import (
 )
 from weakhopf.errors import PreconditionUnmet
 from weakhopf.serialization import serialize_presentation
-from weakhopf.structures import QTStructure, swap2
+from weakhopf.structures import QTStructure
 from weakhopf.zoo import trivial_cocycle
 
 
@@ -45,8 +47,8 @@ def test_twisted_kd4_is_genuinely_different(kd4):
     pair = twist(H, kd4.qt, kd4.cocycle)
     assert pair.algebra.comul != H.comul
     # the twisted quasitriangular structure is F21^-1 F, which is not 1 (x) 1
-    f21inv = swap2(H, kd4.cocycle.finv)
-    expected = H.mul2(f21inv, kd4.cocycle.f)
+    f21inv = dense.swap2(H, kd4.cocycle.finv)
+    expected = dense.mul2(H, f21inv, kd4.cocycle.f)
     assert pair.qt.r == expected
     assert pair.qt.r != kd4.qt.r
 
