@@ -34,6 +34,7 @@ from .report import VerificationReport, Witness, comparison, dense_of_sparse
 
 
 def _sparse_pair(x, xinv):
+    """Two dim^2 vectors as sparse 2-tensors, dim read off their length."""
     n = isqrt(len(x))
     return sparse_of_dense(x, n, 2), sparse_of_dense(xinv, n, 2)
 
