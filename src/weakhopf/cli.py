@@ -20,6 +20,7 @@ from .algebra import (
 )
 from .errors import (
     AntipodeNotInvertible,
+    ClosureViolation,
     ParseError,
     TwistAxiomFailure,
     WeakHopfError,
@@ -466,7 +467,10 @@ def run(argv=None) -> int:
         out.render(1)
         return 1
     except WeakHopfError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        message = "error: %s" % exc
+        if isinstance(exc, ClosureViolation) and exc.witness is not None:
+            message += " -- " + exc.witness.describe()
+        print(message, file=sys.stderr)
         return 2
 
 

@@ -14,9 +14,7 @@ from typing import Optional
 
 from .algebra import (
     QuantumGroupoid,
-    _column_pairs,
-    _first_nonmultiplicative,
-    _first_unequal,
+    _multiplicativity,
     epsilon_t,
     sparse_coproduct_leg,
     target_subalgebra,
@@ -27,7 +25,7 @@ from .errors import (
     NotCocommutative,
 )
 from .linalg import Matrix, Q1, SubspaceBasis, kron
-from .report import VerificationReport, comparison
+from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
 
@@ -52,10 +50,11 @@ class HModule:
         """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
         if getattr(self, "_validated", False):
             return self
-        bad = _first_nonmultiplicative(self.algebra.mul_rows, self.mats)
+        pairs = _multiplicativity(self.algebra.mul_rows, self.mats)
+        bad = next((ij for ij, lhs, rhs in pairs if lhs != rhs), None)
         if bad is not None:
             raise InconsistentStructure(
-                "action is not multiplicative at basis pair (%d, %d)" % bad[0]
+                "action is not multiplicative at basis pair (%d, %d)" % bad
             )
         if not self.act_element(self.algebra.unit).is_identity():
             raise InconsistentStructure("unit does not act as the identity")
@@ -68,10 +67,9 @@ def check_module(M: HModule) -> VerificationReport:
     first failing basis tuple."""
     rep = VerificationReport("module")
     H = M.algebra
-    comparison(rep, "action-multiplicative",
-               _column_pairs(_first_nonmultiplicative(H.mul_rows, M.mats)))
-    unit = ((), M.act_element(H.unit), Matrix.identity(M.dim))
-    comparison(rep, "unit-acts-as-identity", _column_pairs(_first_unequal([unit])))
+    comparison(rep, "action-multiplicative", _multiplicativity(H.mul_rows, M.mats))
+    comparison(rep, "unit-acts-as-identity",
+               [((), M.act_element(H.unit), Matrix.identity(M.dim))])
     return rep
 
 
@@ -389,12 +387,11 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
     lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
     sub_l = lift_l.column_space()
-    sub_r = lift_r.column_space()
-    rep.add("bracketing-subspaces-equal", sub_l == sub_r)
+    _same_subspace(rep, "bracketing-subspaces-equal", sub_l, lift_r.column_space())
 
     # triple projector in plain coordinates spans the same subspace
-    triple = triple_projector(M, N, P)
-    rep.add("iterated-unit-projector-subspace", triple.column_space() == sub_l)
+    _same_subspace(rep, "iterated-unit-projector-subspace",
+                   triple_projector(M, N, P).column_space(), sub_l)
 
     # hexagon 1: braiding M past N (x) P equals braiding in two steps,
     # realized on plain M (x) N (x) P coordinates (associators are the
@@ -406,7 +403,7 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     step1 = kron(ctx.braiding_plain(M, N), Matrix.identity(P.dim))
     step2 = kron(Matrix.identity(N.dim), ctx.braiding_plain(M, P))
     rhs = step2 * step1
-    rep.add("hexagon-first", _equal_on_subspace(lhs, rhs, lift_l))
+    comparison(rep, "hexagon-first", [((), lhs * lift_l, rhs * lift_l)])
 
     # hexagon 2: braiding M (x) N past P
     psi_mn_p = ctx.braiding_plain(t_mn.module, P)
@@ -416,7 +413,7 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     step1 = kron(Matrix.identity(M.dim), ctx.braiding_plain(N, P))
     step2 = kron(ctx.braiding_plain(M, P), Matrix.identity(N.dim))
     rhs = step2 * step1
-    rep.add("hexagon-second", _equal_on_subspace(lhs, rhs, lift_l))
+    comparison(rep, "hexagon-second", [((), lhs * lift_l, rhs * lift_l)])
 
     # unitor triangle: (id (x) l) = (r (x) id) across M (x) H_t (x) N
     ht, zmod = ht_module(H)
@@ -425,9 +422,18 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     lhs = kron(Matrix.identity(M.dim), l_plain)
     rhs = kron(r_plain, Matrix.identity(N.dim))
     triple_z = triple_projector(M, zmod, N)
-    rep.add("unitor-triangle", _equal_on_subspace(lhs, rhs, triple_z))
+    comparison(rep, "unitor-triangle", [((), lhs * triple_z, rhs * triple_z)])
     return rep
 
 
-def _equal_on_subspace(a: Matrix, b: Matrix, lift: Matrix) -> bool:
-    return a * lift == b * lift
+def _same_subspace(rep, name, a: SubspaceBasis, b: SubspaceBasis):
+    """Check that a and b are one subspace.  The witness of a failure is the
+    first canonical basis vector of a outside b, as lhs, or else the first
+    of b outside a, as rhs; its index in its basis is the witness index."""
+    if a == b:
+        rep.add(name, True)
+        return
+    outside = [((k,), v, ()) for k, v in enumerate(a.vectors) if not b.contains(v)]
+    outside += [((k,), (), v) for k, v in enumerate(b.vectors) if not a.contains(v)]
+    indices, lhs, rhs = outside[0]
+    rep.add(name, False, Witness(indices, lhs, rhs, "basis vector outside the other subspace"))

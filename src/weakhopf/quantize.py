@@ -9,15 +9,9 @@ the undeformed antipode, as an object of the twisted module category.
 
 from __future__ import annotations
 
-from .algebra import (
-    QuantumGroupoid,
-    sparse_coproduct_leg,
-    sparse_embed,
-    sparse_mul,
-    sparse_of_dense,
-)
+from .algebra import QuantumGroupoid, sparse_coproduct_leg, sparse_embed, sparse_mul
 from .errors import InconsistentStructure, NotCocommutative
-from .linalg import Q0, lincomb, outer
+from .linalg import Matrix, kron
 from .modules import BraidContext
 from .report import VerificationReport, comparison
 from .structures import WeakCocycle, swap2
@@ -42,21 +36,13 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
     f = identity_morphism(H)
     ad = ambient_action(f)
 
-    def product(a, b):
-        # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
-        return lincomb(
-            ((c, H.mul_elem(ad[x].apply(a), ad[y].apply(b))) for (x, y), c in fs.items()), n
-        )
+    def ad2(x2):
+        """sum c Ad_x (x) Ad_y over the terms c e_x (x) e_y of x2."""
+        return Matrix.lincomb(((c, kron(ad[x], ad[y])) for (x, y), c in x2.items()), n * n, n * n)
 
-    def coproduct(a):
-        # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
-        val = [Q0] * (n * n)
-        for (a1, a2), c in sparse_of_dense(H.comul_of(a), n, 2).items():
-            for (x, y), cf in fis.items():
-                outer(ad[x].column(a1), ad[y].column(a2), c * cf, val)
-        return val
-
-    return _present(f, ad, product, coproduct, H.antipode.apply)
+    # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
+    # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
+    return _present(f, ad, H.mul_map * ad2(fs), ad2(fis) * H.comul_map, H.antipode)
 
 
 def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):

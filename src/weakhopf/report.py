@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .linalg import Q0, format_frac
+from .errors import DimensionMismatch
+from .linalg import Matrix, Q0, format_frac
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,9 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, witness: Optional[Witness] = None) -> None:
+        """Record a check; a failing check must say where it fails."""
+        if not passed and witness is None:
+            raise ValueError("failing check %r has no witness" % name)
         self.checks.append(Check(name, bool(passed), None if passed else witness))
 
     def extend(self, other: "VerificationReport") -> None:
@@ -102,16 +106,30 @@ def dense_of_sparse(s, n, k):
 def comparison(report, name, pairs, detail="", shape=None):
     """Add a check comparing (indices, lhs, rhs) triples; first failure wins.
 
-    With shape = (n, k), both sides are zero-free sparse elements of
-    H^(x)k, dim H = n, compared as dicts and densified for the witness only.
+    Sides are coefficient sequences, `Matrix` maps or, with shape = (n, k),
+    zero-free sparse elements of H^(x)k, dim H = n, compared as dicts and
+    densified for the witness only.  Two maps are compared on their sparse
+    rows; the witness of an unequal pair is its first differing column j,
+    at indices + (j,).  Maps of different shapes raise DimensionMismatch.
     """
     for indices, lhs, rhs in pairs:
-        if shape is None:
+        if isinstance(lhs, Matrix):
+            if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+                raise DimensionMismatch("%s compares a %dx%d map with a %dx%d one"
+                                        % (name, lhs.rows, lhs.cols, rhs.rows, rhs.cols))
+            if lhs.sparse_rows == rhs.sparse_rows:
+                continue
+            j = min(min(row) for row in (lhs - rhs).sparse_rows if row)
+            indices, lhs, rhs = tuple(indices) + (j,), lhs.column(j), rhs.column(j)
+        elif shape is not None:
+            if lhs == rhs:
+                continue
+            lhs, rhs = dense_of_sparse(lhs, *shape), dense_of_sparse(rhs, *shape)
+        else:
             lhs, rhs = tuple(lhs), tuple(rhs)
-        if lhs != rhs:
-            if shape is not None:
-                lhs, rhs = dense_of_sparse(lhs, *shape), dense_of_sparse(rhs, *shape)
-            report.add(name, False, Witness(tuple(indices), lhs, rhs, detail))
-            return False
+            if lhs == rhs:
+                continue
+        report.add(name, False, Witness(tuple(indices), lhs, rhs, detail))
+        return False
     report.add(name, True)
     return True

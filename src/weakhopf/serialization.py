@@ -142,7 +142,7 @@ def serialize_morphism(f) -> str:
 
 def _column_major(mat: Matrix) -> list:
     """The entries of mat, column after column."""
-    return [x for col in mat.transpose().data for x in col]
+    return [x for j in range(mat.cols) for x in mat.column(j)]
 
 
 def serialize_module(M) -> str:

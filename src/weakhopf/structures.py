@@ -276,14 +276,8 @@ def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRepo
 
     s2 = H.antipode * H.antipode
     conj = H.left_mult(u) * H.right_mult(u_inv)
-    rep.add(
-        "square-antipode-conjugation",
-        s2 == conj,
-        None
-        if s2 == conj
-        else Witness((), tuple(s2.data[0]), tuple(conj.data[0]),
-                     "S^2 vs conjugation by u (first rows)"),
-    )
+    comparison(rep, "square-antipode-conjugation", [((), s2, conj)],
+               "S^2 vs conjugation by u")
 
     du = sparse_coproduct_leg(sparse_of_dense(u, H.dim, 1), 0, H.comul_cols)
     rinv = qt.sparse[1]

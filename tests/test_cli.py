@@ -4,13 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import weakhopf
 from weakhopf.cli import build_parser, run
-from weakhopf.errors import PreconditionUnmet
+from weakhopf.errors import ClosureViolation, PreconditionUnmet
+from weakhopf.report import Witness
 from weakhopf.serialization import serialize_quantum_groupoid
 from weakhopf import zoo
 
@@ -272,6 +274,22 @@ def test_verify_iso_library_error_exits_two(monkeypatch, capsys):
     argv = ["verify-iso", "--algebra", "zoo:diag2", "--cocycle", "zoo:diag2"]
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: needs the canonical structure\n"
+
+
+def test_closure_violation_prints_its_witness(monkeypatch, capsys):
+    cli = importlib.import_module("weakhopf.cli")
+
+    def escape(H, qt, target, morphism):
+        raise ClosureViolation(
+            "product escaped the carrier",
+            witness=Witness((0, 1), (Fraction(1), Fraction(-1, 2)), (), "product"),
+        )
+
+    monkeypatch.setattr(cli, "transmute", escape)
+    assert run(["transmute", "--algebra", "zoo:pair2", "--qt", "zoo:pair2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: product escaped the carrier -- product indices=(0, 1) lhs=[1 -1/2] rhs=[]\n"
+    )
 
 
 @pytest.mark.parametrize(

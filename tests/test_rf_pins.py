@@ -125,9 +125,9 @@ PINNED = {
     'pair2/rinv/1': '264cb58ec739fc211f63391b7342c65cf0834f790dc44d39efd13bc9f2be6d2a',
     'pair2/rinv/2': '26b789345600f5e7060631c6caecc58feddfdc8bb57985545b6c95568c8dc3b1',
     'pair2/rinv/3': '680836084e8de05bfe829da2dfeee6af5fe2fe9030c4e5f01f699c7597fa2c26',
-    'pair2/f/1': '2d2f64c53bfbaac75cf18b45500ff3e3ae8ceb2279d330a3ee0968c3c3fe14e4',
-    'pair2/f/2': '00d58e0872d9843f25a29f7d5de882499838ad15fa4b05489d7d874a21738462',
-    'pair2/f/3': 'f967a00280e4092a5208b7c0c0be7e79b0631220453f6283b772125250206066',
+    'pair2/f/1': 'a84d6b5633f1f403744bc09bc5f7ca00c0d009d5560be40694e81e6b82031f47',
+    'pair2/f/2': 'f186822a9b22d5f73519488dac6e8f9e004fe3a1b7e6cdbc6f241841be835bf7',
+    'pair2/f/3': '66c068995e64502ed4cc584314695f759547859c2076423eac533259c017c05c',
     'pair2/finv/1': 'aa84afbf9cc1b85d915e7b9bd341d0fcc9fddf868ebde1ecfaab3d36bbd6f36f',
     'pair2/finv/2': 'ea7f447d0ceba49cc6915d8689e46b11efd55a0736f6e89c79b81ca2d336e2f0',
     'pair2/finv/3': 'f45d363567584a4fc67442191115038bca4857586c0611719134bcb0fc4fe98b',
@@ -173,7 +173,7 @@ PINNED = {
     'P3/rinv/1': '86312aebc87d93e9bb6b9e65a92b957dc2b2bb104084ef5fc93a1edc5c55274a',
     'P3/rinv/2': '96766bc46ba08a09afaff95bc9c4222f9b8a6d10e6f56794baaf61e7153c9d71',
     'P3/rinv/3': 'be2e1f2b8885f02a4a083da33ea87f136309e4575725f5942a57afc353aab5fd',
-    'P3/f/1': '345cf9e2c6d08d58276cfd8a74093e6a6eae7ecadb2b07faa6520f676279ddaf',
+    'P3/f/1': '841563b36a4caa9096a64d985871f8a80e00551454a3afdd448489a2f6e614b7',
     'P3/f/2': '9750fd6d98feae1f433d6b308bfd689feb5633be9d0420def97e556204e4ee64',
     'P3/f/3': 'c713903218e731fa146771fa6bb82733d570ce3f7d45f4517c34b5a3cc04736f',
     'P3/finv/1': '0d161e519fc767dc360df2409562354d0c4e71ec9df0803405510296b027f5f5',

@@ -9,7 +9,9 @@ from weakhopf import (
     transmute,
     verify_braided_hopf,
 )
+from weakhopf.errors import ClosureViolation
 from weakhopf.linalg import Matrix, Q0, Q1
+from weakhopf.transmute import _present, ambient_action
 
 
 def test_centralizer_examples(diag2, kd4, pair2):
@@ -180,3 +182,15 @@ def test_cross_algebra_transmutation(diag2, pair2):
     assert p.carrier.dim == 2
     rep = verify_braided_hopf(p, BraidContext.psi(H, diag2.qt))
     assert rep.passed, [c.name for c in rep.failed_checks()]
+
+
+def test_present_reports_the_column_that_escapes(pair2):
+    # pair2's carrier is span(e11, e22); a product rule that sends
+    # e11 (x) e11 to e11 + e12 leaves it at the carrier pair (0, 0)
+    H = pair2.algebra
+    f = identity_morphism(H)
+    stray = Matrix.from_entries(4, 16, [(1, 0, Q1)])
+    with pytest.raises(ClosureViolation, match="^product escaped the carrier$") as err:
+        _present(f, ambient_action(f), H.mul_map + stray, H.comul_map, H.antipode)
+    w = err.value.witness
+    assert (w.indices, w.lhs, w.rhs, w.detail) == ((0, 0), (Q1, Q1, Q0, Q0), (), "product")
