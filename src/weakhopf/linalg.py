@@ -10,11 +10,19 @@ entries only.  Products, Kronecker products, sums and elimination walk those
 dicts, so they cost time in the nonzeros rather than in rows x cols: the
 projectors of truncated tensor products are up to 729 x 729 and almost all
 zero.  ``Matrix.data`` is a dense list-of-lists view built on each access.
+
+Sums of products run in integers: a product row that sums two or more rows
+with some coefficient other than 1, and a `Matrix.lincomb` row that sums two
+or more terms when some coefficient is not 1, are scaled to integer
+numerators over a common denominator and summed as ints (`_int_sum`).
+Elimination (`rref` and what is built on it) and `SubspaceBasis.coordinates`
+add Fractions.  Either way every entry is a reduced Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DimensionMismatch, NonUniqueSolution
 
@@ -109,7 +117,7 @@ def _dense(row, n) -> list:
 
 def _add_into(row, c, other):
     """row += c * other in place, dropping entries that cancel."""
-    one = c == 1
+    one = c is Q1 or c == 1
     for j, x in other.items():
         if not one:
             x = c * x
@@ -122,6 +130,49 @@ def _add_into(row, c, other):
                 row[j] = y
             else:
                 del row[j]
+
+
+def _ints(row):
+    """(d, {j: n}) with row[j] == n / d: the row's entries as integer
+    numerators over d, the lcm of their denominators."""
+    d = 1
+    for x in row.values():
+        q = x.denominator
+        if d % q:
+            d = d // gcd(d, q) * q
+    if d == 1:
+        return 1, {j: x.numerator for j, x in row.items()}
+    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+
+
+def _int_sum(terms, shared):
+    """sum c * row over the (c, _ints(row)) terms of one output row.
+
+    Each product is scaled to an integer numerator over D, the lcm of the
+    terms' denominators (c's times its row's), and summed in int; each
+    nonzero sum v becomes one reduced Fraction(v, D).  shared maps (v, D) to
+    the Fraction built for it, so equal entries share one object.
+    """
+    big = 1
+    for c, (d, _) in terms:
+        q = c.denominator * d
+        if big % q:
+            big = big // gcd(big, q) * q
+    acc = {}
+    get = acc.get
+    for c, (d, ints) in terms:
+        f = c.numerator * (big // (c.denominator * d))
+        for j, v in ints.items():
+            acc[j] = get(j, 0) + f * v
+    out = {}
+    for j, v in acc.items():
+        if v:
+            key = (v, big)
+            x = shared.get(key)
+            if x is None:
+                x = shared[key] = Fraction(v, big)
+            out[j] = x
+    return out
 
 
 def _rref_rows(rows):
@@ -209,14 +260,33 @@ class Matrix:
 
     @classmethod
     def lincomb(cls, terms, rows, cols):
-        """sum c M over the (c, M) pairs of terms, as a rows x cols matrix."""
-        out = [{} for _ in range(rows)]
+        """sum c M over the (c, M) pairs of terms, as a rows x cols matrix.
+
+        With a coefficient other than 1, a row that sums two or more terms
+        is summed in integers by _int_sum."""
+        kept = []
         for c, m in terms:
             if m.rows != rows or m.cols != cols:
                 raise DimensionMismatch("lincomb term has wrong shape")
             if c:
-                for orow, mrow in zip(out, m.sparse_rows):
+                kept.append((c, m.sparse_rows))
+        if len(kept) < 2 or all(c == 1 for c, _ in kept):
+            out = [{} for _ in range(rows)]
+            for c, mrows in kept:
+                for orow, mrow in zip(out, mrows):
                     _add_into(orow, c, mrow)
+            return cls._of(rows, cols, out)
+        shared = {}
+        out = []
+        for i in range(rows):
+            present = [(c, mrows[i]) for c, mrows in kept if mrows[i]]
+            if len(present) > 1:
+                out.append(_int_sum([(c, _ints(row)) for c, row in present], shared))
+            else:
+                acc = {}
+                for c, row in present:
+                    _add_into(acc, c, row)
+                out.append(acc)
         return cls._of(rows, cols, out)
 
     @classmethod
@@ -292,12 +362,37 @@ class Matrix:
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         brows = other.sparse_rows
+        ints = shared = None  # for _int_sum, made on first use
         out = []
         for arow in self.sparse_rows:
-            acc = {}
+            if len(arow) < 2:  # empty, or one scaled row of other
+                for k, a in arow.items():
+                    brow = brows[k]
+                    out.append(dict(brow) if a == 1 else {j: a * x for j, x in brow.items()})
+                    break
+                else:
+                    out.append({})
+                continue
+            for a in arow.values():
+                if not a == 1:
+                    break
+            else:  # a plain sum of rows of other
+                acc = {}
+                for k in arow:
+                    _add_into(acc, Q1, brows[k])
+                out.append(acc)
+                continue
+            if ints is None:
+                ints, shared = {}, {}  # k -> _ints(brows[k]); see _int_sum
+            terms = []
             for k, a in arow.items():
-                _add_into(acc, a, brows[k])
-            out.append(acc)
+                brow = brows[k]
+                if brow:
+                    s = ints.get(k)
+                    if s is None:
+                        s = ints[k] = _ints(brow)
+                    terms.append((a, s))
+            out.append(_int_sum(terms, shared))
         return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, v) -> tuple:
@@ -397,11 +492,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     width = b.cols
     out = []
     for arow in a.sparse_rows:
+        terms = [(j * width, x == 1, x) for j, x in arow.items()]
         for brow in b.sparse_rows:
             row = {}
-            for j, x in arow.items():
-                base = j * width
-                if x == 1:
+            for base, one, x in terms:
+                if one:
                     for l, y in brow.items():
                         row[base + l] = y
                 else:
@@ -482,25 +577,14 @@ class SubspaceBasis:
         n = self.ambient_dim
         if len(v2) != n * n:
             raise DimensionMismatch("tensor-square vector length mismatch")
-        coords = [Q0] * (m * m)
-        for i, pi in enumerate(self.pivots):
-            for j, pj in enumerate(self.pivots):
-                coords[i * m + j] = v2[pi * n + pj]
-        residual = list(v2)
-        for i in range(m):
-            vi = self.vectors[i]
-            for j in range(m):
-                c = coords[i * m + j]
-                if not c:
-                    continue
-                vj = self.vectors[j]
-                for a, ca in enumerate(vi):
-                    if ca:
-                        base = a * n
-                        cca = c * ca
-                        for b, cb in enumerate(vj):
-                            if cb:
-                                residual[base + b] -= cca * cb
-        if any(x != 0 for x in residual):
-            return None
-        return tuple(coords)
+        rows = self._rows
+        coords = tuple(v2[pi * n + pj] for pi in self.pivots for pj in self.pivots)
+        residual = {k: x for k, x in enumerate(v2) if x}
+        for k, c in enumerate(coords):
+            if c:
+                i, j = divmod(k, m)
+                rj = rows[j]
+                for a, x in rows[i].items():
+                    base = a * n
+                    _add_into(residual, -c * x, {base + b: y for b, y in rj.items()})
+        return None if residual else coords

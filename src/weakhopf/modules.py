@@ -8,7 +8,7 @@ Braidings are stored as exact matrices between canonical image bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -112,6 +112,8 @@ class TruncatedTensor:
     inclusion: Matrix  # ambient x image-dim
     projection: Matrix  # image-dim x ambient
     module: HModule  # induced action in image coordinates
+    # the coproduct of each basis element acting on the ambient M (x) N
+    ambient_action: tuple = field(repr=False)
 
     @property
     def ambient_dim(self):
@@ -124,19 +126,10 @@ class TruncatedTensor:
 
 def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     """Action of a sparse element of H (x) H on M (x) N (first leg on M)."""
-    nd = N.dim
-
-    def entries():
-        for (a, b), c in elem2.items():
-            nrows = N.mats[b].sparse_rows
-            for r1, row1 in enumerate(M.mats[a].sparse_rows):
-                for c1, v1 in row1.items():
-                    cv = c * v1
-                    for r2, row2 in enumerate(nrows):
-                        for c2, v2 in row2.items():
-                            yield r1 * nd + r2, c1 * nd + c2, cv * v2
-
-    return Matrix.from_entries(M.dim * nd, M.dim * nd, entries())
+    d = M.dim * N.dim
+    return Matrix.lincomb(
+        ((c, kron(M.mats[a], N.mats[b])) for (a, b), c in elem2.items()), d, d
+    )
 
 
 def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
@@ -181,13 +174,12 @@ def truncated_tensor(
         basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
     )
     projection = sel * projector
-    big = [_componentwise_action(M, N, columns[i]) for i in range(H.dim)]
-    mats = [projection * b * inclusion for b in big]
-    module = HModule(H, mats, name="tensor")
+    big = tuple(_componentwise_action(M, N, columns[i]) for i in range(H.dim))
+    module = HModule(H, [projection * b * inclusion for b in big], name="tensor")
     if validate:
         module.validate()
     return TruncatedTensor(
-        M, N, ctx.variant, projector, basis, inclusion, projection, module
+        M, N, ctx.variant, projector, basis, inclusion, projection, module, big
     )
 
 
@@ -380,12 +372,12 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
 
     t_mn = ctx.tensor(M, N, validate=False)
     t_np = ctx.tensor(N, P, validate=False)
-    left = ctx.tensor(t_mn.module, P, validate=False)
-    right = ctx.tensor(M, t_np.module, validate=False)
-
-    # both bracketings must carve out the same subspace of M (x) N (x) P
-    lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
-    lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
+    # both bracketings must carve out the same subspace of M (x) N (x) P;
+    # only the inclusions of the outer tensors are kept
+    lift_l = (kron(t_mn.inclusion, Matrix.identity(P.dim))
+              * ctx.tensor(t_mn.module, P, validate=False).inclusion)
+    lift_r = (kron(Matrix.identity(M.dim), t_np.inclusion)
+              * ctx.tensor(M, t_np.module, validate=False).inclusion)
     sub_l = lift_l.column_space()
     _same_subspace(rep, "bracketing-subspaces-equal", sub_l, lift_r.column_space())
 

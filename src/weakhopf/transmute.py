@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron, lincomb, outer
-from .modules import BraidContext, HModule, _componentwise_action, ht_module, unitors
+from .modules import BraidContext, HModule, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -255,13 +255,10 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     # (h on the target) . x for every basis element h
     _, htmod = ht_module(H)
     mul_inc = p.mul * t2.inclusion
-    big2 = [
-        _componentwise_action(cmod, cmod, ctx.coproduct[0][h]) for h in range(H.dim)
-    ]
     for name, x, src, dst in (
         ("product", mul_inc, t2.module.mats, cmod.mats),
         ("unit", p.unit, htmod.mats, cmod.mats),
-        ("coproduct", p.comul, cmod.mats, big2),
+        ("coproduct", p.comul, cmod.mats, t2.ambient_action),
         ("counit", p.counit, cmod.mats, htmod.mats),
         ("antipode", p.antipode, cmod.mats, cmod.mats),
     ):

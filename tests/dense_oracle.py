@@ -249,3 +249,42 @@ def coordinates(vectors, pivots, v):
     if any(x != 0 for x in residual):
         return None
     return coords
+
+
+def pair_coordinates(vectors, pivots, n, v2):
+    """Coordinates of the length n^2 vector v2 in the products b_i (x) b_j of
+    the reduced basis vectors with the given pivots, or None when v2 is
+    outside their span, over a dense residual."""
+    m = len(vectors)
+    coords = [Q0] * (m * m)
+    for i, pi in enumerate(pivots):
+        for j, pj in enumerate(pivots):
+            coords[i * m + j] = v2[pi * n + pj]
+    residual = list(v2)
+    for i in range(m):
+        for j in range(m):
+            c = coords[i * m + j]
+            if c:
+                for a, ca in enumerate(vectors[i]):
+                    if ca:
+                        for b, cb in enumerate(vectors[j]):
+                            if cb:
+                                residual[a * n + b] -= c * ca * cb
+    if any(x != 0 for x in residual):
+        return None
+    return tuple(coords)
+
+
+def componentwise_action(M, N, elem2):
+    """The action of the sparse 2-tensor elem2 on M (x) N (first leg on M),
+    as dense rows summed entry by entry over the terms."""
+    nd = N.dim
+    out = zeros(M.dim * nd, M.dim * nd)
+    for (a, b), c in elem2.items():
+        nrows = N.mats[b].sparse_rows
+        for r1, row1 in enumerate(M.mats[a].sparse_rows):
+            for c1, v1 in row1.items():
+                for r2, row2 in enumerate(nrows):
+                    for c2, v2 in row2.items():
+                        out[r1 * nd + r2][c1 * nd + c2] += c * v1 * v2
+    return out

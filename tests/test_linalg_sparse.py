@@ -195,3 +195,90 @@ def test_coordinates_match_dense(a, data):
     assert basis.coordinates(inside) is not None
     with pytest.raises(DimensionMismatch):
         basis.coordinates(free + (Q0,))
+
+
+# Denominators up to 12 and rows that mix unit and non-unit coefficients, so
+# that one product or lincomb sums some rows in Fractions and others in
+# integers over a common denominator.
+wide = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+units = st.sampled_from((Q0, Fraction(1)))
+# integers too, so that some sums have the common denominator 1
+mixed = st.one_of(wide, units, st.builds(Fraction, st.integers(-3, 3)))
+
+
+@st.composite
+def mixed_rows(draw, cols, width):
+    """A row of each kind: two or more ones (a plain sum), one entry, two
+    non-unit entries c and -c on columns 0 and 1 (a sum that cancels against
+    the repeated row 0 of the right factor) and free rows."""
+    ones = [Fraction(1)] * 2 + [draw(units) for _ in range(cols - 2)]
+    single = [Q0] * cols
+    single[draw(st.integers(0, cols - 1))] = draw(wide.filter(bool))
+    c = draw(wide.filter(lambda x: x and x != 1 and x != -1))
+    cancel = [c, -c] + [Q0] * (cols - 2)
+    free = [[draw(mixed) for _ in range(cols)] for _ in range(width)]
+    rows = [ones, single, cancel] + free
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_integer_sums_in_products_match_dense(k, m, extra, data):
+    a = Matrix(data.draw(mixed_rows(k, extra)), 3 + extra, k)
+    brows = [[data.draw(mixed) for _ in range(m)] for _ in range(k)]
+    brows[1] = list(brows[0])
+    b = Matrix(brows, k, m)
+    prod = a * b
+    assert_sparse(prod)
+    assert prod.data == dense.matmul(a, b)
+    for arow, prow in zip(a.sparse_rows, prod.sparse_rows):
+        if set(arow) == {0, 1} and arow[0] == -arow[1]:
+            assert prow == {}
+
+
+@settings(max_examples=100)
+@given(dims, dims, st.data())
+def test_integer_sums_in_lincomb_match_dense(rows, cols, data):
+    mats = st.builds(lambda d: Matrix(d, rows, cols),
+                     st.lists(st.lists(mixed, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    unit_terms = data.draw(st.lists(st.tuples(st.just(Fraction(1)), mats), max_size=3))
+    other_terms = data.draw(st.lists(st.tuples(mixed, mats), min_size=1, max_size=3))
+    terms = data.draw(st.permutations(unit_terms + other_terms))
+    got = Matrix.lincomb(terms, rows, cols)
+    assert_sparse(got)
+    assert got.data == dense.lincomb(terms, rows, cols)
+    cancel = terms + [(-c, m) for c, m in other_terms] + [(-c, m) for c, m in unit_terms]
+    assert Matrix.lincomb(cancel, rows, cols) == Matrix.zero(rows, cols)
+
+
+def test_integer_sums_share_equal_entries():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    prod = Matrix([[half, third], [third, half]]) * Matrix([[1, 1], [1, 1]])
+    entries = [x for row in prod.sparse_rows for x in row.values()]
+    assert entries == [Fraction(5, 6)] * 4
+    assert all(x is entries[0] for x in entries)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 3).flatmap(lambda n: matrices(cols=n)), st.data())
+def test_pair_coordinates_match_dense(a, data):
+    # vectors of the tensor square of the span of a's rows: a combination of
+    # the products b_i (x) b_j, and one drawn freely, mostly outside
+    n = a.cols
+    basis = SubspaceBasis.from_spanning(n, a.data)
+    vectors, pivots = basis.vectors, basis.pivots
+    m = len(vectors)
+    coeffs = [data.draw(mixed) for _ in range(m * m)]
+    inside = [Q0] * (n * n)
+    for k, c in enumerate(coeffs):
+        i, j = divmod(k, m)
+        for p, x in enumerate(vectors[i]):
+            for q, y in enumerate(vectors[j]):
+                inside[p * n + q] += c * x * y
+    free = [data.draw(entries) for _ in range(n * n)]
+    for v2 in (inside, free):
+        assert basis.pair_coordinates(v2) == dense.pair_coordinates(vectors, pivots, n, v2)
+    assert basis.pair_coordinates(inside) == tuple(coeffs)
+    with pytest.raises(DimensionMismatch):
+        basis.pair_coordinates(free + [Q0])

@@ -1,5 +1,6 @@
 import pytest
 
+import dense_oracle as dense
 from weakhopf import (
     BraidContext,
     braiding_phi,
@@ -9,12 +10,14 @@ from weakhopf import (
     ht_module,
     quantize,
     regular_module,
+    transmute,
     truncated_tensor,
     unitors,
 )
 from weakhopf.errors import MismatchedAlgebra
 from weakhopf.linalg import Q0
-from weakhopf.modules import _flip_matrix
+from weakhopf.modules import _componentwise_action, _flip_matrix, twisted_coproduct_column
+from weakhopf.structures import _mul2, swap2
 
 
 def test_truncated_dimensions(diag2, kz2, pair2):
@@ -181,3 +184,27 @@ def test_coherence_small_fixtures(diag2, kz2, pair2):
         assert rep.passed, (fx.name, [c.name for c in rep.failed_checks()])
         rep = coherence_report(BraidContext.phi(fx.algebra, fx.cocycle), M, M, M)
         assert rep.passed, (fx.name, [c.name for c in rep.failed_checks()])
+
+
+def _acting_tensors(fx):
+    """The 2-tensors the package lets act on M (x) N: R and the swapped
+    R^-1 (the braidings), Delta(1) and F^-1 F (the projectors), F^-1 swap(F)
+    (the twisted braiding) and the twisted coproduct columns."""
+    H = fx.algebra
+    r, rinv = fx.qt.sparse
+    f, finv = fx.cocycle.sparse
+    tensors = [r, swap2(rinv), H.delta_one_sparse, _mul2(H, finv, f), _mul2(H, finv, swap2(f))]
+    return tensors + [twisted_coproduct_column(H, fx.cocycle, i) for i in range(H.dim)]
+
+
+def test_componentwise_action_matches_dense(corpus):
+    for fx in corpus:
+        H = fx.algebra
+        reg = regular_module(H)
+        carrier = transmute(H, fx.qt).action
+        for M, N in ((reg, reg), (reg, carrier), (carrier, reg), (carrier, carrier)):
+            for x2 in _acting_tensors(fx):
+                got = _componentwise_action(M, N, x2)
+                assert (got.rows, got.cols) == (M.dim * N.dim,) * 2
+                assert all(x for row in got.sparse_rows for x in row.values())
+                assert got.data == dense.componentwise_action(M, N, x2), fx.name

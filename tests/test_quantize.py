@@ -200,3 +200,28 @@ def test_verify_quantization_builds_each_twisted_column_once(kd4, monkeypatch):
     p = quantize(H, kd4.cocycle)
     assert verify_quantization(p, kd4.cocycle).passed
     assert sorted(calls) == list(range(H.dim))
+
+
+
+def test_verify_quantization_builds_each_tensor_action_once(kd4, monkeypatch):
+    # every action of a 2-tensor on M (x) N is built once per module pair:
+    # the coproduct-module-morphism check reads the actions of Delta(e_h) on
+    # the carrier tensor square from the truncated tensor that built them
+    modules_mod = importlib.import_module("weakhopf.modules")
+    transmute_mod = importlib.import_module("weakhopf.transmute")
+    real = modules_mod._componentwise_action
+    calls = []
+
+    def counting(M, N, elem2):
+        calls.append(elem2)
+        return real(M, N, elem2)
+
+    # also under the name a module may have imported it by
+    monkeypatch.setattr(modules_mod, "_componentwise_action", counting)
+    monkeypatch.setattr(transmute_mod, "_componentwise_action", counting, raising=False)
+    H = kd4.algebra
+    p = quantize(H, kd4.cocycle)
+    assert verify_quantization(p, kd4.cocycle).passed
+    # the carrier tensor square and both unitor tensors (a projector and one
+    # action per basis element each) and the carrier braiding
+    assert len(calls) == 3 * (1 + H.dim) + 1
