@@ -11,12 +11,17 @@ dicts, so they cost time in the nonzeros rather than in rows x cols: the
 projectors of truncated tensor products are up to 729 x 729 and almost all
 zero.  ``Matrix.data`` is a dense list-of-lists view built on each access.
 
-Sums of products run in integers: a product row that sums two or more rows
-with some coefficient other than 1, and a `Matrix.lincomb` row that sums two
-or more terms when some coefficient is not 1, are scaled to integer
-numerators over a common denominator and summed as ints (`_int_sum`).
-Elimination (`rref` and what is built on it) and `SubspaceBasis.coordinates`
-add Fractions.  Either way every entry is a reduced Fraction.
+Sums of products run in integers: a row of `Matrix.lincomb` that sums two
+or more terms, and a product row that does so with a coefficient other than
+1, are scaled to integer numerators over a common denominator and summed as
+ints (`_int_sum`).  A row with one term is copied or scaled, and a product
+row whose coefficients are all 1 adds Fractions (`_add_into`), which copies
+the entries of disjoint rows, as in products of 0/1 matrices, without any
+arithmetic.  `_kron_sum`, a sum of Kronecker products such as the action of
+a 2-tensor on a tensor product of modules, works one row at a time and
+builds no Kronecker product whole.  Elimination (`rref` and what is built
+on it) and `SubspaceBasis.coordinates` add Fractions.  Every entry is a
+reduced Fraction.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ def _int_sum(terms, shared):
     Each product is scaled to an integer numerator over D, the lcm of the
     terms' denominators (c's times its row's), and summed in int; each
     nonzero sum v becomes one reduced Fraction(v, D).  shared maps (v, D) to
-    the Fraction built for it, so equal entries share one object.
+    the Fraction built for it, so equal entries of one result are built
+    once: a dict lookup costs less than Fraction's gcd normalisation.
     """
     big = 1
     for c, (d, _) in terms:
@@ -173,6 +179,11 @@ def _int_sum(terms, shared):
                 x = shared[key] = Fraction(v, big)
             out[j] = x
     return out
+
+
+def _scaled(c, row):
+    """c * row as a new dict, c nonzero."""
+    return dict(row) if c == 1 else {j: c * x for j, x in row.items()}
 
 
 def _rref_rows(rows):
@@ -262,31 +273,20 @@ class Matrix:
     def lincomb(cls, terms, rows, cols):
         """sum c M over the (c, M) pairs of terms, as a rows x cols matrix.
 
-        With a coefficient other than 1, a row that sums two or more terms
-        is summed in integers by _int_sum."""
+        A row that sums two or more terms is summed in integers by _int_sum."""
         kept = []
         for c, m in terms:
             if m.rows != rows or m.cols != cols:
                 raise DimensionMismatch("lincomb term has wrong shape")
             if c:
                 kept.append((c, m.sparse_rows))
-        if len(kept) < 2 or all(c == 1 for c, _ in kept):
-            out = [{} for _ in range(rows)]
-            for c, mrows in kept:
-                for orow, mrow in zip(out, mrows):
-                    _add_into(orow, c, mrow)
-            return cls._of(rows, cols, out)
-        shared = {}
-        out = []
+        out, shared = [], {}
         for i in range(rows):
             present = [(c, mrows[i]) for c, mrows in kept if mrows[i]]
             if len(present) > 1:
                 out.append(_int_sum([(c, _ints(row)) for c, row in present], shared))
             else:
-                acc = {}
-                for c, row in present:
-                    _add_into(acc, c, row)
-                out.append(acc)
+                out.append(_scaled(*present[0]) if present else {})
         return cls._of(rows, cols, out)
 
     @classmethod
@@ -367,8 +367,7 @@ class Matrix:
         for arow in self.sparse_rows:
             if len(arow) < 2:  # empty, or one scaled row of other
                 for k, a in arow.items():
-                    brow = brows[k]
-                    out.append(dict(brow) if a == 1 else {j: a * x for j, x in brow.items()})
+                    out.append(_scaled(a, brows[k]))
                     break
                 else:
                     out.append({})
@@ -376,7 +375,7 @@ class Matrix:
             for a in arow.values():
                 if not a == 1:
                     break
-            else:  # a plain sum of rows of other
+            else:  # a plain sum of rows of other; see the module docstring
                 acc = {}
                 for k in arow:
                     _add_into(acc, Q1, brows[k])
@@ -504,6 +503,46 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                         row[base + l] = x * y
             out.append(row)
     return Matrix._of(a.rows * b.rows, a.cols * width, out)
+
+
+def _kron_sum(terms, m, n):
+    """sum c kron(A, B) over the (c, A, B) terms, every A m x m and every B
+    n x n, one row at a time, so that no kron(A, B) is built whole.  A row
+    with one term is its scaled Kronecker row; a row with more is summed in
+    integers from the rows of A and B as integer numerators (_ints)."""
+    ints = {}  # id(A) -> _ints of each row of A, built on first use
+    parts = [(c, a, b) for c, a, b in terms if c]
+    out, shared = [], {}
+    for ra in range(m):
+        # the terms whose A has a nonzero row ra, with that row of c A as
+        # (column offset, entry, entry is 1) triples
+        lefts = [(c, a, b, [(p * n, x, x == 1) for p, x in _scaled(c, a.sparse_rows[ra]).items()])
+                 for c, a, b in parts if a.sparse_rows[ra]]
+        for rb in range(n):
+            present = [t for t in lefts if t[2].sparse_rows[rb]]
+            if len(present) > 1:
+                row = []
+                for c, a, b, _ in present:
+                    for x in (a, b):
+                        if id(x) not in ints:
+                            ints[id(x)] = [_ints(r) for r in x.sparse_rows]
+                    (da, ia), (db, ib) = ints[id(a)][ra], ints[id(b)][rb]
+                    row.append((c, (da * db, {p * n + q: u * v for p, u in ia.items()
+                                              for q, v in ib.items()})))
+                out.append(_int_sum(row, shared))
+                continue
+            row = {}
+            for _, _, b, left in present:
+                y = b.sparse_rows[rb]
+                for base, x, one in left:
+                    if one:
+                        for q, v in y.items():
+                            row[base + q] = v
+                    else:
+                        for q, v in y.items():
+                            row[base + q] = x * v
+            out.append(row)
+    return Matrix._of(m * n, m * n, out)
 
 
 class SubspaceBasis:

@@ -8,7 +8,7 @@ Braidings are stored as exact matrices between canonical image bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, Q1, SubspaceBasis, kron
+from .linalg import Matrix, Q1, SubspaceBasis, _kron_sum, kron
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
@@ -112,8 +112,6 @@ class TruncatedTensor:
     inclusion: Matrix  # ambient x image-dim
     projection: Matrix  # image-dim x ambient
     module: HModule  # induced action in image coordinates
-    # the coproduct of each basis element acting on the ambient M (x) N
-    ambient_action: tuple = field(repr=False)
 
     @property
     def ambient_dim(self):
@@ -126,9 +124,8 @@ class TruncatedTensor:
 
 def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     """Action of a sparse element of H (x) H on M (x) N (first leg on M)."""
-    d = M.dim * N.dim
-    return Matrix.lincomb(
-        ((c, kron(M.mats[a], N.mats[b])) for (a, b), c in elem2.items()), d, d
+    return _kron_sum(
+        ((c, M.mats[a], N.mats[b]) for (a, b), c in elem2.items()), M.dim, N.dim
     )
 
 
@@ -161,6 +158,14 @@ def truncated_tensor(
         ctx = BraidContext(H, "phi", wc=wc)
     else:
         raise ValueError("variant must be 'plain' or 'twisted'")
+    return _tensor_and_actions(M, N, ctx, validate)[0]
+
+
+def _tensor_and_actions(M, N, ctx, validate):
+    """The truncated tensor of M and N in ctx's category, and the action of
+    the coproduct of each basis element on the ambient M (x) N, which it is
+    built from."""
+    H = ctx.algebra
     columns, unit2 = ctx.coproduct
 
     projector = _componentwise_action(M, N, unit2)
@@ -174,13 +179,14 @@ def truncated_tensor(
         basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
     )
     projection = sel * projector
-    big = tuple(_componentwise_action(M, N, columns[i]) for i in range(H.dim))
-    module = HModule(H, [projection * b * inclusion for b in big], name="tensor")
+    big = [_componentwise_action(M, N, columns[i]) for i in range(H.dim)]
+    mats = [projection * b * inclusion for b in big]
+    module = HModule(H, mats, name="tensor")
     if validate:
         module.validate()
     return TruncatedTensor(
-        M, N, ctx.variant, projector, basis, inclusion, projection, module, big
-    )
+        M, N, ctx.variant, projector, basis, inclusion, projection, module
+    ), big
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +378,12 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
 
     t_mn = ctx.tensor(M, N, validate=False)
     t_np = ctx.tensor(N, P, validate=False)
-    # both bracketings must carve out the same subspace of M (x) N (x) P;
-    # only the inclusions of the outer tensors are kept
-    lift_l = (kron(t_mn.inclusion, Matrix.identity(P.dim))
-              * ctx.tensor(t_mn.module, P, validate=False).inclusion)
-    lift_r = (kron(Matrix.identity(M.dim), t_np.inclusion)
-              * ctx.tensor(M, t_np.module, validate=False).inclusion)
+    left = ctx.tensor(t_mn.module, P, validate=False)
+    right = ctx.tensor(M, t_np.module, validate=False)
+
+    # both bracketings must carve out the same subspace of M (x) N (x) P
+    lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
+    lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
     sub_l = lift_l.column_space()
     _same_subspace(rep, "bracketing-subspaces-equal", sub_l, lift_r.column_space())
 

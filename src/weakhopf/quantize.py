@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import QuantumGroupoid, sparse_coproduct_leg, sparse_embed, sparse_mul
 from .errors import InconsistentStructure, NotCocommutative
-from .linalg import Matrix, kron
+from .linalg import _kron_sum
 from .modules import BraidContext
 from .report import VerificationReport, comparison
 from .structures import WeakCocycle, swap2
@@ -38,7 +38,7 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
 
     def ad2(x2):
         """sum c Ad_x (x) Ad_y over the terms c e_x (x) e_y of x2."""
-        return Matrix.lincomb(((c, kron(ad[x], ad[y])) for (x, y), c in x2.items()), n * n, n * n)
+        return _kron_sum(((c, ad[x], ad[y]) for (x, y), c in x2.items()), n, n)
 
     # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
     # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)

@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, Q0, Q1, SubspaceBasis, kron, lincomb, outer
-from .modules import BraidContext, HModule, ht_module, unitors
+from .modules import BraidContext, HModule, _tensor_and_actions, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -245,7 +245,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     H = ctx.algebra
     m = p.carrier_dim
     cmod = p.action
-    t2 = ctx.tensor(cmod, cmod)
+    t2, square_actions = _tensor_and_actions(cmod, cmod, ctx, True)
 
     # (0) well-definedness: both maps factor through the truncated tensor
     comparison(rep, "product-factors-through-tensor", [((), p.mul * t2.projector, p.mul)])
@@ -258,7 +258,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     for name, x, src, dst in (
         ("product", mul_inc, t2.module.mats, cmod.mats),
         ("unit", p.unit, htmod.mats, cmod.mats),
-        ("coproduct", p.comul, cmod.mats, t2.ambient_action),
+        ("coproduct", p.comul, cmod.mats, square_actions),
         ("counit", p.counit, cmod.mats, htmod.mats),
         ("antipode", p.antipode, cmod.mats, cmod.mats),
     ):

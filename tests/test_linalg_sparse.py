@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, kron
+from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, kron
 
 Q0 = Fraction(0)
 
@@ -198,8 +198,8 @@ def test_coordinates_match_dense(a, data):
 
 
 # Denominators up to 12 and rows that mix unit and non-unit coefficients, so
-# that one product or lincomb sums some rows in Fractions and others in
-# integers over a common denominator.
+# that one product or lincomb copies its single-term rows and sums the others
+# in integers over a common denominator, some of them to zero.
 wide = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 units = st.sampled_from((Q0, Fraction(1)))
 # integers too, so that some sums have the common denominator 1
@@ -258,6 +258,27 @@ def test_integer_sums_share_equal_entries():
     entries = [x for row in prod.sparse_rows for x in row.values()]
     assert entries == [Fraction(5, 6)] * 4
     assert all(x is entries[0] for x in entries)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_kron_sum_matches_dense(m, n, data):
+    # rows with no term, one term and several; terms that share a factor,
+    # and all of them again negated so that every row cancels
+    def square(k):
+        return st.builds(lambda d: Matrix(d, k, k),
+                         st.lists(st.lists(mixed, min_size=k, max_size=k),
+                                  min_size=k, max_size=k))
+    lefts = data.draw(st.lists(square(m), min_size=1, max_size=3))
+    rights = data.draw(st.lists(square(n), min_size=1, max_size=3))
+    terms = data.draw(st.lists(
+        st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)), max_size=4))
+    got = _kron_sum(terms, m, n)
+    assert_sparse(got)
+    pairs = [(c, Matrix(dense.kron(a, b), m * n, m * n)) for c, a, b in terms]
+    assert got.data == dense.lincomb(pairs, m * n, m * n)
+    cancel = terms + [(-c, a, b) for c, a, b in terms]
+    assert _kron_sum(cancel, m, n) == Matrix.zero(m * n, m * n)
 
 
 @settings(max_examples=150)

@@ -202,7 +202,6 @@ def test_verify_quantization_builds_each_twisted_column_once(kd4, monkeypatch):
     assert sorted(calls) == list(range(H.dim))
 
 
-
 def test_verify_quantization_builds_each_tensor_action_once(kd4, monkeypatch):
     # every action of a 2-tensor on M (x) N is built once per module pair:
     # the coproduct-module-morphism check reads the actions of Delta(e_h) on
