@@ -1,17 +1,21 @@
 """Per-tuple reference checkers for the differential tests of the axiom suites.
 
-These are the checkers ``weakhopf.algebra`` and ``weakhopf.modules`` ran
-before the n^3 suites were decided as matrix identities: every axiom is
-compared one basis tuple at a time with dense coefficient vectors, and the
-first failing tuple is the witness.  Nothing in the package calls them; the
-tests compare their reports with the package's, byte for byte.
+These are the checkers ``weakhopf.algebra``, ``weakhopf.modules`` and
+``weakhopf.transmute`` ran before their axioms were decided as matrix
+identities: every axiom is compared one basis tuple at a time with dense
+coefficient vectors, and the first failing tuple is the witness.  The
+braided-Hopf verifier here evaluates carrier associativity, both counit laws
+and the braided bialgebra compatibility that way.  Nothing in the package
+calls them; the tests compare their reports with the package's, byte for
+byte.
 """
 
 from __future__ import annotations
 
-from dense_oracle import dense_of_sparse, mul2, sparse_mul
+from dense_oracle import dense_of_sparse, mul2, sparse_mul, sparse_of_dense
 from weakhopf.algebra import convolve, sparse_coproduct_leg, sparse_embed
-from weakhopf.linalg import Matrix, Q0, Q1, outer
+from weakhopf.linalg import Matrix, Q0, Q1, kron, lincomb, outer
+from weakhopf.modules import _tensor_and_actions, ht_module, unitors
 from weakhopf.report import VerificationReport, Witness, comparison
 
 
@@ -241,4 +245,137 @@ def check_module(M) -> VerificationReport:
         ident = Matrix.identity(M.dim).column(unit)
         pairs.append(((unit,), M.act_element(H.unit).column(unit), ident))
     comparison(rep, "unit-acts-as-identity", pairs)
+    return rep
+
+
+def verify_braided_hopf(p, ctx) -> VerificationReport:
+    """Every axiom of a Hopf algebra internal to the braided category, with
+    associativity, the counit laws and the bialgebra compatibility evaluated
+    one basis tuple or tensor-square basis vector at a time."""
+    rep = VerificationReport("braided-hopf")
+    H = ctx.algebra
+    m = p.carrier_dim
+    cmod = p.action
+    t2, square_actions = _tensor_and_actions(cmod, cmod, ctx, True)
+
+    comparison(rep, "product-factors-through-tensor", [((), p.mul * t2.projector, p.mul)])
+    comparison(rep, "coproduct-lands-in-tensor", [((), t2.projector * p.comul, p.comul)])
+
+    _, htmod = ht_module(H)
+    mul_inc = p.mul * t2.inclusion
+    for name, x, src, dst in (
+        ("product", mul_inc, t2.module.mats, cmod.mats),
+        ("unit", p.unit, htmod.mats, cmod.mats),
+        ("coproduct", p.comul, cmod.mats, square_actions),
+        ("counit", p.counit, cmod.mats, htmod.mats),
+        ("antipode", p.antipode, cmod.mats, cmod.mats),
+    ):
+        comparison(rep, name + "-module-morphism",
+                   (((h,), x * src[h], dst[h] * x) for h in range(H.dim)))
+
+    # associativity on the columns of the triple unit-coproduct projector
+    mul_cols = p.mul.transpose().sparse_rows
+    act_cols = [a.transpose().sparse_rows for a in cmod.mats]
+    columns = ctx.coproduct[0]
+    w3 = sparse_coproduct_leg(
+        sparse_coproduct_leg(H.unit_sparse, 0, columns), 0, columns)
+
+    def triple_column(i, j, k):
+        col = {}
+        for (a, b, c), w in w3.items():
+            va = act_cols[a][i]
+            vb = act_cols[b][j]
+            vc = act_cols[c][k]
+            for pp, cp in va.items():
+                for qq, cq in vb.items():
+                    w2 = w * cp * cq
+                    for rr, cr in vc.items():
+                        key = (pp, qq, rr)
+                        col[key] = col.get(key, Q0) + w2 * cr
+        return {kk: v for kk, v in col.items() if v}
+
+    def eval_two_steps(col, first_pair):
+        out = [Q0] * m
+        for (pp, qq, rr), c in col.items():
+            if first_pair == "left":
+                for s, cs in mul_cols[pp * m + qq].items():
+                    for t, ct in mul_cols[s * m + rr].items():
+                        out[t] += c * cs * ct
+            else:
+                for s, cs in mul_cols[qq * m + rr].items():
+                    for t, ct in mul_cols[pp * m + s].items():
+                        out[t] += c * cs * ct
+        return tuple(out)
+
+    def assoc_pairs():
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    col = triple_column(i, j, k)
+                    yield (i, j, k), eval_two_steps(col, "left"), eval_two_steps(
+                        col, "right"
+                    )
+
+    comparison(rep, "associativity", assoc_pairs())
+
+    l_mat, r_mat, t_l, t_r = unitors(cmod, ctx)
+    ident = Matrix.identity(m)
+    comparison(rep, "unit-law-left",
+               [((), p.mul * kron(p.unit, ident) * t_l.inclusion, l_mat)])
+    comparison(rep, "unit-law-right",
+               [((), p.mul * kron(ident, p.unit) * t_r.inclusion, r_mat)])
+
+    comparison(rep, "coassociativity",
+               [((), kron(p.comul, ident) * p.comul, kron(ident, p.comul) * p.comul)])
+
+    eps_emb = p.ht.embedding() * p.counit
+    comul_cols = [sparse_of_dense(p.comul.column(k), m, 2) for k in range(m)]
+
+    def counit_law_pairs(leg, acting):
+        # eps acts from the given leg of Delta(k) on the other leg
+        for k in range(m):
+            out = lincomb(
+                ((c, cmod.act_element(acting(eps_emb.column(pair[leg])))
+                  .column(pair[1 - leg]))
+                 for pair, c in comul_cols[k].items()),
+                m,
+            )
+            yield (k,), out, tuple(Q1 if r == k else Q0 for r in range(m))
+
+    comparison(rep, "counit-law-left", counit_law_pairs(0, lambda z: z))
+    comparison(rep, "counit-law-right", counit_law_pairs(1, H.s_inv_of))
+
+    braid_cols = ctx.braiding_plain(cmod, cmod).transpose().sparse_rows
+
+    def compat_pairs():
+        for bidx in range(t2.dim):
+            w = t2.inclusion.column(bidx)
+            lhs = p.comul.apply(p.mul.apply(w))
+            x3 = sparse_coproduct_leg(sparse_of_dense(w, m, 2), 1, comul_cols)
+            x4 = sparse_coproduct_leg(x3, 0, comul_cols)
+            rhs = [Q0] * (m * m)
+            for (pp, qq, rr, ss), c in x4.items():
+                for fb, cb in braid_cols[qq * m + rr].items():
+                    q2, r2 = divmod(fb, m)
+                    cc = c * cb
+                    for a, ca in mul_cols[pp * m + q2].items():
+                        for b, cb2 in mul_cols[r2 * m + ss].items():
+                            rhs[a * m + b] += cc * ca * cb2
+            yield (bidx,), lhs, tuple(rhs)
+
+    comparison(rep, "bialgebra-compatibility", compat_pairs())
+
+    comparison(rep, "counit-multiplicative",
+               [((), eps_emb * p.mul * t2.inclusion,
+                 H.mul_map * kron(eps_emb, eps_emb) * t2.inclusion)])
+
+    onec = p.unit_element_coords()
+    comparison(rep, "unit-grouplike",
+               [((), p.comul.apply(onec), t2.projector.apply(outer(onec, onec)))])
+
+    eta_eps = p.unit * p.counit
+    comparison(rep, "antipode-left",
+               [((), p.mul * kron(p.antipode, ident) * p.comul, eta_eps)])
+    comparison(rep, "antipode-right",
+               [((), p.mul * kron(ident, p.antipode) * p.comul, eta_eps)])
     return rep

@@ -1,11 +1,13 @@
 """The matrix-identity axiom suites against the per-tuple oracles.
 
-Each case perturbs one entry of a structure tensor, the counit, the antipode
-or a module action matrix of a known-good instance and asserts that the
-package's checkers produce the same report as `axiom_oracle`: the same
-checks, the same pass/fail and the same witness bytes.
+Each case perturbs one entry of a structure tensor, the counit, the antipode,
+a module action matrix or a structure map of a braided Hopf presentation of a
+known-good instance and asserts that the package's checkers produce the same
+report as `axiom_oracle`: the same checks, the same pass/fail and the same
+witness bytes.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +23,10 @@ from weakhopf import (
 )
 from weakhopf.errors import AntipodeNotInvertible, InconsistentStructure
 from weakhopf.linalg import Matrix
-from weakhopf.modules import HModule, check_module, ht_module, regular_module
+from weakhopf.modules import BraidContext, HModule, check_module, ht_module, regular_module
+from weakhopf.quantize import quantize
+from weakhopf.structures import canonical_r
+from weakhopf.transmute import transmute, verify_braided_hopf
 
 import axiom_oracle as oracle
 
@@ -154,3 +159,74 @@ def test_perturbations_reach_every_rewritten_suite():
             seen["module"] |= failed_names(check_module(M))
     for suite, names in REWRITTEN.items():
         assert names <= seen[suite], (suite, names - seen[suite])
+
+
+# braided Hopf presentations: every fixture, D2 with the Klein sign cocycle
+# on {s, rs} and P3 with the trivial cocycle
+KLEIN_BETA = [[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, 1, 1], [1, 1, -1, -1]]
+PRESENTATION_FIELDS = ("mul", "comul", "counit", "unit", "antipode")
+PRESENTATION_SEEDS = range(16)
+# the verifier's checks decided as map identities after being per-tuple loops
+REWRITTEN_BRAIDED = {"associativity", "counit-law-left", "counit-law-right",
+                     "bialgebra-compatibility"}
+
+
+def _d2():
+    H = zoo.dihedral_group_algebra(2)
+    gens = [H.basis_names.index("s"), H.basis_names.index("rs")]
+    return H, canonical_r(H), zoo.bicharacter_cocycle(H, gens, KLEIN_BETA)
+
+
+def _braided_instance(name):
+    if name == "D2":
+        return _d2()
+    if name == "P3":
+        H = instance("P3")
+        return H, canonical_r(H), zoo.trivial_cocycle(H)
+    fx = zoo.fixture(name)
+    return fx.algebra, fx.qt, fx.cocycle
+
+
+BRAIDED_INSTANCES = sorted(zoo.fixture_names()) + ["D2", "P3"]
+
+
+def perturbed_presentation(p, rng):
+    """p with one entry of mul, comul, counit, unit or the antipode moved by
+    a nonzero amount."""
+    field = rng.choice(PRESENTATION_FIELDS)
+    mat = getattr(p, field)
+    data = mat.data
+    r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    data[r][c] += rng.choice(DELTAS)
+    return dataclasses.replace(p, **{field: Matrix(data, mat.rows, mat.cols)})
+
+
+@lru_cache(maxsize=None)
+def braided_reports(name):
+    """[(case, package report, oracle report)] over the unperturbed and the
+    seeded perturbed transmute (psi) and quantize (phi) presentations."""
+    H, qt, wc = _braided_instance(name)
+    out = []
+    for kind, p, ctx in (("psi", transmute(H, qt), BraidContext.psi(H, qt)),
+                         ("phi", quantize(H, wc), BraidContext.phi(H, wc))):
+        cases = [("%s-%s" % (name, kind), p)]
+        for seed in PRESENTATION_SEEDS:
+            case = "%s-%s-%d" % (name, kind, seed)
+            cases.append((case, perturbed_presentation(p, random.Random(case))))
+        for case, q in cases:
+            out.append((case, verify_braided_hopf(q, ctx), oracle.verify_braided_hopf(q, ctx)))
+    return out
+
+
+@pytest.mark.parametrize("name", BRAIDED_INSTANCES)
+def test_braided_hopf_verifier_matches_oracle(name):
+    for case, ours, theirs in braided_reports(name):
+        assert ours.to_dict() == theirs.to_dict(), case
+
+
+def test_presentation_perturbations_fail_every_rewritten_check():
+    failed = set()
+    for name in BRAIDED_INSTANCES:
+        for _, ours, _ in braided_reports(name):
+            failed |= failed_names(ours)
+    assert REWRITTEN_BRAIDED <= failed, REWRITTEN_BRAIDED - failed
