@@ -331,9 +331,8 @@ def _cmd_twist(args) -> int:
         out.render(1)
         return 1
     twisted, qt_t = pair.twisted
-    out.add_report(args.algebra, check_weak_bialgebra(twisted.base))
-    out.add_report(args.algebra, check_quantum_groupoid(twisted))
-    out.add_report(args.algebra, check_quasitriangular(twisted, qt_t))
+    for rep in pair.reports:
+        out.add_report(args.algebra, rep)
     out.add_document("twisted-algebra", serialize_quantum_groupoid(twisted))
     out.add_document("twisted-qt", serialize_qt(twisted, qt_t))
     out.render(0)

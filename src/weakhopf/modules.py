@@ -298,12 +298,17 @@ class BraidContext:
             return braiding_psi_plain(self.algebra, self.qt, M, N)
         return braiding_phi_plain(self.algebra, self.wc, M, N)
 
-    def unit_coproduct_power(self, k) -> dict:
-        """Iterated coproduct of 1 as a sparse element of H^(x)k."""
-        cur = dict(self.algebra.unit_sparse)
-        for _ in range(k - 1):
-            cur = sparse_coproduct_leg(cur, 0, self.coproduct[0])
-        return cur
+    def triple_projector(self, A, B, C, actions=None) -> Matrix:
+        """Delta^2(1) acting on A (x) B (x) C in plain coordinates: the sum
+        of c (Delta(x) on A (x) B) (x) (y on C) over the terms c x (x) y of
+        Delta(1).  actions, when given, holds the action of the coproduct of
+        each basis element on A (x) B, as _tensor_and_actions returns it."""
+        columns = self.coproduct[0]
+        delta1 = sparse_coproduct_leg(self.algebra.unit_sparse, 0, columns)
+        if actions is None:
+            actions = {x: _componentwise_action(A, B, columns[x]) for x, _ in delta1}
+        return _kron_sum(((c, actions[x], C.mats[y]) for (x, y), c in delta1.items()),
+                         A.dim * B.dim, C.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +369,6 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     """
     rep = VerificationReport("coherence")
     H = ctx.algebra
-    w3 = ctx.unit_coproduct_power(3)
-
-    def triple_projector(A, B, C):
-        """Delta^2(1) acting on A (x) B (x) C in plain coordinates."""
-        dim = A.dim * B.dim * C.dim
-        return Matrix.lincomb(
-            ((coeff, kron(kron(A.mats[a], B.mats[b]), C.mats[c]))
-             for (a, b, c), coeff in w3.items()),
-            dim,
-            dim,
-        )
-
     t_mn = ctx.tensor(M, N, validate=False)
     t_np = ctx.tensor(N, P, validate=False)
     left = ctx.tensor(t_mn.module, P, validate=False)
@@ -389,17 +382,18 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
 
     # triple projector in plain coordinates spans the same subspace
     _same_subspace(rep, "iterated-unit-projector-subspace",
-                   triple_projector(M, N, P).column_space(), sub_l)
+                   ctx.triple_projector(M, N, P).column_space(), sub_l)
 
     # hexagon 1: braiding M past N (x) P equals braiding in two steps,
     # realized on plain M (x) N (x) P coordinates (associators are the
-    # identity there)
+    # identity there); both hexagons braid M past P
+    psi_m_p = ctx.braiding_plain(M, P)
     psi_m_np = ctx.braiding_plain(M, t_np.module)
     dom = kron(Matrix.identity(M.dim), t_np.projection)
     cod = kron(t_np.inclusion, Matrix.identity(M.dim))
     lhs = cod * psi_m_np * dom
     step1 = kron(ctx.braiding_plain(M, N), Matrix.identity(P.dim))
-    step2 = kron(Matrix.identity(N.dim), ctx.braiding_plain(M, P))
+    step2 = kron(Matrix.identity(N.dim), psi_m_p)
     rhs = step2 * step1
     comparison(rep, "hexagon-first", [((), lhs * lift_l, rhs * lift_l)])
 
@@ -409,7 +403,7 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     cod = kron(Matrix.identity(P.dim), t_mn.inclusion)
     lhs = cod * psi_mn_p * dom
     step1 = kron(Matrix.identity(M.dim), ctx.braiding_plain(N, P))
-    step2 = kron(ctx.braiding_plain(M, P), Matrix.identity(N.dim))
+    step2 = kron(psi_m_p, Matrix.identity(N.dim))
     rhs = step2 * step1
     comparison(rep, "hexagon-second", [((), lhs * lift_l, rhs * lift_l)])
 
@@ -419,7 +413,7 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     r_plain = _unitor_plain(M, ht, left=False)
     lhs = kron(Matrix.identity(M.dim), l_plain)
     rhs = kron(r_plain, Matrix.identity(N.dim))
-    triple_z = triple_projector(M, zmod, N)
+    triple_z = ctx.triple_projector(M, zmod, N)
     comparison(rep, "unitor-triangle", [((), lhs * triple_z, rhs * triple_z)])
     return rep
 

@@ -110,7 +110,8 @@ def comparison(report, name, pairs, detail="", shape=None):
     zero-free sparse elements of H^(x)k, dim H = n, compared as dicts and
     densified for the witness only.  Two maps are compared on their sparse
     rows; the witness of an unequal pair is its first differing column j,
-    at indices + (j,).  Maps of different shapes raise DimensionMismatch.
+    at indices + (j,), or + its k basis indices with shape = (n, k) (the
+    domain V^(x)k, dim V = n).  Maps of different shapes raise DimensionMismatch.
     """
     for indices, lhs, rhs in pairs:
         if isinstance(lhs, Matrix):
@@ -120,7 +121,9 @@ def comparison(report, name, pairs, detail="", shape=None):
             if lhs.sparse_rows == rhs.sparse_rows:
                 continue
             j = min(min(row) for row in (lhs - rhs).sparse_rows if row)
-            indices, lhs, rhs = tuple(indices) + (j,), lhs.column(j), rhs.column(j)
+            n, k = shape or (lhs.cols, 1)
+            at = tuple(j // n ** e % n for e in reversed(range(k)))
+            indices, lhs, rhs = tuple(indices) + at, lhs.column(j), rhs.column(j)
         elif shape is not None:
             if lhs == rhs:
                 continue

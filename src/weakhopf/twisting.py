@@ -58,6 +58,8 @@ class TwistedPair:
     v: TwistElements
     # the F-twisted module category of H, with its coproduct columns built
     context: BraidContext = field(compare=False, repr=False)
+    # the passing weak-bialgebra, quantum-groupoid and quasitriangular reports
+    reports: Tuple = field(compare=False, repr=False)
 
     @property
     def algebra(self) -> QuantumGroupoid:
@@ -89,12 +91,12 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     antipode = lv * rvinv * H.antipode
 
     base = WeakBialgebra(H.basis_names, H.mul, H.unit, comul, H.counit)
-    _require_passed(check_weak_bialgebra(base))
+    reports = [_require_passed(check_weak_bialgebra(base))]
     try:
         twisted = QuantumGroupoid(base, antipode)
     except AntipodeNotInvertible as exc:
         raise TwistAxiomFailure("antipode-invertible", str(exc)) from exc
-    _require_passed(check_quantum_groupoid(twisted))
+    reports.append(_require_passed(check_quantum_groupoid(twisted)))
 
     f, finv = wc.sparse
     r, rinv = qt.sparse
@@ -103,15 +105,17 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     d1 = twisted.delta_one_sparse
     rinv_t = _mul2(twisted, d1, _mul2(H, finv, rinv, swap2(f)), swap2(d1))
     qt_t = QTStructure(dense_of_sparse(r_t, n, 2), dense_of_sparse(rinv_t, n, 2))
-    _require_passed(check_quasitriangular(twisted, qt_t))
+    reports.append(_require_passed(check_quasitriangular(twisted, qt_t)))
 
-    return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw, context=ctx)
+    return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw, context=ctx,
+                       reports=tuple(reports))
 
 
-def _require_passed(rep: VerificationReport):
-    """Raise TwistAxiomFailure for the first failed check of rep, if any."""
+def _require_passed(rep: VerificationReport) -> VerificationReport:
+    """rep, or TwistAxiomFailure for its first failed check if it has one."""
     for check in rep.failed_checks()[:1]:
         raise TwistAxiomFailure(check.name, witness=check.witness)
+    return rep
 
 
 def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationReport:

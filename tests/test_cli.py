@@ -122,6 +122,28 @@ def test_twist_command(emitted, capsys):
     assert "kind: qt-structure" in captured
 
 
+def test_twist_command_decides_each_suite_once(emitted, monkeypatch, capsys):
+    # the command prints the reports twist() decided instead of re-running them
+    calls = []
+    for module in ("weakhopf.twisting", "weakhopf.cli"):
+        mod = importlib.import_module(module)
+        for name in ("check_weak_bialgebra", "check_quantum_groupoid", "check_quasitriangular"):
+            real = getattr(mod, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(mod, name, counting)
+    rc = run(["twist", "--algebra", emitted["qg"], "--qt", emitted["qt"],
+              "--cocycle", emitted["coc"], "--format", "structured"])
+    assert rc == 0
+    assert sorted(calls) == ["check_quantum_groupoid", "check_quasitriangular",
+                             "check_weak_bialgebra"]
+    suites = {c["suite"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert suites == {"weak-bialgebra", "quantum-groupoid", "quasitriangular"}
+
+
 def test_twist_failure_reports_the_check_witness(tmp_path):
     from weakhopf.serialization import serialize_cocycle, serialize_qt
     from weakhopf.structures import WeakCocycle

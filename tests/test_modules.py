@@ -186,6 +186,22 @@ def test_coherence_small_fixtures(diag2, kz2, pair2):
         assert rep.passed, (fx.name, [c.name for c in rep.failed_checks()])
 
 
+def test_coherence_report_builds_each_braiding_once(kd4, monkeypatch):
+    # both hexagons braid M past P; the braiding is built once for both
+    real = BraidContext.braiding_plain
+    calls = []
+
+    def counting(self, M, N):
+        calls.append((M, N))
+        return real(self, M, N)
+
+    monkeypatch.setattr(BraidContext, "braiding_plain", counting)
+    M = ht_module(kd4.algebra)[1]
+    assert coherence_report(BraidContext.psi(kd4.algebra, kd4.qt), M, M, M).passed
+    # M past N (x) P, M past N, M past P, M (x) N past P and N past P
+    assert len(calls) == 5
+
+
 def _acting_tensors(fx):
     """The 2-tensors the package lets act on M (x) N: R and the swapped
     R^-1 (the braidings), Delta(1) and F^-1 F (the projectors), F^-1 swap(F)

@@ -6,6 +6,7 @@ from pathlib import Path
 import weakhopf
 
 PACKAGE = Path(weakhopf.__file__).parent
+REPO = PACKAGE.parent.parent
 
 
 def _dead_imports(tree):
@@ -31,3 +32,38 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_dead_import_detector_sees_one():
     tree = ast.parse("from os import path, sep\nimport json\nprint(sep)\n")
     assert _dead_imports(tree) == ["json", "path"]
+
+
+def _defined(tree):
+    """Names of the functions, methods and classes a module defines, dunder
+    names aside."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _read(tree):
+    """Names a module reads, as a variable or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_every_package_definition_is_read_somewhere():
+    # a helper whose last caller is gone is dead code, whatever module it is in
+    read = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (REPO / folder).rglob("*.py"):
+            read |= _read(ast.parse(path.read_text(encoding="utf-8")))
+    orphans = {p.name: sorted(_defined(ast.parse(p.read_text(encoding="utf-8"))) - read)
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in orphans.items() if names} == {}
+
+
+def test_orphan_detector_sees_one():
+    tree = ast.parse("class A:\n    def used(self): pass\n    def left(self): pass\n"
+                     "    def __eq__(self, o): pass\n"
+                     "def helper(): pass\n"
+                     "A().used(); helper()\n")
+    assert sorted(_defined(tree) - _read(tree)) == ["left"]
