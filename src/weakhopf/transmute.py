@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 from .algebra import QuantumGroupoid, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, SubspaceBasis, kron, outer
-from .modules import (
-    BraidContext,
-    HModule,
-    _tensor_and_actions,
-    _unitor_plain,
-    ht_module,
-    unitors,
-)
+from .modules import BraidContext, HModule, _tensor_and_actions, _unitor_plain, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -275,6 +268,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     comparison(rep, "associativity",
                [((), p.mul * kron(p.mul, ident) * p3, p.mul * kron(ident, p.mul) * p3)],
                shape=(m, 3))
+    del p3  # m^3 rows, not held while the compatibility maps are built
 
     # unit laws against the unitors
     l_mat, r_mat, t_l, t_r = unitors(cmod, ctx)
