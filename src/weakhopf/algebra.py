@@ -1,9 +1,10 @@
 """Quantum groupoids by structure constants, with their axiom checkers.
 
-A weak bialgebra is stored as five exact tensors: multiplication
-m[i][j][k] (e_i e_j = sum_k m[i][j][k] e_k), a unit vector, comultiplication
-d[i][j][k] (Delta(e_i) = sum d[i][j][k] e_j (x) e_k), and a counit vector.
-A quantum groupoid adds the antipode matrix.  Every axiom quantified over
+A weak bialgebra is stored by its sparse structure constants: the products
+mul_rows[(i, j)] = {k: c} (e_i e_j = sum c e_k, pairs with e_i e_j = 0
+absent), the coproduct columns comul_cols[i] = {(j, k): c} (Delta(e_i) =
+sum c e_j (x) e_k), and the unit and counit vectors.  A quantum groupoid
+adds the antipode matrix.  Every axiom quantified over
 the algebra is equivalent, by multilinearity of both sides, to its basis
 instances; the checkers decide the n^3 ones as identities between sparse
 matrices, one per basis element or pair; the witness of a failure is the
@@ -20,7 +21,7 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import Matrix, Q0, Q1, frac, kron, outer, SubspaceBasis
+from .linalg import Matrix, Q0, Q1, frac, kron, SubspaceBasis
 from .report import VerificationReport, Witness, comparison, dense_of_sparse
 
 # ---------------------------------------------------------------------------
@@ -114,59 +115,63 @@ def sparse_coproduct_leg(s, leg, cols):
     return {k: v for k, v in out.items() if v}
 
 
-class WeakBialgebra:
-    """Finite-dimensional weak bialgebra presented by structure constants."""
+def _in_range(key, arity, n):
+    """key is an index below n (arity 1) or a tuple of arity such indices."""
+    keys = (key,) if arity == 1 else key
+    return (isinstance(keys, tuple) and len(keys) == arity
+            and all(isinstance(i, int) and 0 <= i < n for i in keys))
 
-    def __init__(self, basis_names, mul, unit, comul, counit):
+
+class WeakBialgebra:
+    """Finite-dimensional weak bialgebra presented by structure constants.
+
+    mul_rows maps (i, j) to {k: c} and comul_cols maps i to {(j, k): c};
+    neither stores a zero, and comul_cols has an entry for every i.  The
+    dense tables ``mul`` (m[i][j][k]) and ``comul`` (d[i][j][k]) are views
+    for outside readers, built on first access.
+    """
+
+    def __init__(self, basis_names, mul_rows, unit, comul_cols, counit):
         self.basis_names = tuple(str(s) for s in basis_names)
-        self.dim = len(self.basis_names)
-        n = self.dim
+        self.dim = n = len(self.basis_names)
         if n < 1:
             raise DimensionMismatch("dimension must be at least 1")
-        self.mul = tuple(
-            tuple(tuple(frac(x) for x in row) for row in plane) for plane in mul
-        )
         self.unit = tuple(frac(x) for x in unit)
-        self.comul = tuple(
-            tuple(tuple(frac(x) for x in row) for row in plane) for plane in comul
-        )
         self.counit = tuple(frac(x) for x in counit)
-        if len(self.mul) != n or any(
-            len(p) != n or any(len(r) != n for r in p) for p in self.mul
-        ):
-            raise DimensionMismatch("mul tensor must be dim^3")
-        if len(self.comul) != n or any(
-            len(p) != n or any(len(r) != n for r in p) for p in self.comul
-        ):
-            raise DimensionMismatch("comul tensor must be dim^3")
         if len(self.unit) != n or len(self.counit) != n:
             raise DimensionMismatch("unit/counit must have length dim")
+        for what, table, outer, inner in (("mul", mul_rows, 2, 1), ("comul", comul_cols, 1, 2)):
+            for key, row in table.items():
+                if not _in_range(key, outer, n) or not all(_in_range(k, inner, n) for k in row):
+                    raise DimensionMismatch("%s table has an index out of range at %r"
+                                            % (what, key))
+                if not all(row.values()) or (what == "mul" and not row):
+                    raise DimensionMismatch("%s table stores a zero at %r" % (what, key))
+        if len(comul_cols) != n:
+            raise DimensionMismatch("comul table needs a column for every basis element")
+        self.mul_rows = mul_rows
+        self.comul_cols = comul_cols
 
     # -- cached structural data ------------------------------------------
 
     @cached_property
-    def mul_rows(self):
-        """dict (i, j) -> {k: m[i][j][k] != 0} for sparse products."""
-        rows = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                row = {k: c for k, c in enumerate(self.mul[i][j]) if c}
-                if row:
-                    rows[(i, j)] = row
-        return rows
+    def mul(self) -> tuple:
+        """Dense view m[i][j][k] of mul_rows."""
+        n = self.dim
+        return tuple(
+            tuple(tuple(self.mul_rows.get((i, j), {}).get(k, Q0) for k in range(n))
+                  for j in range(n))
+            for i in range(n)
+        )
 
     @cached_property
-    def comul_cols(self):
-        """dict i -> {(j, k): d[i][j][k] != 0}."""
-        cols = {}
-        for i in range(self.dim):
-            col = {}
-            for j in range(self.dim):
-                for k, c in enumerate(self.comul[i][j]):
-                    if c:
-                        col[(j, k)] = c
-            cols[i] = col
-        return cols
+    def comul(self) -> tuple:
+        """Dense view d[i][j][k] of comul_cols."""
+        n = self.dim
+        return tuple(
+            tuple(tuple(self.comul_cols[i].get((j, k), Q0) for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
 
     @cached_property
     def unit_sparse(self):
@@ -275,33 +280,6 @@ class WeakBialgebra:
 
     # -- elementwise operations ------------------------------------------
 
-    def mul_elem(self, x, y) -> tuple:
-        """Product of two elements given as dense coefficient vectors."""
-        n = self.dim
-        out = [Q0] * n
-        for i, cx in enumerate(x):
-            if not cx:
-                continue
-            for j, cy in enumerate(y):
-                if not cy:
-                    continue
-                row = self.mul_rows.get((i, j))
-                if row:
-                    c = cx * cy
-                    for k, ck in row.items():
-                        out[k] += c * ck
-        return tuple(out)
-
-    def counit_of(self, x):
-        s = Q0
-        for c, e in zip(x, self.counit):
-            if c and e:
-                s += c * e
-        return s
-
-    def comul_of(self, x) -> tuple:
-        return self.comul_map.apply(x)
-
     def left_mult(self, x) -> Matrix:
         n = self.dim
         mats = self.left_mult_mats
@@ -311,9 +289,6 @@ class WeakBialgebra:
         n = self.dim
         mats = self.right_mult_mats
         return Matrix.lincomb(((c, mats[i]) for i, c in enumerate(x) if c), n, n)
-
-    def basis_vector(self, i) -> tuple:
-        return tuple(Q1 if j == i else Q0 for j in range(self.dim))
 
     @cached_property
     def is_cocommutative(self) -> bool:
@@ -342,12 +317,6 @@ class QuantumGroupoid:
     # delegate the weak-bialgebra surface
     def __getattr__(self, name):
         return getattr(self.base, name)
-
-    def s_of(self, x) -> tuple:
-        return self.antipode.apply(x)
-
-    def s_inv_of(self, x) -> tuple:
-        return self.antipode_inv.apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +373,10 @@ def solve_antipode(B: WeakBialgebra):
     n = B.dim
     entries = []  # (row, unknown, coefficient) of the linear system
     rhs = []
-    ident_cols = [B.basis_vector(a) for a in range(n)]
-    eps_s_cols = [B.eps_s_mat.column(a) for a in range(n)]
-    eps_t_cols = [B.eps_t_mat.column(a) for a in range(n)]
+    # the columns of id, eps_s and eps_t as sparse {row: entry} dicts
+    ident_cols = [{a: Q1} for a in range(n)]
+    eps_s_cols = B.eps_s_mat.transpose().sparse_rows
+    eps_t_cols = B.eps_t_mat.transpose().sparse_rows
     # One block of n rows per (i, axiom).  Each axiom is a sum over
     # Delta(e_i) = sum c e_x (x) e_y with S on one leg and a known map K
     # (id, eps_s or eps_t) on the other; the right-hand side is a known
@@ -424,9 +394,7 @@ def solve_antipode(B: WeakBialgebra):
             base = len(rhs)
             for pair, c in B.comul_cols[i].items():
                 x = pair[s_leg]
-                for p, cp in enumerate(known[pair[1 - s_leg]]):
-                    if not cp:
-                        continue
+                for p, cp in known[pair[1 - s_leg]].items():
                     for j in range(n):
                         row = B.mul_rows.get((j, p) if s_leg == 0 else (p, j))
                         if row:
@@ -478,14 +446,15 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     n = B.dim
 
     comparison(rep, "associativity", _multiplicativity(B.mul_rows, B.left_mult_mats))
+    ident = Matrix.identity(n)
 
-    def unit_pairs():
+    def column_pairs(lhs_maps):
+        """(i,), column i of each map of lhs_maps, e_i for each i in turn."""
         for i in range(n):
-            e = B.basis_vector(i)
-            yield (i,), B.mul_elem(B.unit, e), e
-            yield (i,), B.mul_elem(e, B.unit), e
+            for lhs in lhs_maps:
+                yield (i,), lhs.column(i), ident.column(i)
 
-    comparison(rep, "unit-law", unit_pairs())
+    comparison(rep, "unit-law", column_pairs((B.left_mult(B.unit), B.right_mult(B.unit))))
 
     def coassoc_pairs():
         cols = B.comul_cols
@@ -496,18 +465,9 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
 
     comparison(rep, "coassociativity", coassoc_pairs(), shape=(n, 3))
 
-    def counit_pairs():
-        for i in range(n):
-            e = B.basis_vector(i)
-            left = [Q0] * n
-            right = [Q0] * n
-            for (a, b), c in B.comul_cols[i].items():
-                left[b] += c * B.counit[a]
-                right[a] += c * B.counit[b]
-            yield (i,), tuple(left), e
-            yield (i,), tuple(right), e
-
-    comparison(rep, "counit-axiom", counit_pairs())
+    # (eps (x) id) Delta and (id (x) eps) Delta
+    comparison(rep, "counit-axiom", column_pairs((kron(B.counit_map, ident) * B.comul_map,
+                                                  kron(ident, B.counit_map) * B.comul_map)))
 
     def comult_pairs():
         # Delta(e_i e_j) = Delta(e_i) Delta(e_j) as sparse 2-tensors
@@ -581,21 +541,25 @@ def check_quantum_groupoid(H: QuantumGroupoid) -> VerificationReport:
         comparison(rep, name, [((), lhs, rhs)], detail)
 
     def antimul_pairs():
-        yield (), H.s_of(B.unit), B.unit
+        yield (), S.apply(B.unit), B.unit
         # column j of S L_i is S(e_i e_j), of R_{S(e_i)} S it is S(e_j) S(e_i)
         for i in range(n):
             yield (i,), S * B.left_mult_mats[i], B.right_mult(S.column(i)) * S
 
     comparison(rep, "antipode-anti-multiplicative", antimul_pairs())
 
+    # column i of each map is eps(S(e_i)), Delta(S(e_i)) and
+    # (S (x) S)(Delta_cop(e_i)) = sum c S(e_b) (x) S(e_a) over Delta(e_i)
+    eps_s = B.counit_map * S
+    delta_s = B.comul_map * S
+    cop = Matrix.from_entries(n * n, n, ((b * n + a, i, c) for i, col in B.comul_cols.items()
+                                         for (a, b), c in col.items()))
+    s_cop = kron(S, S) * cop
+
     def anticomul_pairs():
         for i in range(n):
-            yield (i,), (B.counit_of(S.column(i)),), (B.counit[i],)
-            lhs = B.comul_of(S.column(i))
-            rhs = [Q0] * (n * n)
-            for (a, b), c in B.comul_cols[i].items():
-                outer(S.column(b), S.column(a), c, rhs)
-            yield (i,), lhs, tuple(rhs)
+            yield (i,), eps_s.column(i), (B.counit[i],)
+            yield (i,), delta_s.column(i), s_cop.column(i)
 
     comparison(rep, "antipode-anti-comultiplicative", anticomul_pairs())
 

@@ -56,41 +56,6 @@ def vec(values) -> tuple:
     return tuple(frac(v) for v in values)
 
 
-def outer(x, y, c=Q1, out=None):
-    """c (x (x) y) as a flat vector of length len(x) * len(y).
-
-    With out given (a list), the product is added into it in place.
-    """
-    if out is None:
-        out = [Q0] * (len(x) * len(y))
-    width = len(y)
-    for p, cp in enumerate(x):
-        if cp:
-            base = p * width
-            ccp = c * cp
-            for q, cq in enumerate(y):
-                if cq:
-                    out[base + q] += ccp * cq
-    return out
-
-
-def lincomb(terms, n) -> tuple:
-    """sum c v over the (c, v) pairs of terms, as a length-n tuple.
-
-    Every "add c times this vector" sum in the package goes through here,
-    once per output vector.
-    """
-    out = [Q0] * n
-    for c, v in terms:
-        if len(v) != n:
-            raise DimensionMismatch("lincomb term has wrong length")
-        if c:
-            for r, x in enumerate(v):
-                if x:
-                    out[r] += c * x
-    return tuple(out)
-
-
 def _sparse(values, n, what):
     """{index: Fraction} of the nonzero entries of a length-n sequence."""
     out = {}
@@ -214,6 +179,20 @@ def _rref_rows(rows):
         basis[c] = row
     pivots = tuple(sorted(basis))
     return [basis[p] for p in pivots], pivots
+
+
+def _restrict(image, dim, coordinates, fail):
+    """The columns of image in the coordinates that coordinates(v) gives
+    them, as a dim-row matrix; raises fail(j, v) for the first column j
+    whose vector v it rejects (returns None for)."""
+    cols = []
+    for j in range(image.cols):
+        v = image.column(j)
+        c = coordinates(v)
+        if c is None:
+            raise fail(j, v)
+        cols.append(c)
+    return Matrix.from_columns(cols, dim)
 
 
 class Matrix:
@@ -549,17 +528,17 @@ class SubspaceBasis:
     """Canonical (reduced row echelon) basis of a subspace of Q^n.
 
     Canonical form makes subspace equality a structural comparison and
-    membership a pivot-indexed reduction.
+    membership a pivot-indexed reduction.  The basis is stored as sparse
+    rows only; ``vectors`` is a dense copy, built on each access.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "sparse_rows", "pivots")
 
     def __init__(self, ambient_dim, rows, pivots):
         """rows: the basis as sparse rows in reduced row echelon form with
-        the given pivots; ``vectors`` holds them as dense tuples."""
+        the given pivots."""
         self.ambient_dim = ambient_dim
-        self._rows = rows
-        self.vectors = tuple(tuple(_dense(row, ambient_dim)) for row in rows)
+        self.sparse_rows = rows
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -575,39 +554,53 @@ class SubspaceBasis:
         return cls(m.cols, red.sparse_rows[:len(pivots)], pivots)
 
     @property
+    def vectors(self) -> tuple:
+        """The basis as dense tuples, built on each access."""
+        return tuple(tuple(_dense(row, self.ambient_dim)) for row in self.sparse_rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
             and self.ambient_dim == other.ambient_dim
-            and self.vectors == other.vectors
+            and self.pivots == other.pivots
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vectors))
+        return hash((self.ambient_dim, self.pivots,
+                     tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __repr__(self):
         return "SubspaceBasis(dim %d in Q^%d)" % (self.dim, self.ambient_dim)
+
+    def _residual(self, row):
+        """The sparse vector row minus its pivot entries times the basis
+        rows: empty exactly when row lies in the span."""
+        residual = dict(row)
+        for p, brow in zip(self.pivots, self.sparse_rows):
+            c = row.get(p)
+            if c:
+                _add_into(residual, -c, brow)
+        return residual
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None when v is outside."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        coords = tuple(v[p] for p in self.pivots)
-        residual = {i: x for i, x in enumerate(v) if x}
-        for c, row in zip(coords, self._rows):
-            if c:
-                _add_into(residual, -c, row)
-        return None if residual else coords
+        if self._residual({i: x for i, x in enumerate(v) if x}):
+            return None
+        return tuple(v[p] for p in self.pivots)
 
     def contains(self, v) -> bool:
         return self.coordinates(v) is not None
 
     def embedding(self) -> Matrix:
         """ambient_dim x dim matrix whose columns are the basis vectors."""
-        return Matrix._of(self.dim, self.ambient_dim, self._rows).transpose()
+        return Matrix._of(self.dim, self.ambient_dim, self.sparse_rows).transpose()
 
     def pair_coordinates(self, v2):
         """Coordinates of a tensor-square vector in the product basis
@@ -616,7 +609,7 @@ class SubspaceBasis:
         n = self.ambient_dim
         if len(v2) != n * n:
             raise DimensionMismatch("tensor-square vector length mismatch")
-        rows = self._rows
+        rows = self.sparse_rows
         coords = tuple(v2[pi * n + pj] for pi in self.pivots for pj in self.pivots)
         residual = {k: x for k, x in enumerate(v2) if x}
         for k, c in enumerate(coords):

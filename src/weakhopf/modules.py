@@ -15,7 +15,6 @@ from typing import Optional
 from .algebra import (
     QuantumGroupoid,
     _multiplicativity,
-    epsilon_t,
     sparse_coproduct_leg,
     target_subalgebra,
 )
@@ -24,7 +23,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, Q1, SubspaceBasis, _kron_sum, kron
+from .linalg import Matrix, Q1, SubspaceBasis, _dense, _kron_sum, _restrict, kron
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
@@ -87,16 +86,11 @@ def ht_module(H: QuantumGroupoid):
     Returns (basis of H_t, HModule in H_t coordinates).
     """
     ht = target_subalgebra(H)
-    mats = []
-    for i in range(H.dim):
-        cols = []
-        for z in ht.vectors:
-            val = epsilon_t(H, H.mul_elem(H.basis_vector(i), z))
-            coords = ht.coordinates(val)
-            if coords is None:
-                raise InconsistentStructure("eps_t(h z) escaped H_t")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(cols, ht.dim))
+    emb = ht.embedding()
+    # column j of eps_t L_i emb is eps_t(e_i z_j)
+    mats = [_restrict(H.eps_t_mat * left * emb, ht.dim, ht.coordinates,
+                      lambda j, v: InconsistentStructure("eps_t(h z) escaped H_t"))
+            for left in H.left_mult_mats]
     return ht, HModule(H, mats, name="H_t")
 
 
@@ -349,9 +343,10 @@ def _unitor_plain(M: HModule, ht: SubspaceBasis, left) -> Matrix:
     the right unitor v (x) z -> S^-1(z) . v on plain M (x) H_t coordinates."""
     H = M.algebra
     t = ht.dim
+    zs = ht.embedding() if left else H.antipode_inv * ht.embedding()
     entries = []
-    for zi, z in enumerate(ht.vectors):
-        act = M.act_element(z if left else H.s_inv_of(z))
+    for zi in range(t):
+        act = M.act_element(zs.column(zi))
         for r, row in enumerate(act.sparse_rows):
             for vi, x in row.items():
                 entries.append((r, zi * M.dim + vi if left else vi * t + zi, x))
@@ -425,7 +420,9 @@ def _same_subspace(rep, name, a: SubspaceBasis, b: SubspaceBasis):
     if a == b:
         rep.add(name, True)
         return
-    outside = [((k,), v, ()) for k, v in enumerate(a.vectors) if not b.contains(v)]
-    outside += [((k,), (), v) for k, v in enumerate(b.vectors) if not a.contains(v)]
+    outside = [((k,), row, {}) for k, row in enumerate(a.sparse_rows) if b._residual(row)]
+    outside += [((k,), {}, row) for k, row in enumerate(b.sparse_rows) if a._residual(row)]
     indices, lhs, rhs = outside[0]
+    n = a.ambient_dim
+    lhs, rhs = (tuple(_dense(row, n)) if row else () for row in (lhs, rhs))
     rep.add(name, False, Witness(indices, lhs, rhs, "basis vector outside the other subspace"))

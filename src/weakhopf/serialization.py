@@ -3,8 +3,11 @@
 One document per object.  Fields appear in a fixed order, rationals print
 in lowest terms with the sign on the numerator, and every file ends in a
 single newline, so serialize(parse(text)) == text on canonical files and
-equal objects serialize to identical bytes.  Unknown or out-of-order
-fields are errors.
+equal objects serialize to identical bytes.  The parser accepts canonical
+layout only: each field line is exactly ``key: value`` (or ``key:`` to open
+a block), words and rationals are separated by single spaces, dimensions
+have no sign or leading zero, and the document ends in one newline.
+Unknown or out-of-order fields are errors.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Tuple
 
 from .algebra import QuantumGroupoid, WeakBialgebra
 from .errors import DimensionMismatch, ParseError
-from .linalg import Matrix, format_frac
+from .linalg import Matrix, Q0, format_frac
 from .structures import QTStructure, WeakCocycle
 from .transmute import BraidedHopfPresentation
 
@@ -32,6 +35,7 @@ KINDS = (
 # a canonical rational: no "+", no leading zeros, no "-0", no "/1"; lowest
 # terms are checked against str(Fraction) once the shape matches
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+_DIMENSION = re.compile(r"[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,9 @@ def _serialize_lines(kind, names, sections):
 
 def _bialgebra_sections(B):
     n = B.dim
-    mul_rows = [B.mul[i][j] for i in range(n) for j in range(n)]
-    comul_rows = [
-        tuple(B.comul[i][j][k] for j in range(n) for k in range(n)) for i in range(n)
-    ]
+    pairs = [divmod(flat, n) for flat in range(n * n)]
+    mul_rows = [[B.mul_rows.get(ij, {}).get(k, Q0) for k in range(n)] for ij in pairs]
+    comul_rows = [[B.comul_cols[i].get(jk, Q0) for jk in pairs] for i in range(n)]
     return [
         ("mul", mul_rows),
         ("unit", [B.unit]),
@@ -161,6 +164,12 @@ def serialize_module(M) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _basis_lines(basis):
+    """One line per basis vector of a SubspaceBasis, read off its rows."""
+    n = basis.ambient_dim
+    return [_fmt_vec(row.get(k, Q0) for k in range(n)) for row in basis.sparse_rows]
+
+
 def serialize_presentation(p: BraidedHopfPresentation) -> str:
     m = p.carrier.dim
     t = p.ht.dim
@@ -173,10 +182,10 @@ def serialize_presentation(p: BraidedHopfPresentation) -> str:
         "carrier-dim: %d" % m,
         "carrier:",
     ]
-    lines.extend(_fmt_vec(v) for v in p.carrier.vectors)
+    lines.extend(_basis_lines(p.carrier))
     lines.append("ht-dim: %d" % t)
     lines.append("ht:")
-    lines.extend(_fmt_vec(v) for v in p.ht.vectors)
+    lines.extend(_basis_lines(p.ht))
     lines.append("action:")
     for mat in p.action.mats:
         lines.append(_fmt_vec(_column_major(mat)))
@@ -200,7 +209,8 @@ def serialize_presentation(p: BraidedHopfPresentation) -> str:
 class _Reader:
     def __init__(self, text):
         self.lines = text.split("\n")
-        if self.lines and self.lines[-1] == "":
+        self.terminated = self.lines[-1] == ""
+        if self.terminated:
             self.lines.pop()
         self.pos = 0
         self.known = {}  # token -> Fraction, for tokens already accepted
@@ -222,18 +232,32 @@ class _Reader:
                 "unexpected trailing content %r" % self.lines[self.pos],
                 line=self.lineno,
             )
+        if not self.terminated:
+            raise ParseError("the document must end in a newline", line=self.pos)
 
     def key_line(self, key):
+        """The value of a "key: value" line, or "" for a "key:" line."""
         line = self.next_line(key)
-        prefix = key + ":"
-        if not line.startswith(prefix):
+        if line == key + ":":
+            return ""
+        prefix = key + ": "
+        if not line.startswith(prefix) or line == prefix:
             raise ParseError(
                 "expected field %r, found %r" % (key, line), line=self.pos, field=key
             )
-        return line[len(prefix):].strip()
+        return line[len(prefix):]
+
+    def words(self, text, field):
+        """The words of text, which must be separated by single spaces."""
+        parts = text.split(" ") if text else []
+        if parts != text.split():
+            raise ParseError(
+                "%r is not single-space separated" % text, line=self.pos, field=field
+            )
+        return parts
 
     def rationals(self, text, count, field):
-        parts = text.split()
+        parts = self.words(text, field)
         if len(parts) != count:
             raise ParseError(
                 "expected %d rationals, found %d" % (count, len(parts)),
@@ -260,15 +284,14 @@ class _Reader:
         """A positive dimension field, then a basis line with that many
         names; returns the names."""
         text = self.key_line(dim_key)
-        try:
-            n = int(text)
-        except ValueError as exc:
+        if not _DIMENSION.fullmatch(text):
             raise ParseError(
-                "bad dimension %r" % text, line=self.pos, field=dim_key
-            ) from exc
-        if n < 1:
-            raise ParseError("dimension must be positive", line=self.pos, field=dim_key)
-        names = tuple(self.key_line(basis_key).split())
+                "bad dimension %r (want a positive integer, no sign or leading zero)" % text,
+                line=self.pos,
+                field=dim_key,
+            )
+        n = int(text)
+        names = tuple(self.words(self.key_line(basis_key), basis_key))
         if len(names) != n:
             raise ParseError(
                 "basis has %d names, %s is %d" % (len(names), dim_key, n),
@@ -280,15 +303,18 @@ class _Reader:
     def vector_field(self, key, count):
         return self.rationals(self.key_line(key), count, key)
 
-    def block_field(self, key, rows, count):
+    def block_rows(self, key, rows, count):
+        """The rows of a block field, each parsed as soon as it is read."""
         head = self.key_line(key)
         if head:
             raise ParseError(
                 "field %r must start a block" % key, line=self.pos, field=key
             )
-        return tuple(
-            self.rationals(self.next_line(key), count, key) for _ in range(rows)
-        )
+        for _ in range(rows):
+            yield self.rationals(self.next_line(key), count, key)
+
+    def block_field(self, key, rows, count):
+        return tuple(self.block_rows(key, rows, count))
 
 
 def parse(text: str):
@@ -303,23 +329,24 @@ def parse(text: str):
     n = len(names)
 
     if kind in ("weak-bialgebra", "quantum-groupoid"):
-        mul_rows = r.block_field("mul", n * n, n)
+        # each row goes straight into the sparse tables
+        pairs = [divmod(flat, n) for flat in range(n * n)]
+        mul_rows = {}
+        for ij, row in zip(pairs, r.block_rows("mul", n * n, n)):
+            row = {k: c for k, c in enumerate(row) if c}
+            if row:
+                mul_rows[ij] = row
         unit = r.vector_field("unit", n)
-        comul_rows = r.block_field("comul", n, n * n)
+        comul_cols = {i: {jk: c for jk, c in zip(pairs, row) if c}
+                      for i, row in enumerate(r.block_rows("comul", n, n * n))}
         counit = r.vector_field("counit", n)
-        mul = [[mul_rows[i * n + j] for j in range(n)] for i in range(n)]
-        comul = [
-            [[comul_rows[i][j * n + k] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
         if kind == "weak-bialgebra":
             r.expect_done()
-            return WeakBialgebra(names, mul, unit, comul, counit)
+            return base
         s_rows = r.block_field("antipode", n, n)
         r.expect_done()
-        antipode = Matrix.from_columns(s_rows, n)
-        base = WeakBialgebra(names, mul, unit, comul, counit)
-        return QuantumGroupoid(base, antipode)
+        return QuantumGroupoid(base, Matrix.from_columns(s_rows, n))
 
     if kind == "qt-structure":
         rr = r.vector_field("r", n * n)

@@ -29,7 +29,7 @@ from .errors import (
     NotCocommutative,
     UNotInvertible,
 )
-from .linalg import Matrix, Q0, Q1, lincomb, vec
+from .linalg import Matrix, Q0, Q1, vec
 from .report import VerificationReport, Witness, comparison, dense_of_sparse
 
 
@@ -98,7 +98,8 @@ def swap2(x2) -> dict:
 
 
 def apply_to_leg(mat: Matrix, x2, leg) -> dict:
-    """(mat (x) id) or (id (x) mat) applied to a sparse 2-tensor."""
+    """mat applied to the given leg of a sparse k-tensor, such as
+    (mat (x) id) or (id (x) mat) on a 2-tensor."""
     cols = [{(p,): c for p, c in col.items()} for col in mat.transpose().sparse_rows]
     return sparse_coproduct_leg(x2, leg, cols)
 
@@ -116,22 +117,28 @@ def _outer2(x, y) -> dict:
     return {(a, b): cx * cy for a, cx in enumerate(x) if cx for b, cy in enumerate(y) if cy}
 
 
+def _mu(H, x2) -> tuple:
+    """The product of the two legs of a sparse 2-tensor, as a dense element."""
+    return H.mul_map.apply(dense_of_sparse(x2, H.dim, 2))
+
+
 def _left(H, y, leg, x2) -> dict:
-    """(y on leg, 1 on the other leg) x2, for a dense element y."""
-    return _mul2(H, _outer2(y, H.unit) if leg == 0 else _outer2(H.unit, y), x2)
+    """(y on leg, 1 on the other leg) x2, for a sparse 1-tensor y."""
+    return _mul2(H, sparse_embed(y, 2, (leg,), H.unit_sparse), x2)
 
 
 def _right(H, x2, y, leg) -> dict:
-    """x2 (y on leg, 1 on the other leg), for a dense element y."""
-    return sparse_mul(H, x2, sparse_of_dense(y, H.dim, 1), 2, (leg,))
+    """x2 (y on leg, 1 on the other leg), for a sparse 1-tensor y."""
+    return sparse_mul(H, x2, y, 2, (leg,))
 
 
 def _subalgebra_checks(rep, H, checks):
     """For each (name, subalgebra, lhs, rhs, detail) of checks, compare the
     sparse 2-tensors lhs(y) and rhs(y) over the basis vectors y of the
-    subalgebra."""
+    subalgebra, as sparse 1-tensors."""
     for name, sub, lhs, rhs, detail in checks:
-        comparison(rep, name, (((i,), lhs(y), rhs(y)) for i, y in enumerate(sub.vectors)),
+        ys = [{(k,): c for k, c in row.items()} for row in sub.sparse_rows]
+        comparison(rep, name, (((i,), lhs(y), rhs(y)) for i, y in enumerate(ys)),
                    detail, (H.dim, 2))
 
 
@@ -197,19 +204,26 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
     d1 = H.delta_one_sparse
     sq = (H.dim, 2)
 
+    def s(y):
+        return apply_to_leg(S, y, 0)
+
+    def sinv(y):
+        return apply_to_leg(Sinv, y, 0)
+
+    # the subalgebra elements y and z are sparse 1-tensors
     _subalgebra_checks(rep, H, (
         ("target-right-exchange", ht,
          lambda z: _left(H, z, 1, r), lambda z: _right(H, r, z, 0), ""),
         ("source-left-exchange", hs,
          lambda y: _left(H, y, 0, r), lambda y: _right(H, r, y, 1), ""),
         ("target-antipode-left", ht,
-         lambda z: _left(H, z, 0, r), lambda z: _left(H, S.apply(z), 1, r), ""),
+         lambda z: _left(H, z, 0, r), lambda z: _left(H, s(z), 1, r), ""),
         ("source-antipode-right", hs,
-         lambda y: _left(H, y, 1, r), lambda y: _left(H, S.apply(y), 0, r), ""),
+         lambda y: _left(H, y, 1, r), lambda y: _left(H, s(y), 0, r), ""),
         ("target-antipode-inverse", ht,
-         lambda z: _right(H, r, z, 1), lambda z: _right(H, r, Sinv.apply(z), 0), ""),
+         lambda z: _right(H, r, z, 1), lambda z: _right(H, r, sinv(z), 0), ""),
         ("source-antipode-inverse", hs,
-         lambda y: _right(H, r, y, 0), lambda y: _right(H, r, Sinv.apply(y), 1), ""),
+         lambda y: _right(H, r, y, 0), lambda y: _right(H, r, sinv(y), 1), ""),
     ))
 
     for name, lhs, rhs, detail in (
@@ -231,20 +245,6 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
     return rep
 
 
-def _drinfeld_raw(H, qt):
-    n = H.dim
-    S = H.antipode
-    s2 = S * S
-    rs = qt.sparse[0].items()
-    u = lincomb(
-        ((c, H.mul_elem(S.column(b), H.basis_vector(a))) for (a, b), c in rs), n
-    )
-    u_inv = lincomb(
-        ((c, H.mul_elem(H.basis_vector(b), s2.column(a))) for (a, b), c in rs), n
-    )
-    return u, u_inv
-
-
 def drinfeld_element(H: QuantumGroupoid, qt: QTStructure) -> DrinfeldElement:
     """u = S(R^(2)) R^(1) with inverse R^(2) S^2(R^(1)).
 
@@ -252,30 +252,34 @@ def drinfeld_element(H: QuantumGroupoid, qt: QTStructure) -> DrinfeldElement:
     the coproduct formula for u; a failure means the input was not a valid
     quasitriangular structure.
     """
-    u, u_inv = _drinfeld_raw(H, qt)
-    if H.mul_elem(u, u_inv) != H.unit or H.mul_elem(u_inv, u) != H.unit:
-        raise UNotInvertible("u u^-1 != 1; input is not quasitriangular")
-    rep = drinfeld_identities(H, qt)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "derived identity %r fails" % rep.failed_checks()[0].name
-        )
+    rep, u, u_inv = _drinfeld_report(H, qt)
+    for check in rep.failed_checks()[:1]:
+        if check.name == "u-invertible":
+            raise UNotInvertible("u u^-1 != 1; input is not quasitriangular")
+        raise InconsistentStructure("derived identity %r fails" % check.name)
     return DrinfeldElement(u, u_inv)
 
 
 def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationReport:
     """u invertible, S^2 = u (.) u^-1, and the coproduct formula for u."""
+    return _drinfeld_report(H, qt)[0]
+
+
+def _drinfeld_report(H, qt):
+    """(the drinfeld report, u, u^-1), u = S(R^(2)) R^(1) and u^-1 =
+    R^(2) S^2(R^(1)) as dense elements."""
     rep = VerificationReport("drinfeld")
-    u, u_inv = _drinfeld_raw(H, qt)
-    if H.mul_elem(u, u_inv) != H.unit or H.mul_elem(u_inv, u) != H.unit:
-        rep.add("u-invertible", False,
-                Witness((), H.mul_elem(u, u_inv), H.unit,
-                        "u u^-1 vs 1"))
-        return rep
+    s2 = H.antipode * H.antipode
+    r21 = swap2(qt.sparse[0])
+    u, u_inv = _mu(H, apply_to_leg(H.antipode, r21, 0)), _mu(H, apply_to_leg(s2, r21, 1))
+    lu = H.left_mult(u)
+    uu_inv = lu.apply(u_inv)
+    if uu_inv != H.unit or H.right_mult(u).apply(u_inv) != H.unit:
+        rep.add("u-invertible", False, Witness((), uu_inv, H.unit, "u u^-1 vs 1"))
+        return rep, u, u_inv
     rep.add("u-invertible", True)
 
-    s2 = H.antipode * H.antipode
-    conj = H.left_mult(u) * H.right_mult(u_inv)
+    conj = lu * H.right_mult(u_inv)
     comparison(rep, "square-antipode-conjugation", [((), s2, conj)],
                "S^2 vs conjugation by u")
 
@@ -284,7 +288,7 @@ def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRepo
     rhs = _mul2(H, rinv, swap2(rinv), _outer2(u, u))
     comparison(rep, "coproduct-of-u", [((), du, rhs)],
                "Delta(u) vs R^-1 R21^-1 (u (x) u)", (H.dim, 2))
-    return rep
+    return rep, u, u_inv
 
 
 def canonical_r(H: QuantumGroupoid) -> QTStructure:
@@ -331,7 +335,9 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
 
     ht = target_subalgebra(H)
     hs = source_subalgebra(H)
-    Sinv = H.antipode_inv
+
+    def sinv(y):
+        return apply_to_leg(H.antipode_inv, y, 0)
 
     _subalgebra_checks(rep, H, (
         ("source-second-leg", hs,
@@ -347,10 +353,10 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
          lambda z: _right(H, finv, z, 0), lambda z: _left(H, z, 1, finv),
          "F^-1(z (x) 1) vs (1 (x) z)F^-1"),
         ("finv-source-antipode", hs,
-         lambda y: _left(H, y, 1, finv), lambda y: _left(H, Sinv.apply(y), 0, finv),
+         lambda y: _left(H, y, 1, finv), lambda y: _left(H, sinv(y), 0, finv),
          "(1 (x) y)F^-1 vs (S^-1(y) (x) 1)F^-1"),
         ("f-target-antipode", ht,
-         lambda z: _right(H, f, z, 0), lambda z: _right(H, f, Sinv.apply(z), 1),
+         lambda z: _right(H, f, z, 0), lambda z: _right(H, f, sinv(z), 1),
          "F(z (x) 1) vs F(1 (x) S^-1(z))"),
     ))
 
@@ -391,16 +397,11 @@ def twist_elements(H: QuantumGroupoid, wc: WeakCocycle) -> TwistElements:
 def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):
     """(v, v^-1, v v^-1) without any verification; the product is
     informational only."""
-    n = H.dim
     S = H.antipode
     f, finv = wc.sparse
-    v = lincomb(
-        ((c, H.mul_elem(H.basis_vector(a), S.column(b))) for (a, b), c in finv.items()), n
-    )
-    v_inv = lincomb(
-        ((c, H.mul_elem(S.column(a), H.basis_vector(b))) for (a, b), c in f.items()), n
-    )
-    return v, v_inv, H.mul_elem(v, v_inv)
+    v = _mu(H, apply_to_leg(S, finv, 1))
+    v_inv = _mu(H, apply_to_leg(S, f, 0))
+    return v, v_inv, H.left_mult(v).apply(v_inv)
 
 
 def conjugator_coproduct_sides(H, wc, v_inv=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .algebra import QuantumGroupoid, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
-from .linalg import Matrix, SubspaceBasis, kron, outer
+from .linalg import Matrix, SubspaceBasis, _restrict, kron
 from .modules import BraidContext, HModule, _tensor_and_actions, _unitor_plain, ht_module, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
@@ -21,13 +21,10 @@ from .structures import QTStructure
 
 def centralizer(L: QuantumGroupoid) -> SubspaceBasis:
     """Canonical basis of {l in L : l x = x l for all x in the source part}."""
-    hs = source_subalgebra(L)
-    if hs.dim == 0:
-        return SubspaceBasis.from_spanning(
-            L.dim, [L.basis_vector(i) for i in range(L.dim)]
-        )
-    stacked = Matrix.vstack([L.left_mult(x) - L.right_mult(x) for x in hs.vectors], L.dim)
-    return stacked.kernel_basis()
+    emb = source_subalgebra(L).embedding()
+    commutators = [L.left_mult(emb.column(j)) - L.right_mult(emb.column(j))
+                   for j in range(emb.cols)]
+    return Matrix.vstack(commutators, L.dim).kernel_basis()
 
 
 @dataclass(frozen=True)
@@ -120,20 +117,6 @@ def ambient_action(f: QGMorphism):
         )
         for i in range(H.dim)
     ]
-
-
-def _restrict(image, dim, coordinates, fail):
-    """The columns of image in the coordinates that coordinates(v) gives
-    them, as a dim-row matrix; raises fail(j, v) for the first column j
-    whose vector v it rejects (returns None for)."""
-    cols = []
-    for j in range(image.cols):
-        v = image.column(j)
-        c = coordinates(v)
-        if c is None:
-            raise fail(j, v)
-        cols.append(c)
-    return Matrix.from_columns(cols, dim)
 
 
 def _present(f: QGMorphism, ad, product, coproduct, antipode):
@@ -301,10 +284,9 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
                  H.mul_map * kron(eps_emb, eps_emb) * t2.inclusion)])
 
     # (f) the unit is grouplike (up to truncation)
-    onec = p.unit_element_coords()
-    lhs = p.comul.apply(onec)
-    rhs = t2.projector.apply(outer(onec, onec))
-    comparison(rep, "unit-grouplike", [((), lhs, rhs)])
+    one = Matrix.from_columns([p.unit_element_coords()], m)
+    comparison(rep, "unit-grouplike",
+               [((), (p.comul * one).column(0), (t2.projector * kron(one, one)).column(0))])
 
     # (g) both antipode axioms
     eta_eps = p.unit * p.counit

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionUnmet,
     TwistAxiomFailure,
 )
-from .linalg import Matrix, Q0, kron
+from .linalg import Matrix, _restrict, kron
 from .modules import BraidContext, HModule, truncated_tensor
 from .quantize import quantize
 from .report import VerificationReport, Witness, comparison, dense_of_sparse
@@ -43,7 +43,6 @@ from .structures import (
 )
 from .transmute import (
     BraidedHopfPresentation,
-    _restrict,
     ambient_action,
     centralizer,
     identity_morphism,
@@ -81,16 +80,12 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     tw = twist_elements(H, wc)
 
     ctx = BraidContext(H, "phi", wc=wc)
-    comul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    for i, col in enumerate(ctx.coproduct[0]):
-        for (a, b), c in col.items():
-            comul[i][a][b] = c
-
     lv = H.left_mult(tw.v)
     rvinv = H.right_mult(tw.v_inv)
     antipode = lv * rvinv * H.antipode
 
-    base = WeakBialgebra(H.basis_names, H.mul, H.unit, comul, H.counit)
+    base = WeakBialgebra(H.basis_names, H.mul_rows, H.unit, dict(enumerate(ctx.coproduct[0])),
+                         H.counit)
     reports = [_require_passed(check_weak_bialgebra(base))]
     try:
         twisted = QuantumGroupoid(base, antipode)

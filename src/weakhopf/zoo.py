@@ -153,23 +153,21 @@ def groupoid_algebra(spec: GroupoidSpec) -> QuantumGroupoid:
     names = [a[0] for a in spec.arrows]
     n = len(names)
     index = {a: i for i, a in enumerate(names)}
-    mul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
+    mul_rows = {}
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             c = spec.compose.get((a, b))
             if c is not None:
-                mul[i][j][index[c]] = Q1
+                mul_rows[(i, j)] = {index[c]: Q1}
     unit = [Q0] * n
     for obj in spec.objects:
         unit[index[identities[obj]]] = Q1
-    comul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        comul[i][i][i] = Q1
+    comul_cols = {i: {(i, i): Q1} for i in range(n)}
     counit = [Q1] * n
     antipode = Matrix.from_entries(
         n, n, ((index[spec.inverses[a]], i, Q1) for i, a in enumerate(names))
     )
-    base = WeakBialgebra(names, mul, unit, comul, counit)
+    base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
     rep = check_weak_bialgebra(base)
     if not rep.passed:
         raise InvalidGroupoid(
@@ -341,22 +339,13 @@ def direct_sum(A: QuantumGroupoid, B: QuantumGroupoid) -> QuantumGroupoid:
     n = na + nb
     names_a, names_b = _disjoint_names(A, B)
     names = names_a + names_b
-    mul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    comul = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                mul[i][j][k] = A.mul[i][j][k]
-        for j in range(na):
-            for k in range(na):
-                comul[i][j][k] = A.comul[i][j][k]
-    for i in range(nb):
-        for j in range(nb):
-            for k in range(nb):
-                mul[na + i][na + j][na + k] = B.mul[i][j][k]
-        for j in range(nb):
-            for k in range(nb):
-                comul[na + i][na + j][na + k] = B.comul[i][j][k]
+    # B's structure constants with every index shifted past A's
+    mul_rows = dict(A.mul_rows)
+    mul_rows.update(((na + i, na + j), {na + k: c for k, c in row.items()})
+                    for (i, j), row in B.mul_rows.items())
+    comul_cols = dict(A.comul_cols)
+    comul_cols.update((na + i, {(na + j, na + k): c for (j, k), c in col.items()})
+                      for i, col in B.comul_cols.items())
     unit = list(A.unit) + list(B.unit)
     counit = list(A.counit) + list(B.counit)
     antipode = Matrix.from_entries(
@@ -366,7 +355,7 @@ def direct_sum(A: QuantumGroupoid, B: QuantumGroupoid) -> QuantumGroupoid:
         + [(na + i, na + j, x)
            for i, row in enumerate(B.antipode.sparse_rows) for j, x in row.items()],
     )
-    base = WeakBialgebra(names, mul, unit, comul, counit)
+    base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
     rep = check_weak_bialgebra(base)
     if not rep.passed:
         raise InconsistentStructure(

@@ -4,7 +4,9 @@ These are the dense row-major algorithms `Matrix` ran before it stored
 sparse rows.  Nothing in the package calls them; they read a matrix through
 its dense ``data`` view and return plain lists of lists of Fractions (or
 tuples for vectors), so the tests can compare the sparse kernels entry by
-entry.
+entry.  The last section holds the dense element kernels the package
+stored algebras by before it kept structure constants sparse only, and the
+one way the tests build an algebra from dense tables.
 """
 
 from __future__ import annotations
@@ -287,4 +289,78 @@ def componentwise_action(M, N, elem2):
                 for r2, row2 in enumerate(nrows):
                     for c2, v2 in row2.items():
                         out[r1 * nd + r2][c1 * nd + c2] += c * v1 * v2
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dense elements: coefficient tuples of length dim, and algebras built from
+# the dense tables m[i][j][k] and d[i][j][k]
+
+
+def bialgebra(basis_names, mul, unit, comul, counit):
+    """The WeakBialgebra with the dense structure tensors mul and comul."""
+    from weakhopf.algebra import WeakBialgebra
+
+    n = len(mul)
+    mul_rows = {}
+    for i in range(n):
+        for j in range(n):
+            row = {k: Fraction(c) for k, c in enumerate(mul[i][j]) if c}
+            if row:
+                mul_rows[(i, j)] = row
+    comul_cols = {i: {(j, k): Fraction(c) for j in range(n) for k, c in enumerate(comul[i][j]) if c}
+                  for i in range(n)}
+    return WeakBialgebra(basis_names, mul_rows, unit, comul_cols, counit)
+
+
+def basis_vector(H, i):
+    return tuple(Q1 if j == i else Q0 for j in range(H.dim))
+
+
+def mul_elem(H, x, y):
+    """The product of two dense elements."""
+    out = [Q0] * H.dim
+    for i, cx in enumerate(x):
+        if cx:
+            for j, cy in enumerate(y):
+                if cy:
+                    for k, ck in H.mul_rows.get((i, j), {}).items():
+                        out[k] += cx * cy * ck
+    return tuple(out)
+
+
+def counit_of(H, x):
+    return sum((c * e for c, e in zip(x, H.counit) if c and e), Q0)
+
+
+def comul_of(H, x):
+    return H.comul_map.apply(x)
+
+
+def s_of(H, x):
+    return H.antipode.apply(x)
+
+
+def s_inv_of(H, x):
+    return H.antipode_inv.apply(x)
+
+
+def vector_lincomb(terms, n):
+    """sum c v over the (c, v) pairs of terms, as a length-n tuple."""
+    out = [Q0] * n
+    for c, v in terms:
+        for r, x in enumerate(v):
+            if c and x:
+                out[r] += c * x
+    return tuple(out)
+
+
+def outer(x, y, c=Q1, out=None):
+    """c (x (x) y) as a flat vector, added into the list out when given."""
+    if out is None:
+        out = [Q0] * (len(x) * len(y))
+    for p, cp in enumerate(x):
+        for q, cq in enumerate(y):
+            if cp and cq:
+                out[p * len(y) + q] += c * cp * cq
     return out

@@ -16,7 +16,6 @@ import pytest
 
 from weakhopf import (
     QuantumGroupoid,
-    WeakBialgebra,
     check_quantum_groupoid,
     check_weak_bialgebra,
     zoo,
@@ -29,6 +28,7 @@ from weakhopf.structures import canonical_r
 from weakhopf.transmute import transmute, verify_braided_hopf
 
 import axiom_oracle as oracle
+import dense_oracle as dense
 
 BUILDERS = {name: (lambda name=name: zoo.fixture(name).algebra) for name in zoo.fixture_names()}
 BUILDERS["D4"] = lambda: zoo.dihedral_group_algebra(4)
@@ -72,7 +72,7 @@ def perturbed_algebra(H, rng):
     else:
         i, j, k = _entry(rng, n, 3)
         (mul if field == "mul" else comul)[i][j][k] += d
-    return WeakBialgebra(H.basis_names, mul, H.unit, comul, counit), S
+    return dense.bialgebra(H.basis_names, mul, H.unit, comul, counit), S
 
 
 def perturbed_module(M, rng):

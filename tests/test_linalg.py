@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, kron, lincomb
+from weakhopf.linalg import Matrix, SubspaceBasis, kron
 
 rationals = st.builds(
     Fraction,
@@ -127,17 +127,6 @@ coefficients = st.one_of(st.just(Fraction(0)), rationals)
 
 
 @settings(max_examples=60)
-@given(st.lists(st.tuples(coefficients, st.lists(rationals, min_size=3, max_size=3)),
-                max_size=5))
-def test_lincomb_matches_scale_and_add(terms):
-    # reference: each vector as a 3x1 matrix, summed with Matrix.scale and +
-    expected = Matrix.zero(3, 1)
-    for c, v in terms:
-        expected = expected + Matrix.from_columns([v]).scale(c)
-    assert lincomb(terms, 3) == expected.column(0)
-
-
-@settings(max_examples=60)
 @given(st.lists(st.tuples(coefficients, matrices2), max_size=5))
 def test_matrix_lincomb_matches_scale_and_add(terms):
     expected = Matrix.zero(2, 2)
@@ -147,9 +136,6 @@ def test_matrix_lincomb_matches_scale_and_add(terms):
 
 
 def test_lincomb_empty_and_shape_checks():
-    assert lincomb([], 3) == (0, 0, 0)
     assert Matrix.lincomb([], 2, 3) == Matrix.zero(2, 3)
-    with pytest.raises(DimensionMismatch):
-        lincomb([(Fraction(1), (1, 2))], 3)
     with pytest.raises(DimensionMismatch):
         Matrix.lincomb([(Fraction(1), Matrix.identity(3))], 2, 2)

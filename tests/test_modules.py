@@ -1,6 +1,7 @@
 import pytest
 
 import dense_oracle as dense
+from dense_oracle import basis_vector, mul_elem
 from weakhopf import (
     BraidContext,
     braiding_phi,
@@ -70,7 +71,7 @@ def test_unitors_on_diag2(diag2):
             if c:
                 zi, vj = divmod(flat, M.dim)
                 z = ht_module(H)[0].vectors[zi]
-                prod = H.mul_elem(z, H.basis_vector(vj))
+                prod = mul_elem(H, z, basis_vector(H, vj))
                 for k, ck in enumerate(prod):
                     expect[k] += c * ck
         assert l.column(bidx) == tuple(expect)
@@ -162,8 +163,8 @@ def test_braiding_naturality(corpus):
     for fx in corpus:
         H = fx.algebra
         M = regular_module(H)
-        f = H.right_mult(H.basis_vector(H.dim - 1))
-        g = H.right_mult(H.basis_vector(0))
+        f = H.right_mult(basis_vector(H, H.dim - 1))
+        g = H.right_mult(basis_vector(H, 0))
         t_mn = truncated_tensor(M, M)
         psi, _ = braiding_psi(fx.qt, M, M, (t_mn, t_mn))
         fg = t_mn.projection * _kron(f, g) * t_mn.inclusion

@@ -1,10 +1,11 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from weakhopf import identity_morphism, quantize, regular_module, transmute
-from weakhopf.errors import ParseError
+from weakhopf import QuantumGroupoid, identity_morphism, quantize, regular_module, transmute
+from weakhopf.errors import ParseError, WeakHopfError
 from weakhopf.serialization import (
     ParsedCocycle,
     ParsedQT,
@@ -249,3 +250,87 @@ def test_truncated_documents_never_crash(cut):
         parse(text[:cut])
     except ParseError:
         pass
+
+
+# -- strict layout: each variant below parsed, and serialized back to other
+# bytes, before the parser held documents to the canonical layout
+
+@pytest.mark.parametrize(
+    "old, new, line, field",
+    [
+        ("dim: 2\n", "dim: 02\n", 2, "dim"),
+        ("dim: 2\n", "dim: +2\n", 2, "dim"),
+        ("dim: 2\n", "dim: 1_0\n", 2, "dim"),
+        ("dim: 2\n", "dim: 2 \n", 2, "dim"),
+        ("dim: 2\n", "dim:  2\n", 2, "dim"),
+        ("dim: 2\n", "dim:2\n", 2, "dim"),
+        ("basis: e1 e2\n", "basis: e1  e2\n", 3, "basis"),
+        ("basis: e1 e2\n", "basis: e1\te2\n", 3, "basis"),
+        ("\nunit: 1 1\n", "\nunit: 1  1\n", 9, "unit"),
+        ("\nunit: 1 1\n", "\nunit: 1\t1\n", 9, "unit"),
+        ("\nunit: 1 1\n", "\nunit:\t1 1\n", 9, "unit"),
+        ("\nunit: 1 1\n", "\nunit: 1 1 \n", 9, "unit"),
+        ("\n0 0 0 1\n", "\n 0 0 0 1\n", 12, "comul"),
+        ("\nmul:\n", "\nmul: \n", 4, "mul"),
+    ],
+)
+def test_non_canonical_layout_is_refused(diag2, old, new, line, field):
+    text = serialize_quantum_groupoid(diag2.algebra)
+    assert text.count(old) == 1
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(old, new))
+    assert (err.value.line, err.value.field) == (line, field)
+
+
+def test_document_without_final_newline_is_refused(diag2):
+    text = serialize_qt(diag2.algebra, diag2.qt)
+    with pytest.raises(ParseError) as err:
+        parse(text[:-1])
+    assert err.value.line == text.count("\n")
+
+
+@lru_cache(maxsize=None)
+def _fixture_documents():
+    """The .qg, .qt and .coc text of every builtin fixture."""
+    from weakhopf import zoo
+
+    docs = []
+    for fx in zoo.all_fixtures():
+        H = fx.algebra
+        docs += [serialize_quantum_groupoid(H), serialize_qt(H, fx.qt),
+                 serialize_cocycle(H, fx.cocycle)]
+    return tuple(docs)
+
+
+_RESERIALIZE = {
+    QuantumGroupoid: serialize_quantum_groupoid,
+    ParsedQT: lambda p: serialize_qt(p, p.structure),
+    ParsedCocycle: lambda p: serialize_cocycle(p, p.structure),
+}
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A fixture document with one character substituted or one line
+    inserted; the characters of the format are drawn often."""
+    text = draw(st.sampled_from(_fixture_documents()))
+    chars = st.one_of(st.sampled_from("0123456789-/ :\n\tabe"), st.characters())
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(chars) + text[at + 1:]
+    lines = text.split("\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    new = draw(st.one_of(st.sampled_from(lines),
+                         st.text(st.characters(blacklist_characters="\n"), max_size=12)))
+    return "\n".join(lines[:at] + [new] + lines[at:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_fail_or_round_trip(text):
+    # the byte-exact round trip: whatever parses serializes back to itself
+    try:
+        obj = parse(text)
+    except WeakHopfError:
+        return
+    assert _RESERIALIZE[type(obj)](obj) == text

@@ -75,7 +75,7 @@ def test_canonical_r_values(diag2, kd4, pair2):
 
 def test_canonical_r_needs_cocommutativity(pair2):
     # build a non-cocommutative coproduct by corrupting the pair groupoid
-    from weakhopf.algebra import WeakBialgebra, QuantumGroupoid
+    from weakhopf.algebra import QuantumGroupoid
 
     P = pair2.algebra
     comul = [
@@ -84,7 +84,7 @@ def test_canonical_r_needs_cocommutativity(pair2):
     ]
     comul[1][0][1] = Q1
     comul[1][1][1] = Q0
-    base = WeakBialgebra(P.basis_names, P.mul, P.unit, comul, P.counit)
+    base = dense.bialgebra(P.basis_names, P.mul, P.unit, comul, P.counit)
     bad = QuantumGroupoid(base, P.antipode)
     with pytest.raises(NotCocommutative):
         canonical_r(bad)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
-from weakhopf.algebra import WeakBialgebra, sparse_mul
+from weakhopf.algebra import sparse_mul
 from weakhopf.zoo import GroupoidSpec, groupoid_algebra
 
 Q0 = Fraction(0)
@@ -24,7 +24,7 @@ entries = st.one_of(st.just(Q0), st.just(Q0), st.sampled_from(COEFFS))
 def _algebra(mul, unit):
     n = len(unit)
     zero3 = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-    return WeakBialgebra(["b%d" % i for i in range(n)], mul, unit, zero3, [Q0] * n)
+    return dense.bialgebra(["b%d" % i for i in range(n)], mul, unit, zero3, [Q0] * n)
 
 
 def _rescaled_p2(scale):

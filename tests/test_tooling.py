@@ -67,3 +67,27 @@ def test_orphan_detector_sees_one():
                      "def helper(): pass\n"
                      "A().used(); helper()\n")
     assert sorted(_defined(tree) - _read(tree)) == ["left"]
+
+
+DENSE_VIEWS = ("vectors", "data")
+
+
+def _dense_view_reads(tree):
+    """(line, attribute) of each read of a dense view (``Matrix.data``,
+    ``SubspaceBasis.vectors``) as an attribute."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_no_package_module_reads_a_dense_view():
+    # the dense views are for outside readers; the package reads sparse rows
+    reads = {p.name: _dense_view_reads(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_dense_view_detector_sees_them():
+    tree = ast.parse("vectors = basis.vectors\nrows = m.data[0]\nm.data = 1\n"
+                     "data = vectors\nbasis.sparse_rows\n")
+    assert _dense_view_reads(tree) == [(1, "vectors"), (2, "data")]

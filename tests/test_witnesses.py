@@ -28,12 +28,12 @@ from fractions import Fraction
 
 import pytest
 
+import dense_oracle as dense
 from weakhopf import (
     BraidContext,
     HModule,
     QTStructure,
     QuantumGroupoid,
-    WeakBialgebra,
     coherence_report,
     drinfeld_identities,
     transmute,
@@ -152,7 +152,7 @@ def test_square_antipode_conjugation_witness():
 
 def _coherence(H, qt, comul=None, antipode=None):
     if comul is not None:
-        H = QuantumGroupoid(WeakBialgebra(H.basis_names, H.mul, H.unit, comul, H.counit),
+        H = QuantumGroupoid(dense.bialgebra(H.basis_names, H.mul, H.unit, comul, H.counit),
                             H.antipode)
     if antipode is not None:
         H = QuantumGroupoid(H.base, antipode)

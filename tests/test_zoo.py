@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracle import basis_vector
 from weakhopf import (
     canonical_r,
     check_quantum_groupoid,
@@ -7,10 +8,13 @@ from weakhopf import (
     check_weak_bialgebra,
     check_weak_cocycle,
     target_subalgebra,
+    transmute,
 )
 from weakhopf.errors import InvalidGroupoid, NotABicharacter
+from weakhopf.linalg import Matrix
 from weakhopf.zoo import (
     GroupoidSpec,
+    fixture,
     bicharacter_cocycle,
     cyclic_group_algebra,
     dihedral_group_algebra,
@@ -41,7 +45,7 @@ def test_pair_groupoid_antipode_is_transpose():
     names = H.basis_names
     for i, name in enumerate(names):
         flipped = "e" + name[2] + name[1]
-        assert H.antipode.column(i) == H.basis_vector(names.index(flipped))
+        assert H.antipode.column(i) == basis_vector(H, names.index(flipped))
 
 
 def test_invalid_groupoid_reports_entry():
@@ -109,6 +113,40 @@ def test_direct_sum_block_structures(diag2, kz2):
     assert check_weak_cocycle(H, wc).passed
     # blockwise cocommutativity
     assert H.is_cocommutative == (A.is_cocommutative and B.is_cocommutative)
+
+
+def _block_sum(x, y):
+    """The block-diagonal matrix with blocks x and y."""
+    def entries(m, r0, c0):
+        return [(r0 + r, c0 + c, v) for r, row in enumerate(m.sparse_rows) for c, v in row.items()]
+
+    return Matrix.from_entries(x.rows + y.rows, x.cols + y.cols,
+                               entries(x, 0, 0) + entries(y, x.rows, x.cols))
+
+
+@pytest.mark.parametrize("a, b", [("kd4", "diag2"), ("diag2", "kz2"), ("pair2", "kz2")])
+def test_direct_sum_is_the_block_sum(a, b):
+    # oracle: every part of A (+) B, and of its transmutation by the
+    # canonical R, is A's next to B's, with B's indices shifted by dim A
+    A, B = fixture(a).algebra, fixture(b).algebra
+    na = A.dim
+    H = direct_sum(A, B)
+    assert H.mul_rows == {**A.mul_rows, **{
+        (na + i, na + j): {na + k: c for k, c in row.items()}
+        for (i, j), row in B.mul_rows.items()}}
+    assert H.comul_cols == {**A.comul_cols, **{
+        na + i: {(na + j, na + k): c for (j, k), c in col.items()}
+        for i, col in B.comul_cols.items()}}
+
+    pa, pb, p = (transmute(X, canonical_r(X)) for X in (A, B, H))
+    ma, mb = pa.carrier.dim, pb.carrier.dim
+    assert (p.carrier.dim, p.ht.dim) == (ma + mb, pa.ht.dim + pb.ht.dim)
+    for name in ("antipode", "counit", "unit"):
+        assert getattr(p, name) == _block_sum(getattr(pa, name), getattr(pb, name)), name
+    for i in range(na):
+        assert p.action.mats[i] == _block_sum(pa.action.mats[i], Matrix.zero(mb, mb))
+    for i in range(B.dim):
+        assert p.action.mats[na + i] == _block_sum(Matrix.zero(ma, ma), pb.action.mats[i])
 
 
 def test_direct_sum_weakness(kd4_diag2):
