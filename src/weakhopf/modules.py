@@ -8,7 +8,7 @@ Braidings are stored as exact matrices between canonical image bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -100,7 +100,6 @@ class TruncatedTensor:
 
     left: HModule
     right: HModule
-    variant: str  # "plain" | "twisted"
     projector: Matrix
     basis: SubspaceBasis
     inclusion: Matrix  # ambient x image-dim
@@ -129,62 +128,34 @@ def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
     return _mul2(H, finv, H.comul_cols[i], f)
 
 
-def truncated_tensor(
-    M: HModule,
-    N: HModule,
-    variant="plain",
-    wc: Optional[WeakCocycle] = None,
-    validate: bool = True,
-) -> TruncatedTensor:
-    """The truncated tensor of M and N in the plain category, the twisted
-    one of the cocycle wc, or (variant a BraidContext) the context's own,
-    which builds its coproduct columns once for all its tensors."""
+def truncated_tensor(M: HModule, N: HModule, ctx: "BraidContext",
+                     validate: bool = True) -> TruncatedTensor:
+    """The truncated tensor of M and N in ctx's category, built once per
+    context; its induced action is validated when validate is true."""
     if M.algebra is not N.algebra:
         raise MismatchedAlgebra("modules over different algebras")
-    H = M.algebra
-    if isinstance(variant, BraidContext):
-        ctx = variant
-    elif variant == "plain":
-        ctx = BraidContext(H, "psi")
-    elif variant == "twisted":
-        if wc is None:
-            raise MismatchedAlgebra("twisted tensor needs a cocycle")
-        ctx = BraidContext(H, "phi", wc=wc)
-    else:
-        raise ValueError("variant must be 'plain' or 'twisted'")
-    return _tensor_and_actions(M, N, ctx, validate)[0]
-
-
-def _tensor_and_actions(M, N, ctx, validate):
-    """The truncated tensor of M and N in ctx's category, and the action of
-    the coproduct of each basis element on the ambient M (x) N, which it is
-    built from."""
-    H = ctx.algebra
-    columns, unit2 = ctx.coproduct
-
-    projector = _componentwise_action(M, N, unit2)
-    if projector * projector != projector:
-        raise InconsistentStructure("tensor projector is not idempotent")
-    basis = projector.column_space()
-    inclusion = basis.embedding()
-    # projection = pivot extraction after projecting; satisfies
-    # proj . incl = id and incl . proj = projector.
-    sel = Matrix.from_entries(
-        basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
-    )
-    projection = sel * projector
-    big = [_componentwise_action(M, N, columns[i]) for i in range(H.dim)]
-    mats = [projection * b * inclusion for b in big]
-    module = HModule(H, mats, name="tensor")
+    key = ("tensor", M, N)
+    if key not in ctx.memo:
+        H = ctx.algebra
+        columns, unit2 = ctx.coproduct
+        projector = ctx.action(M, N, unit2)
+        if projector * projector != projector:
+            raise InconsistentStructure("tensor projector is not idempotent")
+        basis = projector.column_space()
+        inclusion = basis.embedding()
+        # projection = pivot extraction after projecting; satisfies
+        # proj . incl = id and incl . proj = projector.
+        sel = Matrix.from_entries(
+            basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
+        )
+        projection = sel * projector
+        mats = [projection * ctx.action(M, N, columns[i]) * inclusion for i in range(H.dim)]
+        ctx.memo[key] = TruncatedTensor(M, N, projector, basis, inclusion, projection,
+                                        HModule(H, mats, name="tensor"))
+    t = ctx.memo[key]
     if validate:
-        module.validate()
-    return TruncatedTensor(
-        M, N, ctx.variant, projector, basis, inclusion, projection, module
-    ), big
-
-
-# ---------------------------------------------------------------------------
-# braidings
+        t.module.validate()
+    return t
 
 
 def _flip_matrix(m_dim, n_dim) -> Matrix:
@@ -195,67 +166,26 @@ def _flip_matrix(m_dim, n_dim) -> Matrix:
     )
 
 
-def braiding_psi_plain(H, qt: QTStructure, M: HModule, N: HModule) -> Matrix:
-    """v (x) w -> R^(2) . w (x) R^(1) . v on plain coordinates."""
-    r21 = swap2(qt.sparse[0])
-    return _componentwise_action(N, M, r21) * _flip_matrix(M.dim, N.dim)
-
-
-def braiding_psi_inverse_plain(H, qt: QTStructure, M: HModule, N: HModule) -> Matrix:
-    """w (x) v -> R^-(2) . v (x) R^-(1) . w on plain coordinates."""
-    rinv21 = swap2(qt.sparse[1])
-    return _componentwise_action(M, N, rinv21) * _flip_matrix(N.dim, M.dim)
-
-
-def braiding_psi(qt: QTStructure, M: HModule, N: HModule, tensors=None):
-    """The braiding and its inverse between truncated-tensor image bases."""
-    H = M.algebra
-    if tensors is None:
-        t_mn = truncated_tensor(M, N)
-        t_nm = truncated_tensor(N, M)
-    else:
-        t_mn, t_nm = tensors
-    psi = t_nm.projection * braiding_psi_plain(H, qt, M, N) * t_mn.inclusion
-    psi_inv = t_mn.projection * braiding_psi_inverse_plain(H, qt, M, N) * t_nm.inclusion
-    return psi, psi_inv
-
-
-def braiding_phi_plain(H, wc: WeakCocycle, M: HModule, N: HModule) -> Matrix:
-    """m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m, plain coordinates."""
-    f, finv = wc.sparse
-    g = _mul2(H, finv, swap2(f))
-    return _componentwise_action(N, M, g) * _flip_matrix(M.dim, N.dim)
-
-
-def braiding_phi(wc: WeakCocycle, M: HModule, N: HModule, tensors=None):
-    """Braiding of the cocycle-twisted category, with its matrix inverse."""
-    H = M.algebra
-    if not H.is_cocommutative:
-        raise NotCocommutative("the twisted braiding requires cocommutativity")
-    if tensors is None:
-        t_mn = truncated_tensor(M, N, "twisted", wc)
-        t_nm = truncated_tensor(N, M, "twisted", wc)
-    else:
-        t_mn, t_nm = tensors
-    phi = t_nm.projection * braiding_phi_plain(H, wc, M, N) * t_mn.inclusion
-    inv = phi.inverse()
-    if inv is None:
-        raise InconsistentStructure("twisted braiding is not invertible")
-    return phi, inv
-
-
 # ---------------------------------------------------------------------------
-# braid context: everything a verifier needs about the ambient category
+# braid context: the module category, and everything built in it
 
 
 @dataclass(frozen=True)
 class BraidContext:
-    """Monoidal/braided data of the module category used by the verifiers."""
+    """The braided module category of an algebra: plain with the R-matrix
+    qt ("psi") or twisted by the cocycle wc ("phi").
+
+    memo holds what the context has built, keyed on the module objects
+    themselves: each truncated tensor ("tensor", M, N), each action of a
+    2-tensor on M (x) N (M, N, its terms) and each plain braiding
+    ("braiding", M, N).  It lives as long as the context.
+    """
 
     algebra: QuantumGroupoid
     kind: str  # "psi" | "phi"
     qt: Optional[QTStructure] = None
     wc: Optional[WeakCocycle] = None
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def psi(cls, H, qt):
@@ -266,10 +196,6 @@ class BraidContext:
         if not H.is_cocommutative:
             raise NotCocommutative("the twisted category requires cocommutativity")
         return cls(H, "phi", wc=wc)
-
-    @property
-    def variant(self):
-        return "plain" if self.kind == "psi" else "twisted"
 
     @cached_property
     def coproduct(self):
@@ -284,26 +210,52 @@ class BraidContext:
         # F^-1 F = Delta_cop(1), = Delta(1) when cocommutative
         return columns, _mul2(H, finv, f)
 
-    def tensor(self, M, N, validate=True) -> TruncatedTensor:
-        return truncated_tensor(M, N, self, validate=validate)
+    def action(self, M, N, elem2) -> Matrix:
+        """The action of the sparse 2-tensor elem2 on M (x) N, first leg on
+        M, built once per module pair and 2-tensor."""
+        key = (M, N, frozenset(elem2.items()))
+        if key not in self.memo:
+            self.memo[key] = _componentwise_action(M, N, elem2)
+        return self.memo[key]
 
     def braiding_plain(self, M, N) -> Matrix:
-        if self.kind == "psi":
-            return braiding_psi_plain(self.algebra, self.qt, M, N)
-        return braiding_phi_plain(self.algebra, self.wc, M, N)
+        """M (x) N -> N (x) M on plain coordinates: v (x) w -> R^(2) . w (x)
+        R^(1) . v, or m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m."""
+        key = ("braiding", M, N)
+        if key not in self.memo:
+            if self.kind == "psi":
+                g = swap2(self.qt.sparse[0])
+            else:
+                f, finv = self.wc.sparse
+                g = _mul2(self.algebra, finv, swap2(f))
+            self.memo[key] = self.action(N, M, g) * _flip_matrix(M.dim, N.dim)
+        return self.memo[key]
 
-    def triple_projector(self, A, B, C, actions=None) -> Matrix:
+    def braiding(self, M, N):
+        """The braiding of M past N and its inverse, between the image bases
+        of the truncated tensors.  The inverse is w (x) v -> R^-(2) . v (x)
+        R^-(1) . w in the plain category and the matrix inverse in the
+        twisted one, which requires cocommutativity."""
+        if self.kind == "phi" and not self.algebra.is_cocommutative:
+            raise NotCocommutative("the twisted braiding requires cocommutativity")
+        t_mn, t_nm = truncated_tensor(M, N, self), truncated_tensor(N, M, self)
+        braid = t_nm.projection * self.braiding_plain(M, N) * t_mn.inclusion
+        if self.kind == "psi":
+            inv_plain = self.action(M, N, swap2(self.qt.sparse[1])) * _flip_matrix(N.dim, M.dim)
+            return braid, t_mn.projection * inv_plain * t_nm.inclusion
+        inv = braid.inverse()
+        if inv is None:
+            raise InconsistentStructure("twisted braiding is not invertible")
+        return braid, inv
+
+    def triple_projector(self, A, B, C) -> Matrix:
         """Delta^2(1) acting on A (x) B (x) C in plain coordinates: the sum
         of c (Delta(x) on A (x) B) (x) (y on C) over the terms c x (x) y of
-        Delta(1).  actions, when given, holds the action of the coproduct of
-        each basis element on A (x) B, as _tensor_and_actions returns it."""
+        Delta(1)."""
         columns = self.coproduct[0]
         delta1 = sparse_coproduct_leg(self.algebra.unit_sparse, 0, columns)
-        if actions is None:
-            actions = {x: _componentwise_action(A, B, columns[x]) for x, _ in delta1}
-        return _kron_sum(((c, actions[x], C.mats[y]) for (x, y), c in delta1.items()),
-                         A.dim * B.dim, C.dim)
-
+        return _kron_sum(((c, self.action(A, B, columns[x]), C.mats[y])
+                          for (x, y), c in delta1.items()), A.dim * B.dim, C.dim)
 
 # ---------------------------------------------------------------------------
 # unitors
@@ -318,8 +270,8 @@ def unitors(M: HModule, ctx: BraidContext):
     """
     H = ctx.algebra
     ht, zmod = ht_module(H)
-    t_l = ctx.tensor(zmod, M)
-    t_r = ctx.tensor(M, zmod)
+    t_l = truncated_tensor(zmod, M, ctx)
+    t_r = truncated_tensor(M, zmod, ctx)
 
     l_plain = _unitor_plain(M, ht, left=True)
     r_plain = _unitor_plain(M, ht, left=False)
@@ -364,10 +316,10 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     """
     rep = VerificationReport("coherence")
     H = ctx.algebra
-    t_mn = ctx.tensor(M, N, validate=False)
-    t_np = ctx.tensor(N, P, validate=False)
-    left = ctx.tensor(t_mn.module, P, validate=False)
-    right = ctx.tensor(M, t_np.module, validate=False)
+    t_mn = truncated_tensor(M, N, ctx, validate=False)
+    t_np = truncated_tensor(N, P, ctx, validate=False)
+    left = truncated_tensor(t_mn.module, P, ctx, validate=False)
+    right = truncated_tensor(M, t_np.module, ctx, validate=False)
 
     # both bracketings must carve out the same subspace of M (x) N (x) P
     lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion

@@ -81,14 +81,19 @@ def _fmt_vec(v):
     return " ".join(format_frac(x) for x in v)
 
 
+# fields written as a block, one row a line, whatever their number of rows;
+# every other field is one row on its key's line
+_BLOCK_FIELDS = frozenset({"mul", "comul", "antipode"})
+
+
 def _serialize_lines(kind, names, sections):
     lines = ["kind: %s" % kind, "dim: %d" % len(names), "basis: %s" % " ".join(names)]
     for key, rows in sections:
-        if len(rows) == 1:
-            lines.append("%s: %s" % (key, _fmt_vec(rows[0])))
-        else:
+        if key in _BLOCK_FIELDS:
             lines.append("%s:" % key)
             lines.extend(_fmt_vec(r) for r in rows)
+        else:
+            lines.append("%s: %s" % (key, _fmt_vec(rows[0])))
     return "\n".join(lines) + "\n"
 
 

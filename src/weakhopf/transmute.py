@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .algebra import QuantumGroupoid, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, SubspaceBasis, _restrict, kron
-from .modules import BraidContext, HModule, _tensor_and_actions, _unitor_plain, ht_module, unitors
+from .modules import BraidContext, HModule, _unitor_plain, ht_module, truncated_tensor, unitors
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -224,7 +224,9 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     H = ctx.algebra
     m = p.carrier_dim
     cmod = p.action
-    t2, square_actions = _tensor_and_actions(cmod, cmod, ctx, True)
+    t2 = truncated_tensor(cmod, cmod, ctx)
+    columns = ctx.coproduct[0]
+    square_actions = [ctx.action(cmod, cmod, columns[h]) for h in range(H.dim)]
 
     # (0) well-definedness: both maps factor through the truncated tensor
     comparison(rep, "product-factors-through-tensor", [((), p.mul * t2.projector, p.mul)])
@@ -247,7 +249,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     # (b) associativity on the iterated truncated tensor, the image of the
     # triple projector; a witness is the basis triple of its first column
     ident = Matrix.identity(m)
-    p3 = ctx.triple_projector(cmod, cmod, cmod, square_actions)
+    p3 = ctx.triple_projector(cmod, cmod, cmod)
     comparison(rep, "associativity",
                [((), p.mul * kron(p.mul, ident) * p3, p.mul * kron(ident, p.mul) * p3)],
                shape=(m, 3))

@@ -263,7 +263,7 @@ def tensor_action_identification(H, wc, M: HModule, N: HModule) -> VerificationR
     t_f = truncated_tensor(M, N, tw.context)
     m_t = HModule(twisted, M.mats, name=M.name)
     n_t = HModule(twisted, N.mats, name=N.name)
-    t_p = truncated_tensor(m_t, n_t, "plain")
+    t_p = truncated_tensor(m_t, n_t, BraidContext.psi(twisted, tw.qt))
     comparison(rep, "projector-equal", [((), t_f.projector, t_p.projector)])
     comparison(rep, "action-equal",
                (((i,), t_f.module.mats[i], t_p.module.mats[i]) for i in range(H.dim)))

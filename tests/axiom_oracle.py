@@ -28,7 +28,7 @@ from dense_oracle import (
 )
 from weakhopf.algebra import convolve, sparse_coproduct_leg, sparse_embed
 from weakhopf.linalg import Matrix, Q0, Q1, kron
-from weakhopf.modules import _tensor_and_actions, ht_module, unitors
+from weakhopf.modules import ht_module, truncated_tensor, unitors
 from weakhopf.report import VerificationReport, Witness, comparison
 
 
@@ -269,7 +269,8 @@ def verify_braided_hopf(p, ctx) -> VerificationReport:
     H = ctx.algebra
     m = p.carrier_dim
     cmod = p.action
-    t2, square_actions = _tensor_and_actions(cmod, cmod, ctx, True)
+    t2 = truncated_tensor(cmod, cmod, ctx)
+    square_actions = [ctx.action(cmod, cmod, ctx.coproduct[0][h]) for h in range(H.dim)]
 
     comparison(rep, "product-factors-through-tensor", [((), p.mul * t2.projector, p.mul)])
     comparison(rep, "coproduct-lands-in-tensor", [((), t2.projector * p.comul, p.comul)])

@@ -11,8 +11,6 @@ from dense_oracle import basis_vector
 
 from weakhopf import (
     BraidContext,
-    braiding_phi,
-    braiding_psi,
     check_conjugator_coproduct,
     derived_r_identities,
     drinfeld_identities,
@@ -182,15 +180,16 @@ def test_criterion_8_property_suites(capsys):
         assert H.eps_t_mat * H.eps_t_mat == H.eps_t_mat, name
         assert H.eps_s_mat * H.eps_s_mat == H.eps_s_mat, name
         M = regular_module(H)
-        tt = truncated_tensor(M, M)
+        plain, twisted = BraidContext.psi(H, qt), BraidContext.phi(H, wc)
+        tt = truncated_tensor(M, M, plain)
         assert tt.projector * tt.projector == tt.projector, name
-        tw = truncated_tensor(M, M, "twisted", wc)
+        tw = truncated_tensor(M, M, twisted)
         assert tw.projector * tw.projector == tw.projector, name
-        psi, psi_inv = braiding_psi(qt, M, M, (tt, tt))
+        psi, psi_inv = plain.braiding(M, M)
         assert (psi * psi_inv).is_identity() and (psi_inv * psi).is_identity(), name
         for h in range(H.dim):
             assert psi * tt.module.mats[h] == tt.module.mats[h] * psi, name
-        phi, phi_inv = braiding_phi(wc, M, M, (tw, tw))
+        phi, phi_inv = twisted.braiding(M, M)
         assert (phi * phi_inv).is_identity() and (phi_inv * phi).is_identity(), name
         for h in range(H.dim):
             assert phi * tw.module.mats[h] == tw.module.mats[h] * phi, name

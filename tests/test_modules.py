@@ -4,8 +4,6 @@ import dense_oracle as dense
 from dense_oracle import basis_vector, mul_elem
 from weakhopf import (
     BraidContext,
-    braiding_phi,
-    braiding_psi,
     check_module,
     coherence_report,
     ht_module,
@@ -15,40 +13,51 @@ from weakhopf import (
     truncated_tensor,
     unitors,
 )
+import weakhopf.modules as modules_mod
 from weakhopf.errors import MismatchedAlgebra
 from weakhopf.linalg import Q0
 from weakhopf.modules import _componentwise_action, _flip_matrix, twisted_coproduct_column
-from weakhopf.structures import _mul2, swap2
+from weakhopf.structures import _mul2, canonical_r, swap2
+from weakhopf.zoo import GroupoidSpec, groupoid_algebra, trivial_cocycle
+
+
+def _plain(fx):
+    return BraidContext.psi(fx.algebra, fx.qt)
+
+
+def _twisted(fx):
+    return BraidContext.phi(fx.algebra, fx.cocycle)
 
 
 def test_truncated_dimensions(diag2, kz2, pair2):
     M = regular_module(diag2.algebra)
-    assert truncated_tensor(M, M).dim == 2
+    assert truncated_tensor(M, M, _plain(diag2)).dim == 2
     M = regular_module(kz2.algebra)
-    assert truncated_tensor(M, M).dim == 4
+    assert truncated_tensor(M, M, _plain(kz2)).dim == 4
     M = regular_module(pair2.algebra)
-    tt = truncated_tensor(M, M)
+    tt = truncated_tensor(M, M, _plain(pair2))
     assert tt.dim == tt.projector.rank()
 
 
 def test_projector_idempotent(corpus):
     for fx in corpus:
         M = regular_module(fx.algebra)
-        tt = truncated_tensor(M, M)
+        tt = truncated_tensor(M, M, _plain(fx))
         assert tt.projector * tt.projector == tt.projector
-        tw = truncated_tensor(M, M, "twisted", fx.cocycle)
+        tw = truncated_tensor(M, M, _twisted(fx))
         assert tw.projector * tw.projector == tw.projector
 
 
 def test_mismatched_algebras_rejected(diag2, kz2):
     with pytest.raises(MismatchedAlgebra):
-        truncated_tensor(regular_module(diag2.algebra), regular_module(kz2.algebra))
+        truncated_tensor(regular_module(diag2.algebra), regular_module(kz2.algebra),
+                         _plain(diag2))
 
 
 def test_induced_action_is_module(corpus):
     for fx in corpus:
         M = regular_module(fx.algebra)
-        tt = truncated_tensor(M, M)
+        tt = truncated_tensor(M, M, _plain(fx))
         assert check_module(tt.module).passed
 
 
@@ -106,13 +115,14 @@ def test_braiding_psi_examples(diag2, kd4):
     # diagonal R: the braiding fixes e_i (x) e_i
     H = diag2.algebra
     M = regular_module(H)
-    psi, psi_inv = braiding_psi(diag2.qt, M, M)
+    psi, psi_inv = _plain(diag2).braiding(M, M)
     assert psi.is_identity()
     # R = 1 (x) 1: the braiding is the plain flip
     H = kd4.algebra
     M = regular_module(H)
-    t_mn = truncated_tensor(M, M)
-    psi, psi_inv = braiding_psi(kd4.qt, M, M, (t_mn, t_mn))
+    ctx = _plain(kd4)
+    t_mn = truncated_tensor(M, M, ctx)
+    psi, psi_inv = ctx.braiding(M, M)
     flip = t_mn.projection * _flip_matrix(M.dim, M.dim) * t_mn.inclusion
     assert psi == flip
 
@@ -121,13 +131,15 @@ def test_braiding_invertibility_and_linearity(corpus):
     for fx in corpus:
         H = fx.algebra
         M = regular_module(H)
-        t_mn = truncated_tensor(M, M)
-        psi, psi_inv = braiding_psi(fx.qt, M, M, (t_mn, t_mn))
+        ctx = _plain(fx)
+        t_mn = truncated_tensor(M, M, ctx)
+        psi, psi_inv = ctx.braiding(M, M)
         assert (psi * psi_inv).is_identity() and (psi_inv * psi).is_identity()
         for h in range(H.dim):
             assert psi * t_mn.module.mats[h] == t_mn.module.mats[h] * psi
-        tw = truncated_tensor(M, M, "twisted", fx.cocycle)
-        phi, phi_inv = braiding_phi(fx.cocycle, M, M, (tw, tw))
+        ctx = _twisted(fx)
+        tw = truncated_tensor(M, M, ctx)
+        phi, phi_inv = ctx.braiding(M, M)
         assert (phi * phi_inv).is_identity() and (phi_inv * phi).is_identity()
         for h in range(H.dim):
             assert phi * tw.module.mats[h] == tw.module.mats[h] * phi
@@ -135,26 +147,24 @@ def test_braiding_invertibility_and_linearity(corpus):
 
 def test_braiding_phi_examples(diag2, kd4):
     # trivial cocycle on an ordinary Hopf algebra: the plain flip
-    from weakhopf.zoo import trivial_cocycle
-
     H = kd4.algebra
     M = regular_module(H)
-    wc = trivial_cocycle(H)
-    tw = truncated_tensor(M, M, "twisted", wc)
-    phi, _ = braiding_phi(wc, M, M, (tw, tw))
+    ctx = BraidContext.phi(H, trivial_cocycle(H))
+    tw = truncated_tensor(M, M, ctx)
+    phi, _ = ctx.braiding(M, M)
     flip = tw.projection * _flip_matrix(M.dim, M.dim) * tw.inclusion
     assert phi == flip
     # diagonal cocycle on the diagonal algebra: identity on the image
     N = diag2.algebra
     MN = regular_module(N)
-    phi, _ = braiding_phi(diag2.cocycle, MN, MN)
+    phi, _ = _twisted(diag2).braiding(MN, MN)
     assert phi.is_identity()
 
 
 def test_phi_squares_to_identity_on_adjoint(kd4):
     # a cocycle twist of a cocommutative algebra gives a symmetric braiding
     p = quantize(kd4.algebra, kd4.cocycle)
-    phi, _ = braiding_phi(kd4.cocycle, p.action, p.action)
+    phi, _ = _twisted(kd4).braiding(p.action, p.action)
     assert (phi * phi).is_identity()
 
 
@@ -165,8 +175,9 @@ def test_braiding_naturality(corpus):
         M = regular_module(H)
         f = H.right_mult(basis_vector(H, H.dim - 1))
         g = H.right_mult(basis_vector(H, 0))
-        t_mn = truncated_tensor(M, M)
-        psi, _ = braiding_psi(fx.qt, M, M, (t_mn, t_mn))
+        ctx = _plain(fx)
+        t_mn = truncated_tensor(M, M, ctx)
+        psi, _ = ctx.braiding(M, M)
         fg = t_mn.projection * _kron(f, g) * t_mn.inclusion
         gf = t_mn.projection * _kron(g, f) * t_mn.inclusion
         assert gf * psi == psi * fg
@@ -181,9 +192,9 @@ def _kron(a, b):
 def test_coherence_small_fixtures(diag2, kz2, pair2):
     for fx in (diag2, kz2, pair2):
         M = regular_module(fx.algebra)
-        rep = coherence_report(BraidContext.psi(fx.algebra, fx.qt), M, M, M)
+        rep = coherence_report(_plain(fx), M, M, M)
         assert rep.passed, (fx.name, [c.name for c in rep.failed_checks()])
-        rep = coherence_report(BraidContext.phi(fx.algebra, fx.cocycle), M, M, M)
+        rep = coherence_report(_twisted(fx), M, M, M)
         assert rep.passed, (fx.name, [c.name for c in rep.failed_checks()])
 
 
@@ -201,6 +212,27 @@ def test_coherence_report_builds_each_braiding_once(kd4, monkeypatch):
     assert coherence_report(BraidContext.psi(kd4.algebra, kd4.qt), M, M, M).passed
     # M past N (x) P, M past N, M past P, M (x) N past P and N past P
     assert len(calls) == 5
+
+
+def test_coherence_report_builds_each_tensor_action_once(monkeypatch):
+    # the context builds each action of a 2-tensor on M (x) N once: the
+    # tensors of M (x) N and N (x) P coincide, so do the braidings of M past
+    # N, N past P and M past P, and the triple projector reads the actions
+    # that the tensor of M (x) N built
+    real = modules_mod._componentwise_action
+    calls = []
+
+    def counting(M, N, elem2):
+        calls.append((M, N, frozenset(elem2.items())))
+        return real(M, N, elem2)
+
+    monkeypatch.setattr(modules_mod, "_componentwise_action", counting)
+    H = groupoid_algebra(GroupoidSpec.pair_groupoid(3))
+    M = regular_module(H)
+    for ctx in (BraidContext.psi(H, canonical_r(H)), BraidContext.phi(H, trivial_cocycle(H))):
+        calls.clear()
+        assert coherence_report(ctx, M, M, M).passed
+        assert len(calls) == len(set(calls)) == 33, ctx.kind
 
 
 def _acting_tensors(fx):

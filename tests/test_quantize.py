@@ -4,7 +4,14 @@ import pytest
 
 import dense_oracle as dense
 from dense_oracle import basis_vector, mul_elem
-from weakhopf import canonical_r, quantize, transmute, verify_quantization
+from weakhopf import (
+    BraidContext,
+    canonical_r,
+    quantize,
+    transmute,
+    verify_braided_hopf,
+    verify_quantization,
+)
 from weakhopf.errors import NotCocommutative
 from weakhopf.linalg import Matrix, Q0, Q1
 from weakhopf.quantize import product_exchange_law
@@ -205,11 +212,11 @@ def test_verify_quantization_builds_each_twisted_column_once(kd4, monkeypatch):
 
 
 def test_verify_quantization_builds_each_tensor_action_once(kd4, monkeypatch):
-    # every action of a 2-tensor on M (x) N is built once per module pair:
-    # the coproduct-module-morphism check reads the actions of Delta(e_h) on
-    # the carrier tensor square from the truncated tensor that built them
+    # every action of a 2-tensor on M (x) N is built once per context, module
+    # pair and 2-tensor: the coproduct-module-morphism check and the triple
+    # projector read the actions of Delta(e_h) on the carrier tensor square
+    # from the context that built the truncated tensor
     modules_mod = importlib.import_module("weakhopf.modules")
-    transmute_mod = importlib.import_module("weakhopf.transmute")
     real = modules_mod._componentwise_action
     calls = []
 
@@ -217,12 +224,18 @@ def test_verify_quantization_builds_each_tensor_action_once(kd4, monkeypatch):
         calls.append(elem2)
         return real(M, N, elem2)
 
-    # also under the name a module may have imported it by
     monkeypatch.setattr(modules_mod, "_componentwise_action", counting)
-    monkeypatch.setattr(transmute_mod, "_componentwise_action", counting, raising=False)
     H = kd4.algebra
     p = quantize(H, kd4.cocycle)
     assert verify_quantization(p, kd4.cocycle).passed
     # the carrier tensor square and both unitor tensors (a projector and one
-    # action per basis element each) and the carrier braiding
-    assert len(calls) == 3 * (1 + H.dim) + 1
+    # action per basis element each) and the carrier braiding; on a group
+    # algebra F^-1 F is the twisted coproduct column of the unit e_0, so
+    # each tensor's projector is that column's action
+    assert len(calls) == 3 * H.dim + 1
+    # the transmutation by R = 1 (x) 1: the braiding is the projector's
+    # action on the carrier tensor square, built already
+    calls.clear()
+    qt = kd4.qt
+    assert verify_braided_hopf(transmute(H, qt), BraidContext.psi(H, qt)).passed
+    assert len(calls) == 3 * H.dim

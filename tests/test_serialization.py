@@ -4,7 +4,14 @@ from functools import lru_cache
 
 import pytest
 
-from weakhopf import QuantumGroupoid, identity_morphism, quantize, regular_module, transmute
+from weakhopf import (
+    QuantumGroupoid,
+    canonical_r,
+    identity_morphism,
+    quantize,
+    regular_module,
+    transmute,
+)
 from weakhopf.errors import ParseError, WeakHopfError
 from weakhopf.serialization import (
     ParsedCocycle,
@@ -18,6 +25,7 @@ from weakhopf.serialization import (
     serialize_quantum_groupoid,
     serialize_weak_bialgebra,
 )
+from weakhopf.zoo import cyclic_group_algebra, trivial_cocycle
 
 
 def test_algebra_round_trip(corpus):
@@ -45,6 +53,21 @@ def test_qt_and_cocycle_round_trip(corpus):
         pc = parse(text)
         assert isinstance(pc, ParsedCocycle)
         assert serialize_cocycle(fx.algebra, pc.structure) == text
+
+
+def test_dimension_one_documents_round_trip():
+    # mul, comul and antipode are blocks even when they have one row
+    H = cyclic_group_algebra(1)
+    text = serialize_quantum_groupoid(H)
+    assert "\nmul:\n1\n" in text
+    assert serialize_quantum_groupoid(parse(text)) == text
+    text = serialize_weak_bialgebra(H.base)
+    assert serialize_weak_bialgebra(parse(text)) == text
+    qt, wc = canonical_r(H), trivial_cocycle(H)
+    text = serialize_qt(H, qt)
+    assert serialize_qt(H, parse(text).structure) == text
+    text = serialize_cocycle(H, wc)
+    assert serialize_cocycle(H, parse(text).structure) == text
 
 
 def test_morphism_round_trip(diag2):

@@ -91,3 +91,40 @@ def test_dense_view_detector_sees_them():
     tree = ast.parse("vectors = basis.vectors\nrows = m.data[0]\nm.data = 1\n"
                      "data = vectors\nbasis.sparse_rows\n")
     assert _dense_view_reads(tree) == [(1, "vectors"), (2, "data")]
+
+
+def _callers(tree, name):
+    """(line, enclosing class and function names) of each call of name, as
+    a bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append((child.lineno, ".".join(scope)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_tensor_actions_are_built_only_by_the_context_memo():
+    # every action of a 2-tensor on M (x) N goes through BraidContext.action,
+    # so that a context builds each one once
+    callers = {(p.name, scope)
+               for p in sorted(PACKAGE.glob("*.py"))
+               for _, scope in _callers(ast.parse(p.read_text(encoding="utf-8")),
+                                        "_componentwise_action")}
+    assert callers == {("modules.py", "BraidContext.action")}
+
+
+def test_caller_detector_sees_them():
+    tree = ast.parse("def f():\n    return g(1)\n"
+                     "class C:\n    def m(self):\n        return mod.g(h(2))\n"
+                     "g(3)\nx = g\n")
+    assert _callers(tree, "g") == [(2, "f"), (5, "C.m"), (6, "")]

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from dense_oracle import basis_vector
 from weakhopf import (
     BraidContext,
     QGMorphism,
+    canonical_r,
     centralizer,
     check_morphism,
     identity_morphism,
@@ -13,6 +16,7 @@ from weakhopf import (
 from weakhopf.errors import ClosureViolation
 from weakhopf.linalg import Matrix, Q0, Q1
 from weakhopf.transmute import _present, ambient_action
+from weakhopf.zoo import dihedral_group_algebra
 
 
 def test_centralizer_examples(diag2, kd4, pair2):
@@ -123,7 +127,6 @@ def test_transmute_through_swap_morphism(diag2):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pipeline_on_pair_groupoids(k):
-    from weakhopf import canonical_r
     from weakhopf.zoo import GroupoidSpec, groupoid_algebra
 
     H = groupoid_algebra(GroupoidSpec.pair_groupoid(k))
@@ -136,7 +139,6 @@ def test_pipeline_on_pair_groupoids(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pipeline_on_identity_groupoids(k):
-    from weakhopf import canonical_r
     from weakhopf.zoo import GroupoidSpec, groupoid_algebra
 
     H = groupoid_algebra(GroupoidSpec.identity_groupoid(k))
@@ -195,3 +197,36 @@ def test_present_reports_the_column_that_escapes(pair2):
         _present(f, ambient_action(f), H.mul_map + stray, H.comul_map, H.antipode)
     w = err.value.witness
     assert (w.indices, w.lhs, w.rhs, w.detail) == ((0, 0), (Q1, Q1, Q0, Q0), (), "product")
+
+
+def _dihedral_automorphisms(k):
+    """(sigma, basis matrix) of each automorphism r -> r^a, s -> r^b s of the
+    dihedral group of order 2k (gcd(a, k) = 1); basis i < k is r^i and basis
+    k + i is r^i s, and sigma maps basis indices."""
+    for a in range(1, k):
+        if math.gcd(a, k) != 1:
+            continue
+        for b in range(k):
+            sigma = [a * i % k for i in range(k)] + [k + (a * i + b) % k for i in range(k)]
+            yield sigma, Matrix.from_entries(2 * k, 2 * k, ((sigma[h], h, Q1) for h in range(2 * k)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_dihedral_automorphisms_induce_the_identity_presentation(k):
+    # f(e_h) = e_sigma(h) fixes R = Delta_cop(1) Delta(1) = 1 (x) 1, so the
+    # f-presentation keeps the carrier maps of the identity presentation, and
+    # h acts as sigma(h) acts there: f(h_1) l f(S(h_2)) = Ad_sigma(h)(l)
+    H = dihedral_group_algebra(k)
+    qt = canonical_r(H)
+    ident = transmute(H, qt)
+    found = 0
+    for sigma, mat in _dihedral_automorphisms(k):
+        f = QGMorphism(H, H, mat)
+        assert check_morphism(f).passed, sigma
+        p = transmute(H, qt, H, f)
+        assert verify_braided_hopf(p, BraidContext.psi(H, qt)).passed, sigma
+        assert (p.carrier, p.mul, p.comul, p.unit, p.counit, p.antipode) == (
+            ident.carrier, ident.mul, ident.comul, ident.unit, ident.counit, ident.antipode)
+        assert all(p.action.mats[h] == ident.action.mats[sigma[h]] for h in range(H.dim))
+        found += 1
+    assert found == k * sum(1 for a in range(1, k) if math.gcd(a, k) == 1)

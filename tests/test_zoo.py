@@ -7,6 +7,7 @@ from weakhopf import (
     check_quasitriangular,
     check_weak_bialgebra,
     check_weak_cocycle,
+    quantize,
     target_subalgebra,
     transmute,
 )
@@ -124,11 +125,33 @@ def _block_sum(x, y):
                                entries(x, 0, 0) + entries(y, x.rows, x.cols))
 
 
+def _pair_block_sum(x, y, pairs_on_rows):
+    """The block sum of x on A's carrier (dim ma) and y on B's (dim mb),
+    where the rows (pairs_on_rows) or the columns of each are its carrier^2
+    in plain coordinates: pair (i, j) of a block goes to (o + i) m + (o + j)
+    of the sum, o the block's offset and m = ma + mb, so the cross blocks
+    A (x) B and B (x) A are zero."""
+    ma, mb = (min(z.rows, z.cols) for z in (x, y))
+    m = ma + mb
+
+    def entries(z, n, o):
+        def pair(p):
+            return (o + p // n) * m + o + p % n
+
+        return [(pair(r), o + c, v) if pairs_on_rows else (o + r, pair(c), v)
+                for r, row in enumerate(z.sparse_rows) for c, v in row.items()]
+
+    shape = (m * m, m) if pairs_on_rows else (m, m * m)
+    return Matrix.from_entries(*shape, entries(x, ma, 0) + entries(y, mb, ma))
+
+
 @pytest.mark.parametrize("a, b", [("kd4", "diag2"), ("diag2", "kz2"), ("pair2", "kz2")])
 def test_direct_sum_is_the_block_sum(a, b):
-    # oracle: every part of A (+) B, and of its transmutation by the
-    # canonical R, is A's next to B's, with B's indices shifted by dim A
-    A, B = fixture(a).algebra, fixture(b).algebra
+    # oracle: every part of A (+) B, of its transmutation by the canonical R
+    # and of its quantization by the block cocycle, is A's next to B's, with
+    # B's indices shifted by dim A
+    fa, fb = fixture(a), fixture(b)
+    A, B = fa.algebra, fb.algebra
     na = A.dim
     H = direct_sum(A, B)
     assert H.mul_rows == {**A.mul_rows, **{
@@ -138,15 +161,19 @@ def test_direct_sum_is_the_block_sum(a, b):
         na + i: {(na + j, na + k): c for (j, k), c in col.items()}
         for i, col in B.comul_cols.items()}}
 
-    pa, pb, p = (transmute(X, canonical_r(X)) for X in (A, B, H))
-    ma, mb = pa.carrier.dim, pb.carrier.dim
-    assert (p.carrier.dim, p.ht.dim) == (ma + mb, pa.ht.dim + pb.ht.dim)
-    for name in ("antipode", "counit", "unit"):
-        assert getattr(p, name) == _block_sum(getattr(pa, name), getattr(pb, name)), name
-    for i in range(na):
-        assert p.action.mats[i] == _block_sum(pa.action.mats[i], Matrix.zero(mb, mb))
-    for i in range(B.dim):
-        assert p.action.mats[na + i] == _block_sum(Matrix.zero(ma, ma), pb.action.mats[i])
+    wc = direct_sum_cocycle(H, A, B, fa.cocycle, fb.cocycle)
+    for pa, pb, p in ([transmute(X, canonical_r(X)) for X in (A, B, H)],
+                      [quantize(A, fa.cocycle), quantize(B, fb.cocycle), quantize(H, wc)]):
+        ma, mb = pa.carrier.dim, pb.carrier.dim
+        assert (p.carrier.dim, p.ht.dim) == (ma + mb, pa.ht.dim + pb.ht.dim)
+        for name in ("antipode", "counit", "unit"):
+            assert getattr(p, name) == _block_sum(getattr(pa, name), getattr(pb, name)), name
+        assert p.mul == _pair_block_sum(pa.mul, pb.mul, False)
+        assert p.comul == _pair_block_sum(pa.comul, pb.comul, True)
+        for i in range(na):
+            assert p.action.mats[i] == _block_sum(pa.action.mats[i], Matrix.zero(mb, mb))
+        for i in range(B.dim):
+            assert p.action.mats[na + i] == _block_sum(Matrix.zero(ma, ma), pb.action.mats[i])
 
 
 def test_direct_sum_weakness(kd4_diag2):
