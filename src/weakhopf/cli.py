@@ -185,7 +185,7 @@ def _cmd_check(args) -> int:
             continue
         obj = _load_object(path, "any")
         out.json_objects.append(path)
-        if isinstance(obj, QuantumGroupoid) or isinstance(obj, WeakBialgebra):
+        if isinstance(obj, WeakBialgebra):
             algebras.append((path, obj))
         elif isinstance(obj, ParsedQT):
             pending_qt.append((path, obj))
@@ -208,8 +208,7 @@ def _cmd_check(args) -> int:
 
     def stages():
         for path, alg in algebras:
-            base = alg.base if isinstance(alg, QuantumGroupoid) else alg
-            yield path, lambda b=base: check_weak_bialgebra(b)
+            yield path, lambda a=alg: check_weak_bialgebra(a)
             if isinstance(alg, QuantumGroupoid):
                 yield path, lambda a=alg: check_quantum_groupoid(a)
         for path, pqt in pending_qt:

@@ -24,7 +24,7 @@ from .errors import (
     NotCocommutative,
 )
 from .linalg import Matrix, Q1, SubspaceBasis, _dense, _kron_sum, _restrict, kron
-from .report import VerificationReport, Witness, comparison
+from .report import VerificationReport, Witness, comparison, require
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
 
@@ -49,16 +49,16 @@ class HModule:
         """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
         if getattr(self, "_validated", False):
             return self
-        pairs = _multiplicativity(self.algebra.mul_rows, self.mats)
-        bad = next((ij for ij, lhs, rhs in pairs if lhs != rhs), None)
-        if bad is not None:
-            raise InconsistentStructure(
-                "action is not multiplicative at basis pair (%d, %d)" % bad
-            )
-        if not self.act_element(self.algebra.unit).is_identity():
-            raise InconsistentStructure("unit does not act as the identity")
+        require(check_module(self), _module_failure)
         self._validated = True
         return self
+
+
+def _module_failure(check):
+    if check.name == "action-multiplicative":
+        return InconsistentStructure("action is not multiplicative at basis pair (%d, %d)"
+                                     % check.witness.indices[:2])
+    return InconsistentStructure("unit does not act as the identity")
 
 
 def check_module(M: HModule) -> VerificationReport:

@@ -92,6 +92,13 @@ class VerificationReport:
         return out
 
 
+def require(rep, error):
+    """rep, or error(check) raised for its first failed check."""
+    for check in rep.failed_checks()[:1]:
+        raise error(check)
+    return rep
+
+
 def dense_of_sparse(s, n, k):
     """The sparse element s of H^(x)k, dim H = n, as a length n^k tuple."""
     out = [Q0] * (n ** k)

@@ -30,7 +30,7 @@ from .errors import (
     UNotInvertible,
 )
 from .linalg import Matrix, Q0, Q1, vec
-from .report import VerificationReport, Witness, comparison, dense_of_sparse
+from .report import VerificationReport, Witness, comparison, dense_of_sparse, require
 
 
 def _sparse_pair(x, xinv):
@@ -253,11 +253,14 @@ def drinfeld_element(H: QuantumGroupoid, qt: QTStructure) -> DrinfeldElement:
     quasitriangular structure.
     """
     rep, u, u_inv = _drinfeld_report(H, qt)
-    for check in rep.failed_checks()[:1]:
-        if check.name == "u-invertible":
-            raise UNotInvertible("u u^-1 != 1; input is not quasitriangular")
-        raise InconsistentStructure("derived identity %r fails" % check.name)
+    require(rep, _drinfeld_failure)
     return DrinfeldElement(u, u_inv)
+
+
+def _drinfeld_failure(check):
+    if check.name == "u-invertible":
+        return UNotInvertible("u u^-1 != 1; input is not quasitriangular")
+    return InconsistentStructure("derived identity %r fails" % check.name)
 
 
 def drinfeld_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationReport:

@@ -29,7 +29,7 @@ from .errors import (
 from .linalg import Matrix, _restrict, kron
 from .modules import BraidContext, HModule, truncated_tensor
 from .quantize import quantize
-from .report import VerificationReport, Witness, comparison, dense_of_sparse
+from .report import VerificationReport, Witness, comparison, dense_of_sparse, require
 from .structures import (
     QTStructure,
     TwistElements,
@@ -86,12 +86,12 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
 
     base = WeakBialgebra(H.basis_names, H.mul_rows, H.unit, dict(enumerate(ctx.coproduct[0])),
                          H.counit)
-    reports = [_require_passed(check_weak_bialgebra(base))]
+    reports = [require(check_weak_bialgebra(base), _twist_failure)]
     try:
         twisted = QuantumGroupoid(base, antipode)
     except AntipodeNotInvertible as exc:
         raise TwistAxiomFailure("antipode-invertible", str(exc)) from exc
-    reports.append(_require_passed(check_quantum_groupoid(twisted)))
+    reports.append(require(check_quantum_groupoid(twisted), _twist_failure))
 
     f, finv = wc.sparse
     r, rinv = qt.sparse
@@ -100,17 +100,14 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     d1 = twisted.delta_one_sparse
     rinv_t = _mul2(twisted, d1, _mul2(H, finv, rinv, swap2(f)), swap2(d1))
     qt_t = QTStructure(dense_of_sparse(r_t, n, 2), dense_of_sparse(rinv_t, n, 2))
-    reports.append(_require_passed(check_quasitriangular(twisted, qt_t)))
+    reports.append(require(check_quasitriangular(twisted, qt_t), _twist_failure))
 
     return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw, context=ctx,
                        reports=tuple(reports))
 
 
-def _require_passed(rep: VerificationReport) -> VerificationReport:
-    """rep, or TwistAxiomFailure for its first failed check if it has one."""
-    for check in rep.failed_checks()[:1]:
-        raise TwistAxiomFailure(check.name, witness=check.witness)
-    return rep
+def _twist_failure(check):
+    return TwistAxiomFailure(check.name, witness=check.witness)
 
 
 def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationReport:

@@ -1,7 +1,7 @@
 """Concrete instances: groupoid algebras, sign cocycles, direct sums.
 
 Generators never emit unchecked data: every constructed object is run
-through its checker before it is returned.  All coefficients stay in
+through its checker, and `report.require` raises on its first failed check.  All coefficients stay in
 {0, +-1, +-1/2, +-1/4}, so exact rationals suffice for the whole corpus.
 """
 
@@ -22,6 +22,7 @@ from .errors import (
     NotABicharacter,
 )
 from .linalg import Matrix, Q, Q0, Q1
+from .report import require
 from .structures import (
     QTStructure,
     WeakCocycle,
@@ -167,18 +168,20 @@ def groupoid_algebra(spec: GroupoidSpec) -> QuantumGroupoid:
     antipode = Matrix.from_entries(
         n, n, ((index[spec.inverses[a]], i, Q1) for i, a in enumerate(names))
     )
-    base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
-    rep = check_weak_bialgebra(base)
-    if not rep.passed:
-        raise InvalidGroupoid(
-            "groupoid algebra failed %s" % rep.failed_checks()[0].name
-        )
-    H = QuantumGroupoid(base, antipode)
-    rep = check_quantum_groupoid(H)
-    if not rep.passed:
-        raise InvalidGroupoid(
-            "groupoid algebra failed %s" % rep.failed_checks()[0].name
-        )
+    return _checked_groupoid(names, mul_rows, unit, comul_cols, counit, antipode,
+                             _failure(InvalidGroupoid, "groupoid algebra"))
+
+
+def _failure(error, what):
+    """For require: a failed check of what as error("<what> failed <check>")."""
+    return lambda check: error("%s failed %s" % (what, check.name))
+
+
+def _checked_groupoid(names, mul_rows, unit, comul_cols, counit, antipode, failure):
+    """The quantum groupoid of these tables, once both algebra suites pass."""
+    H = QuantumGroupoid(WeakBialgebra(names, mul_rows, unit, comul_cols, counit), antipode)
+    require(check_weak_bialgebra(H), failure)
+    require(check_quantum_groupoid(H), failure)
     return H
 
 
@@ -213,11 +216,7 @@ def dihedral_group_algebra(k: int) -> QuantumGroupoid:
 def trivial_cocycle(H: QuantumGroupoid) -> WeakCocycle:
     """F = Delta(1); valid whenever the checker accepts it."""
     wc = WeakCocycle(H.delta_one, H.delta_cop_one)
-    rep = check_weak_cocycle(H, wc)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "trivial cocycle failed %s" % rep.failed_checks()[0].name
-        )
+    require(check_weak_cocycle(H, wc), _failure(InconsistentStructure, "trivial cocycle"))
     return wc
 
 
@@ -311,11 +310,7 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
                             f[a * n + b] += bvw * ca * cb
                             finv[a * n + b] += binv * ca * cb
     wc = WeakCocycle(tuple(f), tuple(finv))
-    rep = check_weak_cocycle(H, wc)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "bicharacter cocycle failed %s" % rep.failed_checks()[0].name
-        )
+    require(check_weak_cocycle(H, wc), _failure(InconsistentStructure, "bicharacter cocycle"))
     return wc
 
 
@@ -355,19 +350,8 @@ def direct_sum(A: QuantumGroupoid, B: QuantumGroupoid) -> QuantumGroupoid:
         + [(na + i, na + j, x)
            for i, row in enumerate(B.antipode.sparse_rows) for j, x in row.items()],
     )
-    base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
-    rep = check_weak_bialgebra(base)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "direct sum failed %s" % rep.failed_checks()[0].name
-        )
-    H = QuantumGroupoid(base, antipode)
-    rep = check_quantum_groupoid(H)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "direct sum failed %s" % rep.failed_checks()[0].name
-        )
-    return H
+    return _checked_groupoid(names, mul_rows, unit, comul_cols, counit, antipode,
+                             _failure(InconsistentStructure, "direct sum"))
 
 
 def direct_sum_element2(A, B, xa, xb):
@@ -391,11 +375,8 @@ def direct_sum_qt(H_sum, A, B, qa: QTStructure, qb: QTStructure) -> QTStructure:
         direct_sum_element2(A, B, qa.r, qb.r),
         direct_sum_element2(A, B, qa.rinv, qb.rinv),
     )
-    rep = check_quasitriangular(H_sum, qt)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "block quasitriangular structure failed %s" % rep.failed_checks()[0].name
-        )
+    require(check_quasitriangular(H_sum, qt),
+            _failure(InconsistentStructure, "block quasitriangular structure"))
     return qt
 
 
@@ -404,11 +385,7 @@ def direct_sum_cocycle(H_sum, A, B, wa: WeakCocycle, wb: WeakCocycle) -> WeakCoc
         direct_sum_element2(A, B, wa.f, wb.f),
         direct_sum_element2(A, B, wa.finv, wb.finv),
     )
-    rep = check_weak_cocycle(H_sum, wc)
-    if not rep.passed:
-        raise InconsistentStructure(
-            "block cocycle failed %s" % rep.failed_checks()[0].name
-        )
+    require(check_weak_cocycle(H_sum, wc), _failure(InconsistentStructure, "block cocycle"))
     return wc
 
 
@@ -425,34 +402,17 @@ class Fixture:
     cocycle: WeakCocycle
 
 
-def _fixture_diag2():
-    H = groupoid_algebra(GroupoidSpec.identity_groupoid(2))
-    qt = canonical_r(H)
-    # Delta(1) = e1 (x) e1 + e2 (x) e2 doubles as the cocycle
-    wc = trivial_cocycle(H)
-    return Fixture(
-        "diag2",
-        "2x2 diagonal matrix algebra (two-object identity groupoid)",
-        H,
-        qt,
-        wc,
-    )
+def _trivial(spec):
+    """Builder of the groupoid algebra of spec with the cocycle Delta(1)."""
+    def build():
+        H = groupoid_algebra(spec)
+        return H, trivial_cocycle(H)
+    return build
 
 
-def _fixture_kz2():
+def _kz2():
     H = cyclic_group_algebra(2)
-    qt = canonical_r(H)
-    wc = bicharacter_cocycle(H, [1], [[1, 1], [1, -1]])
-    return Fixture("kz2", "group algebra of Z2 with the sign cocycle", H, qt, wc)
-
-
-def _fixture_pair2():
-    H = groupoid_algebra(GroupoidSpec.pair_groupoid(2))
-    qt = canonical_r(H)
-    wc = trivial_cocycle(H)
-    return Fixture(
-        "pair2", "pair groupoid of two objects (4-dim, antipode = transpose)", H, qt, wc
-    )
+    return H, bicharacter_cocycle(H, [1], [[1, 1], [1, -1]])
 
 
 def _kd4_cocycle(H):
@@ -465,53 +425,47 @@ def _kd4_cocycle(H):
     return bicharacter_cocycle(H, gens, beta)
 
 
-def _fixture_kd4():
+def _kd4():
     H = dihedral_group_algebra(4)
-    qt = canonical_r(H)
-    return Fixture(
-        "kd4",
-        "group algebra of the dihedral group of order 8 with a Klein-four sign cocycle",
-        H,
-        qt,
-        _kd4_cocycle(H),
-    )
+    return H, _kd4_cocycle(H)
 
 
-def _fixture_kd4_diag2():
+def _kd4_diag2():
     A = dihedral_group_algebra(4)
     B = groupoid_algebra(GroupoidSpec.identity_groupoid(2))
     H = direct_sum(A, B)
-    qt = canonical_r(H)
-    wc = direct_sum_cocycle(H, A, B, _kd4_cocycle(A), trivial_cocycle(B))
-    return Fixture(
-        "kd4_diag2",
-        "direct sum of the dihedral block and the diagonal block (genuinely weak)",
-        H,
-        qt,
-        wc,
-    )
+    return H, direct_sum_cocycle(H, A, B, _kd4_cocycle(A), trivial_cocycle(B))
 
 
-_FIXTURE_BUILDERS = {
-    "diag2": _fixture_diag2,
-    "kz2": _fixture_kz2,
-    "pair2": _fixture_pair2,
-    "kd4": _fixture_kd4,
-    "kd4_diag2": _fixture_kd4_diag2,
+# name -> (description, builder of (algebra, cocycle)); `fixture` adds the
+# canonical quasitriangular structure.  On diag2 the cocycle
+# Delta(1) = e1 (x) e1 + e2 (x) e2.
+_FIXTURES = {
+    "diag2": ("2x2 diagonal matrix algebra (two-object identity groupoid)",
+              _trivial(GroupoidSpec.identity_groupoid(2))),
+    "kz2": ("group algebra of Z2 with the sign cocycle", _kz2),
+    "pair2": ("pair groupoid of two objects (4-dim, antipode = transpose)",
+              _trivial(GroupoidSpec.pair_groupoid(2))),
+    "kd4": ("group algebra of the dihedral group of order 8 with a Klein-four sign cocycle",
+            _kd4),
+    "kd4_diag2": ("direct sum of the dihedral block and the diagonal block (genuinely weak)",
+                  _kd4_diag2),
 }
 
 _cache = {}
 
 
 def fixture_names():
-    return tuple(_FIXTURE_BUILDERS)
+    return tuple(_FIXTURES)
 
 
 def fixture(name: str) -> Fixture:
-    if name not in _FIXTURE_BUILDERS:
-        raise KeyError("unknown fixture %r (choose from %s)" % (name, ", ".join(_FIXTURE_BUILDERS)))
+    if name not in _FIXTURES:
+        raise KeyError("unknown fixture %r (choose from %s)" % (name, ", ".join(_FIXTURES)))
     if name not in _cache:
-        _cache[name] = _FIXTURE_BUILDERS[name]()
+        description, build = _FIXTURES[name]
+        H, wc = build()
+        _cache[name] = Fixture(name, description, H, canonical_r(H), wc)
     return _cache[name]
 
 

@@ -145,7 +145,7 @@ def check_weak_bialgebra(B) -> VerificationReport:
 def check_quantum_groupoid(H) -> VerificationReport:
     """Antipode axioms: convolution identities and (anti)morphism laws."""
     rep = VerificationReport("quantum-groupoid")
-    B = H.base
+    B = H
     n = B.dim
     S = H.antipode
     ident = Matrix.identity(n)

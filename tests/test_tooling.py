@@ -93,6 +93,29 @@ def test_dense_view_detector_sees_them():
     assert _dense_view_reads(tree) == [(1, "vectors"), (2, "data")]
 
 
+def _getattr_hooks(tree):
+    """(line, class) of each ``__getattr__`` a class defines."""
+    return sorted((item.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and item.name == "__getattr__")
+
+
+def test_no_package_class_forwards_unknown_attributes():
+    # a class says what it is by subclassing; a catch-all __getattr__ hides
+    # its surface and sends copy and pickle into endless recursion
+    hooks = {p.name: _getattr_hooks(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in hooks.items() if found} == {}
+
+
+def test_getattr_detector_sees_them():
+    tree = ast.parse("class A:\n    def __getattr__(self, name):\n        pass\n"
+                     "def __getattr__(name):\n    pass\n"
+                     "class B:\n    x = 1\n    class C:\n        def __getattr__(s, n): pass\n")
+    assert _getattr_hooks(tree) == [(2, "A"), (9, "C")]
+
+
 def _callers(tree, name):
     """(line, enclosing class and function names) of each call of name, as
     a bare name or as an attribute."""

@@ -139,7 +139,7 @@ def test_square_antipode_conjugation_witness():
     # R = 1 (x) 1 makes u = u^-1 = 1, so conjugation by u is the identity;
     # the antipode e -> e, g1 -> e + g1 of kz2's basis has S^2(g1) = 2e + g1
     H = zoo.fixture("kz2").algebra
-    bad = QuantumGroupoid(H.base, Matrix([[1, 1], [0, 1]]))
+    bad = QuantumGroupoid(H, Matrix([[1, 1], [0, 1]]))
     one = _q(1, 0, 0, 0)
     rep = drinfeld_identities(bad, QTStructure(one, one))
     assert rep["u-invertible"].passed
@@ -155,7 +155,7 @@ def _coherence(H, qt, comul=None, antipode=None):
         H = QuantumGroupoid(dense.bialgebra(H.basis_names, H.mul, H.unit, comul, H.counit),
                             H.antipode)
     if antipode is not None:
-        H = QuantumGroupoid(H.base, antipode)
+        H = QuantumGroupoid(H, antipode)
     M = HModule(H, H.left_mult_mats)
     return coherence_report(BraidContext.psi(H, qt), M, M, M)
 
