@@ -9,11 +9,18 @@ quantified over the algebra is equivalent, by multilinearity of both sides,
 to its basis instances; the checkers decide the n^3 ones as identities
 between sparse matrices, one per basis element or pair; the witness of a
 failure is the first differing column of the first failing identity.
+
+A law saying that a map is multiplicative (associativity, module actions,
+the coproduct, the antipode, morphisms, the R-intertwiner) holds on all of
+H once it holds on the generators, given the unit law, associativity and
+the law's identity at 1; `_on_generators` decides it there and scans every
+basis element only when that fails or a condition does not hold.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     AntipodeNotInvertible,
@@ -21,8 +28,8 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import Matrix, Q0, Q1, frac, kron, SubspaceBasis
-from .report import VerificationReport, comparison
+from .linalg import Matrix, Q0, Q1, _add_into, frac, kron, SubspaceBasis
+from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
 # sparse helpers for elements of H^(x)k, keyed by k-tuples of basis indices
@@ -183,6 +190,93 @@ class WeakBialgebra:
         return self.right_mult(self.unit).is_identity()
 
     @cached_property
+    def unit_law(self) -> bool:
+        """1 x = x = x 1 for every x."""
+        return self.unit_acts_right and self.left_mult(self.unit).is_identity()
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices S, chosen in index order, whose products with 1
+        span H: an index joins S when its basis element lies outside the
+        closure of span{1} under left multiplication by S so far, and the
+        closure then grows.  Under the unit law S generates H as an algebra
+        with 1.  The closure is kept in sparse echelon form, each row scaled
+        to 1 at its pivot, its smallest index."""
+        echelon = {}  # pivot -> row
+
+        def residual(v):
+            while v:
+                p = min(v)
+                row = echelon.get(p)
+                if row is None:
+                    break
+                _add_into(v, -v[p], row)
+            return v
+
+        gens, spanning, pending = [], [], []
+
+        def grow(v):
+            v = residual(v)
+            if v:
+                p = min(v)
+                c = v[p]
+                echelon[p] = v if c == 1 else {k: x / c for k, x in v.items()}
+                spanning.append(v)
+                pending.extend((s, v) for s in gens)
+
+        grow({i: c for i, c in enumerate(self.unit) if c})
+        for i in range(self.dim):
+            if len(echelon) == self.dim:
+                break
+            if not residual({i: Q1}):
+                continue
+            gens.append(i)
+            pending.extend((i, v) for v in spanning)
+            while pending:
+                s, v = pending.pop()
+                product = {}
+                for k, c in v.items():
+                    _add_into(product, c, self.mul_rows.get((s, k), {}))
+                grow(product)
+        return tuple(gens)
+
+    @cached_property
+    def associativity(self):
+        """The associativity check, decided once per algebra.  It is
+        Light's test with the generator on the left: the s with
+        (s x) y = s (x y) for all x and y form a subspace closed under
+        products, which holds 1 under the unit law, so L_{s e_j} = L_s L_j
+        for s in the generators and every j decides it."""
+        return decide("associativity", _on_generators(
+            self, _action_identities(self.mul_rows, self.left_mult_mats), self.unit_law))
+
+    @property
+    def unital_associative(self) -> bool:
+        """The unit law holds and the product is associative: the gate of
+        every law `_on_generators` decides but associativity."""
+        return self.unit_law and self.associativity.passed
+
+    @cached_property
+    def comultiplicativity(self):
+        """The check Delta(e_i e_j) = Delta(e_i) Delta(e_j), decided once per
+        algebra.  On a unital associative algebra it holds once it holds for
+        e_i a generator and Delta(1) Delta(e_j) = Delta(e_j) for every j
+        (in a weak bialgebra Delta(1) is not 1 (x) 1)."""
+        n, cols = self.dim, self.comul_cols
+
+        def identities(i):
+            for j in range(n):
+                ij = {(k,): c for k, c in self.mul_rows.get((i, j), {}).items()}
+                yield ((i, j), sparse_coproduct_leg(ij, 0, cols),
+                       sparse_mul(self, cols[i], cols[j], 2))
+
+        at_one = (((), sparse_mul(self, self.delta_one_sparse, cols[j], 2), cols[j])
+                  for j in range(n))
+        return decide("comultiplicativity",
+                      _on_generators(self, identities, self.unital_associative, at_one),
+                      shape=(n, 2))
+
+    @cached_property
     def mul_map(self) -> Matrix:
         """mu as a dim x dim^2 matrix on flattened tensors."""
         n = self.dim
@@ -301,13 +395,20 @@ class WeakBialgebra:
         return all(self.mul_rows.get((j, i)) == row for (i, j), row in self.mul_rows.items())
 
 
+# what a weak bialgebra holds: its validated tables and what it has
+# computed from them alone
+_TABLES = frozenset(("basis_names", "dim", "unit", "counit", "mul_rows", "comul_cols")) | {
+    name for name, v in vars(WeakBialgebra).items() if isinstance(v, cached_property)}
+
+
 class QuantumGroupoid(WeakBialgebra):
-    """A weak bialgebra with a bijective antipode, on the tables of base;
-    what base has cached (such as its regular module) stays with base."""
+    """A weak bialgebra with a bijective antipode, on the tables of base.
+    It takes base's tables, which base has validated, with what base has
+    computed from them (verdicts, generators, multiplication matrices);
+    anything else base keeps (such as its regular module) stays with it."""
 
     def __init__(self, base: WeakBialgebra, antipode: Matrix):
-        super().__init__(base.basis_names, base.mul_rows, base.unit, base.comul_cols,
-                         base.counit)
+        self.__dict__.update((k, v) for k, v in vars(base).items() if k in _TABLES)
         if antipode.rows != self.dim or antipode.cols != self.dim:
             raise DimensionMismatch("antipode must be dim x dim")
         self.antipode = antipode
@@ -421,21 +522,41 @@ def solve_antipode(B: WeakBialgebra):
 # checkers
 
 
-def _multiplicativity(mul_rows, mats):
-    """((i, j), sum_k m_ij^k M_k, M_i M_j) for each basis pair in loop order,
-    built lazily for the matrices mats of the basis.  On left multiplication
-    matrices the two sides agree for every pair iff the product is
-    associative, on a module's action matrices iff the action is
-    multiplicative.
-    """
+def _multiplicativity(identities, rows):
+    """The (indices, lhs, rhs) triples identities(i) of each basis index i
+    in rows, in loop order, built lazily."""
+    return (t for i in rows for t in identities(i))
+
+
+def _on_generators(H, identities, gate, at_one=()):
+    """The triples `comparison` needs for a multiplicative law of H, given
+    by the identities(i) of each basis element e_i: none when gate holds
+    and so do the identities at_one and identities(s) for every s in
+    H.generators, since the law then holds on all of H; otherwise the full
+    scan over every basis element, in loop order.  gate holds the law's
+    conditions: the unit law and associativity of H, and the law at 1 where
+    at_one does not state it (rho(1) = id for a module).  The shortcut
+    only ever answers "passed", so every report is the full scan's."""
+    if gate and all(lhs == rhs for _, lhs, rhs in
+                    chain(at_one, _multiplicativity(identities, H.generators))):
+        return ()
+    return _multiplicativity(identities, range(H.dim))
+
+
+def _action_identities(mul_rows, mats):
+    """identities(i) for the law that the matrices mats of the basis are
+    multiplicative: ((i, j), sum_k m_ij^k M_k, M_i M_j) for each j.  On
+    left multiplication matrices the law is associativity, on a module's
+    action matrices it says the action is multiplicative."""
     rows, cols = mats[0].rows, mats[0].cols
-    return (
-        ((i, j),
-         Matrix.lincomb(((c, mats[k]) for k, c in mul_rows.get((i, j), {}).items()), rows, cols),
-         mi * mj)
-        for i, mi in enumerate(mats)
-        for j, mj in enumerate(mats)
-    )
+
+    def identities(i):
+        mi = mats[i]
+        for j, mj in enumerate(mats):
+            terms = ((c, mats[k]) for k, c in mul_rows.get((i, j), {}).items())
+            yield (i, j), Matrix.lincomb(terms, rows, cols), mi * mj
+
+    return identities
 
 
 def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
@@ -443,7 +564,7 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     rep = VerificationReport("weak-bialgebra")
     n = B.dim
 
-    comparison(rep, "associativity", _multiplicativity(B.mul_rows, B.left_mult_mats))
+    rep.checks.append(B.associativity)
     ident = Matrix.identity(n)
 
     def column_pairs(lhs_maps):
@@ -467,19 +588,7 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     comparison(rep, "counit-axiom", column_pairs((kron(B.counit_map, ident) * B.comul_map,
                                                   kron(ident, B.counit_map) * B.comul_map)))
 
-    def comult_pairs():
-        # Delta(e_i e_j) = Delta(e_i) Delta(e_j) as sparse 2-tensors
-        cols = B.comul_cols
-        for i in range(n):
-            for j in range(n):
-                ij = {(k,): c for k, c in B.mul_rows.get((i, j), {}).items()}
-                lhs = sparse_coproduct_leg(ij, 0, cols)
-                rhs = sparse_mul(B, cols[i], cols[j], 2)
-                if lhs != rhs:
-                    yield (i, j), lhs, rhs
-                    return
-
-    comparison(rep, "comultiplicativity", comult_pairs(), shape=(n, 2))
+    rep.checks.append(B.comultiplicativity)
 
     # weak unit axiom: Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1))
     #                            = (1 (x) Delta(1))(Delta(1) (x) 1)
@@ -527,13 +636,15 @@ def check_quantum_groupoid(H: QuantumGroupoid) -> VerificationReport:
     ):
         comparison(rep, name, [((), lhs, rhs)], detail)
 
-    def antimul_pairs():
-        yield (), S.apply(H.unit), H.unit
+    def antimul(i):
         # column j of S L_i is S(e_i e_j), of R_{S(e_i)} S it is S(e_j) S(e_i)
-        for i in range(n):
-            yield (i,), S * H.left_mult_mats[i], H.right_mult(S.column(i)) * S
+        yield (i,), S * H.left_mult_mats[i], H.right_mult(S.column(i)) * S
 
-    comparison(rep, "antipode-anti-multiplicative", antimul_pairs())
+    # S(1) = 1 plays the part of rho(1) = id
+    one = S.apply(H.unit)
+    comparison(rep, "antipode-anti-multiplicative",
+               chain([((), one, H.unit)],
+                     _on_generators(H, antimul, H.unital_associative and one == H.unit)))
 
     # column i of each map is eps(S(e_i)), Delta(S(e_i)) and
     # (S (x) S)(Delta_cop(e_i)) = sum c S(e_b) (x) S(e_a) over Delta(e_i)

@@ -99,6 +99,14 @@ def require(rep, error):
     return rep
 
 
+def decide(name, pairs, detail="", shape=None) -> Check:
+    """The check `comparison` records for these pairs, on its own, for a
+    verdict that is kept and added to reports later."""
+    rep = VerificationReport("")
+    comparison(rep, name, pairs, detail, shape)
+    return rep.checks[0]
+
+
 def dense_of_sparse(s, n, k):
     """The sparse element s of H^(x)k, dim H = n, as a length n^k tuple."""
     out = [Q0] * (n ** k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import QuantumGroupoid, source_subalgebra, target_subalgebra
+from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, SubspaceBasis, _restrict, kron
 from .modules import BraidContext, HModule, _unitor_plain, ht_module, truncated_tensor, unitors
@@ -47,10 +47,15 @@ def check_morphism(f: QGMorphism) -> VerificationReport:
     rep = VerificationReport("morphism")
     H, L, m = f.source, f.target, f.matrix
 
-    # column j of f L_i is f(e_i e_j), of L_{f(e_i)} f it is f(e_i) f(e_j)
-    comparison(rep, "multiplicative",
-               (((i,), m * H.left_mult_mats[i], L.left_mult(m.column(i)) * m)
-                for i in range(H.dim)))
+    # column j of f L_i is f(e_i e_j), of L_{f(e_i)} f it is f(e_i) f(e_j);
+    # with both algebras associative the generators and f(1) f(e_j) = f(e_j)
+    # decide the law
+    def multiplicative(i):
+        yield (i,), m * H.left_mult_mats[i], L.left_mult(m.column(i)) * m
+
+    at_one = [((), L.left_mult(f.apply(H.unit)) * m, m)]
+    comparison(rep, "multiplicative", _on_generators(
+        H, multiplicative, H.unital_associative and L.associativity.passed, at_one))
     comparison(rep, "unit-preserving", [((), f.apply(H.unit), L.unit)])
     comparison(rep, "comultiplicative", [((), L.comul_map * m, kron(m, m) * H.comul_map)])
     comparison(rep, "counit-preserving", [((), L.counit_map * m, H.counit_map)])

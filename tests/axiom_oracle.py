@@ -2,8 +2,10 @@
 
 These are the checkers ``weakhopf.algebra``, ``weakhopf.modules`` and
 ``weakhopf.transmute`` ran before their axioms were decided as matrix
-identities: every axiom is compared one basis tuple at a time with dense
-coefficient vectors, and the first failing tuple is the witness.  The
+identities, and the quasitriangular suite of ``weakhopf.structures`` before
+its intertwiner was decided on a generating set: every axiom is compared
+one basis tuple at a time with dense coefficient vectors, and the first
+failing tuple is the witness.  The
 braided-Hopf verifier here evaluates carrier associativity, both counit laws
 and the braided bialgebra compatibility that way.  Nothing in the package
 calls them; the tests compare their reports with the package's, byte for
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dense_oracle import (
     basis_vector,
     comul_of,
+    embed,
     counit_of,
     dense_of_sparse,
     mul2,
@@ -24,6 +27,7 @@ from dense_oracle import (
     s_of,
     sparse_mul,
     sparse_of_dense,
+    swap2,
     vector_lincomb,
 )
 from weakhopf.algebra import convolve, sparse_coproduct_leg, sparse_embed
@@ -198,6 +202,48 @@ def check_quantum_groupoid(H) -> VerificationReport:
         "antipode-invertible",
         both.is_identity() and (H.antipode_inv * S).is_identity(),
     )
+    return rep
+
+
+def check_quasitriangular(H, qt) -> VerificationReport:
+    """The quasitriangular suite over dense 2- and 3-tensors, with the
+    intertwiner compared on every basis element."""
+    rep = VerificationReport("quasitriangular")
+    n = H.dim
+    r, rinv = qt.r, qt.rinv
+    d1, d1c = H.delta_one, H.delta_cop_one
+
+    def mul(*factors):
+        out = factors[0]
+        for x in factors[1:]:
+            out = mul2(H, out, x)
+        return out
+
+    for name, lhs, rhs, detail in (
+        ("r-sandwich", mul(d1c, r, d1), r, "Delta_cop(1) R Delta(1) vs R"),
+        ("rinv-sandwich", mul(d1, rinv, d1c), rinv, "Delta(1) R^-1 Delta_cop(1) vs R^-1"),
+        ("r-invertibility-left", mul(r, rinv), d1c, "R R^-1 vs Delta_cop(1)"),
+        ("r-invertibility-right", mul(rinv, r), d1, "R^-1 R vs Delta(1)"),
+    ):
+        comparison(rep, name, [((), lhs, rhs)], detail)
+
+    rs = sparse_of_dense(r, n, 2)
+    r13 = embed(rs, 3, (0, 2), H.unit_sparse)
+    for name, leg, other, detail in (
+        ("coproduct-second-leg", 1, (0, 1), "(id (x) Delta)R vs R13 R12"),
+        ("coproduct-first-leg", 0, (1, 2), "(Delta (x) id)R vs R13 R23"),
+    ):
+        lhs = sparse_coproduct_leg(rs, leg, H.comul_cols)
+        rhs = sparse_mul(H, r13, embed(rs, 3, other, H.unit_sparse), 3)
+        comparison(rep, name, [((), dense_of_sparse(lhs, n, 3), dense_of_sparse(rhs, n, 3))],
+                   detail)
+
+    def intertwiner_pairs():
+        for h in range(n):
+            dh = comul_of(H, basis_vector(H, h))
+            yield (h,), mul(swap2(H, dh), r), mul(r, dh)
+
+    comparison(rep, "intertwiner", intertwiner_pairs(), "Delta_cop(h) R vs R Delta(h)")
     return rep
 
 

@@ -364,3 +364,17 @@ def outer(x, y, c=Q1, out=None):
             if cp and cq:
                 out[p * len(y) + q] += c * cp * cq
     return out
+
+
+def generated_dim(H, generators):
+    """Dimension of the span of the words in the basis elements generators,
+    1 the empty word: the span of {1} multiplied on the left by every
+    generator, over dense elements and dense RREF, until it stops growing."""
+    n = H.dim
+    gens = [basis_vector(H, s) for s in generators]
+    words, _ = spanning_basis([H.unit], n)
+    while True:
+        grown, _ = spanning_basis(list(words) + [mul_elem(H, g, w) for g in gens for w in words], n)
+        if len(grown) == len(words):
+            return len(words)
+        words = grown

@@ -16,6 +16,7 @@ import pytest
 
 from weakhopf import (
     QuantumGroupoid,
+    WeakBialgebra,
     check_quantum_groupoid,
     check_weak_bialgebra,
     zoo,
@@ -25,8 +26,9 @@ from weakhopf.errors import AntipodeNotInvertible, InconsistentStructure
 from weakhopf.linalg import Matrix
 from weakhopf.modules import BraidContext, HModule, check_module, ht_module, regular_module
 from weakhopf.quantize import quantize
-from weakhopf.structures import canonical_r
+from weakhopf.structures import QTStructure, _mul2, canonical_r, check_quasitriangular, swap2
 from weakhopf.transmute import transmute, verify_braided_hopf
+from weakhopf.twisting import twist
 
 import axiom_oracle as oracle
 import dense_oracle as dense
@@ -252,3 +254,172 @@ def test_presentation_perturbations_fail_every_rewritten_check():
         for _, ours, _ in braided_reports(name):
             failed |= failed_names(ours)
     assert REWRITTEN_BRAIDED <= failed, REWRITTEN_BRAIDED - failed
+
+
+# ---------------------------------------------------------------------------
+# the laws decided on the generators: each case closes one gate or makes the
+# decision on the generators fail, and the report must still be the oracle's
+
+GATE_INSTANCES = ("D4", "P3", "kd4_diag2")
+GATE_SEEDS = range(10)
+
+
+def _unit_support(H):
+    return {i for i, c in enumerate(H.unit) if c}
+
+
+def _moved(rng, c):
+    """c moved by a nonzero amount, never onto zero."""
+    return c + rng.choice([d for d in DELTAS if c + d != 0])
+
+
+def _corrupted_module(M, i, rng):
+    """M with one entry of the action matrix of e_i moved."""
+    mats = [m.data for m in M.mats]
+    r, c = _entry(rng, M.dim, 2)
+    mats[i][r][c] = _moved(rng, mats[i][r][c])
+    return HModule(M.algebra, [Matrix(m, M.dim, M.dim) for m in mats], name=M.name)
+
+
+def _assert_module_matches(M, case):
+    assert check_module(M).to_dict() == oracle.check_module(M).to_dict(), case
+    assert validate_outcome(M) == oracle_validate_outcome(M), case
+
+
+def _bialgebra(H, mul=None, unit=None):
+    return dense.bialgebra(H.basis_names, mul or H.mul, unit or H.unit, H.comul, H.counit)
+
+
+@pytest.mark.parametrize("name", GATE_INSTANCES)
+def test_module_over_a_non_associative_algebra(name):
+    # a product moved off the unit's support keeps the unit law, so Light's
+    # test runs and fails, and the module law finds its gate closed
+    H = instance(name)
+    off_unit = [i for i in range(H.dim) if i not in _unit_support(H)]
+    closed = 0
+    for seed in GATE_SEEDS:
+        rng = random.Random("%s-non-associative-%d" % (name, seed))
+        mul = [[list(r) for r in p] for p in H.mul]
+        i, j, k = rng.choice(off_unit), rng.choice(off_unit), rng.randrange(H.dim)
+        mul[i][j][k] = _moved(rng, mul[i][j][k])
+        B = _bialgebra(H, mul=mul)
+        assert B.unit_law, seed
+        closed += not B.associativity.passed
+        assert check_weak_bialgebra(B).to_dict() == oracle.check_weak_bialgebra(B).to_dict(), seed
+        _assert_module_matches(HModule(B, H.left_mult_mats, name="regular"), seed)
+    assert closed >= len(GATE_SEEDS) // 2
+
+
+@pytest.mark.parametrize("name", GATE_INSTANCES + ("diag2",))
+def test_module_whose_unit_does_not_act_as_the_identity(name):
+    # on diag2 (generator e1) a corrupted action of e2 can leave every
+    # identity at the generator intact, so the gate rho(1) = id decides
+    H = instance(name)
+    M = regular_module(H)
+    for seed in GATE_SEEDS:
+        rng = random.Random("%s-unit-action-%d" % (name, seed))
+        bad = _corrupted_module(M, rng.choice(sorted(_unit_support(H))), rng)
+        assert bad.act_element(H.unit) != Matrix.identity(M.dim), seed
+        _assert_module_matches(bad, seed)
+
+
+@pytest.mark.parametrize("name", GATE_INSTANCES)
+def test_module_corrupted_off_the_generators(name):
+    # the gate is open, the generators see the corruption through the
+    # products that reach e_i, and the full scan names the first pair
+    H = instance(name)
+    others = [i for i in range(H.dim)
+              if i not in H.generators and i not in _unit_support(H)]
+    for M in (regular_module(H), ht_module(H)[1]):
+        for seed in GATE_SEEDS:
+            rng = random.Random("%s-%s-off-generators-%d" % (name, M.name, seed))
+            bad = _corrupted_module(M, rng.choice(others), rng)
+            assert bad.act_element(H.unit) == Matrix.identity(M.dim), seed
+            _assert_module_matches(bad, seed)
+
+
+@pytest.mark.parametrize("name", ["kd4", "kd4_diag2"])
+def test_twisted_coproduct_corrupted_off_the_generators(name):
+    fx = zoo.fixture(name)
+    H = fx.algebra
+    columns = BraidContext.phi(H, fx.cocycle).coproduct[0]
+    others = [i for i in range(H.dim) if i not in H.generators]
+    failed = 0
+    for seed in GATE_SEEDS:
+        rng = random.Random("%s-twisted-column-%d" % (name, seed))
+        cols = {i: dict(col) for i, col in enumerate(columns)}
+        col = cols[rng.choice(others)]
+        key = rng.choice(sorted(col)) if rng.random() < 0.5 else _entry(rng, H.dim, 2)
+        col[key] = _moved(rng, col.get(key, 0))
+        B = WeakBialgebra(H.basis_names, H.mul_rows, H.unit, cols, H.counit)
+        ours = check_weak_bialgebra(B)
+        assert ours.to_dict() == oracle.check_weak_bialgebra(B).to_dict(), seed
+        failed += not ours["comultiplicativity"].passed
+    assert failed
+
+
+@pytest.mark.parametrize("name", GATE_INSTANCES + ("diag2",))
+def test_algebra_whose_unit_law_fails(name):
+    # a moved unit coefficient, and on odd seeds a moved product too, which
+    # Light's test must not be trusted with
+    H = instance(name)
+    for seed in GATE_SEEDS:
+        rng = random.Random("%s-unit-law-%d" % (name, seed))
+        unit = list(H.unit)
+        k = rng.randrange(H.dim)
+        unit[k] = _moved(rng, unit[k])
+        mul = [[list(r) for r in p] for p in H.mul]
+        if seed % 2:
+            i, j, k = _entry(rng, H.dim, 3)
+            mul[i][j][k] = _moved(rng, mul[i][j][k])
+        B = _bialgebra(H, mul=mul, unit=unit)
+        assert not B.unit_law, seed
+        assert check_weak_bialgebra(B).to_dict() == oracle.check_weak_bialgebra(B).to_dict(), seed
+        _assert_module_matches(HModule(B, H.left_mult_mats, name="regular"), seed)
+        Q = QuantumGroupoid(B, H.antipode)
+        assert check_quantum_groupoid(Q).to_dict() == oracle.check_quantum_groupoid(Q).to_dict(), seed
+
+
+def _r_instances():
+    out = {name: (instance(name), canonical_r(instance(name))) for name in GATE_INSTANCES}
+    fx = zoo.fixture("kd4")
+    tw = twist(fx.algebra, fx.qt, fx.cocycle)
+    out["kd4-twisted"] = (tw.algebra, tw.qt)
+    return out
+
+
+@pytest.mark.parametrize("name", GATE_INSTANCES + ("kd4-twisted",))
+def test_r_corrupted_off_the_generators(name):
+    # every basis element that is not a generator lies in the algebra that 1
+    # and the generators before it generate, so the full scan meets a
+    # failing generator or h = 1 first; the report must still be the oracle's
+    H, qt = _r_instances()[name]
+    n = H.dim
+    others = [i for i in range(n) if i not in H.generators]
+    failed = 0
+    for seed in GATE_SEEDS:
+        rng = random.Random("%s-r-%d" % (name, seed))
+        r = list(qt.r)
+        # one coefficient of R with a first leg off the generators
+        a, b = rng.choice(others), rng.randrange(n)
+        r[a * n + b] = _moved(rng, r[a * n + b])
+        bad = QTStructure(r, qt.rinv)
+        ours = check_quasitriangular(H, bad)
+        assert ours.to_dict() == oracle.check_quasitriangular(H, bad).to_dict(), seed
+        failed += not ours["intertwiner"].passed
+    assert failed
+
+
+def test_r_corrupted_where_the_identity_at_one_fails():
+    # on pair2 (objects 1, 2), R + e11 (x) e12: both legs end at object 1 and
+    # start at different objects, so Delta_cop(1) R != R Delta(1)
+    H = instance("pair2")
+    qt = canonical_r(H)
+    r = list(qt.r)
+    r[H.basis_names.index("e11") * H.dim + H.basis_names.index("e12")] += 1
+    bad = QTStructure(r, qt.rinv)
+    rs, d1 = bad.sparse[0], H.delta_one_sparse
+    assert _mul2(H, swap2(d1), rs) != _mul2(H, rs, d1)
+    ours = check_quasitriangular(H, bad)
+    assert not ours["intertwiner"].passed
+    assert ours.to_dict() == oracle.check_quasitriangular(H, bad).to_dict()

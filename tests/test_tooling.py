@@ -151,3 +151,22 @@ def test_caller_detector_sees_them():
                      "class C:\n    def m(self):\n        return mod.g(h(2))\n"
                      "g(3)\nx = g\n")
     assert _callers(tree, "g") == [(2, "f"), (5, "C.m"), (6, "")]
+
+
+def test_every_law_scans_all_basis_elements_only_behind_the_generator_decision():
+    # the scan over every basis element is reached through _on_generators,
+    # which decides a multiplicative law on the generating set first, so a
+    # law cannot skip that decision unnoticed
+    callers = {(p.name, scope)
+               for p in sorted(PACKAGE.glob("*.py"))
+               for _, scope in _callers(ast.parse(p.read_text(encoding="utf-8")),
+                                        "_multiplicativity")}
+    assert callers == {("algebra.py", "_on_generators")}
+
+
+def test_caller_detector_sees_a_scan_in_a_property_and_a_lambda():
+    tree = ast.parse("def _on_generators(H, f):\n    return _multiplicativity(f, H.generators)\n"
+                     "class B:\n    @property\n    def law(self):\n"
+                     "        return (t for t in algebra._multiplicativity(g, rows))\n"
+                     "scan = lambda f: _multiplicativity(f, ())\n")
+    assert _callers(tree, "_multiplicativity") == [(2, "_on_generators"), (6, "B.law"), (7, "")]
