@@ -20,8 +20,13 @@ the entries of disjoint rows, as in products of 0/1 matrices, without any
 arithmetic.  `_kron_sum`, a sum of Kronecker products such as the action of
 a 2-tensor on a tensor product of modules, works one row at a time and
 builds no Kronecker product whole.  Elimination (`rref` and what is built
-on it) and `SubspaceBasis.coordinates` add Fractions.  Every entry is a
-reduced Fraction.
+on it) and the one-vector membership test `SubspaceBasis.coordinates` add
+Fractions.  Every entry is a reduced Fraction.
+
+A subspace is kept as its reduced echelon basis with unit pivots, so the
+coordinates of a vector in it are its entries at the pivots.  `_restrict`
+writes a whole map into a subspace that way, as the map's rows at the
+pivots, and checks them with one product by the basis.
 """
 
 from __future__ import annotations
@@ -181,18 +186,24 @@ def _rref_rows(rows):
     return [basis[p] for p in pivots], pivots
 
 
-def _restrict(image, dim, coordinates, fail):
-    """The columns of image in the coordinates that coordinates(v) gives
-    them, as a dim-row matrix; raises fail(j, v) for the first column j
-    whose vector v it rejects (returns None for)."""
-    cols = []
-    for j in range(image.cols):
-        v = image.column(j)
-        c = coordinates(v)
-        if c is None:
-            raise fail(j, v)
-        cols.append(c)
-    return Matrix.from_columns(cols, dim)
+def _restrict(image, basis, fail):
+    """image, whose columns lie in the span of basis, in basis coordinates.
+
+    The basis is reduced echelon with unit pivots, so those coordinates are
+    image's rows at the pivots, C, and every column lies in the span exactly
+    when basis.embedding() * C == image.  Otherwise raises fail(j, v) for
+    the first column j of image whose vector v is outside the span.
+    """
+    if image.rows != basis.ambient_dim:
+        raise DimensionMismatch("restricted map has %d rows, not %d"
+                                % (image.rows, basis.ambient_dim))
+    rows = image.sparse_rows
+    coords = Matrix._of(basis.dim, image.cols, [rows[p] for p in basis.pivots])
+    spanned = basis.embedding() * coords
+    if spanned != image:
+        j = min(min(row) for row in (image - spanned).sparse_rows if row)
+        raise fail(j, image.column(j))
+    return coords
 
 
 class Matrix:
@@ -602,21 +613,10 @@ class SubspaceBasis:
         """ambient_dim x dim matrix whose columns are the basis vectors."""
         return Matrix._of(self.dim, self.ambient_dim, self.sparse_rows).transpose()
 
-    def pair_coordinates(self, v2):
-        """Coordinates of a tensor-square vector in the product basis
-        b_i (x) b_j, or None when it lies outside the span."""
-        m = self.dim
+    def square(self) -> "SubspaceBasis":
+        """The basis b_i (x) b_j of the tensor square, in (i, j) order: again
+        reduced echelon, with pivots p_i n + p_j."""
         n = self.ambient_dim
-        if len(v2) != n * n:
-            raise DimensionMismatch("tensor-square vector length mismatch")
-        rows = self.sparse_rows
-        coords = tuple(v2[pi * n + pj] for pi in self.pivots for pj in self.pivots)
-        residual = {k: x for k, x in enumerate(v2) if x}
-        for k, c in enumerate(coords):
-            if c:
-                i, j = divmod(k, m)
-                rj = rows[j]
-                for a, x in rows[i].items():
-                    base = a * n
-                    _add_into(residual, -c * x, {base + b: y for b, y in rj.items()})
-        return None if residual else coords
+        rows = Matrix._of(self.dim, n, self.sparse_rows)
+        return SubspaceBasis(n * n, kron(rows, rows).sparse_rows,
+                             (p * n + q for p in self.pivots for q in self.pivots))

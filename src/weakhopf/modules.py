@@ -93,7 +93,7 @@ def ht_module(H: QuantumGroupoid):
     ht = target_subalgebra(H)
     emb = ht.embedding()
     # column j of eps_t L_i emb is eps_t(e_i z_j)
-    mats = [_restrict(H.eps_t_mat * left * emb, ht.dim, ht.coordinates,
+    mats = [_restrict(H.eps_t_mat * left * emb, ht,
                       lambda j, v: InconsistentStructure("eps_t(h z) escaped H_t"))
             for left in H.left_mult_mats]
     return ht, HModule(H, mats, name="H_t")
@@ -148,12 +148,10 @@ def truncated_tensor(M: HModule, N: HModule, ctx: "BraidContext",
             raise InconsistentStructure("tensor projector is not idempotent")
         basis = projector.column_space()
         inclusion = basis.embedding()
-        # projection = pivot extraction after projecting; satisfies
-        # proj . incl = id and incl . proj = projector.
-        sel = Matrix.from_entries(
-            basis.dim, projector.rows, ((r, p, Q1) for r, p in enumerate(basis.pivots))
-        )
-        projection = sel * projector
+        # projection = the projector's rows at the pivots, its columns in
+        # basis coordinates; proj . incl = id and incl . proj = projector.
+        rows = projector.sparse_rows
+        projection = Matrix._of(basis.dim, projector.cols, [rows[p] for p in basis.pivots])
         mats = [projection * ctx.action(M, N, columns[i]) * inclusion for i in range(H.dim)]
         ctx.memo[key] = TruncatedTensor(M, N, projector, basis, inclusion, projection,
                                         HModule(H, mats, name="tensor"))

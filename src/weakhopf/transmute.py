@@ -132,13 +132,12 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
     eps(l) = eps_L(f(1_1) l) 1_2.  The three rules give the rest, as
     matrices on the ambient algebra L: product (L (x) L -> L), coproduct
     (L -> L (x) L) and antipode (L -> L).  Each map is its rule times the
-    carrier embedding, restricted column by column to the codomain; raises
-    ClosureViolation when a column leaves it.
+    carrier embedding, restricted to the codomain by _restrict; raises
+    ClosureViolation at the first column that leaves it.
     """
     H, L = f.source, f.target
     carrier = centralizer(L)
     ht = target_subalgebra(H)
-    m = carrier.dim
     emb = carrier.embedding()
 
     def escaped(what, message=None, index=lambda j: (j,)):
@@ -146,15 +145,14 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
         return lambda j, v: ClosureViolation(message, witness=Witness(index(j), v, (), what))
 
     action = HModule(H, [
-        _restrict(a * emb, m, carrier.coordinates,
-                  escaped("module action", index=lambda j, i=i: (i, j)))
+        _restrict(a * emb, carrier, escaped("module action", index=lambda j, i=i: (i, j)))
         for i, a in enumerate(ad)
     ], name="carrier")
     action.validate()
-    mul = _restrict(product * kron(emb, emb), m, carrier.coordinates,
-                    escaped("product", index=lambda j: divmod(j, m)))
-    unit = _restrict(f.matrix * ht.embedding(), m, carrier.coordinates, escaped("unit image"))
-    comul = _restrict(coproduct * emb, m * m, carrier.pair_coordinates,
+    mul = _restrict(product * kron(emb, emb), carrier,
+                    escaped("product", index=lambda j: divmod(j, carrier.dim)))
+    unit = _restrict(f.matrix * ht.embedding(), carrier, escaped("unit image"))
+    comul = _restrict(coproduct * emb, carrier.square(),
                       escaped("coproduct", "coproduct escaped the carrier tensor square"))
     # row b of eps is sum c eps_L(f(e_a) -) over the terms e_a (x) e_b of Delta(1)
     eps = Matrix.from_entries(H.dim, L.dim, (
@@ -162,9 +160,8 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
         for (a, b), c in H.delta_one_sparse.items()
         for j, x in (L.counit_map * L.left_mult(f.matrix.column(a))).sparse_rows[0].items()
     ))
-    counit = _restrict(eps * emb, ht.dim, ht.coordinates,
-                       escaped("counit", "counit escaped the target subalgebra"))
-    antipode = _restrict(antipode * emb, m, carrier.coordinates, escaped("antipode"))
+    counit = _restrict(eps * emb, ht, escaped("counit", "counit escaped the target subalgebra"))
+    antipode = _restrict(antipode * emb, carrier, escaped("antipode"))
     return BraidedHopfPresentation(
         acting=H,
         ambient=L,

@@ -152,8 +152,7 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
 
     def carrier_map(rule, src, dst, what):
         """rule (a matrix on H) from the carrier src to dst coordinates."""
-        return _restrict(rule * src.embedding(), dst.dim, dst.coordinates,
-                         lambda j, v: CarrierMismatch(what))
+        return _restrict(rule * src.embedding(), dst, lambda j, v: CarrierMismatch(what))
 
     def over(x2, term):
         return Matrix.lincomb(((c, term(x, y)) for (x, y), c in x2.items()), n, n)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, kron
+from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, _restrict, kron
 
 Q0 = Fraction(0)
 
@@ -283,23 +283,44 @@ def test_kron_sum_matches_dense(m, n, data):
 
 @settings(max_examples=150)
 @given(st.integers(0, 3).flatmap(lambda n: matrices(cols=n)), st.data())
-def test_pair_coordinates_match_dense(a, data):
-    # vectors of the tensor square of the span of a's rows: a combination of
-    # the products b_i (x) b_j, and one drawn freely, mostly outside
+def test_restrict_matches_dense_coordinates(a, data):
+    # maps into the span of a's rows and into its tensor square, whose
+    # columns are combinations of the spanning vectors or drawn freely
+    # (mostly outside); the dense coordinates give each column's image, or
+    # name the first column outside
     n = a.cols
     basis = SubspaceBasis.from_spanning(n, a.data)
     vectors, pivots = basis.vectors, basis.pivots
-    m = len(vectors)
-    coeffs = [data.draw(mixed) for _ in range(m * m)]
-    inside = [Q0] * (n * n)
-    for k, c in enumerate(coeffs):
-        i, j = divmod(k, m)
-        for p, x in enumerate(vectors[i]):
-            for q, y in enumerate(vectors[j]):
-                inside[p * n + q] += c * x * y
-    free = [data.draw(entries) for _ in range(n * n)]
-    for v2 in (inside, free):
-        assert basis.pair_coordinates(v2) == dense.pair_coordinates(vectors, pivots, n, v2)
-    assert basis.pair_coordinates(inside) == tuple(coeffs)
-    with pytest.raises(DimensionMismatch):
-        basis.pair_coordinates(free + [Q0])
+    products = [[x * y for x in u for y in v] for u in vectors for v in vectors]
+    square = basis.square()
+    assert square == SubspaceBasis.from_spanning(n * n, products)
+
+    def fail(j, v):
+        return LookupError(j, v)
+
+    for target, span, coordinates in (
+            (basis, vectors, lambda v: dense.coordinates(vectors, pivots, v)),
+            (square, products, lambda v: dense.pair_coordinates(vectors, pivots, n, v))):
+        size = target.ambient_dim
+        columns = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                coeffs = [data.draw(entries) for _ in span]
+                columns.append(tuple(sum((c * u[k] for c, u in zip(coeffs, span)), Q0)
+                                     for k in range(size)))
+            else:
+                columns.append(tuple(data.draw(entries) for _ in range(size)))
+        image = Matrix.from_columns(columns, size)
+        coords = [coordinates(v) for v in columns]
+        outside = [j for j, c in enumerate(coords) if c is None]
+        if outside:
+            with pytest.raises(LookupError) as err:
+                _restrict(image, target, fail)
+            assert err.value.args == (outside[0], columns[outside[0]])
+        else:
+            got = _restrict(image, target, fail)
+            assert_sparse(got)
+            assert got == Matrix.from_columns(coords, target.dim)
+        for rows in (size - 1, size + 1) if size else (1,):
+            with pytest.raises(DimensionMismatch):
+                _restrict(Matrix.zero(rows, 1), target, fail)

@@ -14,8 +14,8 @@ from weakhopf import (
     unitors,
 )
 import weakhopf.modules as modules_mod
-from weakhopf.errors import MismatchedAlgebra
-from weakhopf.linalg import Q0
+from weakhopf.errors import InconsistentStructure, MismatchedAlgebra
+from weakhopf.linalg import Q0, SubspaceBasis
 from weakhopf.modules import _componentwise_action, _flip_matrix, twisted_coproduct_column
 from weakhopf.structures import _mul2, canonical_r, swap2
 from weakhopf.zoo import GroupoidSpec, groupoid_algebra, trivial_cocycle
@@ -257,3 +257,12 @@ def test_componentwise_action_matches_dense(corpus):
                 assert (got.rows, got.cols) == (M.dim * N.dim,) * 2
                 assert all(x for row in got.sparse_rows for x in row.values())
                 assert got.data == dense.componentwise_action(M, N, x2), fx.name
+
+
+def test_ht_module_refuses_an_action_that_leaves_h_t(pair2, monkeypatch):
+    # with H_t cut down to span(e11), eps_t(e21 e11) = e22 falls outside it
+    H = pair2.algebra
+    monkeypatch.setattr(modules_mod, "target_subalgebra",
+                        lambda H: SubspaceBasis.from_spanning(4, [(1, 0, 0, 0)]))
+    with pytest.raises(InconsistentStructure, match=r"^eps_t\(h z\) escaped H_t$"):
+        ht_module(H)

@@ -116,9 +116,9 @@ def test_getattr_detector_sees_them():
     assert _getattr_hooks(tree) == [(2, "A"), (9, "C")]
 
 
-def _callers(tree, name):
-    """(line, enclosing class and function names) of each call of name, as
-    a bare name or as an attribute."""
+def _scoped(tree, hit):
+    """(line, enclosing class and function names) of each node that hit
+    accepts."""
     found = []
 
     def visit(node, scope):
@@ -126,23 +126,39 @@ def _callers(tree, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    found.append((child.lineno, ".".join(scope)))
+            elif hit(child):
+                found.append((child.lineno, ".".join(scope)))
             visit(child, inner)
 
     visit(tree, ())
     return found
 
 
+def _callers(tree, name):
+    """(line, enclosing class and function names) of each call of name, as
+    a bare name or as an attribute."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _attribute_readers(tree, name):
+    """(line, enclosing class and function names) of each read of the
+    attribute name, called or not."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == name
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _package_scopes(find, name):
+    """{(module file, scope)} of what find finds for name in the package."""
+    return {(p.name, scope)
+            for p in sorted(PACKAGE.glob("*.py"))
+            for _, scope in find(ast.parse(p.read_text(encoding="utf-8")), name)}
+
+
 def test_tensor_actions_are_built_only_by_the_context_memo():
     # every action of a 2-tensor on M (x) N goes through BraidContext.action,
     # so that a context builds each one once
-    callers = {(p.name, scope)
-               for p in sorted(PACKAGE.glob("*.py"))
-               for _, scope in _callers(ast.parse(p.read_text(encoding="utf-8")),
-                                        "_componentwise_action")}
+    callers = _package_scopes(_callers, "_componentwise_action")
     assert callers == {("modules.py", "BraidContext.action")}
 
 
@@ -157,10 +173,7 @@ def test_every_law_scans_all_basis_elements_only_behind_the_generator_decision()
     # the scan over every basis element is reached through _on_generators,
     # which decides a multiplicative law on the generating set first, so a
     # law cannot skip that decision unnoticed
-    callers = {(p.name, scope)
-               for p in sorted(PACKAGE.glob("*.py"))
-               for _, scope in _callers(ast.parse(p.read_text(encoding="utf-8")),
-                                        "_multiplicativity")}
+    callers = _package_scopes(_callers, "_multiplicativity")
     assert callers == {("algebra.py", "_on_generators")}
 
 
@@ -170,3 +183,23 @@ def test_caller_detector_sees_a_scan_in_a_property_and_a_lambda():
                      "        return (t for t in algebra._multiplicativity(g, rows))\n"
                      "scan = lambda f: _multiplicativity(f, ())\n")
     assert _callers(tree, "_multiplicativity") == [(2, "_on_generators"), (6, "B.law"), (7, "")]
+
+
+def test_maps_are_restricted_to_a_subspace_only_through_its_pivot_rows():
+    # every map into a carrier, H_t or the carrier's tensor square is
+    # restricted by _restrict, as its rows at the pivots and one identity;
+    # the coordinates of one vector at a time are left to the two
+    # one-vector questions
+    assert _package_scopes(_callers, "_restrict") == {
+        ("modules.py", "ht_module"), ("transmute.py", "_present"),
+        ("twisting.py", "_alpha_between.carrier_map")}
+    assert _package_scopes(_attribute_readers, "coordinates") == {
+        ("linalg.py", "SubspaceBasis.contains"),
+        ("transmute.py", "BraidedHopfPresentation.unit_element_coords")}
+
+
+def test_attribute_reader_detector_sees_them():
+    tree = ast.parse("class B:\n    def contains(self, v):\n        return self.coordinates(v)\n"
+                     "def present(carrier):\n    return scan(carrier.coordinates)\n"
+                     "b.coordinates = None\ncoordinates = 1\n")
+    assert _attribute_readers(tree, "coordinates") == [(3, "B.contains"), (5, "present")]

@@ -1,4 +1,6 @@
+import importlib
 import math
+from fractions import Fraction as Q
 
 import pytest
 
@@ -14,7 +16,7 @@ from weakhopf import (
     verify_braided_hopf,
 )
 from weakhopf.errors import ClosureViolation
-from weakhopf.linalg import Matrix, Q0, Q1
+from weakhopf.linalg import Matrix, Q0, Q1, SubspaceBasis, _restrict
 from weakhopf.transmute import _present, ambient_action
 from weakhopf.zoo import dihedral_group_algebra
 
@@ -148,24 +150,23 @@ def test_pipeline_on_identity_groupoids(k):
     assert verify_braided_hopf(p, BraidContext.psi(H, qt)).passed
 
 
-def test_pair_coordinates_with_nonstandard_basis():
-    from weakhopf.linalg import SubspaceBasis
-
+def test_restrict_to_the_square_of_a_nonstandard_basis():
     basis = SubspaceBasis.from_spanning(3, [(1, 0, 1), (0, 1, 1)])
+    b0, b1 = basis.vectors
 
     def outer(u, v):
         return [a * b for a in u for b in v]
 
-    v2 = [
-        2 * x - y
-        for x, y in zip(
-            outer(basis.vectors[0], basis.vectors[1]),
-            outer(basis.vectors[1], basis.vectors[1]),
-        )
-    ]
-    assert basis.pair_coordinates(v2) == (0, 2, 0, -1)
-    v2[0] += 1
-    assert basis.pair_coordinates(v2) is None
+    def fail(j, v):
+        return ClosureViolation("outside", witness=(j, v))
+
+    v2 = tuple(2 * x - y for x, y in zip(outer(b0, b1), outer(b1, b1)))
+    inside = Matrix.from_columns([v2], 9)
+    assert _restrict(inside, basis.square(), fail) == Matrix.from_columns([(0, 2, 0, -1)], 4)
+    stray = (v2[0] + 1,) + v2[1:]
+    with pytest.raises(ClosureViolation) as err:
+        _restrict(Matrix.from_columns([v2, stray, stray], 9), basis.square(), fail)
+    assert err.value.witness == (1, stray)
 
 
 def test_cross_algebra_transmutation(diag2, pair2):
@@ -197,6 +198,76 @@ def test_present_reports_the_column_that_escapes(pair2):
         _present(f, ambient_action(f), H.mul_map + stray, H.comul_map, H.antipode)
     w = err.value.witness
     assert (w.indices, w.lhs, w.rhs, w.detail) == ((0, 0), (Q1, Q1, Q0, Q0), (), "product")
+
+
+# pair2's carrier is span(e11, e22), carrier basis 0 and 1; each case below
+# sends one of them, or one pair of them, outside its codomain
+
+
+def _escape(present, message, indices, lhs, detail):
+    with pytest.raises(ClosureViolation) as err:
+        present()
+    w = err.value.witness
+    assert str(err.value) == message
+    assert (w.indices, w.lhs, w.rhs, w.detail) == (indices, tuple(map(Q, lhs)), (), detail)
+
+
+def test_present_reports_the_first_of_two_product_columns_that_escape(pair2):
+    # e11 (x) e22 -> e12 at carrier pair (0, 1), e22 (x) e22 -> e22 + e21 at (1, 1)
+    H = pair2.algebra
+    f = identity_morphism(H)
+    stray = Matrix.from_entries(4, 16, [(1, 3, Q1), (2, 15, Q1)])
+    _escape(lambda: _present(f, ambient_action(f), H.mul_map + stray, H.comul_map, H.antipode),
+            "product escaped the carrier", (0, 1), (0, 1, 0, 0), "product")
+
+
+def test_present_reports_the_module_action_that_escapes(pair2):
+    # e21 . e22 gains e12, at acting basis 2 and carrier basis 1
+    H = pair2.algebra
+    f = identity_morphism(H)
+    ad = ambient_action(f)
+    ad[2] = ad[2] + Matrix.from_entries(4, 4, [(1, 3, Q1)])
+    _escape(lambda: _present(f, ad, H.mul_map, H.comul_map, H.antipode),
+            "module action escaped the carrier", (2, 1), (0, 1, 0, 0), "module action")
+
+
+def test_present_reports_the_unit_image_that_escapes(pair2):
+    # f(e22) = e22 + e21 on H_t = span(e11, e22)
+    H = pair2.algebra
+    f = QGMorphism(H, H, Matrix.identity(4) + Matrix.from_entries(4, 4, [(2, 3, Q1)]))
+    ad = ambient_action(identity_morphism(H))
+    _escape(lambda: _present(f, ad, H.mul_map, H.comul_map, H.antipode),
+            "unit image escaped the carrier", (1,), (0, 0, 1, 1), "unit image")
+
+
+def test_present_reports_the_coproduct_column_that_escapes(pair2):
+    # Delta(e22) gains e21 (x) e12
+    H = pair2.algebra
+    f = identity_morphism(H)
+    stray = Matrix.from_entries(16, 4, [(9, 3, Q1)])
+    lhs = [0] * 16
+    lhs[9] = lhs[15] = 1
+    _escape(lambda: _present(f, ambient_action(f), H.mul_map, H.comul_map + stray, H.antipode),
+            "coproduct escaped the carrier tensor square", (1,), lhs, "coproduct")
+
+
+def test_present_reports_the_counit_column_that_escapes(pair2, monkeypatch):
+    # with H_t cut down to span(e11), eps(e22) = e22 falls outside it
+    H = pair2.algebra
+    f = identity_morphism(H)
+    monkeypatch.setattr(importlib.import_module("weakhopf.transmute"), "target_subalgebra",
+                        lambda H: SubspaceBasis.from_spanning(4, [(1, 0, 0, 0)]))
+    _escape(lambda: _present(f, ambient_action(f), H.mul_map, H.comul_map, H.antipode),
+            "counit escaped the target subalgebra", (1,), (0, 0, 0, 1), "counit")
+
+
+def test_present_reports_the_antipode_column_that_escapes(pair2):
+    # S(e22) = e22 + e21
+    H = pair2.algebra
+    f = identity_morphism(H)
+    stray = Matrix.from_entries(4, 4, [(2, 3, Q1)])
+    _escape(lambda: _present(f, ambient_action(f), H.mul_map, H.comul_map, H.antipode + stray),
+            "antipode escaped the carrier", (1,), (0, 0, 1, 1), "antipode")
 
 
 def _dihedral_automorphisms(k):

@@ -13,9 +13,12 @@ from weakhopf import (
     twist,
     verify_isomorphism,
 )
-from weakhopf.errors import PreconditionUnmet
+from weakhopf.errors import CarrierMismatch, PreconditionUnmet
+from weakhopf.linalg import SubspaceBasis
 from weakhopf.serialization import serialize_presentation
 from weakhopf.structures import QTStructure
+from weakhopf.transmute import ambient_action, centralizer, identity_morphism
+from weakhopf.twisting import _alpha_between
 from weakhopf.zoo import trivial_cocycle
 
 
@@ -214,3 +217,17 @@ def test_verify_isomorphism_builds_each_carrier_once(kd4, monkeypatch):
     assert verify_isomorphism(kd4.algebra, kd4.qt, kd4.cocycle).report.passed
     assert len(calls) == 2
     assert len(action_calls) == 2
+
+
+def test_comparison_map_refuses_a_carrier_it_leaves(kd4):
+    # kd4's carriers are all of kd4; cut one down to the span of e_0 and
+    # the comparison map, or its inverse, leaves it
+    H = kd4.algebra
+    tw = twist(H, kd4.qt, kd4.cocycle)
+    ad = ambient_action(identity_morphism(H))
+    full = centralizer(H)
+    line = SubspaceBasis.from_spanning(H.dim, [dense.basis_vector(H, 0)])
+    with pytest.raises(CarrierMismatch, match="^comparison map leaves the twisted carrier$"):
+        _alpha_between(H, kd4.cocycle, tw, ad, full, line)
+    with pytest.raises(CarrierMismatch, match="^inverse comparison map leaves the carrier$"):
+        _alpha_between(H, kd4.cocycle, tw, ad, line, full)
