@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from math import lcm
 
 from .errors import (
     AntipodeNotInvertible,
@@ -28,7 +29,7 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import Matrix, Q0, Q1, _add_into, frac, kron, SubspaceBasis
+from .linalg import Matrix, Q0, Q1, SubspaceBasis, _add_into, _fractions, _ints, frac, kron
 from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
@@ -57,21 +58,27 @@ def sparse_mul(H, x, y, k, slots=None):
     in order, with the unit on the others (such as R_12 or F^-1_24): a leg
     times the unit is itself, so x keeps those legs as they are.  Every
     leg's structure constants are looked up before any coefficient is
-    multiplied, so a pair whose product vanishes costs lookups only.
+    multiplied, so a pair whose product vanishes costs lookups only.  x, y
+    and the structure constants (`WeakBialgebra.mul_ints`) are written as
+    integer numerators over their denominators once and the products are
+    summed in int; each nonzero entry becomes one reduced Fraction.
     """
     if slots is not None and not H.unit_acts_right:
         y, slots = sparse_embed(y, k, slots, H.unit_sparse), None
-    rows = H.mul_rows
+    dm, rows = H.mul_ints
     legs = list(range(k)) if slots is None else [None] * k
     for j, p in enumerate(slots or ()):
         legs[p] = j
-    out = {}
+    dx, x = _ints(x)
+    dy, y = _ints(y)
+    acc = {}
+    get = acc.get
     for ix, cx in x.items():
         for iy, cy in y.items():
             found = []
             for p, j in enumerate(legs):
                 if j is None:
-                    found.append({ix[p]: Q1})
+                    found.append({ix[p]: 1})
                     continue
                 row = rows.get((ix[p], iy[j]))
                 if row is None:
@@ -80,12 +87,10 @@ def sparse_mul(H, x, y, k, slots=None):
             else:
                 terms = [((), cx * cy)]
                 for row in found:
-                    terms = [(idx + (kk,), c if v == 1 else c * v)
-                             for idx, c in terms for kk, v in row.items()]
+                    terms = [(idx + (kk,), c * v) for idx, c in terms for kk, v in row.items()]
                 for idx, c in terms:
-                    old = out.get(idx)
-                    out[idx] = c if old is None else old + c
-    return {i: c for i, c in out.items() if c}
+                    acc[idx] = get(idx, 0) + c
+    return _fractions(acc, dx * dy * dm ** (k - legs.count(None)), {})
 
 
 def sparse_embed(s, k, slots, unit_sparse):
@@ -112,14 +117,25 @@ def sparse_embed(s, k, slots, unit_sparse):
 
 def sparse_coproduct_leg(s, leg, cols):
     """Apply a coproduct, given as cols[i] = {(p, q): c}, to slot leg of the
-    sparse k-tensor s; returns the sparse (k+1)-tensor."""
-    out = {}
+    sparse k-tensor s; returns the sparse (k+1)-tensor.  Like `sparse_mul`
+    it sums integer numerators over one denominator."""
+    ds, s = _ints(s)
+    ints = {}  # i -> _ints(cols[i]), for each column s reaches
+    for idx in s:
+        i = idx[leg]
+        if i not in ints:
+            ints[i] = _ints(cols[i])
+    d = lcm(*(q for q, _ in ints.values()))
+    acc = {}
+    get = acc.get
     for idx, c in s.items():
+        q, col = ints[idx[leg]]
+        c *= d // q
         head, tail = idx[:leg], idx[leg + 1:]
-        for pq, c2 in cols[idx[leg]].items():
+        for pq, v in col.items():
             key = head + pq + tail
-            out[key] = out.get(key, Q0) + c * c2
-    return {k: v for k, v in out.items() if v}
+            acc[key] = get(key, 0) + c * v
+    return _fractions(acc, ds * d, {})
 
 
 def _in_range(key, arity, n):
@@ -179,6 +195,15 @@ class WeakBialgebra:
             tuple(tuple(self.comul_cols[i].get((j, k), Q0) for k in range(n)) for j in range(n))
             for i in range(n)
         )
+
+    @cached_property
+    def mul_ints(self):
+        """(d, rows) with rows[(i, j)][k] / d == mul_rows[(i, j)][k]: the
+        structure constants as integer numerators over d, the lcm of their
+        denominators."""
+        d = lcm(*{x.denominator for row in self.mul_rows.values() for x in row.values()})
+        return d, {ij: {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+                   for ij, row in self.mul_rows.items()}
 
     @cached_property
     def unit_sparse(self):
@@ -384,6 +409,14 @@ class WeakBialgebra:
         mats = self.right_mult_mats
         return Matrix.lincomb(((c, mats[i]) for i, c in enumerate(x) if c), n, n)
 
+    def with_coproduct(self, comul_cols) -> "WeakBialgebra":
+        """The weak bialgebra on this one's product, unit and counit with the
+        coproduct comul_cols.  It takes what this one decides from those
+        three alone (`_PRODUCT`), deciding it here first where needed."""
+        B = WeakBialgebra(self.basis_names, self.mul_rows, self.unit, comul_cols, self.counit)
+        B.__dict__.update((name, getattr(self, name)) for name in _PRODUCT)
+        return B
+
     @cached_property
     def is_cocommutative(self) -> bool:
         return all(
@@ -399,6 +432,13 @@ class WeakBialgebra:
 # computed from them alone
 _TABLES = frozenset(("basis_names", "dim", "unit", "counit", "mul_rows", "comul_cols")) | {
     name for name, v in vars(WeakBialgebra).items() if isinstance(v, cached_property)}
+
+
+# what a weak bialgebra computes from its product, unit and counit alone,
+# and its checkers read
+_PRODUCT = ("unit_sparse", "unit_acts_right", "unit_law", "generators", "associativity",
+            "left_mult_mats", "right_mult_mats", "mul_map", "mul_ints", "_eps_products",
+            "counit_map")
 
 
 class QuantumGroupoid(WeakBialgebra):

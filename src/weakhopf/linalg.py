@@ -17,11 +17,15 @@ or more terms, and a product row that does so with a coefficient other than
 ints (`_int_sum`).  A row with one term is copied or scaled, and a product
 row whose coefficients are all 1 adds Fractions (`_add_into`), which copies
 the entries of disjoint rows, as in products of 0/1 matrices, without any
-arithmetic.  `_kron_sum`, a sum of Kronecker products such as the action of
-a 2-tensor on a tensor product of modules, works one row at a time and
-builds no Kronecker product whole.  Elimination (`rref` and what is built
-on it) and the one-vector membership test `SubspaceBasis.coordinates` add
-Fractions.  Every entry is a reduced Fraction.
+arithmetic.  The k-tensor kernels of `algebra` (`sparse_mul`,
+`sparse_coproduct_leg`) sum in ints the same way, through `_ints` and
+`_fractions`.  `_kron_sum`, a sum of Kronecker products such as the action
+of a 2-tensor on a tensor product of modules, first factors the terms that
+share their first leg, A (x) B + A (x) B' = A (x) (B + B'), then works one
+row at a time and builds no Kronecker product whole.  Elimination (`rref`
+and what is built on it) and the one-vector membership test
+`SubspaceBasis.coordinates` add Fractions.  Every entry is a reduced
+Fraction.
 
 A subspace is kept as its reduced echelon basis with unit pivots, so the
 coordinates of a vector in it are its entries at the pivots.  `_restrict`
@@ -111,13 +115,15 @@ def _ints(row):
     """(d, {j: n}) with row[j] == n / d: the row's entries as integer
     numerators over d, the lcm of their denominators."""
     d = 1
-    for x in row.values():
-        q = x.denominator
+    nums = {}
+    for j, x in row.items():
+        n, q = x.as_integer_ratio()
+        nums[j] = n
         if d % q:
             d = d // gcd(d, q) * q
     if d == 1:
-        return 1, {j: x.numerator for j, x in row.items()}
-    return d, {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        return 1, nums
+    return d, {j: n * (d // row[j].denominator) for j, n in nums.items()}
 
 
 def _int_sum(terms, shared):
@@ -125,9 +131,8 @@ def _int_sum(terms, shared):
 
     Each product is scaled to an integer numerator over D, the lcm of the
     terms' denominators (c's times its row's), and summed in int; each
-    nonzero sum v becomes one reduced Fraction(v, D).  shared maps (v, D) to
-    the Fraction built for it, so equal entries of one result are built
-    once: a dict lookup costs less than Fraction's gcd normalisation.
+    nonzero sum v becomes one reduced Fraction(v, D), shared with equal
+    entries through shared[D] (`_fractions`).
     """
     big = 1
     for c, (d, _) in terms:
@@ -140,13 +145,23 @@ def _int_sum(terms, shared):
         f = c.numerator * (big // (c.denominator * d))
         for j, v in ints.items():
             acc[j] = get(j, 0) + f * v
+    built = shared.get(big)
+    if built is None:
+        built = shared[big] = {}
+    return _fractions(acc, big, built)
+
+
+def _fractions(acc, d, built):
+    """{j: Fraction(v, d)} over the nonzero int sums v of acc, in acc's key
+    order.  built maps v to the Fraction(v, d) built for it, so equal
+    entries are built once: a dict lookup costs less than Fraction's gcd
+    normalisation."""
     out = {}
     for j, v in acc.items():
         if v:
-            key = (v, big)
-            x = shared.get(key)
+            x = built.get(v)
             if x is None:
-                x = shared[key] = Fraction(v, big)
+                x = built[v] = Fraction(v, d)
             out[j] = x
     return out
 
@@ -434,6 +449,8 @@ class Matrix:
         return SubspaceBasis._spanned(Matrix._of(len(vectors), self.cols, vectors))
 
     def column_space(self) -> "SubspaceBasis":
+        if self.is_identity():  # Q^n, whose reduced basis is the standard one
+            return SubspaceBasis(self.rows, [{i: Q1} for i in range(self.rows)], range(self.rows))
         return SubspaceBasis._spanned(self.transpose())
 
     def solve(self, b, unique=False):
@@ -497,11 +514,35 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def _kron_sum(terms, m, n):
     """sum c kron(A, B) over the (c, A, B) terms, every A m x m and every B
-    n x n, one row at a time, so that no kron(A, B) is built whole.  A row
-    with one term is its scaled Kronecker row; a row with more is summed in
-    integers from the rows of A and B as integer numerators (_ints)."""
+    n x n.  The terms are grouped by their A, as an object: the terms
+    c_b A (x) B_b of one group sum to A (x) (sum_b c_b B_b), with the inner
+    sum one `Matrix.lincomb`, so `_kron_rows` sums one Kronecker product per
+    distinct A."""
+    groups = {}  # id(A) -> (A, its (c, B) terms), in order of first use
+    for c, a, b in terms:
+        if c:
+            group = groups.get(id(a))
+            if group is None:
+                groups[id(a)] = (a, [(c, b)])
+            else:
+                group[1].append((c, b))
+    parts = []
+    for a, bs in groups.values():
+        if len(bs) == 1:
+            parts.append((bs[0][0], a, bs[0][1]))
+            continue
+        b = Matrix.lincomb(bs, n, n)
+        if any(b.sparse_rows):
+            parts.append((Q1, a, b))
+    return _kron_rows(parts, m, n)
+
+
+def _kron_rows(parts, m, n):
+    """sum c kron(A, B) over the (c, A, B) parts, c nonzero, one row at a
+    time, so that no kron(A, B) is built whole.  A row with one term is its
+    scaled Kronecker row; a row with more is summed in integers from the
+    rows of A and B as integer numerators (_ints)."""
     ints = {}  # id(A) -> _ints of each row of A, built on first use
-    parts = [(c, a, b) for c, a, b in terms if c]
     out, shared = [], {}
     for ra in range(m):
         # the terms whose A has a nonzero row ra, with that row of c A as

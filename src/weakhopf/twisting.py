@@ -14,7 +14,6 @@ from typing import Tuple
 
 from .algebra import (
     QuantumGroupoid,
-    WeakBialgebra,
     check_quantum_groupoid,
     check_weak_bialgebra,
 )
@@ -84,8 +83,7 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     rvinv = H.right_mult(tw.v_inv)
     antipode = lv * rvinv * H.antipode
 
-    base = WeakBialgebra(H.basis_names, H.mul_rows, H.unit, dict(enumerate(ctx.coproduct[0])),
-                         H.counit)
+    base = H.with_coproduct(dict(enumerate(ctx.coproduct[0])))
     reports = [require(check_weak_bialgebra(base), _twist_failure)]
     try:
         twisted = QuantumGroupoid(base, antipode)

@@ -378,3 +378,76 @@ def generated_dim(H, generators):
         if len(grown) == len(words):
             return len(words)
         words = grown
+
+
+# ---------------------------------------------------------------------------
+# the k-tensor kernels of `weakhopf.algebra` as they were before they summed
+# in integers: one Fraction multiply and add per term.  Their accumulation
+# order is the integer kernels', so the tests compare key order too.
+
+
+def fraction_sparse_mul(H, x, y, k, slots=None):
+    """The product x y of sparse elements of H^(x)k, y on the legs slots
+    (all legs when None) with the unit on the others."""
+    from weakhopf.algebra import sparse_embed
+
+    if slots is not None and not H.unit_acts_right:
+        y, slots = sparse_embed(y, k, slots, H.unit_sparse), None
+    rows = H.mul_rows
+    legs = list(range(k)) if slots is None else [None] * k
+    for j, p in enumerate(slots or ()):
+        legs[p] = j
+    out = {}
+    for ix, cx in x.items():
+        for iy, cy in y.items():
+            found = []
+            for p, j in enumerate(legs):
+                if j is None:
+                    found.append({ix[p]: Q1})
+                    continue
+                row = rows.get((ix[p], iy[j]))
+                if row is None:
+                    break
+                found.append(row)
+            else:
+                terms = [((), cx * cy)]
+                for row in found:
+                    terms = [(idx + (kk,), c if v == 1 else c * v)
+                             for idx, c in terms for kk, v in row.items()]
+                for idx, c in terms:
+                    old = out.get(idx)
+                    out[idx] = c if old is None else old + c
+    return {i: c for i, c in out.items() if c}
+
+
+def fraction_coproduct_leg(s, leg, cols):
+    """The coproduct cols[i] = {(p, q): c} applied to slot leg of the sparse
+    k-tensor s."""
+    out = {}
+    for idx, c in s.items():
+        head, tail = idx[:leg], idx[leg + 1:]
+        for pq, c2 in cols[idx[leg]].items():
+            key = head + pq + tail
+            out[key] = out.get(key, Q0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def rescaled(H, scale):
+    """The quantum groupoid H in the basis e'_i = scale[i] e_i, built
+    through `WeakBialgebra`: its structure constants are m_ij^k s_i s_j / s_k,
+    Delta(e'_i) has c s_i / (s_j s_k) at e'_j (x) e'_k, the unit u_k / s_k,
+    the counit eps_i s_i and the antipode S_rj s_j / s_r."""
+    from weakhopf.algebra import QuantumGroupoid, WeakBialgebra
+    from weakhopf.linalg import Matrix
+
+    s = [Fraction(x) for x in scale]
+    mul_rows = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+                for (i, j), row in H.mul_rows.items()}
+    comul_cols = {i: {(j, k): c * s[i] / (s[j] * s[k]) for (j, k), c in col.items()}
+                  for i, col in H.comul_cols.items()}
+    unit = [u / x for u, x in zip(H.unit, s)]
+    counit = [e * x for e, x in zip(H.counit, s)]
+    antipode = Matrix._of(H.dim, H.dim, [{j: c * s[j] / s[r] for j, c in row.items()}
+                                         for r, row in enumerate(H.antipode.sparse_rows)])
+    base = WeakBialgebra(H.basis_names, mul_rows, unit, comul_cols, counit)
+    return QuantumGroupoid(base, antipode)

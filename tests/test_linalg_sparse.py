@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
+from weakhopf import linalg
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
 from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, _restrict, kron
 
@@ -279,6 +280,80 @@ def test_kron_sum_matches_dense(m, n, data):
     assert got.data == dense.lincomb(pairs, m * n, m * n)
     cancel = terms + [(-c, a, b) for c, a, b in terms]
     assert _kron_sum(cancel, m, n) == Matrix.zero(m * n, m * n)
+
+
+def _copy(m):
+    """An equal matrix that is a distinct object."""
+    return Matrix._of(m.rows, m.cols, [dict(row) for row in m.sparse_rows])
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_kron_sum_grouped_by_first_leg_matches_dense(m, n, data):
+    # the grouping is by the A object: repeated A objects, equal-valued but
+    # distinct A objects, zero coefficients, and a group whose B terms cancel
+    # to zero (B and a distinct -B under one A)
+    def square(k):
+        return st.builds(lambda d: Matrix(d, k, k),
+                         st.lists(st.lists(mixed, min_size=k, max_size=k),
+                                  min_size=k, max_size=k))
+    lefts = data.draw(st.lists(square(m), min_size=1, max_size=2))
+    lefts += [_copy(a) for a in lefts]
+    rights = data.draw(st.lists(square(n), min_size=1, max_size=3))
+    terms = data.draw(st.lists(
+        st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)), max_size=6))
+    c, a, b = data.draw(st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)))
+    terms += [(c, a, b), (c, a, b.scale(-1))]
+    got = _kron_sum(terms, m, n)
+    assert_sparse(got)
+    pairs = [(c, Matrix(dense.kron(a, b), m * n, m * n)) for c, a, b in terms]
+    assert got.data == dense.lincomb(pairs, m * n, m * n)
+
+
+def test_kron_sum_sums_one_kronecker_product_per_first_leg(monkeypatch):
+    a, a_equal = Matrix([[1, 2], [0, 1]]), Matrix([[1, 2], [0, 1]])
+    b1, b2 = Matrix([[1, 0], [0, 3]]), Matrix([[0, Fraction(1, 2)], [1, 0]])
+    seen = []
+    real = linalg._kron_rows
+
+    def recording(parts, m, n):
+        seen.append([(c, id(x), y) for c, x, y in parts])
+        return real(parts, m, n)
+
+    monkeypatch.setattr(linalg, "_kron_rows", recording)
+    # a repeated A object is one part; an equal-valued distinct A is another;
+    # a zero coefficient is dropped; B's that cancel drop their group
+    terms = [(Fraction(2), a, b1), (Fraction(-1), a, b2), (Fraction(3), a_equal, b1),
+             (Q0, a, b2), (Fraction(1), b1, b2), (Fraction(-1), b1, b2)]
+    got = _kron_sum(terms, 2, 2)
+    want = sum((Matrix(dense.kron(x, y), 4, 4).scale(c) for c, x, y in terms), Matrix.zero(4, 4))
+    assert got == want
+    assert seen == [[(Fraction(1), id(a), b1.scale(2) - b2), (Fraction(3), id(a_equal), b1)]]
+
+
+def test_column_space_of_the_identity_is_the_standard_basis(monkeypatch):
+    n = 5
+    rref_calls = []
+    real = Matrix.rref
+
+    def counting(self):
+        rref_calls.append(self.rows)
+        return real(self)
+
+    spanned = SubspaceBasis._spanned(Matrix.identity(n).transpose())
+    monkeypatch.setattr(Matrix, "rref", counting)
+    got = Matrix.identity(n).column_space()
+    assert got == spanned and got.pivots == tuple(range(n)) and not rref_calls
+    assert got.sparse_rows == [{i: Fraction(1)} for i in range(n)]
+    # one off-diagonal entry: not the identity, so reduced as before
+    near = Matrix.identity(n).sparse_rows
+    near[1] = {1: Fraction(1), 3: Fraction(1, 2)}
+    near = Matrix._of(n, n, near)
+    assert not near.is_identity()
+    got = near.column_space()
+    assert rref_calls == [n]
+    assert got == SubspaceBasis._spanned(near.transpose())
+    assert Matrix.identity(0).column_space() == SubspaceBasis(0, [], ())
 
 
 @settings(max_examples=150)

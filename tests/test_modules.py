@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 import dense_oracle as dense
@@ -266,3 +268,28 @@ def test_ht_module_refuses_an_action_that_leaves_h_t(pair2, monkeypatch):
                         lambda H: SubspaceBasis.from_spanning(4, [(1, 0, 0, 0)]))
     with pytest.raises(InconsistentStructure, match=r"^eps_t\(h z\) escaped H_t$"):
         ht_module(H)
+
+
+def test_twisted_column_sums_one_kronecker_product_per_first_leg(kd4, monkeypatch):
+    # on kd4 with its Klein-four cocycle, F^-1 Delta(e_i) F has 16 terms with
+    # 4 distinct first legs for each odd i; the action of each on M (x) M
+    # sums 4 Kronecker products, and equals the dense sum of all 16
+    linalg_mod = importlib.import_module("weakhopf.linalg")
+    real = linalg_mod._kron_rows
+    parts = []
+
+    def recording(terms, m, n):
+        parts.append(len(terms))
+        return real(terms, m, n)
+
+    monkeypatch.setattr(linalg_mod, "_kron_rows", recording)
+    H = kd4.algebra
+    M = regular_module(H)
+    columns = _twisted(kd4).coproduct[0]
+    wide = [i for i in range(H.dim) if len(columns[i]) == 16]
+    assert len(wide) == H.dim // 2
+    for i in wide:
+        parts.clear()
+        got = _componentwise_action(M, M, columns[i])
+        assert parts == [4]
+        assert got.data == dense.componentwise_action(M, M, columns[i])

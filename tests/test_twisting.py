@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import pytest
@@ -173,6 +174,57 @@ def test_twist_failure_carries_the_check_witness(pair2):
     assert err.value.check_name == "coassociativity"
     wit = err.value.witness
     assert wit is not None and wit.indices == (0,) and wit.lhs != wit.rhs
+
+
+def test_twist_takes_the_product_verdicts_of_the_algebra(kd4, monkeypatch):
+    # the twisted algebra shares H's product, unit and counit, so it takes
+    # H's unit law, generators, multiplication matrices and associativity
+    # verdict and decides no associativity identity of its own
+    algebra_mod = importlib.import_module("weakhopf.algebra")
+    H = dense.rescaled(kd4.algebra, [1] * kd4.algebra.dim)  # no cached verdicts
+    assert H.associativity.passed  # as checking H decides it
+    decided, identities = [], []
+    real_decide, real_identities = algebra_mod.decide, algebra_mod._action_identities
+
+    def deciding(name, *args, **kwargs):
+        decided.append(name)
+        return real_decide(name, *args, **kwargs)
+
+    def counting(mul_rows, mats):
+        inner = real_identities(mul_rows, mats)
+
+        def each(i):
+            for t in inner(i):
+                identities.append(t[0])
+                yield t
+        return each
+
+    monkeypatch.setattr(algebra_mod, "decide", deciding)
+    monkeypatch.setattr(algebra_mod, "_action_identities", counting)
+    twisted = twist(H, kd4.qt, kd4.cocycle).algebra
+    assert "associativity" not in decided and "comultiplicativity" in decided
+    assert identities == []
+    for name in ("unit_law", "generators", "left_mult_mats", "associativity", "mul_ints"):
+        assert twisted.__dict__[name] is getattr(H, name), name
+    assert twisted.comul_cols != H.comul_cols
+
+
+def test_corrupted_cocycle_raises_the_same_twist_failure(pair2):
+    # the check name, message and witness bytes a corrupted pair2 cocycle
+    # gave before the twist took the product verdicts of H
+    from weakhopf.errors import TwistAxiomFailure
+    from weakhopf.structures import WeakCocycle
+
+    f = list(pair2.cocycle.f)
+    f[1] += 1
+    H = dense.rescaled(pair2.algebra, [1] * pair2.algebra.dim)
+    with pytest.raises(TwistAxiomFailure) as err:
+        twist(H, pair2.qt, WeakCocycle(tuple(f), pair2.cocycle.finv))
+    wit = err.value.witness
+    assert (err.value.check_name, wit.indices, len(wit.lhs), wit.detail) == (
+        "coassociativity", (0,), 64, "")
+    assert hashlib.sha256(wit.describe().encode()).hexdigest() == (
+        "8b9db4af4ed061ad7eda786c4b819e04fa4eb84557ca11e641846c88bfb98f30")
 
 
 def test_isomorphism_on_mixed_direct_sums(diag2, kz2, pair2):
