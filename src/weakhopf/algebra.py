@@ -14,7 +14,11 @@ A law saying that a map is multiplicative (associativity, module actions,
 the coproduct, the antipode, morphisms, the R-intertwiner) holds on all of
 H once it holds on the generators, given the unit law, associativity and
 the law's identity at 1; `_on_generators` decides it there and scans every
-basis element only when that fails or a condition does not hold.
+basis element only when that fails or a condition does not hold.  An
+action law, M_{e_i e_j} = M_i M_j for matrices M of the basis, is one
+stacked identity per generator s, [M_{s e_0} | ... | M_{s e_(n-1)}] =
+M_s [M_0 | ... | M_(n-1)]: the left side copies and scales blocks, the
+right side is one product (`_action_identities`).
 """
 
 from __future__ import annotations
@@ -272,8 +276,9 @@ class WeakBialgebra:
         (s x) y = s (x y) for all x and y form a subspace closed under
         products, which holds 1 under the unit law, so L_{s e_j} = L_s L_j
         for s in the generators and every j decides it."""
-        return decide("associativity", _on_generators(
-            self, _action_identities(self.mul_rows, self.left_mult_mats), self.unit_law))
+        identities, stacked = _action_identities(self.mul_rows, self.left_mult_mats)
+        return decide("associativity",
+                      _on_generators(self, identities, self.unit_law, stacked=stacked))
 
     @property
     def unital_associative(self) -> bool:
@@ -568,27 +573,41 @@ def _multiplicativity(identities, rows):
     return (t for i in rows for t in identities(i))
 
 
-def _on_generators(H, identities, gate, at_one=()):
+def _on_generators(H, identities, gate, at_one=(), stacked=None):
     """The triples `comparison` needs for a multiplicative law of H, given
     by the identities(i) of each basis element e_i: none when gate holds
     and so do the identities at_one and identities(s) for every s in
     H.generators, since the law then holds on all of H; otherwise the full
     scan over every basis element, in loop order.  gate holds the law's
     conditions: the unit law and associativity of H, and the law at 1 where
-    at_one does not state it (rho(1) = id for a module).  The shortcut
-    only ever answers "passed", so every report is the full scan's."""
-    if gate and all(lhs == rhs for _, lhs, rhs in
-                    chain(at_one, _multiplicativity(identities, H.generators))):
-        return ()
+    at_one does not state it (rho(1) = id for a module).  stacked(s), when
+    given, is one (lhs, rhs) pair equal exactly when every identity of
+    identities(s) holds, decided in their place.  The shortcut only ever
+    answers "passed", so every report is the full scan's."""
+    if gate:
+        if stacked is None:
+            pairs = ((lhs, rhs) for s in H.generators for _, lhs, rhs in identities(s))
+        else:
+            pairs = map(stacked, H.generators)
+        if all(lhs == rhs for lhs, rhs in chain(((lhs, rhs) for _, lhs, rhs in at_one), pairs)):
+            return ()
     return _multiplicativity(identities, range(H.dim))
 
 
 def _action_identities(mul_rows, mats):
-    """identities(i) for the law that the matrices mats of the basis are
-    multiplicative: ((i, j), sum_k m_ij^k M_k, M_i M_j) for each j.  On
-    left multiplication matrices the law is associativity, on a module's
-    action matrices it says the action is multiplicative."""
+    """(identities, stacked) for the law that the matrices mats of the basis
+    are multiplicative, M_{e_i e_j} = M_i M_j.  On left multiplication
+    matrices the law is associativity, on a module's action matrices it
+    says the action is multiplicative.
+
+    identities(i) yields ((i, j), sum_k m_ij^k M_k, M_i M_j) for each j.
+    stacked(s) states them all as one pair of matrices with the blocks side
+    by side, [M_{s e_0} | ... | M_{s e_(n-1)}] and M_s [M_0 | ... | M_(n-1)]:
+    the left side copies and scales the blocks M_k named by the structure
+    constants, and the right side is one product by the concatenation of
+    mats, built on first use."""
     rows, cols = mats[0].rows, mats[0].cols
+    n = len(mats)
 
     def identities(i):
         mi = mats[i]
@@ -596,7 +615,38 @@ def _action_identities(mul_rows, mats):
             terms = ((c, mats[k]) for k, c in mul_rows.get((i, j), {}).items())
             yield (i, j), Matrix.lincomb(terms, rows, cols), mi * mj
 
-    return identities
+    concat = []
+
+    def stacked(s):
+        if not concat:
+            concat.append(Matrix._of(rows, n * cols, [
+                {j * cols + c: x for j, m in enumerate(mats) for c, x in m.sparse_rows[r].items()}
+                for r in range(rows)]))
+        blocks = []  # (column offset, coefficient or None for 1, rows) of each block
+        for j in range(n):
+            row = mul_rows.get((s, j))
+            if not row:
+                continue
+            if len(row) == 1:
+                (k, c), = row.items()
+                blocks.append((j * cols, None if c == 1 else c, mats[k].sparse_rows))
+            else:
+                terms = [(c, mats[k]) for k, c in row.items()]
+                blocks.append((j * cols, None, Matrix.lincomb(terms, rows, cols).sparse_rows))
+        lhs = []
+        for r in range(rows):
+            out = {}
+            for offset, c, mrows in blocks:
+                if c is None:
+                    for col, x in mrows[r].items():
+                        out[offset + col] = x
+                else:
+                    for col, x in mrows[r].items():
+                        out[offset + col] = c * x
+            lhs.append(out)
+        return Matrix._of(rows, n * cols, lhs), mats[s] * concat[0]
+
+    return identities, stacked
 
 
 def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
@@ -608,7 +658,10 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     ident = Matrix.identity(n)
 
     def column_pairs(lhs_maps):
-        """(i,), column i of each map of lhs_maps, e_i for each i in turn."""
+        """(i,), column i of each map of lhs_maps, e_i for each i in turn;
+        none when every map is the identity."""
+        if all(lhs.is_identity() for lhs in lhs_maps):
+            return
         for i in range(n):
             for lhs in lhs_maps:
                 yield (i,), lhs.column(i), ident.column(i)
@@ -640,10 +693,26 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
                "Delta^2(1) vs ordered products of Delta(1)", (n, 3))
 
     def weak_counit_pairs():
-        # eps(e_h e_g e_l) = eps(e_h a) eps(b e_l) = eps(e_h b) eps(a e_l) over
-        # the terms a (x) b of Delta(e_g): with E[x][y] = eps(e_x e_y) and
-        # D_g the matrix of Delta(e_g), R_g E = E D_g E = E D_g^T E for each g
+        # eps((e_h e_g) e_l) = eps(e_h a) eps(b e_l) = eps(e_h b) eps(a e_l)
+        # over the terms a (x) b of Delta(e_g).  With E[x][y] = eps(e_x e_y),
+        # T[h, (g, y)] = m_hg^y and D[a, (g, b)] the coefficient of e_a (x) e_b
+        # in Delta(e_g), that is one identity of n x n^2 maps,
+        # T (id (x) E) = E D (id (x) E), and the same with the legs of D
+        # swapped.  Only when one fails does each g in turn find the witness,
+        # with D_g the matrix of Delta(e_g): R_g^T E = E D_g E = E D_g^T E
         E = B._eps_products
+        id_e = kron(ident, E)
+        # row h holds eps((e_h e_g) e_l) at column (g, l)
+        stacked = Matrix.from_entries(n, n * n, (
+            (h, g * n + y, c) for (h, g), row in B.mul_rows.items() for y, c in row.items())) * id_e
+
+        def legs(first):  # D, with leg first of each term as its row
+            return Matrix.from_entries(n, n * n, (
+                (ab[first], g * n + ab[1 - first], c)
+                for g, col in B.comul_cols.items() for ab, c in col.items()))
+
+        if all(stacked == E * legs(first) * id_e for first in (0, 1)):
+            return
         for g in range(n):
             d = Matrix.from_entries(n, n, ((a, b, c) for (a, b), c in B.comul_cols[g].items()))
             full = B.right_mult_mats[g].transpose() * E
@@ -694,7 +763,9 @@ def check_quantum_groupoid(H: QuantumGroupoid) -> VerificationReport:
                                          for (a, b), c in col.items()))
     s_cop = kron(S, S) * cop
 
-    def anticomul_pairs():
+    def anticomul_pairs():  # scanned only when the maps differ
+        if eps_s == H.counit_map and delta_s == s_cop:
+            return
         for i in range(n):
             yield (i,), eps_s.column(i), (H.counit[i],)
             yield (i,), delta_s.column(i), s_cop.column(i)

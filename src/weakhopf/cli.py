@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .algebra import (
     QuantumGroupoid,
@@ -442,8 +443,15 @@ def build_parser():
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of `run`, built once per process: parsing leaves it as it
+    was, and building it costs about as much as a small command."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "check": _cmd_check,
         "transmute": _cmd_transmute,

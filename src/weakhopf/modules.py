@@ -46,12 +46,14 @@ class HModule:
             ((c, self.mats[i]) for i, c in enumerate(x) if c), self.dim, self.dim
         )
 
+    @cached_property
+    def laws(self) -> VerificationReport:
+        """check_module(self), decided once per module."""
+        return check_module(self)
+
     def validate(self):
-        """(gh) . v = g . (h . v) on basis pairs and 1 . v = v."""
-        if getattr(self, "_validated", False):
-            return self
-        require(check_module(self), _module_failure)
-        self._validated = True
+        """(gh) . v = g . (h . v) on basis pairs and 1 . v = v, or raise."""
+        require(self.laws, _module_failure)
         return self
 
 
@@ -66,15 +68,41 @@ def check_module(M: HModule) -> VerificationReport:
     """Both module axioms; a failing check carries the dense columns at its
     first failing basis tuple.  When H is unital and associative and 1 acts
     as the identity, the action is multiplicative once it is so on the
-    generators: rho(s e_j) = rho(s) rho(e_j) for s in them and every j."""
+    generators: rho(s e_j) = rho(s) rho(e_j) for s in them and every j,
+    one stacked identity per s."""
     rep = VerificationReport("module")
     H = M.algebra
     one, ident = M.act_element(H.unit), Matrix.identity(M.dim)
+    identities, stacked = _action_identities(H.mul_rows, M.mats)
     comparison(rep, "action-multiplicative",
-               _on_generators(H, _action_identities(H.mul_rows, M.mats),
-                              H.unital_associative and one == ident))
+               _on_generators(H, identities, H.unital_associative and one == ident,
+                              stacked=stacked))
     comparison(rep, "unit-acts-as-identity", [((), one, ident)])
     return rep
+
+
+def _modules_over(H, *modules) -> bool:
+    """H is unital and associative, and each of modules satisfies the module
+    laws over H's product and unit: then the basis elements h with
+    x rho(h) = rho'(h) x, x a map between two of them, form a subalgebra
+    that holds 1 (which acts as the identity on both), and the generators
+    decide it (`_on_generators`)."""
+    return H.unital_associative and all(
+        M.algebra.mul_rows == H.mul_rows and M.algebra.unit == H.unit and M.laws.passed
+        for M in modules)
+
+
+def _module_map_identities(x, src: HModule, dst: HModule, gate=True):
+    """The triples ((h,), x src(e_h), dst(e_h) x) over the basis of H,
+    src's algebra, for `comparison`: x is a module map from src to dst.
+    Decided on the generators when gate holds and `_modules_over` H both
+    modules; a false gate (dst not known to be a module) scans every h."""
+    H = src.algebra
+
+    def identities(h):
+        yield (h,), x * src.mats[h], dst.mats[h] * x
+
+    return _on_generators(H, identities, gate and _modules_over(H, src, dst))
 
 
 def regular_module(H: QuantumGroupoid) -> HModule:
@@ -285,11 +313,15 @@ def unitors(M: HModule, ctx: BraidContext):
         raise InconsistentStructure("left unitor is not a bijection onto the module")
     if t_r.dim != M.dim or r_mat.inverse() is None:
         raise InconsistentStructure("right unitor is not a bijection onto the module")
-    for h in range(H.dim):
-        if l_mat * t_l.module.mats[h] != M.mats[h] * l_mat:
-            raise InconsistentStructure("left unitor is not a module morphism")
-        if r_mat * t_r.module.mats[h] != M.mats[h] * r_mat:
-            raise InconsistentStructure("right unitor is not a module morphism")
+
+    def identities(h):
+        yield "left", l_mat * t_l.module.mats[h], M.mats[h] * l_mat
+        yield "right", r_mat * t_r.module.mats[h], M.mats[h] * r_mat
+
+    gate = _modules_over(H, t_l.module, t_r.module, M)
+    for side, lhs, rhs in _on_generators(H, identities, gate):
+        if lhs != rhs:
+            raise InconsistentStructure("%s unitor is not a module morphism" % side)
     return l_mat, r_mat, t_l, t_r
 
 

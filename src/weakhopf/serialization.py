@@ -19,7 +19,7 @@ from typing import Tuple
 
 from .algebra import QuantumGroupoid, WeakBialgebra
 from .errors import DimensionMismatch, ParseError
-from .linalg import Matrix, Q0, format_frac
+from .linalg import Matrix, _transpose, format_frac
 from .structures import QTStructure, WeakCocycle
 from .transmute import BraidedHopfPresentation
 
@@ -81,32 +81,50 @@ def _fmt_vec(v):
     return " ".join(format_frac(x) for x in v)
 
 
-# fields written as a block, one row a line, whatever their number of rows;
-# every other field is one row on its key's line
-_BLOCK_FIELDS = frozenset({"mul", "comul", "antipode"})
+def _sparse_line(row, width):
+    """The line of a length-width vector given by its nonzero entries
+    {index: Fraction}: "0" wherever row has no entry."""
+    words = ["0"] * width
+    for k, x in row.items():
+        words[k] = format_frac(x)
+    return " ".join(words)
+
+
+def _column_lines(mat: Matrix) -> list:
+    """One line per column of mat."""
+    return [_sparse_line(col, mat.rows) for col in mat.transpose().sparse_rows]
+
+
+def _column_major(mat: Matrix) -> str:
+    """The entries of mat, column after column, as one line."""
+    rows = mat.rows
+    return _sparse_line({j * rows + i: x for i, row in enumerate(mat.sparse_rows)
+                         for j, x in row.items()}, rows * mat.cols)
 
 
 def _serialize_lines(kind, names, sections):
+    """A document of the given fields: (key, line) for a one-row field,
+    (key, [lines]) for a block, one row a line."""
     lines = ["kind: %s" % kind, "dim: %d" % len(names), "basis: %s" % " ".join(names)]
     for key, rows in sections:
-        if key in _BLOCK_FIELDS:
-            lines.append("%s:" % key)
-            lines.extend(_fmt_vec(r) for r in rows)
+        if isinstance(rows, str):
+            lines.append("%s: %s" % (key, rows))
         else:
-            lines.append("%s: %s" % (key, _fmt_vec(rows[0])))
+            lines.append("%s:" % key)
+            lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
 def _bialgebra_sections(B):
     n = B.dim
-    pairs = [divmod(flat, n) for flat in range(n * n)]
-    mul_rows = [[B.mul_rows.get(ij, {}).get(k, Q0) for k in range(n)] for ij in pairs]
-    comul_rows = [[B.comul_cols[i].get(jk, Q0) for jk in pairs] for i in range(n)]
+    empty = {}
     return [
-        ("mul", mul_rows),
-        ("unit", [B.unit]),
-        ("comul", comul_rows),
-        ("counit", [B.counit]),
+        ("mul", [_sparse_line(B.mul_rows.get(divmod(flat, n), empty), n)
+                 for flat in range(n * n)]),
+        ("unit", _fmt_vec(B.unit)),
+        ("comul", [_sparse_line({j * n + k: c for (j, k), c in B.comul_cols[i].items()}, n * n)
+                   for i in range(n)]),
+        ("counit", _fmt_vec(B.counit)),
     ]
 
 
@@ -115,23 +133,22 @@ def serialize_weak_bialgebra(B: WeakBialgebra) -> str:
 
 
 def serialize_quantum_groupoid(H: QuantumGroupoid) -> str:
-    s_rows = [H.antipode.column(i) for i in range(H.dim)]
     return _serialize_lines(
         "quantum-groupoid",
         H.basis_names,
-        _bialgebra_sections(H) + [("antipode", s_rows)],
+        _bialgebra_sections(H) + [("antipode", _column_lines(H.antipode))],
     )
 
 
 def serialize_qt(H, qt: QTStructure) -> str:
     return _serialize_lines(
-        "qt-structure", H.basis_names, [("r", [qt.r]), ("rinv", [qt.rinv])]
+        "qt-structure", H.basis_names, [("r", _fmt_vec(qt.r)), ("rinv", _fmt_vec(qt.rinv))]
     )
 
 
 def serialize_cocycle(H, wc: WeakCocycle) -> str:
     return _serialize_lines(
-        "cocycle", H.basis_names, [("f", [wc.f]), ("finv", [wc.finv])]
+        "cocycle", H.basis_names, [("f", _fmt_vec(wc.f)), ("finv", _fmt_vec(wc.finv))]
     )
 
 
@@ -144,13 +161,8 @@ def serialize_morphism(f) -> str:
         "target-basis: %s" % " ".join(f.target.basis_names),
         "matrix:",
     ]
-    lines.extend(_fmt_vec(f.matrix.column(i)) for i in range(f.source.dim))
+    lines.extend(_column_lines(f.matrix))
     return "\n".join(lines) + "\n"
-
-
-def _column_major(mat: Matrix) -> list:
-    """The entries of mat, column after column."""
-    return [x for j in range(mat.cols) for x in mat.column(j)]
 
 
 def serialize_module(M) -> str:
@@ -164,46 +176,31 @@ def serialize_module(M) -> str:
         "algebra-basis: %s" % " ".join(H.basis_names),
         "action:",
     ]
-    for mat in M.mats:
-        lines.append(_fmt_vec(_column_major(mat)))
+    lines.extend(_column_major(mat) for mat in M.mats)
     return "\n".join(lines) + "\n"
 
 
-def _basis_lines(basis):
-    """One line per basis vector of a SubspaceBasis, read off its rows."""
-    n = basis.ambient_dim
-    return [_fmt_vec(row.get(k, Q0) for k in range(n)) for row in basis.sparse_rows]
-
-
 def serialize_presentation(p: BraidedHopfPresentation) -> str:
-    m = p.carrier.dim
-    t = p.ht.dim
     lines = [
         "kind: presentation",
         "acting-dim: %d" % p.acting.dim,
         "acting-basis: %s" % " ".join(p.acting.basis_names),
         "ambient-dim: %d" % p.ambient.dim,
         "ambient-basis: %s" % " ".join(p.ambient.basis_names),
-        "carrier-dim: %d" % m,
+        "carrier-dim: %d" % p.carrier.dim,
         "carrier:",
     ]
-    lines.extend(_basis_lines(p.carrier))
-    lines.append("ht-dim: %d" % t)
+    # one line per basis vector of the carrier and of H_t, read off its rows
+    lines.extend(_sparse_line(row, p.carrier.ambient_dim) for row in p.carrier.sparse_rows)
+    lines.append("ht-dim: %d" % p.ht.dim)
     lines.append("ht:")
-    lines.extend(_basis_lines(p.ht))
+    lines.extend(_sparse_line(row, p.ht.ambient_dim) for row in p.ht.sparse_rows)
     lines.append("action:")
-    for mat in p.action.mats:
-        lines.append(_fmt_vec(_column_major(mat)))
-    lines.append("mul:")
-    lines.extend(_fmt_vec(p.mul.column(c)) for c in range(m * m))
-    lines.append("unit:")
-    lines.extend(_fmt_vec(p.unit.column(c)) for c in range(t))
-    lines.append("comul:")
-    lines.extend(_fmt_vec(p.comul.column(c)) for c in range(m))
-    lines.append("counit:")
-    lines.extend(_fmt_vec(p.counit.column(c)) for c in range(m))
-    lines.append("antipode:")
-    lines.extend(_fmt_vec(p.antipode.column(c)) for c in range(m))
+    lines.extend(_column_major(mat) for mat in p.action.mats)
+    for key, mat in (("mul", p.mul), ("unit", p.unit), ("comul", p.comul),
+                     ("counit", p.counit), ("antipode", p.antipode)):
+        lines.append("%s:" % key)
+        lines.extend(_column_lines(mat))
     return "\n".join(lines) + "\n"
 
 
@@ -261,7 +258,8 @@ class _Reader:
             )
         return parts
 
-    def rationals(self, text, count, field):
+    def tokens(self, text, count, field):
+        """The count words of text, single-space separated."""
         parts = self.words(text, field)
         if len(parts) != count:
             raise ParseError(
@@ -269,21 +267,25 @@ class _Reader:
                 line=self.pos,
                 field=field,
             )
-        out = []
-        for p in parts:
-            x = self.known.get(p)
-            if x is None:
-                # the shape is checked first, so Fraction never sees an exponent
-                x = Fraction(p) if _RATIONAL.fullmatch(p) else None
-                if x is None or str(x) != p:
-                    raise ParseError(
-                        "bad rational %r (want canonical p/q in lowest terms)" % p,
-                        line=self.pos,
-                        field=field,
-                    )
-                self.known[p] = x
-            out.append(x)
-        return tuple(out)
+        return parts
+
+    def rational(self, token, field):
+        """The Fraction a canonical token spells, validated once per token."""
+        x = self.known.get(token)
+        if x is None:
+            # the shape is checked first, so Fraction never sees an exponent
+            x = Fraction(token) if _RATIONAL.fullmatch(token) else None
+            if x is None or str(x) != token:
+                raise ParseError(
+                    "bad rational %r (want canonical p/q in lowest terms)" % token,
+                    line=self.pos,
+                    field=field,
+                )
+            self.known[token] = x
+        return x
+
+    def rationals(self, text, count, field):
+        return tuple(self.rational(p, field) for p in self.tokens(text, count, field))
 
     def basis(self, dim_key, basis_key):
         """A positive dimension field, then a basis line with that many
@@ -308,18 +310,27 @@ class _Reader:
     def vector_field(self, key, count):
         return self.rationals(self.key_line(key), count, key)
 
-    def block_rows(self, key, rows, count):
-        """The rows of a block field, each parsed as soon as it is read."""
+    def block_lines(self, key, rows):
+        """The row lines of a block field, each read when it is reached."""
         head = self.key_line(key)
         if head:
             raise ParseError(
                 "field %r must start a block" % key, line=self.pos, field=key
             )
         for _ in range(rows):
-            yield self.rationals(self.next_line(key), count, key)
+            yield self.next_line(key)
 
     def block_field(self, key, rows, count):
-        return tuple(self.block_rows(key, rows, count))
+        return tuple(self.rationals(line, count, key) for line in self.block_lines(key, rows))
+
+    def sparse_block(self, key, rows, count):
+        """The rows of a block field as {column: Fraction} of their nonzero
+        entries.  "0" is the one canonical zero, so only the other tokens
+        are read as rationals, in line order."""
+        known, rational = self.known, self.rational
+        for line in self.block_lines(key, rows):
+            yield {k: known[p] if p in known else rational(p, key)
+                   for k, p in enumerate(self.tokens(line, count, key)) if p != "0"}
 
 
 def parse(text: str):
@@ -336,22 +347,18 @@ def parse(text: str):
     if kind in ("weak-bialgebra", "quantum-groupoid"):
         # each row goes straight into the sparse tables
         pairs = [divmod(flat, n) for flat in range(n * n)]
-        mul_rows = {}
-        for ij, row in zip(pairs, r.block_rows("mul", n * n, n)):
-            row = {k: c for k, c in enumerate(row) if c}
-            if row:
-                mul_rows[ij] = row
+        mul_rows = {ij: row for ij, row in zip(pairs, r.sparse_block("mul", n * n, n)) if row}
         unit = r.vector_field("unit", n)
-        comul_cols = {i: {jk: c for jk, c in zip(pairs, row) if c}
-                      for i, row in enumerate(r.block_rows("comul", n, n * n))}
+        comul_cols = {i: {pairs[jk]: c for jk, c in row.items()}
+                      for i, row in enumerate(r.sparse_block("comul", n, n * n))}
         counit = r.vector_field("counit", n)
         base = WeakBialgebra(names, mul_rows, unit, comul_cols, counit)
         if kind == "weak-bialgebra":
             r.expect_done()
             return base
-        s_rows = r.block_field("antipode", n, n)
+        s_cols = list(r.sparse_block("antipode", n, n))
         r.expect_done()
-        return QuantumGroupoid(base, Matrix.from_columns(s_rows, n))
+        return QuantumGroupoid(base, Matrix._of(n, n, _transpose(s_cols, n)))
 
     if kind == "qt-structure":
         rr = r.vector_field("r", n * n)
@@ -368,10 +375,9 @@ def parse(text: str):
     if kind == "morphism":
         tnames = r.basis("target-dim", "target-basis")
         tdim = len(tnames)
-        mat_rows = r.block_field("matrix", n, tdim)
+        columns = list(r.sparse_block("matrix", n, tdim))
         r.expect_done()
-        matrix = Matrix.from_columns(mat_rows, tdim)
-        return ParsedMorphism(names, tnames, matrix)
+        return ParsedMorphism(names, tnames, Matrix._of(tdim, n, _transpose(columns, tdim)))
 
     # module
     anames = r.basis("algebra-dim", "algebra-basis")

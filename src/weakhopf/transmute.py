@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import Matrix, SubspaceBasis, _restrict, kron
-from .modules import BraidContext, HModule, _unitor_plain, ht_module, truncated_tensor, unitors
+from .modules import (
+    BraidContext,
+    HModule,
+    _module_map_identities,
+    _unitor_plain,
+    ht_module,
+    truncated_tensor,
+    unitors,
+)
 from .report import VerificationReport, Witness, comparison
 from .structures import QTStructure
 
@@ -235,18 +243,20 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     comparison(rep, "coproduct-lands-in-tensor", [((), t2.projector * p.comul, p.comul)])
 
     # (a) all five maps are module morphisms: x . (h on the source) equals
-    # (h on the target) . x for every basis element h
+    # (h on the target) . x for every basis element h, decided on the
+    # generators where both actions are modules.  The coproduct's target,
+    # the plain action on the tensor square, is never validated, so that
+    # law alone is scanned at every h
     ht, htmod = ht_module(H)
     mul_inc = p.mul * t2.inclusion
-    for name, x, src, dst in (
-        ("product", mul_inc, t2.module.mats, cmod.mats),
-        ("unit", p.unit, htmod.mats, cmod.mats),
-        ("coproduct", p.comul, cmod.mats, square_actions),
-        ("counit", p.counit, cmod.mats, htmod.mats),
-        ("antipode", p.antipode, cmod.mats, cmod.mats),
+    for name, x, src, dst, gate in (
+        ("product", mul_inc, t2.module, cmod, True),
+        ("unit", p.unit, htmod, cmod, True),
+        ("coproduct", p.comul, cmod, HModule(H, square_actions, name="plain square"), False),
+        ("counit", p.counit, cmod, htmod, True),
+        ("antipode", p.antipode, cmod, cmod, True),
     ):
-        comparison(rep, name + "-module-morphism",
-                   (((h,), x * src[h], dst[h] * x) for h in range(H.dim)))
+        comparison(rep, name + "-module-morphism", _module_map_identities(x, src, dst, gate))
 
     # (b) associativity on the iterated truncated tensor, the image of the
     # triple projector; a witness is the basis triple of its first column

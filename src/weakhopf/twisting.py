@@ -26,7 +26,7 @@ from .errors import (
     TwistAxiomFailure,
 )
 from .linalg import Matrix, _restrict, kron
-from .modules import BraidContext, HModule, truncated_tensor
+from .modules import BraidContext, HModule, _module_map_identities, truncated_tensor
 from .quantize import quantize
 from .report import VerificationReport, Witness, comparison, dense_of_sparse, require
 from .structures import (
@@ -207,9 +207,7 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
     # underlying actions), the quantized carrier keeps the original adjoint
     # action; alpha must intertwine it with the twisted adjoint action on
     # the target carrier.
-    comparison(rep, "module-map",
-               (((h,), alpha * p_f.action.mats[h], p_t.action.mats[h] * alpha)
-                for h in range(H.dim)),
+    comparison(rep, "module-map", _module_map_identities(alpha, p_f.action, p_t.action),
                "alpha intertwines the module actions")
 
     # (2) algebra map on the twisted tensor square

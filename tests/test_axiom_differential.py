@@ -423,3 +423,45 @@ def test_r_corrupted_where_the_identity_at_one_fails():
     ours = check_quasitriangular(H, bad)
     assert not ours["intertwiner"].passed
     assert ours.to_dict() == oracle.check_quasitriangular(H, bad).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the weak counit axiom as two stacked identities, one per order of the legs
+# of Delta(e_g): a case that breaks only one order must reach the loop
+
+def _one_order_only(H, first):
+    """Delta(e_g) moved by (e_a - e_a2) (x) e_b on leg first.  On P3,
+    E[x][y] = eps(e_x e_y) is singular, and a pair a, a2 whose columns of E
+    agree and whose rows do not leaves E D_g E as it was (first = 0) and
+    changes E D_g^T E; first = 1 takes a pair whose rows agree instead."""
+    E = H._eps_products
+    rows, cols = E.sparse_rows, E.transpose().sparse_rows
+    a, a2 = next((a, a2) for a in range(H.dim) for a2 in range(H.dim)
+                 if a != a2 and (cols, rows)[first][a] == (cols, rows)[first][a2]
+                 and (rows, cols)[first][a] != (rows, cols)[first][a2])
+    b = next(b for b in range(H.dim) if rows[b] and cols[b])
+    g = H.dim - 1
+    col = dict(H.comul_cols[g])
+    for x, c in ((a, 1), (a2, -1)):
+        key = (x, b) if first == 0 else (b, x)
+        new = col.get(key, 0) + c
+        if new:
+            col[key] = Fraction(new)
+        else:
+            col.pop(key, None)
+    cols_all = dict(H.comul_cols)
+    cols_all[g] = col
+    return WeakBialgebra(H.basis_names, H.mul_rows, H.unit, cols_all, H.counit)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_weak_counit_axiom_broken_in_one_order_of_the_legs_only(first):
+    B = _one_order_only(instance("P3"), first)
+    ours = check_weak_bialgebra(B)
+    assert ours.to_dict() == oracle.check_weak_bialgebra(B).to_dict()
+    witness = ours["weak-counit-axiom"].witness
+    assert witness is not None
+    # the witness pair is (eps(e_h e_g e_l), same) against the two splits;
+    # exactly one split differs from the product
+    lhs, (s1, s2) = witness.lhs[0], witness.rhs
+    assert (s1 != lhs) != (s2 != lhs)

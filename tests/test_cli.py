@@ -331,3 +331,45 @@ def test_check_only_flags_are_rejected_elsewhere(argv, flag):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv + [flag])
     assert exc.value.code == 2
+
+
+def test_the_parser_built_once_gives_what_fresh_parsers_give(emitted, monkeypatch, capsys):
+    # run keeps one parser per process; successive commands through it,
+    # a usage error among them, give the bytes and exit codes of calls that
+    # each build their own
+    import weakhopf.cli as cli
+
+    cases = [
+        ["check", emitted["qg"], emitted["qt"], emitted["coc"], "--format", "structured"],
+        ["transmute", "--algebra", emitted["qg"], "--qt", emitted["qt"]],
+        ["twist", "--algebra", emitted["qg"], "--qt", emitted["qt"]],  # usage error
+        ["quantize", "--algebra", emitted["qg"], "--cocycle", emitted["coc"],
+         "--format", "structured"],
+        ["check", "/nonexistent/path.qg"],
+        ["verify-iso", "--algebra", "zoo:kd4", "--cocycle", "zoo:kd4"],
+        ["check", "zoo:diag2", "--fail-fast"],
+        ["zoo"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    successive = [outcome(argv) for argv in cases]
+    assert len(built) == 1
+    fresh = []
+    for argv in cases:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert len(built) == 1 + len(cases)
+    assert successive == fresh
+    assert [code for code, _, _ in successive] == [0, 0, 2, 0, 2, 0, 0, 0]
+    assert "the following arguments are required: --cocycle" in successive[2][2]
+    cli._parser.cache_clear()

@@ -383,3 +383,61 @@ def test_mutated_documents_fail_or_round_trip(text):
     except WeakHopfError:
         return
     assert _RESERIALIZE[type(obj)](obj) == text
+
+
+# -- malformed block fields: each document is the diag2 quantum groupoid with
+# the given lines replaced (1-based line numbers); the message, line and
+# field of the error are pinned, and the first bad token in line order wins
+
+_DIAG2_BLOCK_ERRORS = [
+    ({5: "1  0"}, "'1  0' is not single-space separated", 5, "mul"),
+    ({6: "0 +1"}, "bad rational '+1' (want canonical p/q in lowest terms)", 6, "mul"),
+    ({7: "2/4 0"}, "bad rational '2/4' (want canonical p/q in lowest terms)", 7, "mul"),
+    ({11: "1 0 1e3 0"}, "bad rational '1e3' (want canonical p/q in lowest terms)", 11, "comul"),
+    ({12: "0 0 0 1.5"}, "bad rational '1.5' (want canonical p/q in lowest terms)", 12, "comul"),
+    ({8: "0 -0"}, "bad rational '-0' (want canonical p/q in lowest terms)", 8, "mul"),
+    ({12: "0 0 0/1 1"}, "bad rational '0/1' (want canonical p/q in lowest terms)", 12, "comul"),
+    ({16: "0 01"}, "bad rational '01' (want canonical p/q in lowest terms)", 16, "antipode"),
+    ({11: "1 0 0"}, "expected 4 rationals, found 3", 11, "comul"),
+    ({5: "1 0 0"}, "expected 2 rationals, found 3", 5, "mul"),
+    ({6: ""}, "expected 2 rationals, found 0", 6, "mul"),
+    ({5: "x 1e3 0"}, "expected 2 rationals, found 3", 5, "mul"),
+    ({5: "1/0 2/4"}, "bad rational '1/0' (want canonical p/q in lowest terms)", 5, "mul"),
+    ({5: "-1/2 2/4"}, "bad rational '2/4' (want canonical p/q in lowest terms)", 5, "mul"),
+    ({6: "0 x", 11: "1e3 0 0 0"}, "bad rational 'x' (want canonical p/q in lowest terms)", 6,
+     "mul"),
+    ({7: "3/6 0", 11: "3/6 0 0 0"},
+     "bad rational '3/6' (want canonical p/q in lowest terms)", 7, "mul"),
+]
+
+
+@pytest.mark.parametrize("edits, message, line, field", _DIAG2_BLOCK_ERRORS)
+def test_malformed_block_rows_are_refused_at_their_first_bad_token(diag2, edits, message, line,
+                                                                    field):
+    lines = serialize_quantum_groupoid(diag2.algebra).split("\n")
+    for at, new in edits.items():
+        lines[at - 1] = new
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines))
+    assert str(err.value) == "%s (line %d, field %r)" % (message, line, field)
+    assert (err.value.line, err.value.field) == (line, field)
+
+
+@pytest.mark.parametrize("drop, message, line, field", [
+    (8, "expected 2 rationals, found 3", 8, "mul"),
+    (12, "expected 4 rationals, found 3", 12, "comul"),
+    (16, "unexpected end of file", 16, "antipode"),
+])
+def test_a_missing_block_line_is_refused(diag2, drop, message, line, field):
+    lines = serialize_quantum_groupoid(diag2.algebra).split("\n")
+    del lines[drop - 1]
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines))
+    assert str(err.value) == "%s (line %d, field %r)" % (message, line, field)
+
+
+def test_trailing_content_after_the_last_block_is_refused(diag2):
+    with pytest.raises(ParseError) as err:
+        parse(serialize_quantum_groupoid(diag2.algebra) + "0 0\n")
+    assert str(err.value) == "unexpected trailing content '0 0' (line 17)"
+    assert (err.value.line, err.value.field) == (17, None)
