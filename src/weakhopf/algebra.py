@@ -41,8 +41,6 @@ from .report import VerificationReport, comparison, decide
 
 
 def sparse_of_dense(v, n, k):
-    if k == 2:
-        return {divmod(flat, n): c for flat, c in enumerate(v) if c}
     out = {}
     for flat, c in enumerate(v):
         if c:
@@ -300,7 +298,7 @@ class WeakBialgebra:
                 yield ((i, j), sparse_coproduct_leg(ij, 0, cols),
                        sparse_mul(self, cols[i], cols[j], 2))
 
-        at_one = (((), sparse_mul(self, self.delta_one_sparse, cols[j], 2), cols[j])
+        at_one = (((), sparse_mul(self, self.delta_one, cols[j], 2), cols[j])
                   for j in range(n))
         return decide("comultiplicativity",
                       _on_generators(self, identities, self.unital_associative, at_one),
@@ -329,21 +327,9 @@ class WeakBialgebra:
         return Matrix([self.counit])
 
     @cached_property
-    def delta_one(self) -> tuple:
-        """Delta(1) as a dense length-dim^2 vector."""
-        return self.comul_map.apply(self.unit)
-
-    @cached_property
-    def delta_one_sparse(self):
-        return sparse_of_dense(self.delta_one, self.dim, 2)
-
-    @cached_property
-    def delta_cop_one(self) -> tuple:
-        n = self.dim
-        out = [Q0] * (n * n)
-        for (a, b), c in self.delta_one_sparse.items():
-            out[b * n + a] += c
-        return tuple(out)
+    def delta_one(self) -> dict:
+        """Delta(1) as a sparse 2-tensor."""
+        return sparse_coproduct_leg(self.unit_sparse, 0, self.comul_cols)
 
     @cached_property
     def left_mult_mats(self):
@@ -377,7 +363,7 @@ class WeakBialgebra:
         E = self._eps_products
         rows = (E if left else E.transpose()).sparse_rows
         entries = []
-        for pair, c in self.delta_one_sparse.items():
+        for pair, c in self.delta_one.items():
             x, y = pair[leg], pair[1 - leg]
             entries.extend((y, i, c * s) for i, s in rows[x].items())
         return Matrix.from_entries(self.dim, self.dim, entries)
@@ -685,7 +671,7 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
 
     # weak unit axiom: Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1))
     #                            = (1 (x) Delta(1))(Delta(1) (x) 1)
-    d1 = B.delta_one_sparse
+    d1 = B.delta_one
     d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
     prod_a = sparse_mul(B, sparse_embed(d1, 3, (0, 1), B.unit_sparse), d1, 3, (1, 2))
     prod_b = sparse_mul(B, sparse_embed(d1, 3, (1, 2), B.unit_sparse), d1, 3, (0, 1))

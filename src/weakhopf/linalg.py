@@ -61,10 +61,6 @@ def format_frac(x: Fraction) -> str:
     return str(x)
 
 
-def vec(values) -> tuple:
-    return tuple(frac(v) for v in values)
-
-
 def _sparse(values, n, what):
     """{index: Fraction} of the nonzero entries of a length-n sequence."""
     out = {}
@@ -581,7 +577,7 @@ class SubspaceBasis:
 
     Canonical form makes subspace equality a structural comparison and
     membership a pivot-indexed reduction.  The basis is stored as sparse
-    rows only; ``vectors`` is a dense copy, built on each access.
+    rows only.
     """
 
     __slots__ = ("ambient_dim", "sparse_rows", "pivots")
@@ -604,11 +600,6 @@ class SubspaceBasis:
             return cls(m.cols, [], ())
         red, pivots = m.rref()
         return cls(m.cols, red.sparse_rows[:len(pivots)], pivots)
-
-    @property
-    def vectors(self) -> tuple:
-        """The basis as dense tuples, built on each access."""
-        return tuple(tuple(_dense(row, self.ambient_dim)) for row in self.sparse_rows)
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,7 @@ Braidings are stored as exact matrices between canonical image bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 from .algebra import (
@@ -105,14 +105,27 @@ def _module_map_identities(x, src: HModule, dst: HModule, gate=True):
     return _on_generators(H, identities, gate and _modules_over(H, src, dst))
 
 
+def _kept(build):
+    """build(H), kept on the algebra H so that it is built once per algebra;
+    a quantum groupoid built on H's tables does not take it over."""
+    key = "_" + build.__name__
+
+    @wraps(build)
+    def kept(H):
+        value = H.__dict__.get(key)
+        if value is None:
+            value = H.__dict__[key] = build(H)
+        return value
+
+    return kept
+
+
+@_kept
 def regular_module(H: QuantumGroupoid) -> HModule:
-    cached = H.__dict__.get("_regular_module")
-    if cached is None:
-        cached = HModule(H, H.left_mult_mats, name="regular")
-        H.__dict__["_regular_module"] = cached
-    return cached
+    return HModule(H, H.left_mult_mats, name="regular")
 
 
+@_kept
 def ht_module(H: QuantumGroupoid):
     """The unit object: H_t with action h . z = eps_t(h z).
 
@@ -157,8 +170,7 @@ def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
 
 def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
     """F^-1 Delta(e_i) F as a sparse 2-tensor."""
-    f, finv = wc.sparse
-    return _mul2(H, finv, H.comul_cols[i], f)
+    return _mul2(H, wc.finv, H.comul_cols[i], wc.f)
 
 
 def truncated_tensor(M: HModule, N: HModule, ctx: "BraidContext",
@@ -204,7 +216,7 @@ def _flip_matrix(m_dim, n_dim) -> Matrix:
 @dataclass(frozen=True)
 class BraidContext:
     """The braided module category of an algebra: plain with the R-matrix
-    qt ("psi") or twisted by the cocycle wc ("phi").
+    qt (`psi`), or twisted by the cocycle wc (`phi`) exactly when wc is set.
 
     memo holds what the context has built, keyed on the module objects
     themselves: each truncated tensor ("tensor", M, N), each action of a
@@ -213,20 +225,19 @@ class BraidContext:
     """
 
     algebra: QuantumGroupoid
-    kind: str  # "psi" | "phi"
     qt: Optional[QTStructure] = None
     wc: Optional[WeakCocycle] = None
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def psi(cls, H, qt):
-        return cls(H, "psi", qt=qt)
+        return cls(H, qt=qt)
 
     @classmethod
     def phi(cls, H, wc):
         if not H.is_cocommutative:
             raise NotCocommutative("the twisted category requires cocommutativity")
-        return cls(H, "phi", wc=wc)
+        return cls(H, wc=wc)
 
     @cached_property
     def coproduct(self):
@@ -234,12 +245,11 @@ class BraidContext:
         sparse 2-tensors, conjugated by the cocycle (F^-1 Delta(e_i) F and
         F^-1 F) in the twisted category.  Built once per context."""
         H = self.algebra
-        if self.kind == "psi":
-            return H.comul_cols, H.delta_one_sparse
-        f, finv = self.wc.sparse
+        if self.wc is None:
+            return H.comul_cols, H.delta_one
         columns = [twisted_coproduct_column(H, self.wc, i) for i in range(H.dim)]
         # F^-1 F = Delta_cop(1), = Delta(1) when cocommutative
-        return columns, _mul2(H, finv, f)
+        return columns, _mul2(H, self.wc.finv, self.wc.f)
 
     def action(self, M, N, elem2) -> Matrix:
         """The action of the sparse 2-tensor elem2 on M (x) N, first leg on
@@ -254,11 +264,10 @@ class BraidContext:
         R^(1) . v, or m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m."""
         key = ("braiding", M, N)
         if key not in self.memo:
-            if self.kind == "psi":
-                g = swap2(self.qt.sparse[0])
+            if self.wc is None:
+                g = swap2(self.qt.r)
             else:
-                f, finv = self.wc.sparse
-                g = _mul2(self.algebra, finv, swap2(f))
+                g = _mul2(self.algebra, self.wc.finv, swap2(self.wc.f))
             self.memo[key] = self.action(N, M, g) * _flip_matrix(M.dim, N.dim)
         return self.memo[key]
 
@@ -267,12 +276,12 @@ class BraidContext:
         of the truncated tensors.  The inverse is w (x) v -> R^-(2) . v (x)
         R^-(1) . w in the plain category and the matrix inverse in the
         twisted one, which requires cocommutativity."""
-        if self.kind == "phi" and not self.algebra.is_cocommutative:
+        if self.wc is not None and not self.algebra.is_cocommutative:
             raise NotCocommutative("the twisted braiding requires cocommutativity")
         t_mn, t_nm = truncated_tensor(M, N, self), truncated_tensor(N, M, self)
         braid = t_nm.projection * self.braiding_plain(M, N) * t_mn.inclusion
-        if self.kind == "psi":
-            inv_plain = self.action(M, N, swap2(self.qt.sparse[1])) * _flip_matrix(N.dim, M.dim)
+        if self.wc is None:
+            inv_plain = self.action(M, N, swap2(self.qt.rinv)) * _flip_matrix(N.dim, M.dim)
             return braid, t_mn.projection * inv_plain * t_nm.inclusion
         inv = braid.inverse()
         if inv is None:

@@ -28,8 +28,7 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
     """Build the cocycle-deformed braided Hopf structure on the centralizer."""
     if not H.is_cocommutative:
         raise NotCocommutative("quantization requires a cocommutative coproduct")
-    fs, fis = wc.sparse
-    if sparse_mul(H, fs, fis, 2) != H.delta_one_sparse:
+    if sparse_mul(H, wc.f, wc.finv, 2) != H.delta_one:
         raise InconsistentStructure("F F^-1 != Delta(1); not a valid cocycle")
 
     n = H.dim
@@ -42,7 +41,7 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
 
     # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
     # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
-    return _present(f, ad, H.mul_map * ad2(fs), ad2(fis) * H.comul_map, H.antipode)
+    return _present(f, ad, H.mul_map * ad2(wc.f), ad2(wc.finv) * H.comul_map, H.antipode)
 
 
 def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):
@@ -52,7 +51,7 @@ def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):
     RHS: F12 F34 F^-1_23 (F21)_23 F^-1_13 F^-1_24 over independent copies.
     """
     cols = H.comul_cols
-    f, finv = wc.sparse
+    f, finv = wc.f, wc.finv
 
     def delta_delta(x2):
         return sparse_coproduct_leg(sparse_coproduct_leg(x2, 1, cols), 0, cols)

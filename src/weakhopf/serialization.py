@@ -90,6 +90,11 @@ def _sparse_line(row, width):
     return " ".join(words)
 
 
+def _pair_line(x2, n):
+    """The line of a 2-tensor {(a, b): c}, dim n: its n^2 entries, a major."""
+    return _sparse_line({a * n + b: c for (a, b), c in x2.items()}, n * n)
+
+
 def _column_lines(mat: Matrix) -> list:
     """One line per column of mat."""
     return [_sparse_line(col, mat.rows) for col in mat.transpose().sparse_rows]
@@ -122,8 +127,7 @@ def _bialgebra_sections(B):
         ("mul", [_sparse_line(B.mul_rows.get(divmod(flat, n), empty), n)
                  for flat in range(n * n)]),
         ("unit", _fmt_vec(B.unit)),
-        ("comul", [_sparse_line({j * n + k: c for (j, k), c in B.comul_cols[i].items()}, n * n)
-                   for i in range(n)]),
+        ("comul", [_pair_line(B.comul_cols[i], n) for i in range(n)]),
         ("counit", _fmt_vec(B.counit)),
     ]
 
@@ -140,16 +144,19 @@ def serialize_quantum_groupoid(H: QuantumGroupoid) -> str:
     )
 
 
+def _serialize_pairs(kind, H, fields):
+    """A document of one n^2 line per (key, 2-tensor) of fields; n is read
+    off H's basis, so H may be a parsed document."""
+    n = len(H.basis_names)
+    return _serialize_lines(kind, H.basis_names, [(key, _pair_line(x2, n)) for key, x2 in fields])
+
+
 def serialize_qt(H, qt: QTStructure) -> str:
-    return _serialize_lines(
-        "qt-structure", H.basis_names, [("r", _fmt_vec(qt.r)), ("rinv", _fmt_vec(qt.rinv))]
-    )
+    return _serialize_pairs("qt-structure", H, [("r", qt.r), ("rinv", qt.rinv)])
 
 
 def serialize_cocycle(H, wc: WeakCocycle) -> str:
-    return _serialize_lines(
-        "cocycle", H.basis_names, [("f", _fmt_vec(wc.f)), ("finv", _fmt_vec(wc.finv))]
-    )
+    return _serialize_pairs("cocycle", H, [("f", wc.f), ("finv", wc.finv)])
 
 
 def serialize_morphism(f) -> str:
@@ -323,14 +330,23 @@ class _Reader:
     def block_field(self, key, rows, count):
         return tuple(self.rationals(line, count, key) for line in self.block_lines(key, rows))
 
-    def sparse_block(self, key, rows, count):
-        """The rows of a block field as {column: Fraction} of their nonzero
+    def sparse_row(self, line, count, key):
+        """The count words of line as {column: Fraction} of their nonzero
         entries.  "0" is the one canonical zero, so only the other tokens
         are read as rationals, in line order."""
         known, rational = self.known, self.rational
+        return {k: known[p] if p in known else rational(p, key)
+                for k, p in enumerate(self.tokens(line, count, key)) if p != "0"}
+
+    def sparse_block(self, key, rows, count):
+        """The rows of a block field, each as `sparse_row` reads it."""
         for line in self.block_lines(key, rows):
-            yield {k: known[p] if p in known else rational(p, key)
-                   for k, p in enumerate(self.tokens(line, count, key)) if p != "0"}
+            yield self.sparse_row(line, count, key)
+
+    def pair_field(self, key, n):
+        """A one-line field of n^2 entries as a 2-tensor {(a, b): Fraction}."""
+        row = self.sparse_row(self.key_line(key), n * n, key)
+        return {divmod(k, n): x for k, x in row.items()}
 
 
 def parse(text: str):
@@ -361,16 +377,14 @@ def parse(text: str):
         return QuantumGroupoid(base, Matrix._of(n, n, _transpose(s_cols, n)))
 
     if kind == "qt-structure":
-        rr = r.vector_field("r", n * n)
-        rinv = r.vector_field("rinv", n * n)
+        qt = QTStructure(r.pair_field("r", n), r.pair_field("rinv", n))
         r.expect_done()
-        return ParsedQT(names, QTStructure(rr, rinv))
+        return ParsedQT(names, qt)
 
     if kind == "cocycle":
-        f = r.vector_field("f", n * n)
-        finv = r.vector_field("finv", n * n)
+        wc = WeakCocycle(r.pair_field("f", n), r.pair_field("finv", n))
         r.expect_done()
-        return ParsedCocycle(names, WeakCocycle(f, finv))
+        return ParsedCocycle(names, wc)
 
     if kind == "morphism":
         tnames = r.basis("target-dim", "target-basis")

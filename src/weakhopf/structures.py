@@ -1,7 +1,7 @@
 """Quasitriangular structures and weak invertible unit 2-cocycles.
 
-Both are given as dim^2 coefficient vectors of H (x) H; the suites read
-them as sparse {(a, b): c} 2-tensors and multiply them in H^(x)k as such.
+Both are held as zero-free sparse {(a, b): c} 2-tensors of H (x) H, the
+form the suites multiply in H^(x)k, as is Delta(1).
 The checkers verify the defining conditions plus the derived identity
 suites; the construction helpers (Drinfeld element, canonical structure on
 a cocommutative algebra, twist elements) validate the identities they rely
@@ -11,12 +11,11 @@ on instead of assuming them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import isqrt
 from typing import Tuple
 
 from .algebra import (
     QuantumGroupoid,
+    _in_range,
     _on_generators,
     sparse_coproduct_leg,
     sparse_embed,
@@ -30,48 +29,43 @@ from .errors import (
     NotCocommutative,
     UNotInvertible,
 )
-from .linalg import Matrix, Q0, Q1, vec
+from .linalg import Matrix, Q0, Q1, _add_into, _dense, frac
 from .report import VerificationReport, Witness, comparison, dense_of_sparse, require
 
 
-def _sparse_pair(x, xinv):
-    """Two dim^2 vectors as sparse 2-tensors, dim read off their length."""
-    n = isqrt(len(x))
-    return sparse_of_dense(x, n, 2), sparse_of_dense(xinv, n, 2)
+def _element2(x2) -> dict:
+    """x2 as a 2-tensor {(a, b): Fraction} with its zero entries dropped, so
+    equal elements are equal dicts."""
+    x2 = {ab: frac(c) for ab, c in x2.items()}
+    return {ab: c for ab, c in x2.items() if c}
 
 
 @dataclass(frozen=True)
 class QTStructure:
-    r: Tuple
-    rinv: Tuple
+    r: dict
+    rinv: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "r", vec(self.r))
-        object.__setattr__(self, "rinv", vec(self.rinv))
-        if len(self.r) != len(self.rinv):
-            raise DimensionMismatch("R and its inverse differ in length")
-
-    @cached_property
-    def sparse(self):
-        """(R, R^-1) as sparse 2-tensors."""
-        return _sparse_pair(self.r, self.rinv)
+        object.__setattr__(self, "r", _element2(self.r))
+        object.__setattr__(self, "rinv", _element2(self.rinv))
 
 
 @dataclass(frozen=True)
 class WeakCocycle:
-    f: Tuple
-    finv: Tuple
+    f: dict
+    finv: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "f", vec(self.f))
-        object.__setattr__(self, "finv", vec(self.finv))
-        if len(self.f) != len(self.finv):
-            raise DimensionMismatch("F and its inverse differ in length")
+        object.__setattr__(self, "f", _element2(self.f))
+        object.__setattr__(self, "finv", _element2(self.finv))
 
-    @cached_property
-    def sparse(self):
-        """(F, F^-1) as sparse 2-tensors."""
-        return _sparse_pair(self.f, self.finv)
+
+def _require_in_range(n, what, *elements):
+    """Raise DimensionMismatch unless every index of the 2-tensors is below n."""
+    for x2 in elements:
+        for ab in x2:
+            if not _in_range(ab, 2, n):
+                raise DimensionMismatch("%s has an index out of range at %r" % (what, ab))
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,10 @@ def _outer2(x, y) -> dict:
 
 def _mu(H, x2) -> tuple:
     """The product of the two legs of a sparse 2-tensor, as a dense element."""
-    return H.mul_map.apply(dense_of_sparse(x2, H.dim, 2))
+    out = {}
+    for ab, c in x2.items():
+        _add_into(out, c, H.mul_rows.get(ab, {}))
+    return tuple(_dense(out, H.dim))
 
 
 def _left(H, y, leg, x2) -> dict:
@@ -150,10 +147,9 @@ def _subalgebra_checks(rep, H, checks):
 def check_quasitriangular(H: QuantumGroupoid, qt: QTStructure) -> VerificationReport:
     rep = VerificationReport("quasitriangular")
     n = H.dim
-    if len(qt.r) != n * n:
-        raise DimensionMismatch("R has wrong length for this algebra")
-    r, rinv = qt.sparse
-    d1 = H.delta_one_sparse
+    _require_in_range(n, "R", qt.r, qt.rinv)
+    r, rinv = qt.r, qt.rinv
+    d1 = H.delta_one
     d1c = swap2(d1)
     sq, cube = (n, 2), (n, 3)
 
@@ -200,12 +196,12 @@ def derived_r_identities(H: QuantumGroupoid, qt: QTStructure) -> VerificationRep
     from .algebra import source_subalgebra, target_subalgebra
 
     rep = VerificationReport("r-identities")
-    r, rinv = qt.sparse
+    r, rinv = qt.r, qt.rinv
     ht = target_subalgebra(H)
     hs = source_subalgebra(H)
     S = H.antipode
     Sinv = H.antipode_inv
-    d1 = H.delta_one_sparse
+    d1 = H.delta_one
     sq = (H.dim, 2)
 
     def s(y):
@@ -277,7 +273,7 @@ def _drinfeld_report(H, qt):
     R^(2) S^2(R^(1)) as dense elements."""
     rep = VerificationReport("drinfeld")
     s2 = H.antipode * H.antipode
-    r21 = swap2(qt.sparse[0])
+    r21 = swap2(qt.r)
     u, u_inv = _mu(H, apply_to_leg(H.antipode, r21, 0)), _mu(H, apply_to_leg(s2, r21, 1))
     lu = H.left_mult(u)
     uu_inv = lu.apply(u_inv)
@@ -291,8 +287,7 @@ def _drinfeld_report(H, qt):
                "S^2 vs conjugation by u")
 
     du = sparse_coproduct_leg(sparse_of_dense(u, H.dim, 1), 0, H.comul_cols)
-    rinv = qt.sparse[1]
-    rhs = _mul2(H, rinv, swap2(rinv), _outer2(u, u))
+    rhs = _mul2(H, qt.rinv, swap2(qt.rinv), _outer2(u, u))
     comparison(rep, "coproduct-of-u", [((), du, rhs)],
                "Delta(u) vs R^-1 R21^-1 (u (x) u)", (H.dim, 2))
     return rep, u, u_inv
@@ -302,10 +297,8 @@ def canonical_r(H: QuantumGroupoid) -> QTStructure:
     """R = Delta_cop(1) Delta(1) for a cocommutative quantum groupoid."""
     if not H.is_cocommutative:
         raise NotCocommutative("canonical structure needs a cocommutative coproduct")
-    d1 = H.delta_one_sparse
-    r = _mul2(H, swap2(d1), d1)
-    rinv = _mul2(H, d1, swap2(d1))
-    return QTStructure(dense_of_sparse(r, H.dim, 2), dense_of_sparse(rinv, H.dim, 2))
+    d1 = H.delta_one
+    return QTStructure(_mul2(H, swap2(d1), d1), _mul2(H, d1, swap2(d1)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +310,9 @@ def check_weak_cocycle(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationRepor
 
     rep = VerificationReport("cocycle")
     n = H.dim
-    if len(wc.f) != n * n:
-        raise DimensionMismatch("F has wrong length for this algebra")
-    f, finv = wc.sparse
-    d1 = H.delta_one_sparse
+    _require_in_range(n, "F", wc.f, wc.finv)
+    f, finv = wc.f, wc.finv
+    d1 = H.delta_one
     d1c = swap2(d1)
     sq, cube = (n, 2), (n, 3)
 
@@ -405,9 +397,8 @@ def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):
     """(v, v^-1, v v^-1) without any verification; the product is
     informational only."""
     S = H.antipode
-    f, finv = wc.sparse
-    v = _mu(H, apply_to_leg(S, finv, 1))
-    v_inv = _mu(H, apply_to_leg(S, f, 0))
+    v = _mu(H, apply_to_leg(S, wc.finv, 1))
+    v_inv = _mu(H, apply_to_leg(S, wc.f, 0))
     return v, v_inv, H.left_mult(v).apply(v_inv)
 
 
@@ -416,10 +407,9 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
     if v_inv is None:
         v_inv = conjugator_elements(H, wc)[1]
     lhs = sparse_coproduct_leg(sparse_of_dense(v_inv, H.dim, 1), 0, H.comul_cols)
-    finv = wc.sparse[1]
     S = H.antipode
-    ss_f21inv = apply_to_leg(S, apply_to_leg(S, swap2(finv), 0), 1)
-    return lhs, _mul2(H, ss_f21inv, _outer2(v_inv, v_inv), finv)
+    ss_f21inv = apply_to_leg(S, apply_to_leg(S, swap2(wc.finv), 0), 1)
+    return lhs, _mul2(H, ss_f21inv, _outer2(v_inv, v_inv), wc.finv)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +418,9 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
 
 def _solve_sandwiched_inverse(H, x2, left_target, right_target, left_sand, right_sand):
     """Find Y in the sandwich left_sand (H (x) H) right_sand with
-    x2 Y = left_target and Y x2 = right_target."""
+    x2 Y = left_target and Y x2 = right_target, all sparse 2-tensors."""
     n = H.dim
     nn = n * n
-    x2, left_sand, right_sand = (sparse_of_dense(v, n, 2) for v in (x2, left_sand, right_sand))
     blocks = ([], [], [])  # (row, column, entry) of the images of each basis tensor
     for j in range(nn):
         e = {divmod(j, n): Q1}
@@ -439,7 +428,7 @@ def _solve_sandwiched_inverse(H, x2, left_target, right_target, left_sand, right
         for block, image in zip(blocks, images):
             block.extend((a * n + b, j, c) for (a, b), c in image.items())
     lmul, rmul, sand = (Matrix.from_entries(nn, nn, block) for block in blocks)
-    rhs = list(left_target) + list(right_target) + [Q0] * nn
+    rhs = dense_of_sparse(left_target, n, 2) + dense_of_sparse(right_target, n, 2) + (Q0,) * nn
     system = Matrix.vstack([lmul, rmul, sand - Matrix.identity(nn)], nn)
     try:
         sol = system.solve(rhs, unique=True)
@@ -449,20 +438,18 @@ def _solve_sandwiched_inverse(H, x2, left_target, right_target, left_sand, right
         ) from exc
     if sol is None:
         raise InconsistentStructure("no inverse exists in the sandwich subspace")
-    return tuple(sol)
+    return {divmod(j, n): c for j, c in enumerate(sol) if c}
 
 
 def solve_qt_inverse(H: QuantumGroupoid, r) -> QTStructure:
     """Solve for R^-1 in Delta(1)(H (x) H)Delta_cop(1)."""
-    rinv = _solve_sandwiched_inverse(
-        H, vec(r), H.delta_cop_one, H.delta_one, H.delta_one, H.delta_cop_one
-    )
-    return QTStructure(vec(r), rinv)
+    d1 = H.delta_one
+    r = _element2(r)
+    return QTStructure(r, _solve_sandwiched_inverse(H, r, swap2(d1), d1, d1, swap2(d1)))
 
 
 def solve_cocycle_inverse(H: QuantumGroupoid, f) -> WeakCocycle:
     """Solve for F^-1 in Delta_cop(1)(H (x) H)Delta(1)."""
-    finv = _solve_sandwiched_inverse(
-        H, vec(f), H.delta_one, H.delta_cop_one, H.delta_cop_one, H.delta_one
-    )
-    return WeakCocycle(vec(f), finv)
+    d1 = H.delta_one
+    f = _element2(f)
+    return WeakCocycle(f, _solve_sandwiched_inverse(H, f, d1, swap2(d1), swap2(d1), d1))

@@ -165,7 +165,7 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
     # row b of eps is sum c eps_L(f(e_a) -) over the terms e_a (x) e_b of Delta(1)
     eps = Matrix.from_entries(H.dim, L.dim, (
         (b, j, c * x)
-        for (a, b), c in H.delta_one_sparse.items()
+        for (a, b), c in H.delta_one.items()
         for j, x in (L.counit_map * L.left_mult(f.matrix.column(a))).sparse_rows[0].items()
     ))
     counit = _restrict(eps * emb, ht, escaped("counit", "counit escaped the target subalgebra"))
@@ -204,7 +204,7 @@ def transmute(
     n = L.dim
     ad = ambient_action(f)
     fs = f.matrix * H.antipode
-    rs = qt.sparse[0].items()
+    rs = qt.r.items()
     # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
     coproduct = Matrix.lincomb(
         ((c, kron(L.right_mult(fs.column(y)), ad[x])) for (x, y), c in rs), n * n, n * n

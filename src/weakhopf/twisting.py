@@ -28,7 +28,7 @@ from .errors import (
 from .linalg import Matrix, _restrict, kron
 from .modules import BraidContext, HModule, _module_map_identities, truncated_tensor
 from .quantize import quantize
-from .report import VerificationReport, Witness, comparison, dense_of_sparse, require
+from .report import VerificationReport, Witness, comparison, require
 from .structures import (
     QTStructure,
     TwistElements,
@@ -75,10 +75,9 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     a failure raises TwistAxiomFailure naming the violated check and
     carrying its witness.
     """
-    n = H.dim
     tw = twist_elements(H, wc)
 
-    ctx = BraidContext(H, "phi", wc=wc)
+    ctx = BraidContext(H, wc=wc)
     lv = H.left_mult(tw.v)
     rvinv = H.right_mult(tw.v_inv)
     antipode = lv * rvinv * H.antipode
@@ -91,13 +90,12 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
         raise TwistAxiomFailure("antipode-invertible", str(exc)) from exc
     reports.append(require(check_quantum_groupoid(twisted), _twist_failure))
 
-    f, finv = wc.sparse
-    r, rinv = qt.sparse
-    r_t = _mul2(H, swap2(finv), r, f)
+    f, finv = wc.f, wc.finv
+    r_t = _mul2(H, swap2(finv), qt.r, f)
     # the computed inverse, projected onto its sandwich subspace
-    d1 = twisted.delta_one_sparse
-    rinv_t = _mul2(twisted, d1, _mul2(H, finv, rinv, swap2(f)), swap2(d1))
-    qt_t = QTStructure(dense_of_sparse(r_t, n, 2), dense_of_sparse(rinv_t, n, 2))
+    d1 = twisted.delta_one
+    rinv_t = _mul2(twisted, d1, _mul2(H, finv, qt.rinv, swap2(f)), swap2(d1))
+    qt_t = QTStructure(r_t, rinv_t)
     reports.append(require(check_quasitriangular(twisted, qt_t), _twist_failure))
 
     return TwistedPair(original=(H, qt, wc), twisted=(twisted, qt_t), v=tw, context=ctx,
@@ -120,8 +118,7 @@ def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> Verificat
 def _require_canonical(H: QuantumGroupoid, qt: QTStructure):
     if not H.is_cocommutative:
         raise NotCocommutative("the comparison map requires cocommutativity")
-    ref = canonical_r(H)
-    if qt.r != ref.r or qt.rinv != ref.rinv:
+    if qt != canonical_r(H):
         raise PreconditionUnmet(
             "the comparison map requires the canonical quasitriangular "
             "structure Delta_cop(1) Delta(1)"
@@ -145,7 +142,6 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
     """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
     twisted algebra; ad is the adjoint action of H."""
     n = H.dim
-    fs, fis = wc.sparse
     left, right, S = H.left_mult_mats, H.right_mult_mats, H.antipode
 
     def carrier_map(rule, src, dst, what):
@@ -156,11 +152,11 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
         return Matrix.lincomb(((c, term(x, y)) for (x, y), c in x2.items()), n, n)
 
     # a -> Ad_{F^(1)}(a) F^(2)
-    alpha = carrier_map(over(fs, lambda x, y: right[y] * ad[x]), c_src, c_dst,
+    alpha = carrier_map(over(wc.f, lambda x, y: right[y] * ad[x]), c_src, c_dst,
                         "comparison map leaves the twisted carrier")
     # independent equivalent form: F^-(1) a S(F^-(2)) v^-1
     alt = carrier_map(
-        H.right_mult(tw.v.v_inv) * over(fis, lambda x, y: H.right_mult(S.column(y)) * left[x]),
+        H.right_mult(tw.v.v_inv) * over(wc.finv, lambda x, y: H.right_mult(S.column(y)) * left[x]),
         c_src, c_dst, "equivalent form leaves the twisted carrier")
     if alpha != alt:
         raise InconsistentStructure(
@@ -168,7 +164,7 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
         )
     # the inverse a -> F^(1) (a v) S(F^(2))
     alpha_inv = carrier_map(
-        over(fs, lambda x, y: left[x] * H.right_mult(S.column(y))) * H.right_mult(tw.v.v),
+        over(wc.f, lambda x, y: left[x] * H.right_mult(S.column(y))) * H.right_mult(tw.v.v),
         c_dst, c_src, "inverse comparison map leaves the carrier")
 
     if not (alpha * alpha_inv).is_identity() or not (alpha_inv * alpha).is_identity():

@@ -29,6 +29,7 @@ from .structures import (
     canonical_r,
     check_quasitriangular,
     check_weak_cocycle,
+    swap2,
 )
 
 
@@ -215,7 +216,7 @@ def dihedral_group_algebra(k: int) -> QuantumGroupoid:
 
 def trivial_cocycle(H: QuantumGroupoid) -> WeakCocycle:
     """F = Delta(1); valid whenever the checker accepts it."""
-    wc = WeakCocycle(H.delta_one, H.delta_cop_one)
+    wc = WeakCocycle(H.delta_one, swap2(H.delta_one))
     require(check_weak_cocycle(H, wc), _failure(InconsistentStructure, "trivial cocycle"))
     return wc
 
@@ -239,7 +240,6 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
     F = sum beta(chi, psi) e_chi (x) e_psi over character idempotents; the
     checker is the acceptance oracle and is always run.
     """
-    n = H.dim
     k = len(generators)
     if k not in (1, 2):
         raise NotABicharacter("need one or two generators")
@@ -289,27 +289,22 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
     def parity(a, b):
         return bin(a & b).count("1") & 1
 
-    idemp = []
+    # the character idempotents, as {basis index: coefficient}; the
+    # subgroup elements are distinct basis elements
     scale = Q(1, size)
-    for v in range(size):
-        vec = [Q0] * n
-        for mask, idx in elems.items():
-            vec[idx] += scale * (-1 if parity(v, mask) else 1)
-        idemp.append(tuple(vec))
+    idemp = [{idx: scale * (-1 if parity(v, mask) else 1) for mask, idx in elems.items()}
+             for v in range(size)]
 
-    f = [Q0] * (n * n)
-    finv = [Q0] * (n * n)
+    f, finv = {}, {}
     for v in range(size):
         for w in range(size):
             bvw = bmat[v][w]
             binv = Q1 / bvw
-            for a, ca in enumerate(idemp[v]):
-                if ca:
-                    for b, cb in enumerate(idemp[w]):
-                        if cb:
-                            f[a * n + b] += bvw * ca * cb
-                            finv[a * n + b] += binv * ca * cb
-    wc = WeakCocycle(tuple(f), tuple(finv))
+            for a, ca in idemp[v].items():
+                for b, cb in idemp[w].items():
+                    f[a, b] = f.get((a, b), Q0) + bvw * ca * cb
+                    finv[a, b] = finv.get((a, b), Q0) + binv * ca * cb
+    wc = WeakCocycle(f, finv)
     require(check_weak_cocycle(H, wc), _failure(InconsistentStructure, "bicharacter cocycle"))
     return wc
 
@@ -354,37 +349,24 @@ def direct_sum(A: QuantumGroupoid, B: QuantumGroupoid) -> QuantumGroupoid:
                              _failure(InconsistentStructure, "direct sum"))
 
 
-def direct_sum_element2(A, B, xa, xb):
-    """Block sum of two tensor-square elements inside the sum algebra."""
-    na, nb = A.dim, B.dim
-    n = na + nb
-    out = [Q0] * (n * n)
-    for flat, c in enumerate(xa):
-        if c:
-            i, j = divmod(flat, na)
-            out[i * n + j] = c
-    for flat, c in enumerate(xb):
-        if c:
-            i, j = divmod(flat, nb)
-            out[(na + i) * n + (na + j)] = c
-    return tuple(out)
+def _block_sum2(A, xa, xb):
+    """The 2-tensor xa of A plus xb of B with its indices shifted past A's,
+    inside the direct sum of A and B."""
+    na = A.dim
+    out = dict(xa)
+    out.update(((na + a, na + b), c) for (a, b), c in xb.items())
+    return out
 
 
 def direct_sum_qt(H_sum, A, B, qa: QTStructure, qb: QTStructure) -> QTStructure:
-    qt = QTStructure(
-        direct_sum_element2(A, B, qa.r, qb.r),
-        direct_sum_element2(A, B, qa.rinv, qb.rinv),
-    )
+    qt = QTStructure(_block_sum2(A, qa.r, qb.r), _block_sum2(A, qa.rinv, qb.rinv))
     require(check_quasitriangular(H_sum, qt),
             _failure(InconsistentStructure, "block quasitriangular structure"))
     return qt
 
 
 def direct_sum_cocycle(H_sum, A, B, wa: WeakCocycle, wb: WeakCocycle) -> WeakCocycle:
-    wc = WeakCocycle(
-        direct_sum_element2(A, B, wa.f, wb.f),
-        direct_sum_element2(A, B, wa.finv, wb.finv),
-    )
+    wc = WeakCocycle(_block_sum2(A, wa.f, wb.f), _block_sum2(A, wa.finv, wb.finv))
     require(check_weak_cocycle(H_sum, wc), _failure(InconsistentStructure, "block cocycle"))
     return wc
 

@@ -19,6 +19,7 @@ from dense_oracle import (
     comul_of,
     embed,
     counit_of,
+    dense2,
     dense_of_sparse,
     mul2,
     mul_elem,
@@ -41,7 +42,7 @@ def eps_map(B, leg, left) -> Matrix:
     Delta(1) with x on the given leg, one counit per (term, basis element)."""
     n = B.dim
     entries = []
-    for pair, c in B.delta_one_sparse.items():
+    for pair, c in B.delta_one.items():
         x, y = pair[leg], pair[1 - leg]
         for i in range(n):
             s = counit_of(B, B.mul[x][i] if left else B.mul[i][x])
@@ -105,7 +106,7 @@ def check_weak_bialgebra(B) -> VerificationReport:
 
     comparison(rep, "comultiplicativity", comult_pairs())
 
-    d1 = B.delta_one_sparse
+    d1 = B.delta_one
     d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
     left3 = sparse_embed(d1, 3, (0, 1), B.unit_sparse)
     right3 = sparse_embed(d1, 3, (1, 2), B.unit_sparse)
@@ -210,8 +211,8 @@ def check_quasitriangular(H, qt) -> VerificationReport:
     intertwiner compared on every basis element."""
     rep = VerificationReport("quasitriangular")
     n = H.dim
-    r, rinv = qt.r, qt.rinv
-    d1, d1c = H.delta_one, H.delta_cop_one
+    r, rinv, d1 = (dense2(H, x2) for x2 in (qt.r, qt.rinv, H.delta_one))
+    d1c = swap2(H, d1)
 
     def mul(*factors):
         out = factors[0]
@@ -227,7 +228,7 @@ def check_quasitriangular(H, qt) -> VerificationReport:
     ):
         comparison(rep, name, [((), lhs, rhs)], detail)
 
-    rs = sparse_of_dense(r, n, 2)
+    rs = qt.r
     r13 = embed(rs, 3, (0, 2), H.unit_sparse)
     for name, leg, other, detail in (
         ("coproduct-second-leg", 1, (0, 1), "(id (x) Delta)R vs R13 R12"),

@@ -181,6 +181,23 @@ def dense_of_sparse(s, n, k):
     return tuple(out)
 
 
+def dense2(H, x2):
+    """The sparse 2-tensor x2 (such as R, F or Delta(1)) as a dense length
+    dim^2 vector."""
+    return dense_of_sparse(x2, H.dim, 2)
+
+
+def sparse2(H, v):
+    """The dense length dim^2 vector v as a sparse 2-tensor."""
+    return sparse_of_dense(v, H.dim, 2)
+
+
+def vectors(basis):
+    """The basis vectors of a SubspaceBasis as dense tuples."""
+    n = basis.ambient_dim
+    return tuple(tuple(row.get(j, Q0) for j in range(n)) for row in basis.sparse_rows)
+
+
 def sparse_mul(H, x, y, k):
     """Product of two sparse elements of H^(x)k."""
     rows = H.mul_rows

@@ -100,9 +100,8 @@ def test_criterion_3_twist_of_diagonal_fixture(capsys):
 def test_criterion_4_dihedral_isomorphism(capsys):
     fx = fixture("kd4")
     H = fx.algebra
-    one_one = [Q0] * (H.dim * H.dim)
-    one_one[0] = Q1
-    assert fx.qt.r == tuple(one_one)  # canonical structure is 1 (x) 1 here
+    one_one = {(0, 0): Q1}
+    assert fx.qt.r == one_one  # canonical structure is 1 (x) 1 here
     res = verify_isomorphism(H, fx.qt, fx.cocycle)
     names = [c.name for c in res.report.checks]
     for expected in (
@@ -113,9 +112,9 @@ def test_criterion_4_dihedral_isomorphism(capsys):
         assert res.report[expected].passed
     assert res.report.passed
     # the twisted structure is F21^-1 F and differs from 1 (x) 1
-    expected_r = dense.mul2(H, dense.swap2(H, fx.cocycle.finv), fx.cocycle.f)
-    assert res.pair.qt.r == expected_r
-    assert res.pair.qt.r != tuple(one_one)
+    f, finv = (dense.dense2(H, x2) for x2 in (fx.cocycle.f, fx.cocycle.finv))
+    assert dense.dense2(H, res.pair.qt.r) == dense.mul2(H, dense.swap2(H, finv), f)
+    assert res.pair.qt.r != one_one
     rc = run(["verify-iso", "--algebra", "zoo:kd4", "--cocycle", "zoo:kd4",
               "--format", "structured", "--out", "/dev/null"])
     assert rc == 0
@@ -154,9 +153,7 @@ def test_criterion_7_degeneration_suite(capsys):
     fx = fixture("kd4")
     H = fx.algebra
     wc = trivial_cocycle(H)  # F = Delta(1) = 1 (x) 1 on this algebra
-    one_one = [Q0] * (H.dim * H.dim)
-    one_one[0] = Q1
-    assert wc.f == tuple(one_one)
+    assert wc.f == {(0, 0): Q1}
     p = transmute(H, fx.qt)
     assert p.mul == H.mul_map
     assert p.comul == H.comul_map

@@ -173,7 +173,7 @@ SECOND_PRODUCT_ONLY = (("pair2", 167), ("P3", 68), ("P3", 323), ("P3", 344))
 def test_weak_unit_axiom_witness_from_the_second_product():
     for name, seed in SECOND_PRODUCT_ONLY:
         B, _ = perturbed_algebra(instance(name), random.Random("%s-x%d" % (name, seed)))
-        d1 = B.delta_one_sparse
+        d1 = B.delta_one
         d2 = sparse_coproduct_leg(d1, 0, B.comul_cols)
         left3 = sparse_embed(d1, 3, (0, 1), B.unit_sparse)
         right3 = sparse_embed(d1, 3, (1, 2), B.unit_sparse)
@@ -399,10 +399,10 @@ def test_r_corrupted_off_the_generators(name):
     failed = 0
     for seed in GATE_SEEDS:
         rng = random.Random("%s-r-%d" % (name, seed))
-        r = list(qt.r)
+        r = dict(qt.r)
         # one coefficient of R with a first leg off the generators
         a, b = rng.choice(others), rng.randrange(n)
-        r[a * n + b] = _moved(rng, r[a * n + b])
+        r[a, b] = _moved(rng, r.get((a, b), Fraction(0)))
         bad = QTStructure(r, qt.rinv)
         ours = check_quasitriangular(H, bad)
         assert ours.to_dict() == oracle.check_quasitriangular(H, bad).to_dict(), seed
@@ -415,10 +415,11 @@ def test_r_corrupted_where_the_identity_at_one_fails():
     # start at different objects, so Delta_cop(1) R != R Delta(1)
     H = instance("pair2")
     qt = canonical_r(H)
-    r = list(qt.r)
-    r[H.basis_names.index("e11") * H.dim + H.basis_names.index("e12")] += 1
+    r = dict(qt.r)
+    e11_e12 = (H.basis_names.index("e11"), H.basis_names.index("e12"))
+    r[e11_e12] = r.get(e11_e12, 0) + 1
     bad = QTStructure(r, qt.rinv)
-    rs, d1 = bad.sparse[0], H.delta_one_sparse
+    rs, d1 = bad.r, H.delta_one
     assert _mul2(H, swap2(d1), rs) != _mul2(H, rs, d1)
     ours = check_quasitriangular(H, bad)
     assert not ours["intertwiner"].passed

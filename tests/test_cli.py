@@ -149,13 +149,13 @@ def test_twist_failure_reports_the_check_witness(tmp_path):
     from weakhopf.structures import WeakCocycle
 
     fx = zoo.fixture("pair2")
-    f = list(fx.cocycle.f)
-    f[1] += 1  # the twisted coproduct is no longer coassociative
+    f = dict(fx.cocycle.f)
+    f[0, 1] = f.get((0, 1), 0) + 1  # the twisted coproduct is no longer coassociative
     paths = {}
     for ext, text in (
         ("qg", serialize_quantum_groupoid(fx.algebra)),
         ("qt", serialize_qt(fx.algebra, fx.qt)),
-        ("coc", serialize_cocycle(fx.algebra, WeakCocycle(tuple(f), fx.cocycle.finv))),
+        ("coc", serialize_cocycle(fx.algebra, WeakCocycle(f, fx.cocycle.finv))),
     ):
         paths[ext] = tmp_path / ("a." + ext)
         paths[ext].write_text(text)

@@ -347,12 +347,14 @@ def test_module_maps_validate_h_t_and_never_the_plain_tensor_square(monkeypatch)
     import weakhopf.modules as modules_mod
     from weakhopf.transmute import transmute, verify_braided_hopf
 
-    fx = zoo.fixture("kd4")
-    p = transmute(fx.algebra, fx.qt)
+    # a fresh algebra, on which H_t's module is not yet built
+    H = zoo.dihedral_group_algebra(4)
+    qt = canonical_r(H)
+    p = transmute(H, qt)
     checked = []
     inner = modules_mod.check_module
     monkeypatch.setattr(modules_mod, "check_module", lambda M: checked.append(M.name) or inner(M))
-    assert verify_braided_hopf(p, BraidContext.psi(fx.algebra, fx.qt)).passed
+    assert verify_braided_hopf(p, BraidContext.psi(H, qt)).passed
     assert "H_t" in checked and "plain square" not in checked
 
 

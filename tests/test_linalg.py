@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import vectors
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
 from weakhopf.linalg import Matrix, SubspaceBasis, kron
 
@@ -54,7 +55,7 @@ def test_kernel_of_identity_is_empty():
 def test_kernel_of_zero_is_everything():
     basis = Matrix.zero(2, 2).kernel_basis()
     assert basis.dim == 2
-    assert basis.vectors == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert vectors(basis) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_kernel_of_row():
@@ -62,8 +63,8 @@ def test_kernel_of_row():
     basis = a.kernel_basis()
     assert basis.dim == 1
     # canonical form has a leading one
-    assert basis.vectors == ((Fraction(1), Fraction(-1)),)
-    assert a.apply(basis.vectors[0]) == (Fraction(0),)
+    assert vectors(basis) == ((Fraction(1), Fraction(-1)),)
+    assert a.apply(vectors(basis)[0]) == (Fraction(0),)
 
 
 @settings(max_examples=40)
@@ -71,7 +72,7 @@ def test_kernel_of_row():
 def test_kernel_vectors_annihilate(entries):
     a = Matrix([entries[0:4], entries[4:8], entries[8:12]])
     basis = a.kernel_basis()
-    for v in basis.vectors:
+    for v in vectors(basis):
         assert all(x == 0 for x in a.apply(v))
     # rank-nullity, exactly
     assert a.rank() + basis.dim == a.cols
@@ -109,7 +110,7 @@ def test_subspace_membership_and_equality():
     coords = b1.coordinates((3, 3, 5))
     assert coords is not None
     rebuilt = [Fraction(0)] * 3
-    for c, vec in zip(coords, b1.vectors):
+    for c, vec in zip(coords, vectors(b1)):
         rebuilt = [r + c * x for r, x in zip(rebuilt, vec)]
     assert tuple(rebuilt) == (3, 3, 5)
 

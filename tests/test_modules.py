@@ -81,7 +81,7 @@ def test_unitors_on_diag2(diag2):
         for flat, c in enumerate(w):
             if c:
                 zi, vj = divmod(flat, M.dim)
-                z = ht_module(H)[0].vectors[zi]
+                z = dense.vectors(ht_module(H)[0])[zi]
                 prod = mul_elem(H, z, basis_vector(H, vj))
                 for k, ck in enumerate(prod):
                     expect[k] += c * ck
@@ -231,10 +231,11 @@ def test_coherence_report_builds_each_tensor_action_once(monkeypatch):
     monkeypatch.setattr(modules_mod, "_componentwise_action", counting)
     H = groupoid_algebra(GroupoidSpec.pair_groupoid(3))
     M = regular_module(H)
-    for ctx in (BraidContext.psi(H, canonical_r(H)), BraidContext.phi(H, trivial_cocycle(H))):
+    for name, ctx in (("psi", BraidContext.psi(H, canonical_r(H))),
+                      ("phi", BraidContext.phi(H, trivial_cocycle(H)))):
         calls.clear()
         assert coherence_report(ctx, M, M, M).passed
-        assert len(calls) == len(set(calls)) == 33, ctx.kind
+        assert len(calls) == len(set(calls)) == 33, name
 
 
 def _acting_tensors(fx):
@@ -242,9 +243,9 @@ def _acting_tensors(fx):
     R^-1 (the braidings), Delta(1) and F^-1 F (the projectors), F^-1 swap(F)
     (the twisted braiding) and the twisted coproduct columns."""
     H = fx.algebra
-    r, rinv = fx.qt.sparse
-    f, finv = fx.cocycle.sparse
-    tensors = [r, swap2(rinv), H.delta_one_sparse, _mul2(H, finv, f), _mul2(H, finv, swap2(f))]
+    r, rinv = fx.qt.r, fx.qt.rinv
+    f, finv = fx.cocycle.f, fx.cocycle.finv
+    tensors = [r, swap2(rinv), H.delta_one, _mul2(H, finv, f), _mul2(H, finv, swap2(f))]
     return tensors + [twisted_coproduct_column(H, fx.cocycle, i) for i in range(H.dim)]
 
 
@@ -261,9 +262,10 @@ def test_componentwise_action_matches_dense(corpus):
                 assert got.data == dense.componentwise_action(M, N, x2), fx.name
 
 
-def test_ht_module_refuses_an_action_that_leaves_h_t(pair2, monkeypatch):
-    # with H_t cut down to span(e11), eps_t(e21 e11) = e22 falls outside it
-    H = pair2.algebra
+def test_ht_module_refuses_an_action_that_leaves_h_t(monkeypatch):
+    # with H_t cut down to span(e11), eps_t(e21 e11) = e22 falls outside it;
+    # the algebra is built here, so H_t's module is not yet kept on it
+    H = groupoid_algebra(GroupoidSpec.pair_groupoid(2))
     monkeypatch.setattr(modules_mod, "target_subalgebra",
                         lambda H: SubspaceBasis.from_spanning(4, [(1, 0, 0, 0)]))
     with pytest.raises(InconsistentStructure, match=r"^eps_t\(h z\) escaped H_t$"):

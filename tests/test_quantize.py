@@ -126,7 +126,7 @@ def ordinary_hopf_twist_oracle(H, wc):
     for i in range(n):
         for j in range(n):
             acc = [Q0] * n
-            for flat, c in enumerate(wc.f):
+            for flat, c in enumerate(dense.dense2(H, wc.f)):
                 if not c:
                     continue
                 x, y = divmod(flat, n)
@@ -141,7 +141,7 @@ def ordinary_hopf_twist_oracle(H, wc):
             if not c:
                 continue
             a1, a2 = divmod(flat, n)
-            for flat2, cf in enumerate(wc.finv):
+            for flat2, cf in enumerate(dense.dense2(H, wc.finv)):
                 if not cf:
                     continue
                 x, y = divmod(flat2, n)
@@ -173,10 +173,10 @@ def test_invalid_cocycle_rejected(kd4):
     from weakhopf.errors import InconsistentStructure
     from weakhopf.structures import WeakCocycle
 
-    f = list(kd4.cocycle.f)
-    f[0] += 1
+    f = dict(kd4.cocycle.f)
+    f[0, 0] = f.get((0, 0), 0) + 1
     with pytest.raises(InconsistentStructure):
-        quantize(kd4.algebra, WeakCocycle(tuple(f), kd4.cocycle.finv))
+        quantize(kd4.algebra, WeakCocycle(f, kd4.cocycle.finv))
 
 
 def test_trivial_quantization_is_canonical_transmutation(corpus):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_oracle as dense
 from weakhopf import zoo
 from weakhopf.errors import WeakHopfError
 from weakhopf.quantize import quantize, verify_quantization
@@ -59,12 +60,13 @@ def _instances():
     return out
 
 
-def _perturbed(values, name, target, seed):
-    """values with one seeded entry moved by a seeded nonzero amount."""
+def _perturbed(H, x2, name, target, seed):
+    """The 2-tensor x2 with one seeded entry of its dense form moved by a
+    seeded nonzero amount."""
     rng = random.Random("%s/%s/%d" % (name, target, seed))
-    out = list(values)
+    out = list(dense.dense2(H, x2))
     out[rng.randrange(len(out))] += AMOUNTS[rng.randrange(len(AMOUNTS))]
-    return tuple(out)
+    return dense.sparse2(H, out)
 
 
 def _outcome(run):
@@ -78,13 +80,13 @@ def _outcome(run):
 def case_reports(H, qt, wc, p, name, target, seed):
     """[(report or None, JSON or exception text)] of the suites reading target."""
     if target in ("r", "rinv"):
-        r = _perturbed(qt.r, name, target, seed) if target == "r" else qt.r
-        rinv = _perturbed(qt.rinv, name, target, seed) if target == "rinv" else qt.rinv
+        r = _perturbed(H, qt.r, name, target, seed) if target == "r" else qt.r
+        rinv = _perturbed(H, qt.rinv, name, target, seed) if target == "rinv" else qt.rinv
         bad = QTStructure(r, rinv)
         suites = (check_quasitriangular, derived_r_identities, drinfeld_identities)
         return [_outcome(lambda s=s: s(H, bad)) for s in suites]
-    f = _perturbed(wc.f, name, target, seed) if target == "f" else wc.f
-    finv = _perturbed(wc.finv, name, target, seed) if target == "finv" else wc.finv
+    f = _perturbed(H, wc.f, name, target, seed) if target == "f" else wc.f
+    finv = _perturbed(H, wc.finv, name, target, seed) if target == "finv" else wc.finv
     bad = WeakCocycle(f, finv)
     return [_outcome(lambda: check_weak_cocycle(H, bad)),
             _outcome(lambda: verify_quantization(p, bad))]

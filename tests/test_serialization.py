@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 from fractions import Fraction
 from functools import lru_cache
@@ -73,11 +74,11 @@ def test_qt_and_cocycle_round_trip(corpus):
     for fx in corpus:
         text = serialize_qt(fx.algebra, fx.qt)
         pq = parse(text)
-        assert isinstance(pq, ParsedQT)
+        assert isinstance(pq, ParsedQT) and pq.structure == fx.qt
         assert serialize_qt(fx.algebra, pq.structure) == text
         text = serialize_cocycle(fx.algebra, fx.cocycle)
         pc = parse(text)
-        assert isinstance(pc, ParsedCocycle)
+        assert isinstance(pc, ParsedCocycle) and pc.structure == fx.cocycle
         assert serialize_cocycle(fx.algebra, pc.structure) == text
 
 
@@ -202,6 +203,68 @@ def test_presentation_digests(corpus):
             digest(quantize(fx.algebra, fx.cocycle)),
         )
         assert got == PRESENTATION_DIGESTS[fx.name], fx.name
+
+
+# SHA-256 of (serialize_quantum_groupoid, serialize_qt, serialize_cocycle) on
+# each builtin fixture, and of the twisted-qt document the twist command
+# writes, so the bytes of every structure document are pinned.
+DOCUMENT_DIGESTS = {
+    "diag2": (
+        "2e7e84fba0b9d02df0b10a4011d9814f7e7217c09e1df0061100765ca9cb2455",
+        "33ab5b9e0b726815932fe08ee451ae3a76ded59188ab646264072f94ebcc5e25",
+        "b29720c524c0f111b1aff8c027ca0ebeebba69fe3f15fbc3653f5696ea055831",
+    ),
+    "kz2": (
+        "cda73e230f95d87867cdbdb7de15f5c1a019fa3164bd2a3580e6bb46b7c077b1",
+        "640c6b928b2b3244fb2ccac3d891ec1ee71bd7899e30d18963eafea374986aa1",
+        "6a8ddf381922e2deebaf7fb1b327d4a86225d2ba44be5f15cb85e67a3099a3d8",
+    ),
+    "pair2": (
+        "bdca99baac42fc40cae14791d9b1bbb03ab745a0f4c1f94680218f3829af9b61",
+        "0df9c22cd0bf15ebc1cec44ca989a454b6a136bf7e568f53101bc285acfb45d1",
+        "c377230c4e17827eee11896fcc31179639a03ffacc8710c8a92ad97fea5f4644",
+    ),
+    "kd4": (
+        "c4a9446e9cf742bdd8a764e1dff5dd2f19bd4d9a9a167c76e2563a38d26e83c7",
+        "9eed6266827f1dac637059b0544b039c53ee48e6e18a3872ad6ed3e94b389ba1",
+        "ea8e9d9c1aadbafa0e15af6341d214d4b5675c900f797822307cd723af299ae7",
+    ),
+    "kd4_diag2": (
+        "d2ed5b5ff68adc7317f3fbead58d5e713d2bb62f48c1749d579e54608f0ef18b",
+        "70ce49450e0f34ff1f13ec3afb39732aa8df7513195f231aa56f9c515c57d14e",
+        "d8736657cdfe11bf5fe24f370b04d19432287462e3c781177103c9fc76801473",
+    ),
+}
+
+TWISTED_QT_DIGESTS = {
+    "kd4": "dc9d5f16fbd426ce33c4551750a4801324b735f129f9b7324a085d6600403aaa",
+    "kd4_diag2": "286de2cf5918f2c85684442113a479344064a9c67476fa191c75f698f0e92b6a",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_structure_document_digests(corpus):
+    assert sorted(fx.name for fx in corpus) == sorted(DOCUMENT_DIGESTS)
+    for fx in corpus:
+        H = fx.algebra
+        got = (_sha(serialize_quantum_groupoid(H)), _sha(serialize_qt(H, fx.qt)),
+               _sha(serialize_cocycle(H, fx.cocycle)))
+        assert got == DOCUMENT_DIGESTS[fx.name], fx.name
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_QT_DIGESTS))
+def test_twist_command_twisted_qt_digest(name, tmp_path):
+    from weakhopf.cli import run
+
+    out = tmp_path / "twist.json"
+    zoo_path = "zoo:" + name
+    assert run(["twist", "--algebra", zoo_path, "--qt", zoo_path, "--cocycle", zoo_path,
+                "--format", "structured", "--out", str(out)]) == 0
+    docs = {d["title"]: d["text"] for d in json.loads(out.read_text())["documents"]}
+    assert _sha(docs["twisted-qt"]) == TWISTED_QT_DIGESTS[name]
 
 
 def test_parse_error_empty_section():
@@ -441,3 +504,35 @@ def test_trailing_content_after_the_last_block_is_refused(diag2):
         parse(serialize_quantum_groupoid(diag2.algebra) + "0 0\n")
     assert str(err.value) == "unexpected trailing content '0 0' (line 17)"
     assert (err.value.line, err.value.field) == (17, None)
+
+
+# -- malformed r/rinv/f/finv lines: each document is diag2's qt-structure or
+# cocycle with the given line replaced; the message, line and field of the
+# error are pinned, and the first bad token wins
+
+_STRUCTURE_LINE_ERRORS = [
+    ("qt", 4, "r: 1 0  0 1", "'1 0  0 1' is not single-space separated", "r"),
+    ("qt", 5, "rinv: 1 +1 0 1", "bad rational '+1' (want canonical p/q in lowest terms)", "rinv"),
+    ("coc", 4, "f: 2/4 0 0 1", "bad rational '2/4' (want canonical p/q in lowest terms)", "f"),
+    ("coc", 5, "finv: 1 0 1e3 1",
+     "bad rational '1e3' (want canonical p/q in lowest terms)", "finv"),
+    ("qt", 4, "r: 1 0 -0 1", "bad rational '-0' (want canonical p/q in lowest terms)", "r"),
+    ("qt", 5, "rinv: 1 0 0", "expected 4 rationals, found 3", "rinv"),
+    ("coc", 4, "f: 1 0 0 1 0", "expected 4 rationals, found 5", "f"),
+    ("coc", 5, "finv: 1 x 1e3 1", "bad rational 'x' (want canonical p/q in lowest terms)",
+     "finv"),
+    ("qt", 4, "r: 1 0 3/6 -0", "bad rational '3/6' (want canonical p/q in lowest terms)", "r"),
+]
+
+
+@pytest.mark.parametrize("doc, at, new, message, field", _STRUCTURE_LINE_ERRORS)
+def test_malformed_structure_lines_are_refused_at_their_first_bad_token(diag2, doc, at, new,
+                                                                        message, field):
+    H = diag2.algebra
+    text = serialize_qt(H, diag2.qt) if doc == "qt" else serialize_cocycle(H, diag2.cocycle)
+    lines = text.split("\n")
+    lines[at - 1] = new
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines))
+    assert str(err.value) == "%s (line %d, field %r)" % (message, at, field)
+    assert (err.value.line, err.value.field) == (at, field)

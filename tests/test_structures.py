@@ -17,15 +17,8 @@ from weakhopf import (
     solve_qt_inverse,
     twist_elements,
 )
-from weakhopf.errors import NotCocommutative
+from weakhopf.errors import DimensionMismatch, NotCocommutative
 from weakhopf.linalg import Q0, Q1
-
-
-def elem2(H, pairs):
-    out = [Q0] * (H.dim * H.dim)
-    for (i, j), c in pairs.items():
-        out[i * H.dim + j] = Fraction(c)
-    return tuple(out)
 
 
 def test_qt_checker_passes_on_fixtures(corpus):
@@ -35,7 +28,7 @@ def test_qt_checker_passes_on_fixtures(corpus):
 
 def test_qt_broken_r_fails(diag2):
     H = diag2.algebra
-    bad = QTStructure(elem2(H, {(0, 1): 1}), elem2(H, {(1, 0): 1}))
+    bad = QTStructure({(0, 1): 1}, {(1, 0): 1})
     rep = check_quasitriangular(H, bad)
     assert not rep.passed
     assert any(c.witness is not None for c in rep.failed_checks())
@@ -63,14 +56,14 @@ def test_drinfeld_identities_all(corpus):
 
 def test_canonical_r_values(diag2, kd4, pair2):
     N = diag2.algebra
-    assert canonical_r(N).r == elem2(N, {(0, 0): 1, (1, 1): 1})
+    assert canonical_r(N).r == {(0, 0): 1, (1, 1): 1}
     D = kd4.algebra
-    assert canonical_r(D).r == elem2(D, {(0, 0): 1})
+    assert canonical_r(D).r == {(0, 0): 1}
     P = pair2.algebra
     names = P.basis_names
     i11 = names.index("e11")
     i22 = names.index("e22")
-    assert canonical_r(P).r == elem2(P, {(i11, i11): 1, (i22, i22): 1})
+    assert canonical_r(P).r == {(i11, i11): 1, (i22, i22): 1}
 
 
 def test_canonical_r_needs_cocommutativity(pair2):
@@ -106,17 +99,45 @@ def test_cocycle_has_equivalent_form_checks(diag2):
 
 def test_cocycle_broken_fails(kd4):
     H = kd4.algebra
-    f = list(kd4.cocycle.f)
-    f[0] += 1
-    rep = check_weak_cocycle(H, WeakCocycle(tuple(f), kd4.cocycle.finv))
+    f = dict(kd4.cocycle.f)
+    f[0, 0] = f.get((0, 0), 0) + 1
+    rep = check_weak_cocycle(H, WeakCocycle(f, kd4.cocycle.finv))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("leg", [0, 1])
+def test_an_index_out_of_range_is_refused(kd4, leg):
+    H, qt, wc = kd4.algebra, kd4.qt, kd4.cocycle
+    beyond = ((H.dim, 0), (0, H.dim))[leg]
+    bad = {beyond: Fraction(1, 2)}
+    for check, structure, what in (
+        (check_quasitriangular, QTStructure({**qt.r, **bad}, qt.rinv), "R"),
+        (check_quasitriangular, QTStructure(qt.r, {**qt.rinv, **bad}), "R"),
+        (check_weak_cocycle, WeakCocycle({**wc.f, **bad}, wc.finv), "F"),
+        (check_weak_cocycle, WeakCocycle(wc.f, {**wc.finv, **bad}), "F"),
+    ):
+        with pytest.raises(DimensionMismatch) as err:
+            check(H, structure)
+        assert str(err.value) == "%s has an index out of range at %r" % (what, beyond)
+
+
+def test_zero_entries_are_dropped(corpus):
+    # a structure given with explicit zeros, as ints or Fractions, is the
+    # structure without them
+    for fx in corpus:
+        qt, wc = fx.qt, fx.cocycle
+        zeros = {(a, b): (0, Q0)[(a + b) % 2] for a in range(fx.algebra.dim) for b in range(2)}
+        assert QTStructure({**zeros, **qt.r}, {**zeros, **qt.rinv}) == qt, fx.name
+        assert WeakCocycle({**zeros, **wc.f}, {**zeros, **wc.finv}) == wc, fx.name
 
 
 def test_membership_sandwiches(corpus):
     for fx in corpus:
-        H, qt, wc = fx.algebra, fx.qt, fx.cocycle
-        assert dense.mul2(H, dense.mul2(H, H.delta_cop_one, qt.r), H.delta_one) == qt.r
-        assert dense.mul2(H, dense.mul2(H, H.delta_one, wc.f), H.delta_cop_one) == wc.f
+        H = fx.algebra
+        r, f, d1 = (dense.dense2(H, x2) for x2 in (fx.qt.r, fx.cocycle.f, H.delta_one))
+        d1c = dense.swap2(H, d1)
+        assert dense.mul2(H, dense.mul2(H, d1c, r), d1) == r
+        assert dense.mul2(H, dense.mul2(H, d1, f), d1c) == f
 
 
 def test_twist_elements_values(diag2, kd4, corpus):

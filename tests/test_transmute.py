@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dense_oracle import basis_vector
+from dense_oracle import basis_vector, vectors
 from weakhopf import (
     BraidContext,
     QGMorphism,
@@ -38,7 +38,7 @@ def test_centralizer_contains_unit_and_target(corpus):
     for fx in corpus:
         c = centralizer(fx.algebra)
         assert c.contains(fx.algebra.unit)
-        for z in target_subalgebra(fx.algebra).vectors:
+        for z in vectors(target_subalgebra(fx.algebra)):
             assert c.contains(z)
 
 
@@ -63,7 +63,7 @@ def test_transmuted_diag2_matches_reported_structure(diag2):
     # coproduct e_i -> e_i (x) e_i, counit e_i -> e_i, antipode identity
     H = diag2.algebra
     p = transmute(H, diag2.qt)
-    assert p.carrier.vectors == (
+    assert vectors(p.carrier) == (
         (Q1, Q0),
         (Q0, Q1),
     )
@@ -82,7 +82,7 @@ def test_trivial_r_degenerates_to_the_algebra_itself(kd4):
     # R = 1 (x) 1 collapses every deformed formula to the undeformed one
     H = kd4.algebra
     p = transmute(H, kd4.qt)
-    assert p.carrier.vectors == tuple(
+    assert vectors(p.carrier) == tuple(
         basis_vector(H, i) for i in range(H.dim)
     )
     assert p.mul == H.mul_map
@@ -152,7 +152,7 @@ def test_pipeline_on_identity_groupoids(k):
 
 def test_restrict_to_the_square_of_a_nonstandard_basis():
     basis = SubspaceBasis.from_spanning(3, [(1, 0, 1), (0, 1, 1)])
-    b0, b1 = basis.vectors
+    b0, b1 = vectors(basis)
 
     def outer(u, v):
         return [a * b for a in u for b in v]

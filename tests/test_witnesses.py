@@ -140,7 +140,7 @@ def test_square_antipode_conjugation_witness():
     # the antipode e -> e, g1 -> e + g1 of kz2's basis has S^2(g1) = 2e + g1
     H = zoo.fixture("kz2").algebra
     bad = QuantumGroupoid(H, Matrix([[1, 1], [0, 1]]))
-    one = _q(1, 0, 0, 0)
+    one = {(0, 0): 1}
     rep = drinfeld_identities(bad, QTStructure(one, one))
     assert rep["u-invertible"].passed
     w = rep["square-antipode-conjugation"].witness
@@ -171,8 +171,8 @@ def test_hexagon_witness(name):
     # R = 2 e1 (x) e1 + e2 (x) e2: braiding past N (x) P at once scales
     # e1 (x) e1 (x) e1 by 2, braiding past N and then P by 4
     fx = zoo.fixture("diag2")
-    r = list(fx.qt.r)
-    r[0] += 1
+    r = dict(fx.qt.r)
+    r[0, 0] += 1
     rep = _coherence(fx.algebra, QTStructure(r, fx.qt.rinv))
     w = rep[name].witness
     assert (w.indices, w.lhs, w.rhs) == ((0,), _q(2, *[0] * 7), _q(4, *[0] * 7))
