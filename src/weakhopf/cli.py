@@ -322,14 +322,7 @@ def _cmd_twist(args) -> int:
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
     qt = _bind(args.qt, "qt", H)
     wc = _bind(args.cocycle, "cocycle", H)
-    try:
-        pair = twist(H, qt, wc)
-    except TwistAxiomFailure as exc:
-        rep = VerificationReport("twist")
-        rep.add(exc.check_name, False, exc.witness or Witness((), (), (), str(exc)))
-        out.add_report(args.algebra, rep)
-        out.render(1)
-        return 1
+    pair = twist(H, qt, wc)
     twisted, qt_t = pair.twisted
     for rep in pair.reports:
         out.add_report(args.algebra, rep)
@@ -450,6 +443,17 @@ def _parser():
     return build_parser()
 
 
+def _failed_check(args, object_id, suite, name, witness) -> int:
+    """Report the one failed check a command raised, with its witness, and
+    exit 1."""
+    rep = VerificationReport(suite)
+    rep.add(name, False, witness)
+    out = _Output(args.format, args.out)
+    out.add_report(object_id, rep)
+    out.render(1)
+    return 1
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = {
@@ -465,13 +469,12 @@ def run(argv=None) -> int:
     except _InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except TwistAxiomFailure as exc:  # from twist, alone or inside verify-iso
+        return _failed_check(args, args.algebra, "twist", exc.check_name,
+                             exc.witness or Witness((), (), (), str(exc)))
     except AntipodeNotInvertible as exc:
-        rep = VerificationReport("quantum-groupoid")
-        rep.add("antipode-invertible", False, Witness((), (), (), str(exc)))
-        out = _Output(args.format, getattr(args, "out", None))
-        out.add_report("", rep)
-        out.render(1)
-        return 1
+        return _failed_check(args, "", "quantum-groupoid", "antipode-invertible",
+                             Witness((), (), (), str(exc)))
     except WeakHopfError as exc:
         message = "error: %s" % exc
         if isinstance(exc, ClosureViolation) and exc.witness is not None:

@@ -19,13 +19,16 @@ row whose coefficients are all 1 adds Fractions (`_add_into`), which copies
 the entries of disjoint rows, as in products of 0/1 matrices, without any
 arithmetic.  The k-tensor kernels of `algebra` (`sparse_mul`,
 `sparse_coproduct_leg`) sum in ints the same way, through `_ints` and
-`_fractions`.  `_kron_sum`, a sum of Kronecker products such as the action
-of a 2-tensor on a tensor product of modules, first factors the terms that
-share their first leg, A (x) B + A (x) B' = A (x) (B + B'), then works one
-row at a time and builds no Kronecker product whole.  Elimination (`rref`
-and what is built on it) and the one-vector membership test
-`SubspaceBasis.coordinates` add Fractions.  Every entry is a reduced
-Fraction.
+`_fractions`.  Elimination (`rref` and what is built on it) and the
+one-vector membership test `SubspaceBasis.coordinates` add Fractions.
+Every entry is a reduced Fraction.
+
+A sum over the terms c e_a (x) e_b of a sparse 2-tensor, such as the action
+of R, F or Delta(h), is grouped by its first leg a (`_by_first`):
+sum c X_a * Y_b = sum_a X_a * (sum_b c Y_b), with the inner sum one
+`Matrix.lincomb`, whether * is the Kronecker product (`_kron_sum`) or the
+matrix product (`_product_sum`).  `_kron_sum` then works one row at a time
+and builds no Kronecker product whole.
 
 A subspace is kept as its reduced echelon basis with unit pivots, so the
 coordinates of a vector in it are its entries at the pivots.  `_restrict`
@@ -508,58 +511,65 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._of(a.rows * b.rows, a.cols * width, out)
 
 
-def _kron_sum(terms, m, n):
-    """sum c kron(A, B) over the (c, A, B) terms, every A m x m and every B
-    n x n.  The terms are grouped by their A, as an object: the terms
-    c_b A (x) B_b of one group sum to A (x) (sum_b c_b B_b), with the inner
-    sum one `Matrix.lincomb`, so `_kron_rows` sums one Kronecker product per
-    distinct A."""
-    groups = {}  # id(A) -> (A, its (c, B) terms), in order of first use
-    for c, a, b in terms:
+def _by_first(x2):
+    """The terms c e_a (x) e_b of the sparse 2-tensor x2 grouped by their
+    first leg, as {a: {b: c}} in order of first use; zero c are dropped."""
+    groups = {}
+    for (a, b), c in x2.items():
         if c:
-            group = groups.get(id(a))
-            if group is None:
-                groups[id(a)] = (a, [(c, b)])
-            else:
-                group[1].append((c, b))
+            groups.setdefault(a, {})[b] = c
+    return groups
+
+
+def _kron_sum(x2, left, right, m, n):
+    """sum c kron(left[a], right[b]) over the terms c e_a (x) e_b of x2,
+    every left[a] m x m and every right[b] n x n, as
+    sum_a left[a] (x) (sum_b c right[b]): `_kron_rows` sums one Kronecker
+    product per first leg whose inner sum is not zero."""
     parts = []
-    for a, bs in groups.values():
-        if len(bs) == 1:
-            parts.append((bs[0][0], a, bs[0][1]))
-            continue
-        b = Matrix.lincomb(bs, n, n)
+    for a, bs in _by_first(x2).items():
+        b = Matrix.lincomb(((c, right[b]) for b, c in bs.items()), n, n)
         if any(b.sparse_rows):
-            parts.append((Q1, a, b))
+            parts.append((left[a], b))
     return _kron_rows(parts, m, n)
 
 
+def _product_sum(x2, left, right, n):
+    """sum c left[a] right[b] over the terms c e_a (x) e_b of x2, every
+    matrix n x n, as sum_a left[a] (sum_b c right[b]): one product per
+    first leg."""
+    return Matrix.lincomb(
+        ((Q1, left[a] * Matrix.lincomb(((c, right[b]) for b, c in bs.items()), n, n))
+         for a, bs in _by_first(x2).items()), n, n)
+
+
 def _kron_rows(parts, m, n):
-    """sum c kron(A, B) over the (c, A, B) parts, c nonzero, one row at a
-    time, so that no kron(A, B) is built whole.  A row with one term is its
-    scaled Kronecker row; a row with more is summed in integers from the
-    rows of A and B as integer numerators (_ints)."""
+    """sum kron(A, B) over the (A, B) parts, one row at a time, so that no
+    kron(A, B) is built whole.  A row with one term is its Kronecker row; a
+    row with more is summed in integers from the rows of A and B as integer
+    numerators (_ints)."""
     ints = {}  # id(A) -> _ints of each row of A, built on first use
     out, shared = [], {}
     for ra in range(m):
-        # the terms whose A has a nonzero row ra, with that row of c A as
+        # the terms whose A has a nonzero row ra, with that row of A as
         # (column offset, entry, entry is 1) triples
-        lefts = [(c, a, b, [(p * n, x, x == 1) for p, x in _scaled(c, a.sparse_rows[ra]).items()])
-                 for c, a, b in parts if a.sparse_rows[ra]]
+        lefts = [(a, b, [(p * n, x, x == 1) for p, x in a.sparse_rows[ra].items()])
+                 for a, b in parts if a.sparse_rows[ra]]
         for rb in range(n):
-            present = [t for t in lefts if t[2].sparse_rows[rb]]
+            present = [t for t in lefts if t[1].sparse_rows[rb]]
             if len(present) > 1:
                 row = []
-                for c, a, b, _ in present:
+                for a, b, _ in present:
                     for x in (a, b):
                         if id(x) not in ints:
                             ints[id(x)] = [_ints(r) for r in x.sparse_rows]
                     (da, ia), (db, ib) = ints[id(a)][ra], ints[id(b)][rb]
-                    row.append((c, (da * db, {p * n + q: u * v for p, u in ia.items()
-                                              for q, v in ib.items()})))
+                    row.append((Q1, (da * db, {p * n + q: u * v for p, u in ia.items()
+                                               for q, v in ib.items()})))
                 out.append(_int_sum(row, shared))
                 continue
             row = {}
-            for _, _, b, left in present:
+            for _, b, left in present:
                 y = b.sparse_rows[rb]
                 for base, x, one in left:
                     if one:

@@ -24,7 +24,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, Q1, SubspaceBasis, _dense, _kron_sum, _restrict, kron
+from .linalg import Matrix, Q1, SubspaceBasis, _by_first, _dense, _kron_sum, _restrict, kron
 from .report import VerificationReport, Witness, comparison, require
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
@@ -163,9 +163,7 @@ class TruncatedTensor:
 
 def _componentwise_action(M: HModule, N: HModule, elem2) -> Matrix:
     """Action of a sparse element of H (x) H on M (x) N (first leg on M)."""
-    return _kron_sum(
-        ((c, M.mats[a], N.mats[b]) for (a, b), c in elem2.items()), M.dim, N.dim
-    )
+    return _kron_sum(elem2, M.mats, N.mats, M.dim, N.dim)
 
 
 def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
@@ -294,8 +292,8 @@ class BraidContext:
         Delta(1)."""
         columns = self.coproduct[0]
         delta1 = sparse_coproduct_leg(self.algebra.unit_sparse, 0, columns)
-        return _kron_sum(((c, self.action(A, B, columns[x]), C.mats[y])
-                          for (x, y), c in delta1.items()), A.dim * B.dim, C.dim)
+        left = {x: self.action(A, B, columns[x]) for x in _by_first(delta1)}
+        return _kron_sum(delta1, left, C.mats, A.dim * B.dim, C.dim)
 
 # ---------------------------------------------------------------------------
 # unitors

@@ -34,14 +34,11 @@ def quantize(H: QuantumGroupoid, wc: WeakCocycle) -> BraidedHopfPresentation:
     n = H.dim
     f = identity_morphism(H)
     ad = ambient_action(f)
-
-    def ad2(x2):
-        """sum c Ad_x (x) Ad_y over the terms c e_x (x) e_y of x2."""
-        return _kron_sum(((c, ad[x], ad[y]) for (x, y), c in x2.items()), n, n)
-
     # a ._F b = Ad_{F^(1)}(a) Ad_{F^(2)}(b)
+    product = H.mul_map * _kron_sum(wc.f, ad, ad, n, n)
     # Delta_F(a) = Ad_{F^-(1)}(a_1) (x) Ad_{F^-(2)}(a_2)
-    return _present(f, ad, H.mul_map * ad2(wc.f), ad2(wc.finv) * H.comul_map, H.antipode)
+    coproduct = _kron_sum(wc.finv, ad, ad, n, n) * H.comul_map
+    return _present(f, ad, product, coproduct, H.antipode)
 
 
 def product_exchange_law(H: QuantumGroupoid, wc: WeakCocycle):

@@ -61,7 +61,9 @@ class ParsedMorphism:
 class ParsedModule:
     basis_names: Tuple[str, ...]
     algebra_basis_names: Tuple[str, ...]
-    action_rows: Tuple[Tuple[Fraction, ...], ...]  # one row per algebra basis
+    # one row per algebra basis: the action matrix's entries, column after
+    # column, as {index: Fraction} of the nonzeros
+    action_rows: Tuple[dict, ...]
 
     def bind(self, algebra: QuantumGroupoid):
         """Attach to an algebra, producing an HModule."""
@@ -70,10 +72,8 @@ class ParsedModule:
         if tuple(algebra.basis_names) != self.algebra_basis_names:
             raise DimensionMismatch("module references a different algebra basis")
         d = len(self.basis_names)
-        mats = [
-            Matrix.from_columns([row[i * d:(i + 1) * d] for i in range(d)], d)
-            for row in self.action_rows
-        ]
+        mats = [Matrix.from_entries(d, d, ((k % d, k // d, x) for k, x in row.items()))
+                for row in self.action_rows]
         return HModule(algebra, mats)
 
 
@@ -327,9 +327,6 @@ class _Reader:
         for _ in range(rows):
             yield self.next_line(key)
 
-    def block_field(self, key, rows, count):
-        return tuple(self.rationals(line, count, key) for line in self.block_lines(key, rows))
-
     def sparse_row(self, line, count, key):
         """The count words of line as {column: Fraction} of their nonzero
         entries.  "0" is the one canonical zero, so only the other tokens
@@ -395,6 +392,6 @@ def parse(text: str):
 
     # module
     anames = r.basis("algebra-dim", "algebra-basis")
-    action_rows = r.block_field("action", len(anames), n * n)
+    action_rows = tuple(r.sparse_block("action", len(anames), n * n))
     r.expect_done()
     return ParsedModule(names, anames, action_rows)

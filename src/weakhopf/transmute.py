@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
-from .linalg import Matrix, SubspaceBasis, _restrict, kron
+from .linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, kron
 from .modules import (
     BraidContext,
     HModule,
@@ -24,7 +24,7 @@ from .modules import (
     unitors,
 )
 from .report import VerificationReport, Witness, comparison
-from .structures import QTStructure
+from .structures import QTStructure, swap2
 
 
 def centralizer(L: QuantumGroupoid) -> SubspaceBasis:
@@ -116,20 +116,21 @@ class BraidedHopfPresentation:
         )
 
 
+def _multipliers(f: QGMorphism):
+    """L_f(e_a) and R_fS(e_b) on the target of f, for each basis element of
+    the source."""
+    H, L = f.source, f.target
+    fs = f.matrix * H.antipode
+    return ([L.left_mult(f.matrix.column(a)) for a in range(H.dim)],
+            [L.right_mult(fs.column(b)) for b in range(H.dim)])
+
+
 def ambient_action(f: QGMorphism):
     """Matrices of h . l = f(h_1) l f(S(h_2)) on the target of f, one per
     basis element h of the source (the adjoint action when f = id)."""
-    H, L = f.source, f.target
-    fs_of = [f.apply(H.antipode.column(i)) for i in range(H.dim)]
-    return [
-        Matrix.lincomb(
-            ((c, L.left_mult(f.matrix.column(a)) * L.right_mult(fs_of[b]))
-             for (a, b), c in H.comul_cols[i].items()),
-            L.dim,
-            L.dim,
-        )
-        for i in range(H.dim)
-    ]
+    H = f.source
+    lefts, rights = _multipliers(f)
+    return [_product_sum(H.comul_cols[i], lefts, rights, f.target.dim) for i in range(H.dim)]
 
 
 def _present(f: QGMorphism, ad, product, coproduct, antipode):
@@ -203,16 +204,12 @@ def transmute(
 
     n = L.dim
     ad = ambient_action(f)
-    fs = f.matrix * H.antipode
-    rs = qt.r.items()
+    lefts, rights = _multipliers(f)
+    r21 = swap2(qt.r)
     # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
-    coproduct = Matrix.lincomb(
-        ((c, kron(L.right_mult(fs.column(y)), ad[x])) for (x, y), c in rs), n * n, n * n
-    ) * L.comul_map
+    coproduct = _kron_sum(r21, rights, ad, n, n) * L.comul_map
     # S(l) = f(R^(2)) S_L(R^(1) . l)
-    antipode = Matrix.lincomb(
-        ((c, L.left_mult(f.matrix.column(y)) * L.antipode * ad[x]) for (x, y), c in rs), n, n
-    )
+    antipode = _product_sum(r21, [left * L.antipode for left in lefts], ad, n)
     return _present(f, ad, L.mul_map, coproduct, antipode)
 
 

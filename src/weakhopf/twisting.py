@@ -25,7 +25,7 @@ from .errors import (
     PreconditionUnmet,
     TwistAxiomFailure,
 )
-from .linalg import Matrix, _restrict, kron
+from .linalg import Matrix, _product_sum, _restrict, kron
 from .modules import BraidContext, HModule, _module_map_identities, truncated_tensor
 from .quantize import quantize
 from .report import VerificationReport, Witness, comparison, require
@@ -142,30 +142,26 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
     """alpha and alpha^-1 between the carriers c_src of H and c_dst of the
     twisted algebra; ad is the adjoint action of H."""
     n = H.dim
-    left, right, S = H.left_mult_mats, H.right_mult_mats, H.antipode
+    left, right = H.left_mult_mats, H.right_mult_mats
+    right_s = [H.right_mult(H.antipode.column(b)) for b in range(n)]  # R_S(e_b)
 
     def carrier_map(rule, src, dst, what):
         """rule (a matrix on H) from the carrier src to dst coordinates."""
         return _restrict(rule * src.embedding(), dst, lambda j, v: CarrierMismatch(what))
 
-    def over(x2, term):
-        return Matrix.lincomb(((c, term(x, y)) for (x, y), c in x2.items()), n, n)
-
     # a -> Ad_{F^(1)}(a) F^(2)
-    alpha = carrier_map(over(wc.f, lambda x, y: right[y] * ad[x]), c_src, c_dst,
+    alpha = carrier_map(_product_sum(swap2(wc.f), right, ad, n), c_src, c_dst,
                         "comparison map leaves the twisted carrier")
     # independent equivalent form: F^-(1) a S(F^-(2)) v^-1
-    alt = carrier_map(
-        H.right_mult(tw.v.v_inv) * over(wc.finv, lambda x, y: H.right_mult(S.column(y)) * left[x]),
-        c_src, c_dst, "equivalent form leaves the twisted carrier")
+    alt = carrier_map(H.right_mult(tw.v.v_inv) * _product_sum(swap2(wc.finv), right_s, left, n),
+                      c_src, c_dst, "equivalent form leaves the twisted carrier")
     if alpha != alt:
         raise InconsistentStructure(
             "the two expressions for the comparison map disagree"
         )
     # the inverse a -> F^(1) (a v) S(F^(2))
-    alpha_inv = carrier_map(
-        over(wc.f, lambda x, y: left[x] * H.right_mult(S.column(y))) * H.right_mult(tw.v.v),
-        c_dst, c_src, "inverse comparison map leaves the carrier")
+    alpha_inv = carrier_map(_product_sum(wc.f, left, right_s, n) * H.right_mult(tw.v.v),
+                            c_dst, c_src, "inverse comparison map leaves the carrier")
 
     if not (alpha * alpha_inv).is_identity() or not (alpha_inv * alpha).is_identity():
         raise InconsistentStructure("comparison map is not a two-sided bijection")

@@ -4,9 +4,12 @@ These are the dense row-major algorithms `Matrix` ran before it stored
 sparse rows.  Nothing in the package calls them; they read a matrix through
 its dense ``data`` view and return plain lists of lists of Fractions (or
 tuples for vectors), so the tests can compare the sparse kernels entry by
-entry.  The last section holds the dense element kernels the package
-stored algebras by before it kept structure constants sparse only, and the
-one way the tests build an algebra from dense tables.
+entry.  Later sections hold the dense element kernels the package stored
+algebras by before it kept structure constants sparse only, the one way the
+tests build an algebra from dense tables, and, last, the rules the
+constructions sum over the terms of a 2-tensor (the ambient action, the
+transmutation's and the quantization's rules, the comparison map), summed
+one dense product per term.
 """
 
 from __future__ import annotations
@@ -468,3 +471,144 @@ def rescaled(H, scale):
                                          for r, row in enumerate(H.antipode.sparse_rows)])
     base = WeakBialgebra(H.basis_names, mul_rows, unit, comul_cols, counit)
     return QuantumGroupoid(base, antipode)
+
+
+# ---------------------------------------------------------------------------
+# the rules the constructions sum over the terms of a 2-tensor (Delta(e_i),
+# R, F, F^-1), one dense product per term, with no grouping of the terms:
+# matrices on the ambient algebra as dense rows
+
+
+def times(a, b):
+    """The product of dense rows a and b."""
+    out = zeros(len(a), len(b[0]) if b else 0)
+    for orow, arow in zip(out, a):
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        orow[j] += x * y
+    return out
+
+
+def dense_kron(a, b):
+    """The Kronecker product of dense rows a and b."""
+    rb, cb = len(b), len(b[0])
+    out = zeros(len(a) * rb, len(a[0]) * cb)
+    for i, arow in enumerate(a):
+        for j, x in enumerate(arow):
+            if x:
+                for k, brow in enumerate(b):
+                    for l, y in enumerate(brow):
+                        if y:
+                            out[i * rb + k][j * cb + l] = x * y
+    return out
+
+
+def term_sum(terms, rows, cols):
+    """sum c m over the (c, dense rows m) terms."""
+    out = zeros(rows, cols)
+    for c, m in terms:
+        for orow, mrow in zip(out, m):
+            for j, x in enumerate(mrow):
+                if x:
+                    orow[j] += c * x
+    return out
+
+
+def left_mult(L, x):
+    """Left multiplication by the dense element x of L."""
+    out = zeros(L.dim, L.dim)
+    for (i, j), row in L.mul_rows.items():
+        if x[i]:
+            for k, c in row.items():
+                out[k][j] += x[i] * c
+    return out
+
+
+def right_mult(L, x):
+    """Right multiplication by the dense element x of L."""
+    out = zeros(L.dim, L.dim)
+    for (i, j), row in L.mul_rows.items():
+        if x[j]:
+            for k, c in row.items():
+                out[k][i] += x[j] * c
+    return out
+
+
+def mul_map(L):
+    n = L.dim
+    out = zeros(n, n * n)
+    for (i, j), row in L.mul_rows.items():
+        for k, c in row.items():
+            out[k][i * n + j] = c
+    return out
+
+
+def comul_map(L):
+    n = L.dim
+    out = zeros(n * n, n)
+    for i, col in L.comul_cols.items():
+        for (j, k), c in col.items():
+            out[j * n + k][i] = c
+    return out
+
+
+def ambient_action(f):
+    """h . l = f(h_1) l f(S(h_2)), one matrix per basis element h of the
+    source: sum c L_f(e_a) R_fS(e_b) over the terms c e_a (x) e_b of
+    Delta(h)."""
+    H, L = f.source, f.target
+    fcols = [f.matrix.column(a) for a in range(H.dim)]
+    fs = [apply(f.matrix, H.antipode.column(b)) for b in range(H.dim)]
+    return [term_sum(((c, times(left_mult(L, fcols[a]), right_mult(L, fs[b])))
+                      for (a, b), c in H.comul_cols[i].items()), L.dim, L.dim)
+            for i in range(H.dim)]
+
+
+def transmute_rules(f, qt):
+    """The coproduct l_1 f(S(R^(2))) (x) R^(1) . l_2 and the antipode
+    f(R^(2)) S_L(R^(1) . l) of the transmutation through f, summed over the
+    terms c e_x (x) e_y of R."""
+    H, L = f.source, f.target
+    n = L.dim
+    ad = ambient_action(f)
+    comul = term_sum(((c, dense_kron(right_mult(L, apply(f.matrix, H.antipode.column(y))), ad[x]))
+                      for (x, y), c in qt.r.items()), n * n, n * n)
+    s_l = L.antipode.data
+    antipode = term_sum(((c, times(times(left_mult(L, f.matrix.column(y)), s_l), ad[x]))
+                         for (x, y), c in qt.r.items()), n, n)
+    return times(comul, comul_map(L)), antipode
+
+
+def quantize_rules(H, wc):
+    """The product Ad_F^(1)(a) Ad_F^(2)(b) and the coproduct
+    Ad_F^-(1)(a_1) (x) Ad_F^-(2)(a_2) of the quantization, each summed over
+    the terms of its 2-tensor."""
+    from weakhopf.transmute import identity_morphism
+
+    n = H.dim
+    ad = ambient_action(identity_morphism(H))
+
+    def ad2(x2):
+        return term_sum(((c, dense_kron(ad[x], ad[y])) for (x, y), c in x2.items()), n * n, n * n)
+
+    return times(mul_map(H), ad2(wc.f)), times(ad2(wc.finv), comul_map(H))
+
+
+def alpha_rules(H, wc, v):
+    """The comparison map a -> Ad_F^(1)(a) F^(2), its equivalent form
+    F^-(1) a S(F^-(2)) v^-1 and its inverse a -> F^(1) (a v) S(F^(2)), as
+    matrices on H; v is the `TwistElements` of (H, wc)."""
+    from weakhopf.transmute import identity_morphism
+
+    n = H.dim
+    ad = ambient_action(identity_morphism(H))
+    e = [basis_vector(H, i) for i in range(n)]
+    s = [H.antipode.column(i) for i in range(n)]
+    alpha = term_sum(((c, times(right_mult(H, e[y]), ad[x])) for (x, y), c in wc.f.items()), n, n)
+    alt = times(right_mult(H, v.v_inv), term_sum(
+        ((c, times(right_mult(H, s[y]), left_mult(H, e[x]))) for (x, y), c in wc.finv.items()), n, n))
+    inv = times(term_sum(((c, times(left_mult(H, e[x]), right_mult(H, s[y])))
+                          for (x, y), c in wc.f.items()), n, n), right_mult(H, v.v))
+    return alpha, alt, inv

@@ -144,7 +144,7 @@ def test_twist_command_decides_each_suite_once(emitted, monkeypatch, capsys):
     assert suites == {"weak-bialgebra", "quantum-groupoid", "quasitriangular"}
 
 
-def test_twist_failure_reports_the_check_witness(tmp_path):
+def test_twist_failure_reports_the_check_witness(tmp_path, capsys):
     from weakhopf.serialization import serialize_cocycle, serialize_qt
     from weakhopf.structures import WeakCocycle
 
@@ -159,16 +159,20 @@ def test_twist_failure_reports_the_check_witness(tmp_path):
     ):
         paths[ext] = tmp_path / ("a." + ext)
         paths[ext].write_text(text)
-    out = tmp_path / "r.json"
-    rc = run([
-        "twist", "--algebra", str(paths["qg"]), "--qt", str(paths["qt"]),
-        "--cocycle", str(paths["coc"]), "--format", "structured", "--out", str(out),
-    ])
-    assert rc == 1
-    (check,) = json.loads(out.read_text())["checks"]
+    # verify-iso twists the same cocycle and reports the same failed check
+    reports = {}
+    for command, extra in (("twist", ["--qt", str(paths["qt"])]), ("verify-iso", [])):
+        out = tmp_path / (command + ".json")
+        rc = run([command, "--algebra", str(paths["qg"]), *extra, "--cocycle", str(paths["coc"]),
+                  "--format", "structured", "--out", str(out)])
+        assert rc == 1, command
+        reports[command] = out.read_text()
+    assert capsys.readouterr().err == ""
+    (check,) = json.loads(reports["twist"])["checks"]
     assert (check["suite"], check["name"], check["passed"]) == ("twist", "coassociativity", False)
     assert check["witness"]["indices"] == [0]
     assert check["witness"]["lhs"] != check["witness"]["rhs"]
+    assert reports["verify-iso"] == reports["twist"]
 
 
 def test_verify_iso_command(capsys):

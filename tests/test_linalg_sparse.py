@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle as dense
 from weakhopf import linalg
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, _restrict, kron
+from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, kron
 
 Q0 = Fraction(0)
 
@@ -261,25 +261,45 @@ def test_integer_sums_share_equal_entries():
     assert all(x is entries[0] for x in entries)
 
 
+def _squares(k):
+    return st.builds(lambda d: Matrix(d, k, k),
+                     st.lists(st.lists(mixed, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+def _two_tensors(lefts, rights, max_size):
+    """Sparse 2-tensors {(a, b): c} over the indices of lefts and rights,
+    zero coefficients included."""
+    return st.dictionaries(st.tuples(st.integers(0, len(lefts) - 1),
+                                     st.integers(0, len(rights) - 1)), mixed, max_size=max_size)
+
+
+def _dense_term_sum(x2, lefts, rights, product, size):
+    """sum c product(lefts[a], rights[b]) over the terms of x2, summed
+    densely one term at a time."""
+    return dense.lincomb([(c, Matrix(product(lefts[a], rights[b]), size, size))
+                          for (a, b), c in x2.items()], size, size)
+
+
 @settings(max_examples=100)
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_kron_sum_matches_dense(m, n, data):
-    # rows with no term, one term and several; terms that share a factor,
-    # and all of them again negated so that every row cancels
-    def square(k):
-        return st.builds(lambda d: Matrix(d, k, k),
-                         st.lists(st.lists(mixed, min_size=k, max_size=k),
-                                  min_size=k, max_size=k))
-    lefts = data.draw(st.lists(square(m), min_size=1, max_size=3))
-    rights = data.draw(st.lists(square(n), min_size=1, max_size=3))
-    terms = data.draw(st.lists(
-        st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)), max_size=4))
-    got = _kron_sum(terms, m, n)
+    # rows with no term, one term and several; terms that share a factor
+    # index; then every term again, once under the negated second factor,
+    # so that each group's B's cancel, and once under the negated first
+    # factor, so that the groups cancel each other row by row
+    lefts = data.draw(st.lists(_squares(m), min_size=1, max_size=3))
+    rights = data.draw(st.lists(_squares(n), min_size=1, max_size=3))
+    x2 = data.draw(_two_tensors(lefts, rights, 4))
+    got = _kron_sum(x2, lefts, rights, m, n)
     assert_sparse(got)
-    pairs = [(c, Matrix(dense.kron(a, b), m * n, m * n)) for c, a, b in terms]
-    assert got.data == dense.lincomb(pairs, m * n, m * n)
-    cancel = terms + [(-c, a, b) for c, a, b in terms]
-    assert _kron_sum(cancel, m, n) == Matrix.zero(m * n, m * n)
+    assert got.data == _dense_term_sum(x2, lefts, rights, dense.kron, m * n)
+    zero = Matrix.zero(m * n, m * n)
+    j = len(rights)
+    within = {**x2, **{(a, b + j): c for (a, b), c in x2.items()}}
+    assert _kron_sum(within, lefts, rights + [b.scale(-1) for b in rights], m, n) == zero
+    k = len(lefts)
+    across = {**x2, **{(a + k, b): c for (a, b), c in x2.items()}}
+    assert _kron_sum(across, lefts + [a.scale(-1) for a in lefts], rights, m, n) == zero
 
 
 def _copy(m):
@@ -290,24 +310,22 @@ def _copy(m):
 @settings(max_examples=150)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_kron_sum_grouped_by_first_leg_matches_dense(m, n, data):
-    # the grouping is by the A object: repeated A objects, equal-valued but
-    # distinct A objects, zero coefficients, and a group whose B terms cancel
-    # to zero (B and a distinct -B under one A)
-    def square(k):
-        return st.builds(lambda d: Matrix(d, k, k),
-                         st.lists(st.lists(mixed, min_size=k, max_size=k),
-                                  min_size=k, max_size=k))
-    lefts = data.draw(st.lists(square(m), min_size=1, max_size=2))
-    lefts += [_copy(a) for a in lefts]
-    rights = data.draw(st.lists(square(n), min_size=1, max_size=3))
-    terms = data.draw(st.lists(
-        st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)), max_size=6))
-    c, a, b = data.draw(st.tuples(mixed, st.sampled_from(lefts), st.sampled_from(rights)))
-    terms += [(c, a, b), (c, a, b.scale(-1))]
-    got = _kron_sum(terms, m, n)
+    # the grouping is by the first leg's index: repeated indices, distinct
+    # indices of one matrix object and of equal-valued distinct objects,
+    # zero coefficients, and a group whose B terms cancel to zero (B and a
+    # distinct -B under one first leg)
+    lefts = data.draw(st.lists(_squares(m), min_size=1, max_size=2))
+    lefts += [_copy(a) for a in lefts] + lefts
+    rights = data.draw(st.lists(_squares(n), min_size=1, max_size=3))
+    half = len(rights)
+    rights += [b.scale(-1) for b in rights]
+    x2 = data.draw(_two_tensors(lefts, rights, 6))
+    a = data.draw(st.integers(0, len(lefts) - 1))
+    b = data.draw(st.integers(0, half - 1))
+    x2[a, b] = x2[a, b + half] = data.draw(mixed)
+    got = _kron_sum(x2, lefts, rights, m, n)
     assert_sparse(got)
-    pairs = [(c, Matrix(dense.kron(a, b), m * n, m * n)) for c, a, b in terms]
-    assert got.data == dense.lincomb(pairs, m * n, m * n)
+    assert got.data == _dense_term_sum(x2, lefts, rights, dense.kron, m * n)
 
 
 def test_kron_sum_sums_one_kronecker_product_per_first_leg(monkeypatch):
@@ -317,18 +335,39 @@ def test_kron_sum_sums_one_kronecker_product_per_first_leg(monkeypatch):
     real = linalg._kron_rows
 
     def recording(parts, m, n):
-        seen.append([(c, id(x), y) for c, x, y in parts])
+        seen.append([(id(x), y) for x, y in parts])
         return real(parts, m, n)
 
     monkeypatch.setattr(linalg, "_kron_rows", recording)
-    # a repeated A object is one part; an equal-valued distinct A is another;
-    # a zero coefficient is dropped; B's that cancel drop their group
-    terms = [(Fraction(2), a, b1), (Fraction(-1), a, b2), (Fraction(3), a_equal, b1),
-             (Q0, a, b2), (Fraction(1), b1, b2), (Fraction(-1), b1, b2)]
-    got = _kron_sum(terms, 2, 2)
-    want = sum((Matrix(dense.kron(x, y), 4, 4).scale(c) for c, x, y in terms), Matrix.zero(4, 4))
+    # the terms of first leg 0 are one part; first leg 1, whose matrix is
+    # equal-valued to leg 0's, is another; a zero coefficient is dropped;
+    # the B's of first leg 2 cancel and drop its group
+    left, right = [a, a_equal, b1], [b1, b2, b2.scale(-1)]
+    x2 = {(0, 0): Fraction(2), (0, 1): Fraction(-1), (1, 0): Fraction(3), (1, 1): Q0,
+          (2, 1): Fraction(1), (2, 2): Fraction(1)}
+    got = _kron_sum(x2, left, right, 2, 2)
+    want = sum((Matrix(dense.kron(left[x], right[y]), 4, 4).scale(c) for (x, y), c in x2.items()),
+               Matrix.zero(4, 4))
     assert got == want
-    assert seen == [[(Fraction(1), id(a), b1.scale(2) - b2), (Fraction(3), id(a_equal), b1)]]
+    assert seen == [[(id(a), b1.scale(2) - b2), (id(a_equal), b1.scale(3))]]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 3), st.data())
+def test_product_sum_matches_dense(n, data):
+    # as for _kron_sum: shared factor indices, zero coefficients, and a
+    # group whose right factors cancel
+    lefts = data.draw(st.lists(_squares(n), min_size=1, max_size=3))
+    rights = data.draw(st.lists(_squares(n), min_size=1, max_size=3))
+    half = len(rights)
+    rights += [b.scale(-1) for b in rights]
+    x2 = data.draw(_two_tensors(lefts, rights, 6))
+    a = data.draw(st.integers(0, len(lefts) - 1))
+    b = data.draw(st.integers(0, half - 1))
+    x2[a, b] = x2[a, b + half] = data.draw(mixed)
+    got = _product_sum(x2, lefts, rights, n)
+    assert_sparse(got)
+    assert got.data == _dense_term_sum(x2, lefts, rights, dense.matmul, n)
 
 
 def test_column_space_of_the_identity_is_the_standard_basis(monkeypatch):
