@@ -113,9 +113,13 @@ def _bind(path, want, H):
 
 
 class _Output:
-    def __init__(self, fmt, out_path):
-        self.fmt = fmt
-        self.out_path = out_path
+    """What a command reports: check reports, notes and documents.  `render`
+    writes them and returns the exit code, 1 if a recorded check failed."""
+
+    def __init__(self, args):
+        self.fmt = args.format
+        self.out_path = args.out
+        self.failed = False
         self.lines = []
         self.json_objects = []
         self.json_checks = []
@@ -124,7 +128,8 @@ class _Output:
     def note(self, text):
         self.lines.append(text)
 
-    def add_report(self, object_id, report: VerificationReport):
+    def add_report(self, object_id, report: VerificationReport) -> bool:
+        """Record report; returns whether it passed."""
         if self.fmt == "text":
             for line in report.to_lines():
                 self.lines.append(
@@ -133,6 +138,8 @@ class _Output:
         for entry in report.to_dict():
             entry["object"] = object_id
             self.json_checks.append(entry)
+        self.failed = self.failed or not report.passed
+        return report.passed
 
     def add_document(self, title, text):
         if self.fmt == "text":
@@ -142,7 +149,8 @@ class _Output:
             {"title": title, "text": text}
         )
 
-    def render(self, exit_code):
+    def render(self) -> int:
+        exit_code = 1 if self.failed else 0
         if self.fmt == "structured":
             payload = {
                 "objects": self.json_objects,
@@ -158,44 +166,25 @@ class _Output:
                 fh.write(body)
         else:
             sys.stdout.write(body)
+        return exit_code
 
 
-def _emit(out: _Output, object_id, report, state):
-    out.add_report(object_id, report)
-    if not report.passed:
-        state["failed"] = True
-    return state["failed"] and state["fail_fast"]
+# the document types `check` reads, in the order their suites run
+_CHECKED = (WeakBialgebra, ParsedQT, ParsedCocycle, ParsedMorphism, ParsedModule)
 
 
 def _cmd_check(args) -> int:
-    out = _Output(args.format, args.out)
-    state = {"failed": False, "fail_fast": args.fail_fast}
-    algebras = []
-    pending_qt = []
-    pending_cocycle = []
-    pending_morphism = []
-    pending_module = []
-
+    out = _Output(args)
+    loaded = {cls: [] for cls in _CHECKED}
     for path in args.inputs:
         if path.startswith("zoo:"):
-            fx_alg = _load_object(path, "algebra")
-            out.json_objects.append(path)
-            algebras.append((path, fx_alg))
-            pending_qt.append((path, _load_object(path, "qt")))
-            pending_cocycle.append((path, _load_object(path, "cocycle")))
-            continue
-        obj = _load_object(path, "any")
+            objs = [_load_object(path, want) for want in ("algebra", "qt", "cocycle")]
+        else:
+            objs = [_load_object(path, "any")]
         out.json_objects.append(path)
-        if isinstance(obj, WeakBialgebra):
-            algebras.append((path, obj))
-        elif isinstance(obj, ParsedQT):
-            pending_qt.append((path, obj))
-        elif isinstance(obj, ParsedCocycle):
-            pending_cocycle.append((path, obj))
-        elif isinstance(obj, ParsedMorphism):
-            pending_morphism.append((path, obj))
-        elif isinstance(obj, ParsedModule):
-            pending_module.append((path, obj))
+        for obj in objs:
+            loaded[next(cls for cls in _CHECKED if isinstance(obj, cls))].append((path, obj))
+    algebras = loaded[WeakBialgebra]
 
     def find_algebra(names, path):
         for _, alg in algebras:
@@ -212,7 +201,7 @@ def _cmd_check(args) -> int:
             yield path, lambda a=alg: check_weak_bialgebra(a)
             if isinstance(alg, QuantumGroupoid):
                 yield path, lambda a=alg: check_quantum_groupoid(a)
-        for path, pqt in pending_qt:
+        for path, pqt in loaded[ParsedQT]:
             H = find_algebra(pqt.basis_names, path)
             qt = pqt.structure
             yield path, lambda H=H, qt=qt: check_quasitriangular(H, qt)
@@ -224,7 +213,7 @@ def _cmd_check(args) -> int:
                     return coherence_report(BraidContext.psi(H, qt), M, M, M)
 
                 yield path, hexes
-        for path, pwc in pending_cocycle:
+        for path, pwc in loaded[ParsedCocycle]:
             H = find_algebra(pwc.basis_names, path)
             wc = pwc.structure
             yield path, lambda H=H, wc=wc: check_weak_cocycle(H, wc)
@@ -242,26 +231,24 @@ def _cmd_check(args) -> int:
                     return coherence_report(BraidContext.phi(H, wc), M, M, M)
 
                 yield path, phi_hexes
-        for path, pm in pending_morphism:
+        for path, pm in loaded[ParsedMorphism]:
             src = find_algebra(pm.basis_names, path)
             dst = find_algebra(pm.target_basis_names, path)
             f = QGMorphism(src, dst, pm.matrix)
             yield path, lambda f=f: check_morphism(f)
-        for path, pm in pending_module:
+        for path, pm in loaded[ParsedModule]:
             H = find_algebra(pm.algebra_basis_names, path)
             yield path, lambda pm=pm, H=H: check_module(pm.bind(H))
 
     for path, runner in stages():
-        if _emit(out, path, runner(), state):
+        out.add_report(path, runner())
+        if out.failed and args.fail_fast:
             break
-
-    code = 1 if state["failed"] else 0
-    out.render(code)
-    return code
+    return out.render()
 
 
 def _cmd_transmute(args) -> int:
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
     qt = _bind(args.qt, "qt", H)
     target = None
@@ -279,46 +266,29 @@ def _cmd_transmute(args) -> int:
             raise _InputError("%s: morphism endpoints do not match" % args.morphism)
         morphism = QGMorphism(H, dst, pm.matrix)
 
-    failed = False
-    rep = check_quasitriangular(H, qt)
-    out.add_report(args.qt, rep)
-    failed = failed or not rep.passed
+    out.add_report(args.qt, check_quasitriangular(H, qt))
     if morphism is not None:
-        rep = check_morphism(morphism)
-        out.add_report(args.morphism, rep)
-        failed = failed or not rep.passed
-    if not failed:
+        out.add_report(args.morphism, check_morphism(morphism))
+    if not out.failed:
         p = transmute(H, qt, target, morphism)
-        rep = verify_braided_hopf(p, BraidContext.psi(H, qt))
-        out.add_report(args.algebra, rep)
-        failed = failed or not rep.passed
+        out.add_report(args.algebra, verify_braided_hopf(p, BraidContext.psi(H, qt)))
         out.add_document("presentation", serialize_presentation(p))
-    code = 1 if failed else 0
-    out.render(code)
-    return code
+    return out.render()
 
 
 def _cmd_quantize(args) -> int:
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
     wc = _bind(args.cocycle, "cocycle", H)
-    failed = False
-    rep = check_weak_cocycle(H, wc)
-    out.add_report(args.cocycle, rep)
-    failed = failed or not rep.passed
-    if not failed:
+    if out.add_report(args.cocycle, check_weak_cocycle(H, wc)):
         p = quantize(H, wc)
-        rep = verify_quantization(p, wc)
-        out.add_report(args.algebra, rep)
-        failed = failed or not rep.passed
+        out.add_report(args.algebra, verify_quantization(p, wc))
         out.add_document("presentation", serialize_presentation(p))
-    code = 1 if failed else 0
-    out.render(code)
-    return code
+    return out.render()
 
 
 def _cmd_twist(args) -> int:
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
     qt = _bind(args.qt, "qt", H)
     wc = _bind(args.cocycle, "cocycle", H)
@@ -328,29 +298,24 @@ def _cmd_twist(args) -> int:
         out.add_report(args.algebra, rep)
     out.add_document("twisted-algebra", serialize_quantum_groupoid(twisted))
     out.add_document("twisted-qt", serialize_qt(twisted, qt_t))
-    out.render(0)
-    return 0
+    return out.render()
 
 
 def _cmd_verify_iso(args) -> int:
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     H = _require_groupoid(_load_object(args.algebra, "algebra"), args.algebra)
     wc = _bind(args.cocycle, "cocycle", H)
     result = verify_isomorphism(H, canonical_r(H), wc)
     out.add_report(args.algebra, result.report)
-    left = serialize_presentation(result.quantized)
-    right = serialize_presentation(result.twisted_transmuted)
-    equal = left == right
+    equal = serialize_presentation(result.quantized) == serialize_presentation(
+        result.twisted_transmuted)
     out.json_extra["presentations_equal"] = equal
-    if args.format == "text":
-        out.note("presentations: %s" % ("equal" if equal else "distinct"))
-    code = 0 if result.report.passed else 1
-    out.render(code)
-    return code
+    out.note("presentations: %s" % ("equal" if equal else "distinct"))
+    return out.render()
 
 
 def _cmd_zoo(args) -> int:
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     if not args.emit:
         for name in zoo.fixture_names():
             fx = zoo.fixture(name)
@@ -358,8 +323,7 @@ def _cmd_zoo(args) -> int:
             out.json_objects.append(
                 {"name": name, "dim": fx.algebra.dim, "description": fx.description}
             )
-        out.render(0)
-        return 0
+        return out.render()
     try:
         fx = zoo.fixture(args.emit)
     except KeyError as exc:
@@ -381,8 +345,7 @@ def _cmd_zoo(args) -> int:
         paths[suffix] = path
         out.note("wrote %s" % path)
     out.json_extra["paths"] = paths
-    out.render(0)
-    return 0
+    return out.render()
 
 
 def _add_common(sub):
@@ -448,10 +411,9 @@ def _failed_check(args, object_id, suite, name, witness) -> int:
     exit 1."""
     rep = VerificationReport(suite)
     rep.add(name, False, witness)
-    out = _Output(args.format, args.out)
+    out = _Output(args)
     out.add_report(object_id, rep)
-    out.render(1)
-    return 1
+    return out.render()
 
 
 def run(argv=None) -> int:

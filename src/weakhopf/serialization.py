@@ -107,10 +107,16 @@ def _column_major(mat: Matrix) -> str:
                          for j, x in row.items()}, rows * mat.cols)
 
 
-def _serialize_lines(kind, names, sections):
-    """A document of the given fields: (key, line) for a one-row field,
-    (key, [lines]) for a block, one row a line."""
-    lines = ["kind: %s" % kind, "dim: %d" % len(names), "basis: %s" % " ".join(names)]
+def _basis_fields(prefix, names):
+    """The <prefix>dim and <prefix>basis fields of a basis, as
+    `_Reader.basis` reads them."""
+    return [(prefix + "dim", str(len(names))), (prefix + "basis", " ".join(names))]
+
+
+def _serialize_lines(kind, sections):
+    """A document of the given fields after its kind: (key, line) for a
+    one-row field, (key, [lines]) for a block, one row a line."""
+    lines = ["kind: %s" % kind]
     for key, rows in sections:
         if isinstance(rows, str):
             lines.append("%s: %s" % (key, rows))
@@ -123,7 +129,7 @@ def _serialize_lines(kind, names, sections):
 def _bialgebra_sections(B):
     n = B.dim
     empty = {}
-    return [
+    return _basis_fields("", B.basis_names) + [
         ("mul", [_sparse_line(B.mul_rows.get(divmod(flat, n), empty), n)
                  for flat in range(n * n)]),
         ("unit", _fmt_vec(B.unit)),
@@ -133,13 +139,12 @@ def _bialgebra_sections(B):
 
 
 def serialize_weak_bialgebra(B: WeakBialgebra) -> str:
-    return _serialize_lines("weak-bialgebra", B.basis_names, _bialgebra_sections(B))
+    return _serialize_lines("weak-bialgebra", _bialgebra_sections(B))
 
 
 def serialize_quantum_groupoid(H: QuantumGroupoid) -> str:
     return _serialize_lines(
         "quantum-groupoid",
-        H.basis_names,
         _bialgebra_sections(H) + [("antipode", _column_lines(H.antipode))],
     )
 
@@ -148,7 +153,8 @@ def _serialize_pairs(kind, H, fields):
     """A document of one n^2 line per (key, 2-tensor) of fields; n is read
     off H's basis, so H may be a parsed document."""
     n = len(H.basis_names)
-    return _serialize_lines(kind, H.basis_names, [(key, _pair_line(x2, n)) for key, x2 in fields])
+    return _serialize_lines(kind, _basis_fields("", H.basis_names)
+                            + [(key, _pair_line(x2, n)) for key, x2 in fields])
 
 
 def serialize_qt(H, qt: QTStructure) -> str:
@@ -160,55 +166,31 @@ def serialize_cocycle(H, wc: WeakCocycle) -> str:
 
 
 def serialize_morphism(f) -> str:
-    lines = [
-        "kind: morphism",
-        "dim: %d" % f.source.dim,
-        "basis: %s" % " ".join(f.source.basis_names),
-        "target-dim: %d" % f.target.dim,
-        "target-basis: %s" % " ".join(f.target.basis_names),
-        "matrix:",
-    ]
-    lines.extend(_column_lines(f.matrix))
-    return "\n".join(lines) + "\n"
+    return _serialize_lines("morphism", _basis_fields("", f.source.basis_names)
+                            + _basis_fields("target-", f.target.basis_names)
+                            + [("matrix", _column_lines(f.matrix))])
 
 
 def serialize_module(M) -> str:
-    H = M.algebra
-    d = M.dim
-    lines = [
-        "kind: module",
-        "dim: %d" % d,
-        "basis: %s" % " ".join("v%d" % i for i in range(1, d + 1)),
-        "algebra-dim: %d" % H.dim,
-        "algebra-basis: %s" % " ".join(H.basis_names),
-        "action:",
-    ]
-    lines.extend(_column_major(mat) for mat in M.mats)
-    return "\n".join(lines) + "\n"
+    names = ["v%d" % i for i in range(1, M.dim + 1)]
+    return _serialize_lines("module", _basis_fields("", names)
+                            + _basis_fields("algebra-", M.algebra.basis_names)
+                            + [("action", [_column_major(mat) for mat in M.mats])])
 
 
 def serialize_presentation(p: BraidedHopfPresentation) -> str:
-    lines = [
-        "kind: presentation",
-        "acting-dim: %d" % p.acting.dim,
-        "acting-basis: %s" % " ".join(p.acting.basis_names),
-        "ambient-dim: %d" % p.ambient.dim,
-        "ambient-basis: %s" % " ".join(p.ambient.basis_names),
-        "carrier-dim: %d" % p.carrier.dim,
-        "carrier:",
-    ]
-    # one line per basis vector of the carrier and of H_t, read off its rows
-    lines.extend(_sparse_line(row, p.carrier.ambient_dim) for row in p.carrier.sparse_rows)
-    lines.append("ht-dim: %d" % p.ht.dim)
-    lines.append("ht:")
-    lines.extend(_sparse_line(row, p.ht.ambient_dim) for row in p.ht.sparse_rows)
-    lines.append("action:")
-    lines.extend(_column_major(mat) for mat in p.action.mats)
-    for key, mat in (("mul", p.mul), ("unit", p.unit), ("comul", p.comul),
-                     ("counit", p.counit), ("antipode", p.antipode)):
-        lines.append("%s:" % key)
-        lines.extend(_column_lines(mat))
-    return "\n".join(lines) + "\n"
+    def rows(basis):
+        # one line per basis vector of the subspace, read off its rows
+        return [_sparse_line(row, basis.ambient_dim) for row in basis.sparse_rows]
+
+    maps = (("mul", p.mul), ("unit", p.unit), ("comul", p.comul),
+            ("counit", p.counit), ("antipode", p.antipode))
+    return _serialize_lines("presentation", _basis_fields("acting-", p.acting.basis_names)
+                            + _basis_fields("ambient-", p.ambient.basis_names)
+                            + [("carrier-dim", str(p.carrier.dim)), ("carrier", rows(p.carrier)),
+                               ("ht-dim", str(p.ht.dim)), ("ht", rows(p.ht)),
+                               ("action", [_column_major(mat) for mat in p.action.mats])]
+                            + [(key, _column_lines(mat)) for key, mat in maps])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ every axiom of a Hopf algebra internal to a braided category.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
@@ -43,6 +44,15 @@ class QGMorphism:
 
     def apply(self, x):
         return self.matrix.apply(x)
+
+    @cached_property
+    def multipliers(self):
+        """L_f(e_a) and R_fS(e_b) on the target, for each basis element of
+        the source."""
+        H, L = self.source, self.target
+        fs = self.matrix * H.antipode
+        return ([L.left_mult(self.matrix.column(a)) for a in range(H.dim)],
+                [L.right_mult(fs.column(b)) for b in range(H.dim)])
 
 
 def identity_morphism(H: QuantumGroupoid) -> QGMorphism:
@@ -116,20 +126,11 @@ class BraidedHopfPresentation:
         )
 
 
-def _multipliers(f: QGMorphism):
-    """L_f(e_a) and R_fS(e_b) on the target of f, for each basis element of
-    the source."""
-    H, L = f.source, f.target
-    fs = f.matrix * H.antipode
-    return ([L.left_mult(f.matrix.column(a)) for a in range(H.dim)],
-            [L.right_mult(fs.column(b)) for b in range(H.dim)])
-
-
 def ambient_action(f: QGMorphism):
     """Matrices of h . l = f(h_1) l f(S(h_2)) on the target of f, one per
     basis element h of the source (the adjoint action when f = id)."""
     H = f.source
-    lefts, rights = _multipliers(f)
+    lefts, rights = f.multipliers
     return [_product_sum(H.comul_cols[i], lefts, rights, f.target.dim) for i in range(H.dim)]
 
 
@@ -164,10 +165,11 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
     comul = _restrict(coproduct * emb, carrier.square(),
                       escaped("coproduct", "coproduct escaped the carrier tensor square"))
     # row b of eps is sum c eps_L(f(e_a) -) over the terms e_a (x) e_b of Delta(1)
+    lefts = f.multipliers[0]
     eps = Matrix.from_entries(H.dim, L.dim, (
         (b, j, c * x)
         for (a, b), c in H.delta_one.items()
-        for j, x in (L.counit_map * L.left_mult(f.matrix.column(a))).sparse_rows[0].items()
+        for j, x in (L.counit_map * lefts[a]).sparse_rows[0].items()
     ))
     counit = _restrict(eps * emb, ht, escaped("counit", "counit escaped the target subalgebra"))
     antipode = _restrict(antipode * emb, carrier, escaped("antipode"))
@@ -204,7 +206,7 @@ def transmute(
 
     n = L.dim
     ad = ambient_action(f)
-    lefts, rights = _multipliers(f)
+    lefts, rights = f.multipliers
     r21 = swap2(qt.r)
     # Delta(l) = l_1 f(S(R^(2))) (x) R^(1) . l_2 over Delta_L(l) and R
     coproduct = _kron_sum(r21, rights, ad, n, n) * L.comul_map

@@ -295,16 +295,15 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
     idemp = [{idx: scale * (-1 if parity(v, mask) else 1) for mask, idx in elems.items()}
              for v in range(size)]
 
-    f, finv = {}, {}
+    f = {}
     for v in range(size):
         for w in range(size):
-            bvw = bmat[v][w]
-            binv = Q1 / bvw
             for a, ca in idemp[v].items():
                 for b, cb in idemp[w].items():
-                    f[a, b] = f.get((a, b), Q0) + bvw * ca * cb
-                    finv[a, b] = finv.get((a, b), Q0) + binv * ca * cb
-    wc = WeakCocycle(f, finv)
+                    f[a, b] = f.get((a, b), Q0) + bmat[v][w] * ca * cb
+    # every pairing value is +-1, its own inverse, so F^-1 sums the same
+    # terms as F
+    wc = WeakCocycle(f, f)
     require(check_weak_cocycle(H, wc), _failure(InconsistentStructure, "bicharacter cocycle"))
     return wc
 

@@ -203,3 +203,60 @@ def test_attribute_reader_detector_sees_them():
                      "def present(carrier):\n    return scan(carrier.coordinates)\n"
                      "b.coordinates = None\ncoordinates = 1\n")
     assert _attribute_readers(tree, "coordinates") == [(3, "B.contains"), (5, "present")]
+
+
+def _exit_codes_by_hand(tree):
+    """(line, scope) of each int literal a `_cmd_*` handler or `_failed_check`
+    returns, and of each call in one that passes `render` an argument."""
+    def hit(node):
+        if isinstance(node, ast.Return):
+            return isinstance(node.value, ast.Constant) and type(node.value.value) is int
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "render"
+                and bool(node.args or node.keywords))
+
+    return [(line, scope) for line, scope in _scoped(tree, hit)
+            if scope.split(".")[0].startswith("_cmd_")
+            or scope.split(".")[0] == "_failed_check"]
+
+
+def test_every_command_takes_its_exit_code_from_the_recorded_checks():
+    # `_Output.render` decides 0 or 1 from the reports it was given; exit 2
+    # is `run`'s alone
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _exit_codes_by_hand(tree) == []
+
+
+def test_exit_code_detector_sees_them():
+    tree = ast.parse("def _cmd_a(args):\n    out.render(1)\n    return 1\n"
+                     "def _cmd_b(args):\n    def inner():\n        return 0\n"
+                     "    return out.render(code=0)\n"
+                     "def _failed_check(args):\n    return out.render()\n"
+                     "def run(argv):\n    return 2\n")
+    assert _exit_codes_by_hand(tree) == [
+        (2, "_cmd_a"), (3, "_cmd_a"), (6, "_cmd_b.inner"), (7, "_cmd_b")]
+
+
+def _document_layout(tree):
+    """(line, scope) of each ``kind: `` line and each join of lines by a
+    newline."""
+    def hit(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and node.value.startswith("kind: ")
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "join"
+                and getattr(node.func.value, "value", None) == "\n")
+
+    return _scoped(tree, hit)
+
+
+def test_every_document_is_laid_out_by_one_writer():
+    # the kind line, the field lines and the final newline of every document
+    # come from _serialize_lines; the serializers hand it their fields
+    tree = ast.parse((PACKAGE / "serialization.py").read_text(encoding="utf-8"))
+    assert {scope for _, scope in _document_layout(tree)} == {"_serialize_lines"}
+
+
+def test_document_layout_detector_sees_them():
+    tree = ast.parse('def write(x):\n    lines = ["kind: module"]\n'
+                     '    return "\\n".join(lines) + " ".join(x)\n'
+                     'class R:\n    def read(self):\n        return self.key_line("kind")\n')
+    assert _document_layout(tree) == [(2, "write"), (3, "write")]

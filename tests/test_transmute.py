@@ -301,3 +301,25 @@ def test_dihedral_automorphisms_induce_the_identity_presentation(k):
         assert all(p.action.mats[h] == ident.action.mats[sigma[h]] for h in range(H.dim))
         found += 1
     assert found == k * sum(1 for a in range(1, k) if math.gcd(a, k) == 1)
+
+
+@pytest.mark.parametrize("name, calls", [("kd4", 9), ("kd4_diag2", 13)])
+def test_transmute_builds_each_multiplier_once(name, calls, monkeypatch, request):
+    # L_f(e_a) and R_fS(e_b) are built once per morphism and read by the
+    # action, the R sums and the counit; the centralizer adds one of each
+    # per basis element of H_s
+    from weakhopf.algebra import WeakBialgebra, source_subalgebra
+
+    H = request.getfixturevalue(name).algebra
+    counts = {"left_mult": 0, "right_mult": 0}
+    for method in counts:
+        real = getattr(WeakBialgebra, method)
+
+        def counting(self, x, method=method, real=real):
+            counts[method] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(WeakBialgebra, method, counting)
+    transmute(H, canonical_r(H))
+    assert H.dim + source_subalgebra(H).dim == calls
+    assert counts == {"left_mult": calls, "right_mult": calls}
