@@ -297,6 +297,18 @@ def pair_coordinates(vectors, pivots, n, v2):
     return tuple(coords)
 
 
+def flip_matrix(m, n):
+    """The flip e_a (x) e_b -> e_b (x) e_a from an m-dim (x) n-dim space to
+    the n-dim (x) m-dim one, as a `Matrix` built from dense rows."""
+    from weakhopf.linalg import Matrix
+
+    out = zeros(n * m, m * n)
+    for a in range(m):
+        for b in range(n):
+            out[b * m + a][a * n + b] = Q1
+    return Matrix(out, n * m, m * n)
+
+
 def componentwise_action(M, N, elem2):
     """The action of the sparse 2-tensor elem2 on M (x) N (first leg on M),
     as dense rows summed entry by entry over the terms."""

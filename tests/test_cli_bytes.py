@@ -24,7 +24,7 @@ from weakhopf.serialization import (
     serialize_qt,
     serialize_quantum_groupoid,
 )
-from weakhopf.structures import QTStructure, WeakCocycle
+from weakhopf.structures import QTStructure, WeakCocycle, canonical_r
 
 
 def _bumped(x2, ab):
@@ -143,3 +143,50 @@ def test_every_command_is_pinned():
     commands = {argv[0] for argv in CASES.values()}
     assert commands == {"check", "transmute", "quantize", "twist", "verify-iso", "zoo"}
     assert sorted(PINS) == sorted(CASES)
+
+
+# `check <qg> <qt> <coc> --with-hexagons` on instances generated here: the
+# pair groupoid P3 with the canonical R and F = Delta(1), and the dihedral
+# D4 with the Klein-four sign cocycle on {s, r^2 s}, whose twisted and
+# plain tensors differ.  instance -> (exit code, text SHA-256, structured
+# SHA-256)
+HEXAGON_PINS = {
+    "P3": (0, "7fd9b6e07b109403a59e65fb436a83c00316d26208dba3151b8915264ca2f586",
+           "4ec6281a061a974f895a02a3b5b025875cccc936e117042d8cfdea5e086e3345"),
+    "D4": (0, "cc180d65b0d9f01d6b598f1b2f5a9e8d96f7c46dd3413ae3e18e28713e227a14",
+           "a02c442f93d04fe7cad34927f71399b845db5702c006e6dc7636ca6f786df5a8"),
+}
+
+KLEIN_BETA = [[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, 1, 1], [1, 1, -1, -1]]
+
+
+def _hexagon_instance(name):
+    if name == "P3":
+        H = zoo.groupoid_algebra(zoo.GroupoidSpec.pair_groupoid(3))
+        return H, canonical_r(H), zoo.trivial_cocycle(H)
+    H = zoo.dihedral_group_algebra(4)
+    gens = [H.basis_names.index("s"), H.basis_names.index("r2s")]
+    return H, canonical_r(H), zoo.bicharacter_cocycle(H, gens, KLEIN_BETA)
+
+
+@pytest.mark.parametrize("name", sorted(HEXAGON_PINS))
+def test_check_with_hexagons_bytes_and_exit_code(name, tmp_path, capsys):
+    H, qt, wc = _hexagon_instance(name)
+    files = []
+    for ext, text in (("qg", serialize_quantum_groupoid(H)), ("qt", serialize_qt(H, qt)),
+                      ("coc", serialize_cocycle(H, wc))):
+        path = tmp_path / ("%s.%s" % (name, ext))
+        path.write_text(text, encoding="utf-8")
+        files.append(str(path))
+    got = []
+    for fmt in ("text", "structured"):
+        code = run(["check"] + files + ["--with-hexagons", "--format", fmt])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out.replace(str(tmp_path), "TMP")
+        if fmt == "structured":
+            assert json.loads(out)["exit"] == code
+        got.append((code, _sha(out)))
+    (code, text), (structured_code, structured) = got
+    assert code == structured_code
+    assert (code, text, structured) == HEXAGON_PINS[name]
