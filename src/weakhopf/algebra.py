@@ -408,6 +408,12 @@ class WeakBialgebra:
         B.__dict__.update((name, getattr(self, name)) for name in _PRODUCT)
         return B
 
+    def __getstate__(self):
+        """What a copy or a pickle takes: the tables, what was computed from
+        them alone and the antipode.  What was built over the algebra and
+        kept on it, such as its modules, stays with it."""
+        return {k: v for k, v in vars(self).items() if k in _STATE}
+
     @cached_property
     def is_cocommutative(self) -> bool:
         return all(
@@ -423,6 +429,10 @@ class WeakBialgebra:
 # computed from them alone
 _TABLES = frozenset(("basis_names", "dim", "unit", "counit", "mul_rows", "comul_cols")) | {
     name for name, v in vars(WeakBialgebra).items() if isinstance(v, cached_property)}
+
+
+# what a copy of an algebra takes: its tables and its antipode
+_STATE = _TABLES | {"antipode", "antipode_inv"}
 
 
 # what a weak bialgebra computes from its product, unit and counit alone,

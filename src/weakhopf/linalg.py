@@ -17,7 +17,8 @@ or more terms, and a product row that does so with a coefficient other than
 ints (`_int_sum`).  A row with one term is copied or scaled, and a product
 row whose coefficients are all 1 adds Fractions (`_add_into`), which copies
 the entries of disjoint rows, as in products of 0/1 matrices, without any
-arithmetic.  The k-tensor kernels of `algebra` (`sparse_mul`,
+arithmetic.  A product by an identity matrix takes the other factor's
+rows as they are.  The k-tensor kernels of `algebra` (`sparse_mul`,
 `sparse_coproduct_leg`) sum in ints the same way, through `_ints` and
 `_fractions`.  Elimination (`rref` and what is built on it) and the
 one-vector membership test `SubspaceBasis.coordinates` add Fractions.
@@ -365,6 +366,10 @@ class Matrix:
                 "matrix product shape mismatch: %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        if self.is_identity():  # a product by an identity is the other factor
+            return Matrix._of(other.rows, other.cols, list(other.sparse_rows))
+        if other.is_identity():
+            return Matrix._of(self.rows, self.cols, list(self.sparse_rows))
         brows = other.sparse_rows
         ints = shared = None  # for _int_sum, made on first use
         out = []

@@ -4,11 +4,18 @@ The monoidal product of two modules is the image of the projector given by
 the (possibly cocycle-twisted) coproduct of 1 acting componentwise; the
 unit object is the target subalgebra H_t with action h . z = eps_t(h z).
 Braidings are stored as exact matrices between canonical image bases.
+
+Every object and map of an algebra's module category is built once per
+algebra, in one memo kept on the algebra (`_once`), under a key that holds
+the values that define it: a module by identity, a 2-tensor, a coproduct and
+its unit by value.  Two categories over one algebra therefore share every
+tensor whose coproduct and unit are equal, and nothing else.  A truncated
+tensor builds its induced action of e_i the first time it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
 
@@ -24,7 +31,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, Q1, SubspaceBasis, _by_first, _dense, _kron_sum, _restrict, kron
+from .linalg import Matrix, SubspaceBasis, _by_first, _dense, _kron_sum, _restrict, kron
 from .report import VerificationReport, Witness, comparison, require
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
@@ -33,11 +40,16 @@ class HModule:
     """Left module over a quantum groupoid, one action matrix per basis."""
 
     def __init__(self, algebra: QuantumGroupoid, mats, name=""):
+        """mats: one action matrix per basis element, or the `_Actions` of a
+        truncated tensor, which are kept as they are and built when read."""
         self.algebra = algebra
-        self.mats = tuple(mats)
+        if isinstance(mats, _Actions):
+            self.mats, self.dim = mats, mats.dim
+        else:
+            self.mats = tuple(mats)
+            self.dim = self.mats[0].rows if self.mats else 0
         if len(self.mats) != algebra.dim:
             raise MismatchedAlgebra("need one action matrix per algebra basis")
-        self.dim = self.mats[0].rows if self.mats else 0
         self.name = name
 
     def act_element(self, x) -> Matrix:
@@ -105,17 +117,32 @@ def _module_map_identities(x, src: HModule, dst: HModule, gate=True):
     return _on_generators(H, identities, gate and _modules_over(H, src, dst))
 
 
+def _category(H) -> dict:
+    """The memo of H's module category, kept on H.  Neither a copy of H
+    (`WeakBialgebra.__getstate__`) nor a quantum groupoid built on H's
+    tables takes it over."""
+    memo = H.__dict__.get("_category")
+    if memo is None:
+        memo = H.__dict__["_category"] = {}
+    return memo
+
+
+def _once(H, key, build):
+    """build(), built once per algebra H: the value kept under key in the
+    memo of H's module category."""
+    memo = _category(H)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
 def _kept(build):
-    """build(H), kept on the algebra H so that it is built once per algebra;
-    a quantum groupoid built on H's tables does not take it over."""
-    key = "_" + build.__name__
+    """build(H), built once per algebra H."""
 
     @wraps(build)
     def kept(H):
-        value = H.__dict__.get(key)
-        if value is None:
-            value = H.__dict__[key] = build(H)
-        return value
+        return _once(H, build, lambda: build(H))
 
     return kept
 
@@ -140,6 +167,31 @@ def ht_module(H: QuantumGroupoid):
     return ht, HModule(H, mats, name="H_t")
 
 
+class _Actions:
+    """The induced actions of a truncated tensor, dim x dim each: action i
+    is build(i), built the first time index i is read."""
+
+    __slots__ = ("dim", "_build", "_built")
+
+    def __init__(self, n, dim, build):
+        self.dim = dim
+        self._build = build
+        self._built = [None] * n
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, i):
+        i = range(len(self._built))[i]
+        m = self._built[i]
+        if m is None:
+            m = self._built[i] = self._build(i)
+        return m
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._built)))
+
+
 @dataclass
 class TruncatedTensor:
     """Image of the unit-coproduct projector on M (x) N with induced action."""
@@ -150,7 +202,7 @@ class TruncatedTensor:
     basis: SubspaceBasis
     inclusion: Matrix  # ambient x image-dim
     projection: Matrix  # image-dim x ambient
-    module: HModule  # induced action in image coordinates
+    module: HModule  # induced action in image coordinates, built when read
 
     @property
     def ambient_dim(self):
@@ -174,37 +226,41 @@ def twisted_coproduct_column(H, wc: WeakCocycle, i) -> dict:
 def truncated_tensor(M: HModule, N: HModule, ctx: "BraidContext",
                      validate: bool = True) -> TruncatedTensor:
     """The truncated tensor of M and N in ctx's category, built once per
-    context; its induced action is validated when validate is true."""
+    algebra, module pair and coproduct; its induced action is validated
+    when validate is true."""
     if M.algebra is not N.algebra:
         raise MismatchedAlgebra("modules over different algebras")
-    key = ("tensor", M, N)
-    if key not in ctx.memo:
-        H = ctx.algebra
-        columns, unit2 = ctx.coproduct
-        projector = ctx.action(M, N, unit2)
-        if projector * projector != projector:
-            raise InconsistentStructure("tensor projector is not idempotent")
-        basis = projector.column_space()
-        inclusion = basis.embedding()
-        # projection = the projector's rows at the pivots, its columns in
-        # basis coordinates; proj . incl = id and incl . proj = projector.
-        rows = projector.sparse_rows
-        projection = Matrix._of(basis.dim, projector.cols, [rows[p] for p in basis.pivots])
-        mats = [projection * ctx.action(M, N, columns[i]) * inclusion for i in range(H.dim)]
-        ctx.memo[key] = TruncatedTensor(M, N, projector, basis, inclusion, projection,
-                                        HModule(H, mats, name="tensor"))
-    t = ctx.memo[key]
+    t = _once(ctx.algebra, ("tensor", M, N, ctx.coproduct_key), lambda: _tensor(M, N, ctx))
     if validate:
         t.module.validate()
     return t
 
 
-def _flip_matrix(m_dim, n_dim) -> Matrix:
-    return Matrix.from_entries(
-        n_dim * m_dim,
-        m_dim * n_dim,
-        ((b * m_dim + a, a * n_dim + b, Q1) for a in range(m_dim) for b in range(n_dim)),
-    )
+def _tensor(M: HModule, N: HModule, ctx: "BraidContext") -> TruncatedTensor:
+    H = ctx.algebra
+    columns, unit2 = ctx.coproduct
+    projector = ctx.action(M, N, unit2)
+    if projector * projector != projector:
+        raise InconsistentStructure("tensor projector is not idempotent")
+    basis = projector.column_space()
+    inclusion = basis.embedding()
+    # projection = the projector's rows at the pivots, its columns in basis
+    # coordinates; proj . incl = id and incl . proj = projector.
+    rows = projector.sparse_rows
+    projection = Matrix._of(basis.dim, projector.cols, [rows[p] for p in basis.pivots])
+
+    def induced(i):
+        return projection * ctx.action(M, N, columns[i]) * inclusion
+
+    return TruncatedTensor(M, N, projector, basis, inclusion, projection,
+                           HModule(H, _Actions(H.dim, basis.dim, induced), name="tensor"))
+
+
+def _flipped(a: Matrix, m, n) -> Matrix:
+    """a times the flip of an m-dim (x) n-dim space onto the n-dim (x) m-dim
+    one: column b m + i of a, for i < m and b < n, becomes column i n + b."""
+    return Matrix._of(a.rows, a.cols, [{(j % m) * n + j // m: x for j, x in row.items()}
+                                       for row in a.sparse_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +272,20 @@ class BraidContext:
     """The braided module category of an algebra: plain with the R-matrix
     qt (`psi`), or twisted by the cocycle wc (`phi`) exactly when wc is set.
 
-    memo holds what the context has built, keyed on the module objects
-    themselves: each truncated tensor ("tensor", M, N), each action of a
-    2-tensor on M (x) N (M, N, its terms) and each plain braiding
-    ("braiding", M, N).  It lives as long as the context.
+    What it builds is kept in the memo of the algebra's module category
+    (`_once`), keyed on the module objects and on values: each action of a
+    2-tensor on M (x) N by ("action", M, N, its terms), each truncated
+    tensor by ("tensor", M, N, coproduct_key), each plain braiding by
+    ("braiding", M, N, the terms of the 2-tensor that braids), and the
+    bracketings of `coherence_report` by ("bracketing", M, N, P,
+    coproduct_key).  When F commutes with every Delta(h), as it does when F
+    is trivial or H is commutative, F^-1 Delta(h) F = Delta(h): the two
+    categories then share every tensor, and differ in their braidings only.
     """
 
     algebra: QuantumGroupoid
     qt: Optional[QTStructure] = None
     wc: Optional[WeakCocycle] = None
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def psi(cls, H, qt):
@@ -249,25 +309,38 @@ class BraidContext:
         # F^-1 F = Delta_cop(1), = Delta(1) when cocommutative
         return columns, _mul2(H, self.wc.finv, self.wc.f)
 
+    @cached_property
+    def coproduct_key(self):
+        """The coproduct columns and the unit 2-tensor as one value, which
+        keys what is built from them."""
+        columns, unit2 = self.coproduct
+        return (tuple(frozenset(columns[i].items()) for i in range(self.algebra.dim)),
+                frozenset(unit2.items()))
+
+    @cached_property
+    def _braid(self):
+        """(g, its terms) for the 2-tensor g whose action on N (x) M, with
+        its columns relabelled, is the plain braiding of M past N: R_21, or
+        F^-1 F_21 in the twisted category."""
+        if self.wc is None:
+            g = swap2(self.qt.r)
+        else:
+            g = _mul2(self.algebra, self.wc.finv, swap2(self.wc.f))
+        return g, frozenset(g.items())
+
     def action(self, M, N, elem2) -> Matrix:
         """The action of the sparse 2-tensor elem2 on M (x) N, first leg on
-        M, built once per module pair and 2-tensor."""
-        key = (M, N, frozenset(elem2.items()))
-        if key not in self.memo:
-            self.memo[key] = _componentwise_action(M, N, elem2)
-        return self.memo[key]
+        M, built once per algebra, module pair and 2-tensor."""
+        return _once(self.algebra, ("action", M, N, frozenset(elem2.items())),
+                     lambda: _componentwise_action(M, N, elem2))
 
     def braiding_plain(self, M, N) -> Matrix:
         """M (x) N -> N (x) M on plain coordinates: v (x) w -> R^(2) . w (x)
-        R^(1) . v, or m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m."""
-        key = ("braiding", M, N)
-        if key not in self.memo:
-            if self.wc is None:
-                g = swap2(self.qt.r)
-            else:
-                g = _mul2(self.algebra, self.wc.finv, swap2(self.wc.f))
-            self.memo[key] = self.action(N, M, g) * _flip_matrix(M.dim, N.dim)
-        return self.memo[key]
+        R^(1) . v, or m (x) n -> (F^-(1) F'(2)) . n (x) (F^-(2) F'(1)) . m:
+        the action of g on N (x) M with its columns relabelled."""
+        g, terms = self._braid
+        return _once(self.algebra, ("braiding", M, N, terms),
+                     lambda: _flipped(self.action(N, M, g), M.dim, N.dim))
 
     def braiding(self, M, N):
         """The braiding of M past N and its inverse, between the image bases
@@ -279,7 +352,7 @@ class BraidContext:
         t_mn, t_nm = truncated_tensor(M, N, self), truncated_tensor(N, M, self)
         braid = t_nm.projection * self.braiding_plain(M, N) * t_mn.inclusion
         if self.wc is None:
-            inv_plain = self.action(M, N, swap2(self.qt.rinv)) * _flip_matrix(N.dim, M.dim)
+            inv_plain = _flipped(self.action(M, N, swap2(self.qt.rinv)), N.dim, M.dim)
             return braid, t_mn.projection * inv_plain * t_nm.inclusion
         inv = braid.inverse()
         if inv is None:
@@ -363,15 +436,18 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     left = truncated_tensor(t_mn.module, P, ctx, validate=False)
     right = truncated_tensor(M, t_np.module, ctx, validate=False)
 
-    # both bracketings must carve out the same subspace of M (x) N (x) P
-    lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
-    lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
-    sub_l = lift_l.column_space()
-    _same_subspace(rep, "bracketing-subspaces-equal", sub_l, lift_r.column_space())
+    # both bracketings must carve out the same subspace of M (x) N (x) P,
+    # and so must the triple projector in plain coordinates
+    def bracketings():
+        lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
+        lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
+        return (lift_l, lift_l.column_space(), lift_r.column_space(),
+                ctx.triple_projector(M, N, P).column_space())
 
-    # triple projector in plain coordinates spans the same subspace
-    _same_subspace(rep, "iterated-unit-projector-subspace",
-                   ctx.triple_projector(M, N, P).column_space(), sub_l)
+    lift_l, sub_l, sub_r, sub_3 = _once(H, ("bracketing", M, N, P, ctx.coproduct_key),
+                                        bracketings)
+    _same_subspace(rep, "bracketing-subspaces-equal", sub_l, sub_r)
+    _same_subspace(rep, "iterated-unit-projector-subspace", sub_3, sub_l)
 
     # hexagon 1: braiding M past N (x) P equals braiding in two steps,
     # realized on plain M (x) N (x) P coordinates (associators are the

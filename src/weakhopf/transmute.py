@@ -18,6 +18,7 @@ from .linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, k
 from .modules import (
     BraidContext,
     HModule,
+    _kept,
     _module_map_identities,
     _unitor_plain,
     ht_module,
@@ -55,7 +56,9 @@ class QGMorphism:
                 [L.right_mult(fs.column(b)) for b in range(H.dim)])
 
 
+@_kept
 def identity_morphism(H: QuantumGroupoid) -> QGMorphism:
+    """The identity of H, built once per algebra with its multipliers."""
     return QGMorphism(H, H, Matrix.identity(H.dim))
 
 

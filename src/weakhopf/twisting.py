@@ -143,7 +143,7 @@ def _alpha_between(H, wc, tw: TwistedPair, ad, c_src, c_dst):
     twisted algebra; ad is the adjoint action of H."""
     n = H.dim
     left, right = H.left_mult_mats, H.right_mult_mats
-    right_s = [H.right_mult(H.antipode.column(b)) for b in range(n)]  # R_S(e_b)
+    right_s = identity_morphism(H).multipliers[1]  # R_S(e_b)
 
     def carrier_map(rule, src, dst, what):
         """rule (a matrix on H) from the carrier src to dst coordinates."""

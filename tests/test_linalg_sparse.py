@@ -438,3 +438,18 @@ def test_restrict_matches_dense_coordinates(a, data):
         for rows in (size - 1, size + 1) if size else (1,):
             with pytest.raises(DimensionMismatch):
                 _restrict(Matrix.zero(rows, 1), target, fail)
+
+
+@settings(max_examples=100)
+@given(matrices(), st.booleans())
+def test_product_by_an_identity_matches_dense(a, on_the_left):
+    # a product by an identity matrix returns the other factor's rows
+    ident = Matrix.identity(a.rows if on_the_left else a.cols)
+    prod = ident * a if on_the_left else a * ident
+    assert_sparse(prod)
+    assert prod.data == (dense.matmul(ident, a) if on_the_left else dense.matmul(a, ident))
+    assert prod == a
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(a.rows + 1) * a
+    with pytest.raises(DimensionMismatch):
+        a * Matrix.identity(a.cols + 1)

@@ -157,9 +157,34 @@ def _package_scopes(find, name):
 
 def test_tensor_actions_are_built_only_by_the_context_memo():
     # every action of a 2-tensor on M (x) N goes through BraidContext.action,
-    # so that a context builds each one once
+    # so that an algebra builds each one once
     callers = _package_scopes(_callers, "_componentwise_action")
     assert callers == {("modules.py", "BraidContext.action")}
+
+
+def _category_memo_reads(tree):
+    """(line, enclosing class and function names) of each call of `_once`
+    or `_category`, and of each use of the memo's key "_category"."""
+    return _scoped(tree, lambda node: (
+        isinstance(node, ast.Call) and bool({"_once", "_category"} & {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)}))
+        or (isinstance(node, ast.Constant) and node.value == "_category"))
+
+
+def test_only_modules_reads_the_category_memo():
+    # the memo of an algebra's module category is read and written in
+    # modules.py alone, so every key in it is one that modules.py builds
+    readers = {p.name for p in sorted(PACKAGE.glob("*.py"))
+               if _category_memo_reads(ast.parse(p.read_text(encoding="utf-8")))}
+    assert readers == {"modules.py"}
+
+
+def test_category_memo_detector_sees_them():
+    tree = ast.parse('memo = H.__dict__["_category"]\n'
+                     "def f(H):\n    return modules._once(H, key, build)\n"
+                     "class C:\n    def m(self):\n        return _category(self.H)\n"
+                     "_categoryx = once(H, key, build)\n")
+    assert _category_memo_reads(tree) == [(1, ""), (3, "f"), (6, "C.m")]
 
 
 def test_caller_detector_sees_them():

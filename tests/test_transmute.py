@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 from fractions import Fraction as Q
@@ -307,10 +308,11 @@ def test_dihedral_automorphisms_induce_the_identity_presentation(k):
 def test_transmute_builds_each_multiplier_once(name, calls, monkeypatch, request):
     # L_f(e_a) and R_fS(e_b) are built once per morphism and read by the
     # action, the R sums and the counit; the centralizer adds one of each
-    # per basis element of H_s
+    # per basis element of H_s.  The identity morphism is kept per algebra
+    # with its multipliers, and a copy of the algebra leaves it behind
     from weakhopf.algebra import WeakBialgebra, source_subalgebra
 
-    H = request.getfixturevalue(name).algebra
+    H = copy.copy(request.getfixturevalue(name).algebra)
     counts = {"left_mult": 0, "right_mult": 0}
     for method in counts:
         real = getattr(WeakBialgebra, method)

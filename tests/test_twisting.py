@@ -13,10 +13,11 @@ from weakhopf import (
     tensor_action_identification,
     twist,
     verify_isomorphism,
+    zoo,
 )
 from weakhopf.errors import CarrierMismatch, PreconditionUnmet
 from weakhopf.linalg import SubspaceBasis
-from weakhopf.serialization import serialize_presentation
+from weakhopf.serialization import parse, serialize_presentation, serialize_quantum_groupoid
 from weakhopf.structures import QTStructure
 from weakhopf.transmute import ambient_action, centralizer, identity_morphism
 from weakhopf.twisting import _alpha_between
@@ -269,6 +270,32 @@ def test_verify_isomorphism_builds_each_carrier_once(kd4, monkeypatch):
     assert verify_isomorphism(kd4.algebra, kd4.qt, kd4.cocycle).report.passed
     assert len(calls) == 2
     assert len(action_calls) == 2
+
+
+@pytest.mark.parametrize("name, left, right", [("kd4", 23, 25), ("kd4_diag2", 31, 35)])
+def test_verify_isomorphism_builds_each_right_multiplier_once(name, left, right, monkeypatch):
+    # the comparison map reads R_S(e_b) from the identity morphism the
+    # quantizer built on the same algebra, rather than building all dim H of
+    # them again; the algebra is parsed afresh, so nothing is cached on it
+    algebra_mod = importlib.import_module("weakhopf.algebra")
+    counts = {"left_mult": 0, "right_mult": 0}
+
+    def counting(kind):
+        real = getattr(algebra_mod.WeakBialgebra, kind)
+
+        def count(self, x):
+            counts[kind] += 1
+            return real(self, x)
+
+        return count
+
+    fx = zoo.fixture(name)
+    H = parse(serialize_quantum_groupoid(fx.algebra))
+    qt = canonical_r(H)
+    for kind in counts:
+        monkeypatch.setattr(algebra_mod.WeakBialgebra, kind, counting(kind))
+    assert verify_isomorphism(H, qt, fx.cocycle).report.passed
+    assert counts == {"left_mult": left, "right_mult": right}
 
 
 def test_comparison_map_refuses_a_carrier_it_leaves(kd4):
