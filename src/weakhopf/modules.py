@@ -117,20 +117,12 @@ def _module_map_identities(x, src: HModule, dst: HModule, gate=True):
     return _on_generators(H, identities, gate and _modules_over(H, src, dst))
 
 
-def _category(H) -> dict:
-    """The memo of H's module category, kept on H.  Neither a copy of H
-    (`WeakBialgebra.__getstate__`) nor a quantum groupoid built on H's
-    tables takes it over."""
-    memo = H.__dict__.get("_category")
-    if memo is None:
-        memo = H.__dict__["_category"] = {}
-    return memo
-
-
 def _once(H, key, build):
     """build(), built once per algebra H: the value kept under key in the
-    memo of H's module category."""
-    memo = _category(H)
+    memo of H's module category.  The memo lives on H; neither a copy of H
+    (`WeakBialgebra.__getstate__`) nor a quantum groupoid built on H's
+    tables takes it over."""
+    memo = H.__dict__.setdefault("_category", {})
     value = memo.get(key)
     if value is None:
         value = memo[key] = build()

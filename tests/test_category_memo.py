@@ -81,9 +81,9 @@ def test_every_induced_action_equals_its_eager_build(name, H, qt, wc):
 
 
 def _crossings():
-    """(name, H, qt, wc) whose plain and twisted coproducts differ: kd4,
-    kd4_diag2 and D4 with their Klein cocycles, and kd4 twisted by its
-    cocycle's transpose."""
+    """(name, H, qt, wc) whose plain and twisted coproducts differ: kd4 and
+    kd4_diag2 with their fixture cocycles, D4 with the Klein cocycle, and
+    kd4 twisted by its cocycle's transpose."""
     out = [i for i in INSTANCES if i[0] in ("kd4", "kd4_diag2", "D4-klein")]
     kd4 = zoo.fixture("kd4")
     skewed = WeakCocycle(swap2(kd4.cocycle.f), swap2(kd4.cocycle.finv))
