@@ -7,8 +7,12 @@ each action that way, on every fixture and every instance of the size
 ladder, in the plain and in the twisted category, and check that the
 tensor and braidings a context hands out are the ones its own coproduct,
 unit and braiding tensor define, whatever another context over the same
-algebra has built before it.
+algebra has built before it, and that no copy of an algebra takes over
+what was built on it.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -119,3 +123,20 @@ def test_each_context_braids_with_its_own_tensor(name, H, qt, wc):
         for A, B in ((M, N), (N, M), (M, M)):
             want = _componentwise_action(B, A, g) * dense.flip_matrix(A.dim, B.dim)
             assert ctx.braiding_plain(A, B) == want, (name, kind)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_leave_the_category_memo_behind(how):
+    # the memo holds tensors whose actions are still unbuilt closures; a
+    # copy takes the algebra's tables and builds its own modules
+    make = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda H: pickle.loads(pickle.dumps(H))}[how]
+    H, qt, wc = d4_klein()
+    M = regular_module(H)
+    truncated_tensor(M, M, BraidContext.phi(H, wc), validate=False)
+    H2 = make(H)
+    assert set(vars(H2)) < set(vars(H))
+    M2 = regular_module(H2)
+    assert M2.algebra is H2 and M2 is not M
+    t = truncated_tensor(M2, M2, BraidContext.phi(H2, wc), validate=False)
+    assert list(t.module.mats) == _eager(t, BraidContext.phi(H2, wc))

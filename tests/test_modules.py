@@ -218,13 +218,14 @@ def test_coherence_report_builds_each_braiding_once(kd4, monkeypatch):
 
 def test_coherence_report_builds_each_tensor_action_once(monkeypatch):
     # the algebra builds each action of a 2-tensor on M (x) N once, for both
-    # categories: the plain report builds only the actions it reads (the
-    # projectors of the four tensors, three of them also the braiding
-    # tensor R_21 = Delta(1), the actions of Delta(e_x) over the first legs
-    # x of Delta^2(1) on M (x) M and on M (x) H_t, and the same columns on
-    # the tensor N (x) P that the braiding of M past N (x) P reads); on P3
-    # with F = Delta(1) the twisted coproduct, unit and braiding tensor are
-    # the plain ones, so the twisted report builds none
+    # categories.  The plain report builds only what it reads: the three
+    # projectors, on M (x) M, (M (x) M) (x) M and M (x) (M (x) M), which are
+    # also the actions of its braiding tensor R_21 = Delta(1), and the
+    # actions of Delta(e_x), x a first leg of Delta^2(1), on M (x) M (read
+    # by the triple projector and by the induced actions of M (x) M that the
+    # braidings read) and on M (x) H_t (the unitor triangle).  On P3 with
+    # F = Delta(1) the twisted coproduct, unit and braiding tensor are the
+    # plain ones, so the twisted report builds none
     real = modules_mod._componentwise_action
     calls = []
 
