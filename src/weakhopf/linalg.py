@@ -14,11 +14,14 @@ zero.  ``Matrix.data`` is a dense list-of-lists view built on each access.
 Sums of products run in integers: a row of `Matrix.lincomb` that sums two
 or more terms, and a product row that does so with a coefficient other than
 1, are scaled to integer numerators over a common denominator and summed as
-ints (`_int_sum`).  A row with one term is copied or scaled, and a product
-row whose coefficients are all 1 adds Fractions (`_add_into`), which copies
-the entries of disjoint rows, as in products of 0/1 matrices, without any
+ints (`_int_sum`).  A row with one term is that term's row, as it is when
+its coefficient is 1 and scaled otherwise, and a product row whose
+coefficients are all 1 adds Fractions (`_add_into`), which copies the
+entries of disjoint rows, as in products of 0/1 matrices, without any
 arithmetic.  A product by an identity matrix takes the other factor's
-rows as they are.  The k-tensor kernels of `algebra` (`sparse_mul`,
+rows as they are.  A whiskered product (A (x) id) X or (id (x) A) X
+(`_whiskered`) is A times blocks of the rows of X, the same way, and builds
+no Kronecker product.  The k-tensor kernels of `algebra` (`sparse_mul`,
 `sparse_coproduct_leg`) sum in ints the same way, through `_ints` and
 `_fractions`.  Elimination (`rref` and what is built on it) and the
 one-vector membership test `SubspaceBasis.coordinates` add Fractions.
@@ -167,8 +170,45 @@ def _fractions(acc, d, built):
 
 
 def _scaled(c, row):
-    """c * row as a new dict, c nonzero."""
-    return dict(row) if c == 1 else {j: c * x for j, x in row.items()}
+    """c * row, c nonzero: row itself when c is 1, else a new dict."""
+    return row if c == 1 else {j: c * x for j, x in row.items()}
+
+
+def _combined(arows, brows):
+    """The rows sum_k a[k] brows[k], one for each sparse row a of arows: the
+    rows of a product whose left factor has the rows arows.  A row of one
+    term is that row of brows, scaled; see the module docstring for sums."""
+    ints = shared = None  # for _int_sum, made on first use
+    out = []
+    for arow in arows:
+        if len(arow) < 2:  # empty, or one scaled row of brows
+            for k, a in arow.items():
+                out.append(_scaled(a, brows[k]))
+                break
+            else:
+                out.append({})
+            continue
+        for a in arow.values():
+            if not a == 1:
+                break
+        else:  # a plain sum of rows of brows
+            acc = {}
+            for k in arow:
+                _add_into(acc, Q1, brows[k])
+            out.append(acc)
+            continue
+        if ints is None:
+            ints, shared = {}, {}  # k -> _ints(brows[k]); see _int_sum
+        terms = []
+        for k, a in arow.items():
+            brow = brows[k]
+            if brow:
+                s = ints.get(k)
+                if s is None:
+                    s = ints[k] = _ints(brow)
+                terms.append((a, s))
+        out.append(_int_sum(terms, shared))
+    return out
 
 
 def _rref_rows(rows):
@@ -227,8 +267,10 @@ class Matrix:
     ``sparse_rows[i]`` maps each column where row i is nonzero to its entry;
     no zero is ever stored, so equal matrices have equal rows.  Matrices are
     shared (cached structure maps, action matrices), so treat the rows as
-    read-only: every operation returns a new matrix.  ``data`` is a dense
-    copy, rebuilt on each access; writing into it changes nothing.
+    read-only: every operation returns a new matrix, whose rows may be row
+    objects of its operands (a product row that is one row of the right
+    factor, a lincomb row of one term with coefficient 1).  ``data`` is a
+    dense copy, rebuilt on each access; writing into it changes nothing.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows")
@@ -370,38 +412,7 @@ class Matrix:
             return Matrix._of(other.rows, other.cols, list(other.sparse_rows))
         if other.is_identity():
             return Matrix._of(self.rows, self.cols, list(self.sparse_rows))
-        brows = other.sparse_rows
-        ints = shared = None  # for _int_sum, made on first use
-        out = []
-        for arow in self.sparse_rows:
-            if len(arow) < 2:  # empty, or one scaled row of other
-                for k, a in arow.items():
-                    out.append(_scaled(a, brows[k]))
-                    break
-                else:
-                    out.append({})
-                continue
-            for a in arow.values():
-                if not a == 1:
-                    break
-            else:  # a plain sum of rows of other; see the module docstring
-                acc = {}
-                for k in arow:
-                    _add_into(acc, Q1, brows[k])
-                out.append(acc)
-                continue
-            if ints is None:
-                ints, shared = {}, {}  # k -> _ints(brows[k]); see _int_sum
-            terms = []
-            for k, a in arow.items():
-                brow = brows[k]
-                if brow:
-                    s = ints.get(k)
-                    if s is None:
-                        s = ints[k] = _ints(brow)
-                    terms.append((a, s))
-            out.append(_int_sum(terms, shared))
-        return Matrix._of(self.rows, other.cols, out)
+        return Matrix._of(self.rows, other.cols, _combined(self.sparse_rows, other.sparse_rows))
 
     def apply(self, v) -> tuple:
         if len(v) != self.cols:
@@ -514,6 +525,26 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                         row[base + l] = x * y
             out.append(row)
     return Matrix._of(a.rows * b.rows, a.cols * width, out)
+
+
+def _whiskered(a: Matrix, n, x: Matrix, first) -> Matrix:
+    """kron(a, I_n) * x when first, else kron(I_n, a) * x, from the rows of a
+    and x.  a is p x q.  Row i n + k of a (x) id_n picks the rows j n + k of
+    x, so the rows i n + k of the product, for one k, are a times the rows
+    k, n + k, ... of x; row k p + i of id_n (x) a picks the rows k q + j, so
+    the product is a times each block of q rows of x in turn.  A row of a
+    that is a lone 1 gives the row of x it picks, as it is."""
+    p, q = a.rows, a.cols
+    if x.rows != q * n:
+        raise DimensionMismatch("whiskered product shape mismatch: %dx%d (x) id_%d by %dx%d"
+                                % (p, q, n, x.rows, x.cols))
+    rows = x.sparse_rows
+    if first:
+        blocks = [_combined(a.sparse_rows, rows[k::n]) for k in range(n)]
+        out = [row for picked in zip(*blocks) for row in picked]
+    else:
+        out = [row for k in range(n) for row in _combined(a.sparse_rows, rows[k * q:k * q + q])]
+    return Matrix._of(p * n, x.cols, out)
 
 
 def _by_first(x2):

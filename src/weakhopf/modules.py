@@ -10,7 +10,9 @@ algebra, in one memo kept on the algebra (`_once`), under a key that holds
 the values that define it: a module by identity, a 2-tensor, a coproduct and
 its unit by value.  Two categories over one algebra therefore share every
 tensor whose coproduct and unit are equal, and nothing else.  A truncated
-tensor builds its induced action of e_i the first time it is read.
+tensor builds its induced action of e_i the first time it is read.  The
+checks of a coherence report are kept there too, keyed by everything they
+read, braiding tensor included.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     MismatchedAlgebra,
     NotCocommutative,
 )
-from .linalg import Matrix, SubspaceBasis, _by_first, _dense, _kron_sum, _restrict, kron
+from .linalg import Matrix, SubspaceBasis, _by_first, _dense, _kron_sum, _restrict, _whiskered
 from .report import VerificationReport, Witness, comparison, require
 from .structures import QTStructure, WeakCocycle, _mul2, swap2
 
@@ -268,11 +270,16 @@ class BraidContext:
     (`_once`), keyed on the module objects and on values: each action of a
     2-tensor on M (x) N by ("action", M, N, its terms), each truncated
     tensor by ("tensor", M, N, coproduct_key), each plain braiding by
-    ("braiding", M, N, the terms of the 2-tensor that braids), and the
+    ("braiding", M, N, the terms of the 2-tensor that braids), the
     bracketings of `coherence_report` by ("bracketing", M, N, P,
-    coproduct_key).  When F commutes with every Delta(h), as it does when F
-    is trivial or H is commutative, F^-1 Delta(h) F = Delta(h): the two
-    categories then share every tensor, and differ in their braidings only.
+    coproduct_key), and its checks by ("coherence", M, N, P, coproduct_key,
+    the terms of the 2-tensor that braids).  When F commutes with every
+    Delta(h), as it does when F is trivial or H is commutative,
+    F^-1 Delta(h) F = Delta(h): the two categories then share every tensor,
+    and differ in their braidings only.  When also F = Delta(1) and R is the
+    canonical Delta_cop(1) Delta(1), both braiding tensors are Delta(1) (H
+    is cocommutative), so the two categories share every braiding and the
+    coherence report as well.
     """
 
     algebra: QuantumGroupoid
@@ -419,8 +426,21 @@ def _unitor_plain(M: HModule, ht: SubspaceBasis, left) -> Matrix:
 def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> VerificationReport:
     """Hexagon identities and bracketing consistency on a module triple.
 
-    Slow relative to the default suites; intended for small instances.
+    Slow relative to the default suites; intended for small instances.  The
+    checks are decided once per algebra, module triple, coproduct and
+    braiding tensor, the values they read; each call returns a new report.
     """
+    _, braid_terms = ctx._braid
+    checks = _once(ctx.algebra, ("coherence", M, N, P, ctx.coproduct_key, braid_terms),
+                   lambda: tuple(_coherence_checks(ctx, M, N, P).checks))
+    return VerificationReport("coherence", list(checks))
+
+
+def _coherence_checks(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> VerificationReport:
+    """The checks of `coherence_report`.  Every map X (x) id or id (x) X is
+    applied to the thin map on its right as a whiskered product
+    (`_whiskered`), so no Kronecker product is built and no two maps on
+    M (x) N (x) P are multiplied."""
     rep = VerificationReport("coherence")
     H = ctx.algebra
     t_mn = truncated_tensor(M, N, ctx, validate=False)
@@ -431,8 +451,8 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
     # both bracketings must carve out the same subspace of M (x) N (x) P,
     # and so must the triple projector in plain coordinates
     def bracketings():
-        lift_l = kron(t_mn.inclusion, Matrix.identity(P.dim)) * left.inclusion
-        lift_r = kron(Matrix.identity(M.dim), t_np.inclusion) * right.inclusion
+        lift_l = _whiskered(t_mn.inclusion, P.dim, left.inclusion, first=True)
+        lift_r = _whiskered(t_np.inclusion, M.dim, right.inclusion, first=False)
         return (lift_l, lift_l.column_space(), lift_r.column_space(),
                 ctx.triple_projector(M, N, P).column_space())
 
@@ -443,35 +463,30 @@ def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> V
 
     # hexagon 1: braiding M past N (x) P equals braiding in two steps,
     # realized on plain M (x) N (x) P coordinates (associators are the
-    # identity there); both hexagons braid M past P
+    # identity there); both hexagons braid M past P.  Each side is applied
+    # to lift_l, from the right
     psi_m_p = ctx.braiding_plain(M, P)
     psi_m_np = ctx.braiding_plain(M, t_np.module)
-    dom = kron(Matrix.identity(M.dim), t_np.projection)
-    cod = kron(t_np.inclusion, Matrix.identity(M.dim))
-    lhs = cod * psi_m_np * dom
-    step1 = kron(ctx.braiding_plain(M, N), Matrix.identity(P.dim))
-    step2 = kron(Matrix.identity(N.dim), psi_m_p)
-    rhs = step2 * step1
-    comparison(rep, "hexagon-first", [((), lhs * lift_l, rhs * lift_l)])
+    lhs = _whiskered(t_np.projection, M.dim, lift_l, first=False)
+    lhs = _whiskered(t_np.inclusion, M.dim, psi_m_np * lhs, first=True)
+    rhs = _whiskered(ctx.braiding_plain(M, N), P.dim, lift_l, first=True)
+    rhs = _whiskered(psi_m_p, N.dim, rhs, first=False)
+    comparison(rep, "hexagon-first", [((), lhs, rhs)])
 
     # hexagon 2: braiding M (x) N past P
     psi_mn_p = ctx.braiding_plain(t_mn.module, P)
-    dom = kron(t_mn.projection, Matrix.identity(P.dim))
-    cod = kron(Matrix.identity(P.dim), t_mn.inclusion)
-    lhs = cod * psi_mn_p * dom
-    step1 = kron(Matrix.identity(M.dim), ctx.braiding_plain(N, P))
-    step2 = kron(psi_m_p, Matrix.identity(N.dim))
-    rhs = step2 * step1
-    comparison(rep, "hexagon-second", [((), lhs * lift_l, rhs * lift_l)])
+    lhs = _whiskered(t_mn.projection, P.dim, lift_l, first=True)
+    lhs = _whiskered(t_mn.inclusion, P.dim, psi_mn_p * lhs, first=False)
+    rhs = _whiskered(ctx.braiding_plain(N, P), M.dim, lift_l, first=False)
+    rhs = _whiskered(psi_m_p, N.dim, rhs, first=True)
+    comparison(rep, "hexagon-second", [((), lhs, rhs)])
 
     # unitor triangle: (id (x) l) = (r (x) id) across M (x) H_t (x) N
     ht, zmod = ht_module(H)
-    l_plain = _unitor_plain(N, ht, left=True)
-    r_plain = _unitor_plain(M, ht, left=False)
-    lhs = kron(Matrix.identity(M.dim), l_plain)
-    rhs = kron(r_plain, Matrix.identity(N.dim))
     triple_z = ctx.triple_projector(M, zmod, N)
-    comparison(rep, "unitor-triangle", [((), lhs * triple_z, rhs * triple_z)])
+    lhs = _whiskered(_unitor_plain(N, ht, left=True), M.dim, triple_z, first=False)
+    rhs = _whiskered(_unitor_plain(M, ht, left=False), N.dim, triple_z, first=True)
+    comparison(rep, "unitor-triangle", [((), lhs, rhs)])
     return rep
 
 

@@ -8,7 +8,8 @@ ladder, in the plain and in the twisted category, and check that the
 tensor and braidings a context hands out are the ones its own coproduct,
 unit and braiding tensor define, whatever another context over the same
 algebra has built before it, and that no copy of an algebra takes over
-what was built on it.
+what was built on it.  The coherence report is kept the same way, and the
+two categories share it exactly when every value it reads agrees.
 """
 
 import copy
@@ -18,9 +19,9 @@ import pytest
 
 import dense_oracle as dense
 from test_generators import ladder
-from weakhopf import BraidContext, ht_module, regular_module, truncated_tensor, zoo
+from weakhopf import BraidContext, coherence_report, ht_module, regular_module, truncated_tensor, zoo
 from weakhopf.modules import _componentwise_action
-from weakhopf.structures import WeakCocycle, _mul2, canonical_r, swap2
+from weakhopf.structures import QTStructure, WeakCocycle, _mul2, canonical_r, swap2
 
 KLEIN_BETA = [[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, 1, 1], [1, 1, -1, -1]]
 
@@ -140,3 +141,80 @@ def test_copies_leave_the_category_memo_behind(how):
     assert M2.algebra is H2 and M2 is not M
     t = truncated_tensor(M2, M2, BraidContext.phi(H2, wc), validate=False)
     assert list(t.module.mats) == _eager(t, BraidContext.phi(H2, wc))
+
+
+def d2_klein():
+    """D_2 with the Klein-four sign cocycle on {s, rs}: commutative, so its
+    twisted coproduct is the plain one, but F^-1 F_21 is not R_21."""
+    H = zoo.dihedral_group_algebra(2)
+    gens = [H.basis_names.index("s"), H.basis_names.index("rs")]
+    return H, canonical_r(H), zoo.bicharacter_cocycle(H, gens, KLEIN_BETA)
+
+
+def p3_trivial():
+    """The pair groupoid P3 with F = Delta(1): both categories read the same
+    coproduct, unit and braiding tensor."""
+    H = zoo.groupoid_algebra(zoo.GroupoidSpec.pair_groupoid(3))
+    return H, canonical_r(H), zoo.trivial_cocycle(H)
+
+
+def diag2_bumped():
+    """diag2 with R = 2 e1 (x) e1 + e2 (x) e2, whose hexagons fail (see
+    test_witnesses), and F = Delta(1), whose hexagons hold: the two
+    coproducts agree and the two reports do not."""
+    fx = zoo.fixture("diag2")
+    r = dict(fx.qt.r)
+    r[0, 0] += 1
+    H = copy.copy(fx.algebra)
+    return H, QTStructure(r, fx.qt.rinv), zoo.trivial_cocycle(H)
+
+
+# instance -> (its builder, whether the twisted report is the plain one)
+REPORTS = {"P3-trivial": (p3_trivial, True), "D2-klein": (d2_klein, False),
+           "D4-klein": (d4_klein, False), "diag2-bumped": (diag2_bumped, False)}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_each_coherence_report_equals_its_build_on_a_copy(name):
+    # the plain report is built first and the twisted one second, over one
+    # algebra; each must read as the report built alone on a copy of the
+    # algebra, whose memo is empty
+    H, qt, wc = REPORTS[name][0]()
+    M = regular_module(H)
+    got = {kind: coherence_report(ctx, M, M, M).to_dict() for kind, ctx in _contexts(H, qt, wc)}
+    for kind in ("phi", "psi"):
+        alone = copy.copy(H)
+        ctx = dict(_contexts(alone, qt, wc))[kind]
+        N = regular_module(alone)
+        assert got[kind] == coherence_report(ctx, N, N, N).to_dict(), (name, kind)
+    assert (got["psi"] != got["phi"]) == (name == "diag2-bumped")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_the_twisted_coherence_report_is_kept_exactly_when_its_values_agree(name, monkeypatch):
+    # every report built braids five times (test_modules), and a report
+    # taken from the memo braids none.  The twisted report is the plain one
+    # when its coproduct, unit and braiding tensor are; each later call
+    # takes its own context's report, as a new report object
+    make, shared = REPORTS[name]
+    H, qt, wc = make()
+    real = BraidContext.braiding_plain
+    calls = []
+
+    def counting(self, M, N):
+        calls.append((M, N))
+        return real(self, M, N)
+
+    monkeypatch.setattr(BraidContext, "braiding_plain", counting)
+    M = regular_module(H)
+    contexts = _contexts(H, qt, wc)
+    built, reports = [], []
+    for _, ctx in contexts + contexts:
+        before = len(calls)
+        reports.append(coherence_report(ctx, M, M, M))
+        built.append(len(calls) - before)
+    assert built == [5, 0 if shared else 5, 0, 0], name
+    for a, b in zip(reports[:2], reports[2:]):
+        assert a is not b and a.checks is not b.checks and a.to_dict() == b.to_dict()
+    reports[0].checks.clear()
+    assert coherence_report(contexts[0][1], M, M, M).to_dict() == reports[2].to_dict()

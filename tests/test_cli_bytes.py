@@ -146,11 +146,14 @@ def test_every_command_is_pinned():
 
 
 # `check <qg> <qt> <coc> --with-hexagons` on instances generated here: the
-# pair groupoid P3 with the canonical R and F = Delta(1), and the dihedral
-# D4 with the Klein-four sign cocycle on {s, r^2 s}, whose twisted and
-# plain tensors differ.  instance -> (exit code, text SHA-256, structured
-# SHA-256)
+# pair groupoid P3 with the canonical R and F = Delta(1), the dihedral D4
+# with the Klein-four sign cocycle on {s, r^2 s}, whose twisted and plain
+# tensors differ, and D2 with the Klein-four sign cocycle on {s, rs}: D2 is
+# commutative, so its twisted and plain tensors agree and only the braidings
+# differ.  instance -> (exit code, text SHA-256, structured SHA-256)
 HEXAGON_PINS = {
+    "D2": (0, "bed9153db05bdd0dbe08a3cfdb1ae420a669d4b4f460f9e50e6d9e04420a2492",
+           "9c9554e241318e0fceb9d2779cbcb99accf7def78dbd93d70a0fb00316ac028c"),
     "P3": (0, "7fd9b6e07b109403a59e65fb436a83c00316d26208dba3151b8915264ca2f586",
            "4ec6281a061a974f895a02a3b5b025875cccc936e117042d8cfdea5e086e3345"),
     "D4": (0, "cc180d65b0d9f01d6b598f1b2f5a9e8d96f7c46dd3413ae3e18e28713e227a14",
@@ -164,8 +167,9 @@ def _hexagon_instance(name):
     if name == "P3":
         H = zoo.groupoid_algebra(zoo.GroupoidSpec.pair_groupoid(3))
         return H, canonical_r(H), zoo.trivial_cocycle(H)
-    H = zoo.dihedral_group_algebra(4)
-    gens = [H.basis_names.index("s"), H.basis_names.index("r2s")]
+    k = int(name[1:])
+    H = zoo.dihedral_group_algebra(k)
+    gens = [H.basis_names.index("s"), H.basis_names.index("rs" if k == 2 else "r%ds" % (k // 2))]
     return H, canonical_r(H), zoo.bicharacter_cocycle(H, gens, KLEIN_BETA)
 
 

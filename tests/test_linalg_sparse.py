@@ -2,6 +2,7 @@
 against the dense reference kernels in `dense_oracle`, on small rational
 matrices where zeros are drawn often and 0-row / 0-column shapes occur."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle as dense
 from weakhopf import linalg
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, kron
+from weakhopf.linalg import (
+    Matrix,
+    SubspaceBasis,
+    _kron_sum,
+    _product_sum,
+    _restrict,
+    _whiskered,
+    kron,
+)
 
 Q0 = Fraction(0)
 
@@ -453,3 +462,72 @@ def test_product_by_an_identity_matches_dense(a, on_the_left):
         Matrix.identity(a.rows + 1) * a
     with pytest.raises(DimensionMismatch):
         a * Matrix.identity(a.cols + 1)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_whiskered_product_matches_dense(q, n, cols, first, data):
+    # a has a row of each kind of mixed_rows (a plain sum, one non-unit
+    # term, c and -c on columns 0 and 1, free rows), a zero row and a lone
+    # 1; n = 1 is drawn too.  The two rows of x that columns 0 and 1 pick
+    # for one k are equal, so the row c, -c sums to zero
+    rows = data.draw(mixed_rows(q, 1)) + [[Q0] * q, [Q0] * (q - 1) + [Fraction(1)]]
+    a = Matrix(rows, len(rows), q)
+    xrows = [[data.draw(mixed) for _ in range(cols)] for _ in range(q * n)]
+    for k in range(n):
+        if first:  # row j n + k of x for column j
+            xrows[n + k] = list(xrows[k])
+        else:  # row k q + j
+            xrows[k * q + 1] = list(xrows[k * q])
+    x = Matrix(xrows, q * n, cols)
+    ident = Matrix.identity(n)
+    whisker = Matrix(dense.kron(a, ident) if first else dense.kron(ident, a), a.rows * n, q * n)
+    got = _whiskered(a, n, x, first)
+    assert_sparse(got)
+    assert got.data == dense.matmul(whisker, x)
+    assert got == (kron(a, ident) if first else kron(ident, a)) * x
+    # a lone 1 takes the row of x it picks as it is
+    i, j = a.rows - 1, q - 1
+    for k in range(n):
+        r, picked = (i * n + k, j * n + k) if first else (k * a.rows + i, k * q + j)
+        assert got.sparse_rows[r] is x.sparse_rows[picked]
+    with pytest.raises(DimensionMismatch):
+        _whiskered(a, n + 1, x, first)
+    assert _whiskered(Matrix.zero(0, q), n, x, first) == Matrix.zero(0, cols)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_kernels_leave_their_operands_unchanged(m, n, first, data):
+    # a result may share row objects with its operands (see Matrix), so no
+    # kernel may write into an operand's rows: each operand is deep-copied
+    # before the call and compared after it
+    a = data.draw(matrices(rows=m * n))
+    b = data.draw(matrices(rows=a.cols))
+    c = data.draw(matrices(rows=a.rows, cols=a.cols))
+    lefts = data.draw(st.lists(_squares(m), min_size=1, max_size=2))
+    rights = data.draw(st.lists(_squares(n), min_size=1, max_size=2))
+    x2 = data.draw(_two_tensors(lefts, rights, 3))
+    w = data.draw(matrices(cols=m))
+    x = data.draw(matrices(rows=m * n))
+    basis = SubspaceBasis.from_spanning(a.rows, data.draw(matrices(cols=a.rows)).data)
+    image = basis.embedding() * data.draw(matrices(rows=basis.dim))
+    scale = data.draw(mixed)
+
+    def fail(j, v):
+        return LookupError(j, v)
+
+    calls = [
+        (lambda: a * b, (a, b)),
+        (lambda: Matrix.identity(a.rows) * a, (a,)),
+        (lambda: a * Matrix.identity(a.cols), (a,)),
+        (lambda: Matrix.lincomb([(Fraction(1), a), (scale, c)], a.rows, a.cols), (a, c)),
+        (lambda: _kron_sum(x2, lefts, rights, m, n), (x2, lefts, rights)),
+        (lambda: _whiskered(w, n, x, first), (w, x)),
+        (lambda: _restrict(image, basis, fail), (image, basis)),
+        (lambda: a.rref(), (a,)),
+    ]
+    for call, operands in calls:
+        before = copy.deepcopy(operands)
+        call()
+        assert operands == before

@@ -230,6 +230,34 @@ def test_attribute_reader_detector_sees_them():
     assert _attribute_readers(tree, "coordinates") == [(3, "B.contains"), (5, "present")]
 
 
+def _kron_by_literal_identity(tree):
+    """(line, enclosing class and function names) of each call of `kron`
+    with an argument written as a call of `Matrix.identity`."""
+    def literal_identity(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "identity"
+                and getattr(node.func.value, "id", None) == "Matrix")
+
+    return _scoped(tree, lambda node: isinstance(node, ast.Call) and "kron" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(literal_identity(arg) for arg in node.args))
+
+
+def test_no_package_module_whiskers_a_map_by_a_kronecker_product():
+    # X (x) id and id (x) X are applied to the map beside them by
+    # linalg._whiskered, which builds no Kronecker product
+    found = {p.name: _kron_by_literal_identity(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_whiskered_kron_detector_sees_them():
+    tree = ast.parse("def f(a, n):\n    return kron(a, Matrix.identity(n)) * x\n"
+                     "class C:\n    def m(self):\n"
+                     "        return linalg.kron(Matrix.identity(2), self.a)\n"
+                     "ident = Matrix.identity(3)\ny = kron(ident, a)\nz = kron(a, identity(3))\n")
+    assert _kron_by_literal_identity(tree) == [(2, "f"), (5, "C.m")]
+
+
 def _exit_codes_by_hand(tree):
     """(line, scope) of each int literal a `_cmd_*` handler or `_failed_check`
     returns, and of each call in one that passes `render` an argument."""
