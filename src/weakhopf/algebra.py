@@ -87,14 +87,6 @@ def sparse_mul(H, x, y, k, slots=None):
                     break
                 found.append(row)
             else:
-                if all(len(row) == 1 for row in found):  # one term, built directly
-                    idx, c = (), cx * cy
-                    for row in found:
-                        for kk, v in row.items():
-                            idx += (kk,)
-                            c *= v
-                    acc[idx] = get(idx, 0) + c
-                    continue
                 terms = [((), cx * cy)]
                 for row in found:
                     terms = [(idx + (kk,), c * v) for idx, c in terms for kk, v in row.items()]
