@@ -33,7 +33,8 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import Matrix, Q0, Q1, SubspaceBasis, _add_into, _fractions, _ints, frac, kron
+from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _fractions, _ints, _row_blocks,
+                     _whiskered, frac, kron)
 from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
@@ -674,8 +675,8 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
     comparison(rep, "coassociativity", coassoc_pairs(), shape=(n, 3))
 
     # (eps (x) id) Delta and (id (x) eps) Delta
-    comparison(rep, "counit-axiom", column_pairs((kron(B.counit_map, ident) * B.comul_map,
-                                                  kron(ident, B.counit_map) * B.comul_map)))
+    comparison(rep, "counit-axiom", column_pairs(
+        [_whiskered(B.counit_map, n, B.comul_map, first) for first in (True, False)]))
 
     rep.checks.append(B.comultiplicativity)
 
@@ -694,20 +695,21 @@ def check_weak_bialgebra(B: WeakBialgebra) -> VerificationReport:
         # T[h, (g, y)] = m_hg^y and D[a, (g, b)] the coefficient of e_a (x) e_b
         # in Delta(e_g), that is one identity of n x n^2 maps,
         # T (id (x) E) = E D (id (x) E), and the same with the legs of D
-        # swapped.  Only when one fails does each g in turn find the witness,
-        # with D_g the matrix of Delta(e_g): R_g^T E = E D_g E = E D_g^T E
+        # swapped.  X (id (x) E) is each block of n columns of X times E, so
+        # each side is compared with its rows cut into blocks (`_row_blocks`)
+        # and then times E.  Only when one fails does each g in turn find the
+        # witness, with D_g the matrix of Delta(e_g): R_g^T E = E D_g E = E D_g^T E
         E = B._eps_products
-        id_e = kron(ident, E)
-        # row h holds eps((e_h e_g) e_l) at column (g, l)
-        stacked = Matrix.from_entries(n, n * n, (
-            (h, g * n + y, c) for (h, g), row in B.mul_rows.items() for y, c in row.items())) * id_e
+        # row h n + g holds eps((e_h e_g) e_l) at column l
+        stacked = Matrix.from_entries(n * n, n, (
+            (h * n + g, y, c) for (h, g), row in B.mul_rows.items() for y, c in row.items())) * E
 
         def legs(first):  # D, with leg first of each term as its row
             return Matrix.from_entries(n, n * n, (
                 (ab[first], g * n + ab[1 - first], c)
                 for g, col in B.comul_cols.items() for ab, c in col.items()))
 
-        if all(stacked == E * legs(first) * id_e for first in (0, 1)):
+        if all(stacked == _row_blocks(E * legs(first), n) * E for first in (0, 1)):
             return
         for g in range(n):
             d = Matrix.from_entries(n, n, ((a, b, c) for (a, b), c in B.comul_cols[g].items()))

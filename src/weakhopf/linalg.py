@@ -547,6 +547,19 @@ def _whiskered(a: Matrix, n, x: Matrix, first) -> Matrix:
     return Matrix._of(p * n, x.cols, out)
 
 
+def _row_blocks(x: Matrix, n) -> Matrix:
+    """x, p x (m n), with each row cut into its m blocks of n columns: the
+    (p m) x n matrix whose row i m + g is block g of row i.  Then
+    x (id_m (x) a) is, cut the same way, _row_blocks(x, n) * a."""
+    m = x.cols // n
+    rows = [{} for _ in range(x.rows * m)]
+    for i, row in enumerate(x.sparse_rows):
+        for j, v in row.items():
+            g, c = divmod(j, n)
+            rows[i * m + g][c] = v
+    return Matrix._of(x.rows * m, n, rows)
+
+
 def _by_first(x2):
     """The terms c e_a (x) e_b of the sparse 2-tensor x2 grouped by their
     first leg, as {a: {b: c}} in order of first use; zero c are dropped."""

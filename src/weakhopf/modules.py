@@ -26,6 +26,7 @@ from .algebra import (
     _action_identities,
     _on_generators,
     sparse_coproduct_leg,
+    sparse_mul,
     target_subalgebra,
 )
 from .errors import (
@@ -106,17 +107,21 @@ def _modules_over(H, *modules) -> bool:
         for M in modules)
 
 
-def _module_map_identities(x, src: HModule, dst: HModule, gate=True):
+def _module_map_identities(x, src: HModule, dst: HModule, gate=True, at_one=None):
     """The triples ((h,), x src(e_h), dst(e_h) x) over the basis of H,
     src's algebra, for `comparison`: x is a module map from src to dst.
     Decided on the generators when gate holds and `_modules_over` H both
-    modules; a false gate (dst not known to be a module) scans every h."""
+    modules.  With at_one, the identity x = dst(1) x, dst need not be a
+    module: gate then states that its actions are multiplicative, and
+    at_one stands for dst(1) = id.  A false gate scans every h."""
     H = src.algebra
 
     def identities(h):
         yield (h,), x * src.mats[h], dst.mats[h] * x
 
-    return _on_generators(H, identities, gate and _modules_over(H, src, dst))
+    if at_one is None:
+        return _on_generators(H, identities, gate and _modules_over(H, src, dst))
+    return _on_generators(H, identities, gate and _modules_over(H, src), at_one)
 
 
 def _once(H, key, build):
@@ -221,13 +226,30 @@ def truncated_tensor(M: HModule, N: HModule, ctx: "BraidContext",
                      validate: bool = True) -> TruncatedTensor:
     """The truncated tensor of M and N in ctx's category, built once per
     algebra, module pair and coproduct; its induced action is validated
-    when validate is true."""
+    when validate is true.  When ctx's coproduct c is multiplicative with
+    c(1) the unit 2-tensor (`BraidContext.comultiplicative`) and M and N
+    are modules, the induced action is one, and its laws are recorded as
+    passed with no action built: with A the action on M (x) N and
+    P = A(c(1)) = incl proj, A(c_h) = P A(c_h) P, so
+    proj A(c_g) incl proj A(c_h) incl = proj A(c_g c_h) incl, the action
+    of gh, and 1 acts as proj P incl = id."""
     if M.algebra is not N.algebra:
         raise MismatchedAlgebra("modules over different algebras")
     t = _once(ctx.algebra, ("tensor", M, N, ctx.coproduct_key), lambda: _tensor(M, N, ctx))
     if validate:
+        if ("laws" not in vars(t.module) and ctx.comultiplicative
+                and _modules_over(ctx.algebra, M, N)):
+            t.module.laws = _laws_hold()
         t.module.validate()
     return t
+
+
+def _laws_hold() -> VerificationReport:
+    """The report `check_module` gives a module whose laws hold."""
+    rep = VerificationReport("module")
+    for name in ("action-multiplicative", "unit-acts-as-identity"):
+        rep.add(name, True)
+    return rep
 
 
 def _tensor(M: HModule, N: HModule, ctx: "BraidContext") -> TruncatedTensor:
@@ -307,6 +329,21 @@ class BraidContext:
         columns = [twisted_coproduct_column(H, self.wc, i) for i in range(H.dim)]
         # F^-1 F = Delta_cop(1), = Delta(1) when cocommutative
         return columns, _mul2(H, self.wc.finv, self.wc.f)
+
+    @cached_property
+    def comultiplicative(self) -> bool:
+        """The coproduct in use, c, is multiplicative and c(1) is the unit
+        2-tensor (`coproduct`), decided once per context from verdicts
+        already reached: H is unital and associative and its coproduct is
+        multiplicative, and in the twisted category F F^-1 = Delta(1), so
+        that c_g c_h = F^-1 Delta(g) Delta(1) Delta(h) F = c_gh.  The
+        twisted columns' identities are not decided again."""
+        H = self.algebra
+        columns, unit2 = self.coproduct
+        if not (H.unital_associative and H.comultiplicativity.passed
+                and sparse_coproduct_leg(H.unit_sparse, 0, columns) == unit2):
+            return False
+        return self.wc is None or sparse_mul(H, self.wc.f, self.wc.finv, 2) == H.delta_one
 
     @cached_property
     def coproduct_key(self):

@@ -14,10 +14,11 @@ from functools import cached_property
 
 from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
-from .linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, kron
+from .linalg import Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, _whiskered, kron
 from .modules import (
     BraidContext,
     HModule,
+    _Actions,
     _kept,
     _module_map_identities,
     _unitor_plain,
@@ -230,7 +231,8 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     counit laws through the unitors, the braided bialgebra compatibility,
     counit multiplicativity, grouplike unit, and both antipode axioms.  Each
     but the grouplike unit is an identity of maps with at most m^3 rows and
-    columns, m the carrier dimension.
+    columns, m the carrier dimension.  Every map X (x) id or id (x) X is
+    applied to the map on its right as a whiskered product (`_whiskered`).
     """
     rep = VerificationReport("braided-hopf")
     H = ctx.algebra
@@ -238,66 +240,76 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     cmod = p.action
     t2 = truncated_tensor(cmod, cmod, ctx)
     columns = ctx.coproduct[0]
-    square_actions = [ctx.action(cmod, cmod, columns[h]) for h in range(H.dim)]
 
     # (0) well-definedness: both maps factor through the truncated tensor
+    lands = t2.projector * p.comul
     comparison(rep, "product-factors-through-tensor", [((), p.mul * t2.projector, p.mul)])
-    comparison(rep, "coproduct-lands-in-tensor", [((), t2.projector * p.comul, p.comul)])
+    comparison(rep, "coproduct-lands-in-tensor", [((), lands, p.comul)])
 
     # (a) all five maps are module morphisms: x . (h on the source) equals
     # (h on the target) . x for every basis element h, decided on the
     # generators where both actions are modules.  The coproduct's target,
-    # the plain action on the tensor square, is never validated, so that
-    # law alone is scanned at every h
+    # the plain action of the coproduct on the tensor square, is not one (1
+    # acts as the projector), but it is multiplicative when the context's
+    # coproduct is, and coproduct-lands-in-tensor is then its law at 1
     ht, htmod = ht_module(H)
     mul_inc = p.mul * t2.inclusion
-    for name, x, src, dst, gate in (
-        ("product", mul_inc, t2.module, cmod, True),
-        ("unit", p.unit, htmod, cmod, True),
-        ("coproduct", p.comul, cmod, HModule(H, square_actions, name="plain square"), False),
-        ("counit", p.counit, cmod, htmod, True),
-        ("antipode", p.antipode, cmod, cmod, True),
+    plain = HModule(H, _Actions(H.dim, m * m, lambda h: ctx.action(cmod, cmod, columns[h])),
+                    name="plain square")
+    for name, x, src, dst, gate, at_one in (
+        ("product", mul_inc, t2.module, cmod, True, None),
+        ("unit", p.unit, htmod, cmod, True, None),
+        ("coproduct", p.comul, cmod, plain, ctx.comultiplicative, [((), lands, p.comul)]),
+        ("counit", p.counit, cmod, htmod, True, None),
+        ("antipode", p.antipode, cmod, cmod, True, None),
     ):
-        comparison(rep, name + "-module-morphism", _module_map_identities(x, src, dst, gate))
+        comparison(rep, name + "-module-morphism",
+                   _module_map_identities(x, src, dst, gate, at_one))
 
     # (b) associativity on the iterated truncated tensor, the image of the
     # triple projector; a witness is the basis triple of its first column
-    ident = Matrix.identity(m)
     p3 = ctx.triple_projector(cmod, cmod, cmod)
     comparison(rep, "associativity",
-               [((), p.mul * kron(p.mul, ident) * p3, p.mul * kron(ident, p.mul) * p3)],
+               [((), p.mul * _whiskered(p.mul, m, p3, first=True),
+                 p.mul * _whiskered(p.mul, m, p3, first=False))],
                shape=(m, 3))
     del p3  # m^3 rows, not held while the compatibility maps are built
 
     # unit laws against the unitors
     l_mat, r_mat, t_l, t_r = unitors(cmod, ctx)
     comparison(rep, "unit-law-left",
-               [((), p.mul * kron(p.unit, ident) * t_l.inclusion, l_mat)])
+               [((), p.mul * _whiskered(p.unit, m, t_l.inclusion, first=True), l_mat)])
     comparison(rep, "unit-law-right",
-               [((), p.mul * kron(ident, p.unit) * t_r.inclusion, r_mat)])
+               [((), p.mul * _whiskered(p.unit, m, t_r.inclusion, first=False), r_mat)])
 
     # (c) coassociativity, and the counit laws through the plain unitors
+    ident = Matrix.identity(m)
     comparison(rep, "coassociativity",
-               [((), kron(p.comul, ident) * p.comul, kron(ident, p.comul) * p.comul)])
+               [((), _whiskered(p.comul, m, p.comul, first=True),
+                 _whiskered(p.comul, m, p.comul, first=False))])
     comparison(rep, "counit-law-left",
-               [((), _unitor_plain(cmod, ht, True) * kron(p.counit, ident) * p.comul, ident)])
+               [((), _unitor_plain(cmod, ht, True)
+                 * _whiskered(p.counit, m, p.comul, first=True), ident)])
     comparison(rep, "counit-law-right",
-               [((), _unitor_plain(cmod, ht, False) * kron(ident, p.counit) * p.comul, ident)])
+               [((), _unitor_plain(cmod, ht, False)
+                 * _whiskered(p.counit, m, p.comul, first=False), ident)])
 
     # (d) braided bialgebra compatibility on the truncated tensor square,
     # (mul (x) mul)(id (x) braid (x) id)(Delta (x) Delta) factored through
-    # carrier^3 (never carrier^4) with g = (mul (x) id)(id (x) braid)(Delta (x) id)
+    # carrier^3 (never carrier^4) with g = (mul (x) id)(id (x) braid)(Delta (x) id),
+    # built from I_(m^2); then Delta, g and mul are applied from the right
     braid = ctx.braiding_plain(cmod, cmod)
-    g = kron(p.mul, ident) * kron(ident, braid) * kron(p.comul, ident)
-    comparison(rep, "bialgebra-compatibility",
-               [((), p.comul * mul_inc,
-                 kron(ident, p.mul) * kron(g, ident) * kron(ident, p.comul) * t2.inclusion)])
+    g = _whiskered(p.comul, m, Matrix.identity(m * m), first=True)
+    g = _whiskered(p.mul, m, _whiskered(braid, m, g, first=False), first=True)
+    rhs = _whiskered(p.comul, m, t2.inclusion, first=False)
+    rhs = _whiskered(p.mul, m, _whiskered(g, m, rhs, first=True), first=False)
+    comparison(rep, "bialgebra-compatibility", [((), p.comul * mul_inc, rhs)])
 
-    # (e) counit is multiplicative through H_t
+    # (e) counit is multiplicative through H_t: eps (x) eps is two whiskers
     eps_emb = p.ht.embedding() * p.counit  # carrier -> acting algebra coordinates
-    comparison(rep, "counit-multiplicative",
-               [((), eps_emb * p.mul * t2.inclusion,
-                 H.mul_map * kron(eps_emb, eps_emb) * t2.inclusion)])
+    eps2 = _whiskered(eps_emb, H.dim, _whiskered(eps_emb, m, t2.inclusion, first=False),
+                      first=True)
+    comparison(rep, "counit-multiplicative", [((), eps_emb * mul_inc, H.mul_map * eps2)])
 
     # (f) the unit is grouplike (up to truncation)
     one = Matrix.from_columns([p.unit_element_coords()], m)
@@ -307,7 +319,7 @@ def verify_braided_hopf(p: BraidedHopfPresentation, ctx: BraidContext) -> Verifi
     # (g) both antipode axioms
     eta_eps = p.unit * p.counit
     comparison(rep, "antipode-left",
-               [((), p.mul * kron(p.antipode, ident) * p.comul, eta_eps)])
+               [((), p.mul * _whiskered(p.antipode, m, p.comul, first=True), eta_eps)])
     comparison(rep, "antipode-right",
-               [((), p.mul * kron(ident, p.antipode) * p.comul, eta_eps)])
+               [((), p.mul * _whiskered(p.antipode, m, p.comul, first=False), eta_eps)])
     return rep

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from weakhopf import zoo
-from weakhopf.algebra import QuantumGroupoid, WeakBialgebra
+from weakhopf.algebra import QuantumGroupoid, WeakBialgebra, sparse_mul
 from weakhopf.errors import WeakHopfError
 from weakhopf.modules import BraidContext, HModule, regular_module, truncated_tensor
 from weakhopf.quantize import quantize, verify_quantization
@@ -211,3 +211,37 @@ def test_a_factor_whose_laws_fail_fails_as_the_full_scan_does(run, instance, mon
     assert gated[0] == "InconsistentStructure"
     assert gated[1].startswith("action is not multiplicative at basis pair")
 
+
+
+# the verdict itself: it holds on every positive instance, in both
+# categories, and each negative instance breaks it in its own clause
+@pytest.mark.parametrize("instance", sorted(POSITIVE))
+def test_the_verdict_holds_on_the_positive_instances(instance):
+    H, qt, wc = POSITIVE[instance]()
+    assert BraidContext.psi(H, qt).comultiplicative
+    assert BraidContext(H, wc=wc).comultiplicative
+
+
+def test_a_coproduct_that_is_not_multiplicative_closes_the_verdict():
+    H, qt, wc = _column_corrupted()
+    assert not H.comultiplicativity.passed
+    assert not BraidContext.psi(H, qt).comultiplicative
+    assert not BraidContext(H, wc=wc).comultiplicative
+
+
+def test_a_twisted_unit_that_is_not_the_unit_2_tensor_closes_the_verdict():
+    H, qt, wc = _unit_not_unit2()
+    assert H.comultiplicativity.passed
+    assert sparse_mul(H, wc.f, wc.finv, 2) == H.delta_one
+    ctx = BraidContext(H, wc=wc)
+    assert ctx.coproduct[1] != H.delta_one
+    assert not ctx.comultiplicative
+
+
+def test_a_cocycle_whose_product_with_its_inverse_is_not_delta_one_closes_the_verdict():
+    H, qt, wc = _not_inverse()
+    ctx = BraidContext(H, wc=wc)
+    columns, unit2 = ctx.coproduct
+    assert sparse_mul(H, wc.f, wc.finv, 2) != H.delta_one
+    assert H.comultiplicativity.passed and unit2 == wc.finv
+    assert not ctx.comultiplicative

@@ -331,19 +331,24 @@ def test_the_stacked_identity_reads_structure_constants_other_than_one(name):
 
 @pytest.mark.parametrize("name", ["D4", "P3", "D2+P2", "kd4_diag2", "P4"])
 def test_weak_bialgebra_suite_takes_seven_products_once_its_laws_are_decided(monkeypatch, name):
-    # two for the counit axiom and five for the two stacked weak counit
-    # identities, T (id (x) E) and E D (id (x) E) for each order of the legs;
-    # the loop over g alone would take 5 n
+    # two whiskered products for the counit axiom, (eps (x) id) Delta and
+    # (id (x) eps) Delta, and five for the two stacked weak counit
+    # identities, T (id (x) E) and E D (id (x) E) for each order of the legs,
+    # each with its rows cut into blocks of n and then times E; the loop
+    # over g alone would take 5 n
     B = fresh(LADDER[name])
     B.associativity, B.comultiplicativity, B._eps_products
     products = _counting(monkeypatch, Matrix, "__mul__")
+    whiskered = _counting(monkeypatch, algebra_mod, "_whiskered")
     assert check_weak_bialgebra(B).passed
-    assert len(products) == 7
+    assert (len(whiskered), len(products)) == (2, 5)
 
 
 def test_module_maps_validate_h_t_and_never_the_plain_tensor_square(monkeypatch):
     # the coproduct's morphism check maps into the plain action on the
-    # tensor square, which keeps its full scan rather than being validated
+    # tensor square, which is not a module (1 acts as the projector) and is
+    # never validated: its law is decided on the generators from the
+    # coproduct's verdict, with coproduct-lands-in-tensor as its law at 1
     import weakhopf.modules as modules_mod
     from weakhopf.transmute import transmute, verify_braided_hopf
 

@@ -221,21 +221,30 @@ def test_verify_quantization_builds_each_tensor_action_once(kd4, monkeypatch):
     calls = []
 
     def counting(M, N, elem2):
-        calls.append(elem2)
+        calls.append((M, N, frozenset(elem2.items())))
         return real(M, N, elem2)
 
     monkeypatch.setattr(modules_mod, "_componentwise_action", counting)
     H = kd4.algebra
     p = quantize(H, kd4.cocycle)
     assert verify_quantization(p, kd4.cocycle).passed
-    # the carrier tensor square and both unitor tensors (a projector and one
-    # action per basis element each) and the carrier braiding; on a group
+    # the twisted coproduct is multiplicative, so no tensor's module laws
+    # are scanned, and the module-morphism checks read only the generators
+    # s (r and s): on the carrier tensor square the projector and the
+    # actions of the twisted Delta(e_s) (coproduct-module-morphism); on
+    # each unitor tensor the projector and the induced actions of the e_s
+    # (the unitors' morphism check); and the carrier braiding.  On a group
     # algebra F^-1 F is the twisted coproduct column of the unit e_0, so
-    # each tensor's projector is that column's action
-    assert len(calls) == 3 * H.dim + 1
+    # each tensor's projector is that column's action, and the triple
+    # projector is the action of e_0 (x) e_0 (x) e_0, built already
+    gens = len(H.generators)
+    assert gens == 2
+    assert len(calls) == 4 + 3 * gens
+    assert len(calls) == len(set(calls))
     # the transmutation by R = 1 (x) 1: the braiding is the projector's
     # action on the carrier tensor square, built already
     calls.clear()
     qt = kd4.qt
     assert verify_braided_hopf(transmute(H, qt), BraidContext.psi(H, qt)).passed
-    assert len(calls) == 3 * H.dim
+    assert len(calls) == 3 + 3 * gens
+    assert len(calls) == len(set(calls))

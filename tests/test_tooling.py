@@ -230,22 +230,51 @@ def test_attribute_reader_detector_sees_them():
     assert _attribute_readers(tree, "coordinates") == [(3, "B.contains"), (5, "present")]
 
 
-def _kron_by_literal_identity(tree):
-    """(line, enclosing class and function names) of each call of `kron`
-    with an argument written as a call of `Matrix.identity`."""
-    def literal_identity(node):
-        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "identity"
-                and getattr(node.func.value, "id", None) == "Matrix")
+def _literal_identity(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "identity"
+            and getattr(node.func.value, "id", None) == "Matrix")
 
-    return _scoped(tree, lambda node: isinstance(node, ast.Call) and "kron" in (
-        getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and any(literal_identity(arg) for arg in node.args))
+
+def _identity_names(body):
+    """Names the body of a module, class or function binds to a call of
+    `Matrix.identity`; the bodies of the functions and classes it defines
+    aside."""
+    names = set()
+    for node in ast.iter_child_nodes(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Assign) and _literal_identity(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        names |= _identity_names(node)
+    return names
+
+
+def _kron_by_identity(tree):
+    """(line, enclosing class and function names) of each call of `kron`
+    with an argument that is a call of `Matrix.identity`, or a name bound to
+    one in the same function or in one that encloses it."""
+    found = []
+
+    def visit(node, scope, bound):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_bound = scope, bound
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner, inner_bound = scope + (child.name,), bound | _identity_names(child)
+            elif (isinstance(child, ast.Call) and "kron" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None))
+                  and any(_literal_identity(arg) or getattr(arg, "id", None) in bound
+                          for arg in child.args)):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, inner, inner_bound)
+
+    visit(tree, (), _identity_names(tree))
+    return found
 
 
 def test_no_package_module_whiskers_a_map_by_a_kronecker_product():
     # X (x) id and id (x) X are applied to the map beside them by
     # linalg._whiskered, which builds no Kronecker product
-    found = {p.name: _kron_by_literal_identity(ast.parse(p.read_text(encoding="utf-8")))
+    found = {p.name: _kron_by_identity(ast.parse(p.read_text(encoding="utf-8")))
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
@@ -254,8 +283,12 @@ def test_whiskered_kron_detector_sees_them():
     tree = ast.parse("def f(a, n):\n    return kron(a, Matrix.identity(n)) * x\n"
                      "class C:\n    def m(self):\n"
                      "        return linalg.kron(Matrix.identity(2), self.a)\n"
-                     "ident = Matrix.identity(3)\ny = kron(ident, a)\nz = kron(a, identity(3))\n")
-    assert _kron_by_literal_identity(tree) == [(2, "f"), (5, "C.m")]
+                     "ident = Matrix.identity(3)\ny = kron(ident, a)\nz = kron(a, identity(3))\n"
+                     "def g(n):\n    ident = Matrix.identity(n)\n"
+                     "    def inner(a):\n        return kron(ident, a)\n"
+                     "    return inner\n"
+                     "def h(a, ident):\n    eye = a\n    return kron(eye, a)\n")
+    assert _kron_by_identity(tree) == [(2, "f"), (5, "C.m"), (7, ""), (12, "g.inner")]
 
 
 def _exit_codes_by_hand(tree):
