@@ -72,8 +72,9 @@ def twist(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> TwistedPair:
     """Build the twisted quantum groupoid and its quasitriangular structure.
 
     All axioms of the result are asserted by the checkers, not assumed;
-    a failure raises TwistAxiomFailure naming the violated check and
-    carrying its witness.
+    comultiplicativity is read from the context's verdict when that holds
+    (`BraidContext.comultiplicative`).  A failure raises TwistAxiomFailure
+    naming the violated check and carrying its witness.
     """
     tw = twist_elements(H, wc)
 

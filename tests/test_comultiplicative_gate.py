@@ -15,6 +15,8 @@ verdict in each of the ways it can break.
 
 from __future__ import annotations
 
+import copy
+import importlib
 import dataclasses
 from fractions import Fraction
 
@@ -54,11 +56,9 @@ def _dihedral_plus_pair():
 
 def _kd4():
     fx = zoo.fixture("kd4")
-    # a copy, so that what a run builds over the algebra stays with that run
-    H = QuantumGroupoid(WeakBialgebra(fx.algebra.basis_names, fx.algebra.mul_rows,
-                                      fx.algebra.unit, fx.algebra.comul_cols,
-                                      fx.algebra.counit), fx.algebra.antipode)
-    return H, fx.qt, fx.cocycle
+    # a copy leaves the fixture's module category behind, so what a run
+    # builds over the algebra stays with that run
+    return copy.copy(fx.algebra), fx.qt, fx.cocycle
 
 
 POSITIVE = {
@@ -160,8 +160,7 @@ def _twist_reports(H, qt, wc):
 
 
 def _twisted_category_suite(H, qt, wc):
-    """The transmutation by the canonical R verified in the twisted
-    category of wc: its coproduct is not the one the presentation uses."""
+    """The transmutation by R, verified in the twisted category of wc."""
     return verify_braided_hopf(transmute(H, qt), BraidContext(H, wc=wc)).to_dict()
 
 
@@ -245,3 +244,26 @@ def test_a_cocycle_whose_product_with_its_inverse_is_not_delta_one_closes_the_ve
     assert sparse_mul(H, wc.f, wc.finv, 2) != H.delta_one
     assert H.comultiplicativity.passed and unit2 == wc.finv
     assert not ctx.comultiplicative
+
+
+def test_coproduct_module_morphism_scans_every_h_exactly_when_the_verdict_is_closed(
+        monkeypatch):
+    # where the verdict holds, the generators and the law at 1 decide it and
+    # `comparison` gets no triple; where it does not, it gets one per h
+    transmute_mod = importlib.import_module("weakhopf.transmute")
+    inner = transmute_mod.comparison
+    compared = {}
+
+    def counting(rep, name, pairs, *args, **kwargs):
+        pairs = list(pairs)
+        compared[name] = len(pairs)
+        return inner(rep, name, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(transmute_mod, "comparison", counting)
+    for closed in (False, True):
+        H, qt, _ = _dihedral_sign(4)
+        with monkeypatch.context() as m:
+            if closed:
+                m.setattr(BraidContext, "comultiplicative", property(lambda self: False))
+            assert verify_braided_hopf(transmute(H, qt), BraidContext.psi(H, qt)).passed
+        assert compared["coproduct-module-morphism"] == (H.dim if closed else 0)
