@@ -241,7 +241,7 @@ def _identity_names(body):
     aside."""
     names = set()
     for node in ast.iter_child_nodes(body):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if isinstance(node, ast.Assign) and _literal_identity(node.value):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
