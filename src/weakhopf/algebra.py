@@ -23,6 +23,7 @@ right side is one product (`_action_identities`).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
@@ -33,8 +34,8 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _fractions, _ints, _row_blocks,
-                     _whiskered, frac, kron)
+from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _div, _fractions, _ints,
+                     _row_blocks, _whiskered, frac, kron)
 from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,8 @@ def sparse_mul(H, x, y, k, slots=None):
     multiplied, so a pair whose product vanishes costs lookups only.  x, y
     and the structure constants (`WeakBialgebra.mul_ints`) are written as
     integer numerators over their denominators once and the products are
-    summed in int; each nonzero entry becomes one reduced Fraction.
+    summed in int; each nonzero entry becomes one exact rational, an int when
+    it is integral (`_fractions`).
     """
     if slots is not None and not H.unit_acts_right:
         y, slots = sparse_embed(y, k, slots, H.unit_sparse), None
@@ -141,6 +143,10 @@ def sparse_coproduct_leg(s, leg, cols):
     return _fractions(acc, ds * d, {})
 
 
+# the types of a stored entry: an exact rational, never a float or a bool
+_RATIONAL_TYPES = (int, Fraction)
+
+
 def _in_range(key, arity, n):
     """key is an index below n (arity 1) or a tuple of arity such indices."""
     keys = (key,) if arity == 1 else key
@@ -152,9 +158,10 @@ class WeakBialgebra:
     """Finite-dimensional weak bialgebra presented by structure constants.
 
     mul_rows maps (i, j) to {k: c} and comul_cols maps i to {(j, k): c};
-    neither stores a zero, and comul_cols has an entry for every i.  The
-    dense tables ``mul`` (m[i][j][k]) and ``comul`` (d[i][j][k]) are views
-    for outside readers, built on first access.
+    neither stores a zero or anything but an int or a Fraction, and
+    comul_cols has an entry for every i.  The dense tables ``mul``
+    (m[i][j][k]) and ``comul`` (d[i][j][k]) are views for outside readers,
+    built on first access.
     """
 
     def __init__(self, basis_names, mul_rows, unit, comul_cols, counit):
@@ -173,6 +180,9 @@ class WeakBialgebra:
                                             % (what, key))
                 if not all(row.values()) or (what == "mul" and not row):
                     raise DimensionMismatch("%s table stores a zero at %r" % (what, key))
+                if not all(type(c) in _RATIONAL_TYPES for c in row.values()):
+                    raise TypeError("%s table stores an entry that is not an int or a "
+                                    "Fraction at %r" % (what, key))
         if len(comul_cols) != n:
             raise DimensionMismatch("comul table needs a column for every basis element")
         self.mul_rows = mul_rows
@@ -248,7 +258,7 @@ class WeakBialgebra:
             if v:
                 p = min(v)
                 c = v[p]
-                echelon[p] = v if c == 1 else {k: x / c for k, x in v.items()}
+                echelon[p] = v if c == 1 else {k: _div(x, c) for k, x in v.items()}
                 spanning.append(v)
                 pending.extend((s, v) for s in gens)
 
@@ -494,8 +504,11 @@ def source_subalgebra(H) -> SubspaceBasis:
 
 
 def convolve(H, f: Matrix, g: Matrix) -> Matrix:
-    """(f * g)(h) = f(h_1) g(h_2), i.e. mu o (f (x) g) o Delta."""
-    return H.mul_map * kron(f, g) * H.comul_map
+    """(f * g)(h) = f(h_1) g(h_2), i.e. mu o (f (x) g) o Delta, with
+    f (x) g = (f (x) id)(id (x) g) applied to Delta as two whiskered
+    products, so that no n^2 x n^2 map is built."""
+    n = H.dim
+    return H.mul_map * _whiskered(f, n, _whiskered(g, n, H.comul_map, first=False), first=True)
 
 
 def solve_antipode(B: WeakBialgebra):

@@ -1,11 +1,20 @@
 """Exact rational sparse linear algebra.
 
 Everything downstream (structure constants, axiom checkers, centralizers)
-is built on the kernel in this module: matrices over ``fractions.Fraction``,
-reduced row echelon form, kernels, column spaces and linear solving.  All
+is built on the kernel in this module: matrices over the rationals, reduced
+row echelon form, kernels, column spaces and linear solving.  All
 arithmetic is exact; there is no floating point anywhere in the package.
 
-A `Matrix` keeps one ``{col: Fraction}`` dict per row holding the nonzero
+Numbers have one form: an exact rational is an int when it is integral and
+a reduced ``fractions.Fraction`` otherwise, never a float or a bool.  An int
+n equals Fraction(n), hashes alike and prints alike, so comparisons, memo
+keys and printed bytes are those of Fractions, while the entries that are
+0 or +-1 compare, add and multiply in C.  `frac`, `_fractions` and `_div`
+make numbers in that form; a Fraction product or sum elsewhere may still
+be an integral Fraction.  `_div` is the one true division of the package:
+a / between two ints would make a float.
+
+A `Matrix` keeps one ``{col: rational}`` dict per row holding the nonzero
 entries only.  Products, Kronecker products, sums and elimination walk those
 dicts, so they cost time in the nonzeros rather than in rows x cols: the
 projectors of truncated tensor products are up to 729 x 729 and almost all
@@ -16,7 +25,7 @@ or more terms, and a product row that does so with a coefficient other than
 1, are scaled to integer numerators over a common denominator and summed as
 ints (`_int_sum`).  A row with one term is that term's row, as it is when
 its coefficient is 1 and scaled otherwise, and a product row whose
-coefficients are all 1 adds Fractions (`_add_into`), which copies the
+coefficients are all 1 adds entry by entry (`_add_into`), which copies the
 entries of disjoint rows, as in products of 0/1 matrices, without any
 arithmetic.  A product by an identity matrix takes the other factor's
 rows as they are.  A whiskered product (A (x) id) X or (id (x) A) X
@@ -24,8 +33,7 @@ rows as they are.  A whiskered product (A (x) id) X or (id (x) A) X
 no Kronecker product.  The k-tensor kernels of `algebra` (`sparse_mul`,
 `sparse_coproduct_leg`) sum in ints the same way, through `_ints` and
 `_fractions`.  Elimination (`rref` and what is built on it) and the
-one-vector membership test `SubspaceBasis.coordinates` add Fractions.
-Every entry is a reduced Fraction.
+one-vector membership test `SubspaceBasis.coordinates` add entry by entry.
 
 A sum over the terms c e_a (x) e_b of a sparse 2-tensor, such as the action
 of R, F or Delta(h), is grouped by its first leg a (`_by_first`):
@@ -48,28 +56,39 @@ from math import gcd
 from .errors import DimensionMismatch, NonUniqueSolution
 
 Q = Fraction
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Q0 = 0
+Q1 = 1
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"p/q"`` and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def frac(x):
+    """The exact rational of an int, a Fraction or a string like ``"p/q"``:
+    an int when it is integral, else a reduced Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, int):  # a bool
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("cannot build an exact rational from %r" % (x,))
 
 
-def format_frac(x: Fraction) -> str:
+def _div(x, y):
+    """x / y for exact rationals x and nonzero y, as `frac` writes it.  It is
+    the one true division of the package: a / between two ints would make
+    a float."""
+    q = Fraction(x, y) if type(x) is int and type(y) is int else x / y
+    return q.numerator if q.denominator == 1 else q
+
+
+def format_frac(x) -> str:
     """Canonical form: "p/q" with reduced terms, "p" when q == 1."""
     return str(x)
 
 
 def _sparse(values, n, what):
-    """{index: Fraction} of the nonzero entries of a length-n sequence."""
+    """{index: rational} of the nonzero entries of a length-n sequence."""
     out = {}
     length = 0
     for i, x in enumerate(values):
@@ -99,7 +118,7 @@ def _dense(row, n) -> list:
 
 def _add_into(row, c, other):
     """row += c * other in place, dropping entries that cancel."""
-    one = c is Q1 or c == 1
+    one = c == 1
     for j, x in other.items():
         if not one:
             x = c * x
@@ -116,7 +135,13 @@ def _add_into(row, c, other):
 
 def _ints(row):
     """(d, {j: n}) with row[j] == n / d: the row's entries as integer
-    numerators over d, the lcm of their denominators."""
+    numerators over d, the lcm of their denominators.  A row of ints is
+    its own numerators over 1."""
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return 1, row
     d = 1
     nums = {}
     for j, x in row.items():
@@ -134,8 +159,8 @@ def _int_sum(terms, shared):
 
     Each product is scaled to an integer numerator over D, the lcm of the
     terms' denominators (c's times its row's), and summed in int; each
-    nonzero sum v becomes one reduced Fraction(v, D), shared with equal
-    entries through shared[D] (`_fractions`).
+    nonzero sum v becomes one rational v / D, shared with equal entries
+    through shared[D] (`_fractions`).
     """
     big = 1
     for c, (d, _) in terms:
@@ -155,16 +180,19 @@ def _int_sum(terms, shared):
 
 
 def _fractions(acc, d, built):
-    """{j: Fraction(v, d)} over the nonzero int sums v of acc, in acc's key
-    order.  built maps v to the Fraction(v, d) built for it, so equal
-    entries are built once: a dict lookup costs less than Fraction's gcd
-    normalisation."""
+    """{j: v / d} over the nonzero int sums v of acc, in acc's key order, as
+    `frac` writes them: an int where d divides v.  built maps v to the
+    rational built for it, so equal entries are built once: a dict lookup
+    costs less than Fraction's gcd normalisation."""
+    if d == 1:
+        return {j: v for j, v in acc.items() if v}
     out = {}
     for j, v in acc.items():
         if v:
             x = built.get(v)
             if x is None:
-                x = built[v] = Fraction(v, d)
+                q, r = divmod(v, d)
+                x = built[v] = Fraction(v, d) if r else q
             out[j] = x
     return out
 
@@ -231,7 +259,7 @@ def _rref_rows(rows):
         c = min(row)
         pv = row[c]
         if pv != 1:
-            row = {j: x / pv for j, x in row.items()}
+            row = {j: _div(x, pv) for j, x in row.items()}
         for other in basis.values():
             f = other.get(c)
             if f is not None:
@@ -262,7 +290,7 @@ def _restrict(image, basis, fail):
 
 
 class Matrix:
-    """rows x cols matrix of Fractions acting on column vectors.
+    """rows x cols matrix of exact rationals acting on column vectors.
 
     ``sparse_rows[i]`` maps each column where row i is nonzero to its entry;
     no zero is ever stored, so equal matrices have equal rows.  Matrices are
@@ -299,7 +327,7 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, rows, cols, entries):
-        """Sum of the (r, c, x) entries, each adding the Fraction x at row r,
+        """Sum of the (r, c, x) entries, each adding the rational x at row r,
         column c."""
         out = [{} for _ in range(rows)]
         for r, c, x in entries:

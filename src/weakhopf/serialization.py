@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .algebra import QuantumGroupoid, WeakBialgebra
 from .errors import DimensionMismatch, ParseError
-from .linalg import Matrix, _transpose, format_frac
+from .linalg import Matrix, _transpose, frac, format_frac
 from .structures import QTStructure, WeakCocycle
 from .transmute import BraidedHopfPresentation
 
@@ -33,7 +32,7 @@ KINDS = (
 )
 
 # a canonical rational: no "+", no leading zeros, no "-0", no "/1"; lowest
-# terms are checked against str(Fraction) once the shape matches
+# terms are checked against str() of the parsed rational once the shape matches
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 _DIMENSION = re.compile(r"[1-9][0-9]*")
 
@@ -62,7 +61,7 @@ class ParsedModule:
     basis_names: Tuple[str, ...]
     algebra_basis_names: Tuple[str, ...]
     # one row per algebra basis: the action matrix's entries, column after
-    # column, as {index: Fraction} of the nonzeros
+    # column, as {index: rational} of the nonzeros
     action_rows: Tuple[dict, ...]
 
     def bind(self, algebra: QuantumGroupoid):
@@ -83,7 +82,7 @@ def _fmt_vec(v):
 
 def _sparse_line(row, width):
     """The line of a length-width vector given by its nonzero entries
-    {index: Fraction}: "0" wherever row has no entry."""
+    {index: rational}: "0" wherever row has no entry."""
     words = ["0"] * width
     for k, x in row.items():
         words[k] = format_frac(x)
@@ -204,7 +203,7 @@ class _Reader:
         if self.terminated:
             self.lines.pop()
         self.pos = 0
-        self.known = {}  # token -> Fraction, for tokens already accepted
+        self.known = {}  # token -> rational, for tokens already accepted
 
     @property
     def lineno(self):
@@ -259,11 +258,12 @@ class _Reader:
         return parts
 
     def rational(self, token, field):
-        """The Fraction a canonical token spells, validated once per token."""
+        """The rational a canonical token spells, as `frac` writes it,
+        validated once per token."""
         x = self.known.get(token)
         if x is None:
-            # the shape is checked first, so Fraction never sees an exponent
-            x = Fraction(token) if _RATIONAL.fullmatch(token) else None
+            # the shape is checked first, so frac never sees an exponent
+            x = frac(token) if _RATIONAL.fullmatch(token) else None
             if x is None or str(x) != token:
                 raise ParseError(
                     "bad rational %r (want canonical p/q in lowest terms)" % token,
@@ -310,7 +310,7 @@ class _Reader:
             yield self.next_line(key)
 
     def sparse_row(self, line, count, key):
-        """The count words of line as {column: Fraction} of their nonzero
+        """The count words of line as {column: rational} of their nonzero
         entries.  "0" is the one canonical zero, so only the other tokens
         are read as rationals, in line order."""
         known, rational = self.known, self.rational
@@ -323,7 +323,7 @@ class _Reader:
             yield self.sparse_row(line, count, key)
 
     def pair_field(self, key, n):
-        """A one-line field of n^2 entries as a 2-tensor {(a, b): Fraction}."""
+        """A one-line field of n^2 entries as a 2-tensor {(a, b): rational}."""
         row = self.sparse_row(self.key_line(key), n * n, key)
         return {divmod(k, n): x for k, x in row.items()}
 

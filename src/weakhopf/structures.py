@@ -34,8 +34,8 @@ from .report import VerificationReport, Witness, comparison, dense_of_sparse, re
 
 
 def _element2(x2) -> dict:
-    """x2 as a 2-tensor {(a, b): Fraction} with its zero entries dropped, so
-    equal elements are equal dicts."""
+    """x2 as a 2-tensor {(a, b): rational}, each entry as `frac` writes it,
+    with its zero entries dropped, so equal elements are equal dicts."""
     x2 = {ab: frac(c) for ab, c in x2.items()}
     return {ab: c for ab, c in x2.items() if c}
 

@@ -4,12 +4,15 @@ These are the dense row-major algorithms `Matrix` ran before it stored
 sparse rows.  Nothing in the package calls them; they read a matrix through
 its dense ``data`` view and return plain lists of lists of Fractions (or
 tuples for vectors), so the tests can compare the sparse kernels entry by
-entry.  Later sections hold the dense element kernels the package stored
-algebras by before it kept structure constants sparse only, the one way the
-tests build an algebra from dense tables, and, last, the rules the
-constructions sum over the terms of a 2-tensor (the ambient action, the
-transmutation's and the quantization's rules, the comparison map), summed
-one dense product per term.
+entry.  Every entry they read, of a matrix or of an algebra's tables, is
+read as a Fraction (`data`, `fractions`): the package keeps an integral
+entry as an int, and the oracles stay all-Fraction, so no / of theirs
+divides two ints.  Later sections hold the dense element kernels the
+package stored algebras by before it kept structure constants sparse only,
+the one way the tests build an algebra from dense tables, and, last, the
+rules the constructions sum over the terms of a 2-tensor (the ambient
+action, the transmutation's and the quantization's rules, the comparison
+map), summed one dense product per term.
 """
 
 from __future__ import annotations
@@ -20,14 +23,25 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+def data(m):
+    """The dense rows of the `Matrix` m, every entry a Fraction."""
+    return [[Fraction(x) for x in row] for row in m.data]
+
+
+def fractions(row):
+    """The dict row, such as a row of an algebra's tables, with every entry
+    a Fraction."""
+    return {k: Fraction(c) for k, c in row.items()}
+
+
 def zeros(rows, cols):
     return [[Q0] * cols for _ in range(rows)]
 
 
 def matmul(a, b):
     out = zeros(a.rows, b.cols)
-    bdata = b.data
-    for i, arow in enumerate(a.data):
+    bdata = data(b)
+    for i, arow in enumerate(data(a)):
         orow = out[i]
         for k, x in enumerate(arow):
             if x:
@@ -39,7 +53,7 @@ def matmul(a, b):
 
 def apply(a, v):
     out = []
-    for row in a.data:
+    for row in data(a):
         s = Q0
         for x, y in zip(row, v):
             if x and y:
@@ -50,7 +64,7 @@ def apply(a, v):
 
 def kron(a, b):
     out = zeros(a.rows * b.rows, a.cols * b.cols)
-    adata, bdata = a.data, b.data
+    adata, bdata = data(a), data(b)
     for i in range(a.rows):
         for j in range(a.cols):
             x = adata[i][j]
@@ -67,16 +81,16 @@ def lincomb(terms, rows, cols):
     out = zeros(rows, cols)
     for c, m in terms:
         if c:
-            for orow, mrow in zip(out, m.data):
+            for orow, mrow in zip(out, data(m)):
                 for j, x in enumerate(mrow):
                     if x:
-                        orow[j] += c * x
+                        orow[j] += Fraction(c) * x
     return out
 
 
 def rref_rows(m, rows, cols):
     """Gauss-Jordan on a copy of the dense rows m: (rref rows, pivots)."""
-    m = [row[:] for row in m]
+    m = [[Fraction(x) for x in row] for row in m]
     pivots = []
     r = 0
     for c in range(cols):
@@ -103,7 +117,7 @@ def rref_rows(m, rows, cols):
 
 
 def rref(a):
-    return rref_rows(a.data, a.rows, a.cols)
+    return rref_rows(data(a), a.rows, a.cols)
 
 
 def spanning_basis(vectors, n):
@@ -129,13 +143,13 @@ def kernel_basis(a):
 
 
 def column_space(a):
-    data = a.data
-    return spanning_basis([[row[j] for row in data] for j in range(a.cols)], a.rows)
+    rows = data(a)
+    return spanning_basis([[row[j] for row in rows] for j in range(a.cols)], a.rows)
 
 
 def solve(a, b):
     """(x, rank) with x some solution of a x = b, or (None, rank)."""
-    aug = [row + [Fraction(x)] for row, x in zip(a.data, b)]
+    aug = [row + [Fraction(x)] for row, x in zip(data(a), b)]
     red, pivots = rref_rows(aug, a.rows, a.cols + 1)
     if a.cols in pivots:
         return None, len(pivots)
@@ -147,7 +161,7 @@ def solve(a, b):
 
 def inverse(a):
     n = a.rows
-    aug = [row + [Q1 if j == i else Q0 for j in range(n)] for i, row in enumerate(a.data)]
+    aug = [row + [Q1 if j == i else Q0 for j in range(n)] for i, row in enumerate(data(a))]
     red, pivots = rref_rows(aug, n, 2 * n)
     if pivots[:n] != tuple(range(n)):
         return None
@@ -207,14 +221,15 @@ def sparse_mul(H, x, y, k):
     out = {}
     for ix, cx in x.items():
         for iy, cy in y.items():
-            c = cx * cy
+            c = Fraction(cx) * cy
             terms = [((), c)]
             for f in range(k):
                 row = rows.get((ix[f], iy[f]))
                 if not row:
                     terms = None
                     break
-                terms = [(idx + (kk,), tc * vc) for idx, tc in terms for kk, vc in row.items()]
+                terms = [(idx + (kk,), tc * vc) for idx, tc in terms
+                         for kk, vc in fractions(row).items()]
             if terms:
                 for idx, tc in terms:
                     out[idx] = out.get(idx, Q0) + tc
@@ -320,7 +335,7 @@ def componentwise_action(M, N, elem2):
             for c1, v1 in row1.items():
                 for r2, row2 in enumerate(nrows):
                     for c2, v2 in row2.items():
-                        out[r1 * nd + r2][c1 * nd + c2] += c * v1 * v2
+                        out[r1 * nd + r2][c1 * nd + c2] += Fraction(c) * v1 * v2
     return out
 
 
@@ -357,12 +372,12 @@ def mul_elem(H, x, y):
             for j, cy in enumerate(y):
                 if cy:
                     for k, ck in H.mul_rows.get((i, j), {}).items():
-                        out[k] += cx * cy * ck
+                        out[k] += Fraction(cx) * cy * ck
     return tuple(out)
 
 
 def counit_of(H, x):
-    return sum((c * e for c, e in zip(x, H.counit) if c and e), Q0)
+    return sum((Fraction(c) * e for c, e in zip(x, H.counit) if c and e), Q0)
 
 
 def comul_of(H, x):
@@ -442,10 +457,10 @@ def fraction_sparse_mul(H, x, y, k, slots=None):
                     break
                 found.append(row)
             else:
-                terms = [((), cx * cy)]
+                terms = [((), Fraction(cx) * cy)]
                 for row in found:
                     terms = [(idx + (kk,), c if v == 1 else c * v)
-                             for idx, c in terms for kk, v in row.items()]
+                             for idx, c in terms for kk, v in fractions(row).items()]
                 for idx, c in terms:
                     old = out.get(idx)
                     out[idx] = c if old is None else old + c
@@ -460,7 +475,7 @@ def fraction_coproduct_leg(s, leg, cols):
         head, tail = idx[:leg], idx[leg + 1:]
         for pq, c2 in cols[idx[leg]].items():
             key = head + pq + tail
-            out[key] = out.get(key, Q0) + c * c2
+            out[key] = out.get(key, Q0) + Fraction(c) * c2
     return {k: v for k, v in out.items() if v}
 
 
@@ -473,13 +488,13 @@ def rescaled(H, scale):
     from weakhopf.linalg import Matrix
 
     s = [Fraction(x) for x in scale]
-    mul_rows = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+    mul_rows = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in fractions(row).items()}
                 for (i, j), row in H.mul_rows.items()}
-    comul_cols = {i: {(j, k): c * s[i] / (s[j] * s[k]) for (j, k), c in col.items()}
+    comul_cols = {i: {(j, k): c * s[i] / (s[j] * s[k]) for (j, k), c in fractions(col).items()}
                   for i, col in H.comul_cols.items()}
-    unit = [u / x for u, x in zip(H.unit, s)]
-    counit = [e * x for e, x in zip(H.counit, s)]
-    antipode = Matrix._of(H.dim, H.dim, [{j: c * s[j] / s[r] for j, c in row.items()}
+    unit = [Fraction(u) / x for u, x in zip(H.unit, s)]
+    counit = [Fraction(e) * x for e, x in zip(H.counit, s)]
+    antipode = Matrix._of(H.dim, H.dim, [{j: c * s[j] / s[r] for j, c in fractions(row).items()}
                                          for r, row in enumerate(H.antipode.sparse_rows)])
     base = WeakBialgebra(H.basis_names, mul_rows, unit, comul_cols, counit)
     return QuantumGroupoid(base, antipode)
@@ -533,7 +548,7 @@ def left_mult(L, x):
     out = zeros(L.dim, L.dim)
     for (i, j), row in L.mul_rows.items():
         if x[i]:
-            for k, c in row.items():
+            for k, c in fractions(row).items():
                 out[k][j] += x[i] * c
     return out
 
@@ -543,7 +558,7 @@ def right_mult(L, x):
     out = zeros(L.dim, L.dim)
     for (i, j), row in L.mul_rows.items():
         if x[j]:
-            for k, c in row.items():
+            for k, c in fractions(row).items():
                 out[k][i] += x[j] * c
     return out
 
@@ -552,7 +567,7 @@ def mul_map(L):
     n = L.dim
     out = zeros(n, n * n)
     for (i, j), row in L.mul_rows.items():
-        for k, c in row.items():
+        for k, c in fractions(row).items():
             out[k][i * n + j] = c
     return out
 
@@ -561,7 +576,7 @@ def comul_map(L):
     n = L.dim
     out = zeros(n * n, n)
     for i, col in L.comul_cols.items():
-        for (j, k), c in col.items():
+        for (j, k), c in fractions(col).items():
             out[j * n + k][i] = c
     return out
 
@@ -587,7 +602,7 @@ def transmute_rules(f, qt):
     ad = ambient_action(f)
     comul = term_sum(((c, dense_kron(right_mult(L, apply(f.matrix, H.antipode.column(y))), ad[x]))
                       for (x, y), c in qt.r.items()), n * n, n * n)
-    s_l = L.antipode.data
+    s_l = data(L.antipode)
     antipode = term_sum(((c, times(times(left_mult(L, f.matrix.column(y)), s_l), ad[x]))
                          for (x, y), c in qt.r.items()), n, n)
     return times(comul, comul_map(L)), antipode

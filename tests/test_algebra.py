@@ -16,6 +16,7 @@ from weakhopf import (
     solve_antipode,
     source_subalgebra,
     target_subalgebra,
+    zoo,
 )
 from weakhopf.algebra import sparse_coproduct_leg, sparse_of_dense
 from weakhopf.errors import AntipodeNotInvertible, DimensionMismatch
@@ -238,3 +239,27 @@ def test_sparse_coproduct_leg_matches_dense_kron(kd4_diag2, entries):
 def test_sparse_tables_are_validated(mul_rows, comul_cols, message):
     with pytest.raises(DimensionMismatch, match=message):
         WeakBialgebra(["a", "b"], mul_rows, [1, 0], comul_cols, [1, 1])
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, -1.0])
+@pytest.mark.parametrize("table", ["mul", "comul"])
+def test_table_entries_are_exact_rationals(entry, table):
+    # an int or a Fraction is stored; a float or a bool is refused
+    mul_rows = {(0, 0): {0: 1}, (1, 1): {1: Fraction(1, 2)}}
+    comul_cols = {0: {(0, 0): 1}, 1: {(1, 1): Fraction(-1, 3)}}
+    WeakBialgebra(["a", "b"], mul_rows, [1, 0], comul_cols, [1, 1])
+    if table == "mul":
+        mul_rows = {**mul_rows, (0, 1): {1: entry}}
+    else:
+        comul_cols = {**comul_cols, 1: {(1, 1): entry}}
+    with pytest.raises(TypeError, match="%s table stores an entry that is not" % table):
+        WeakBialgebra(["a", "b"], mul_rows, [1, 0], comul_cols, [1, 1])
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names())
+def test_convolve_matches_the_kronecker_product(name):
+    # two whiskered products on Delta against mu (f (x) g) Delta built whole
+    H = zoo.fixture(name).algebra
+    S, ident = H.antipode, Matrix.identity(H.dim)
+    for f, g in ((S, ident), (ident, S), (S, S), (H.eps_s_mat, H.antipode_inv)):
+        assert convolve(H, f, g) == H.mul_map * kron(f, g) * H.comul_map

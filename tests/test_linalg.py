@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import vectors
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, kron
+from weakhopf.linalg import Matrix, SubspaceBasis, _div, frac, kron
 
 rationals = st.builds(
     Fraction,
@@ -20,6 +20,24 @@ def mat2(entries):
 
 matrices2 = st.builds(mat2, st.lists(rationals, min_size=4, max_size=4))
 vectors2 = st.tuples(rationals, rationals)
+
+
+@settings(max_examples=200)
+@given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))
+def test_frac_and_div_write_an_int_when_integral(p, q):
+    x = Fraction(p, q)
+    for got in (frac(x), frac(str(x)), _div(p, q), _div(Fraction(p), q), _div(p, Fraction(q)),
+                _div(x, 1)):
+        assert got == x
+        assert type(got) is (int if x.denominator == 1 else Fraction)
+    assert type(frac(Fraction(p))) is int and type(frac(p)) is int
+
+
+def test_frac_refuses_a_float_and_reads_a_bool_as_an_int():
+    assert type(frac(True)) is int and frac(True) == 1 and frac(False) == 0
+    for bad in (0.5, 1.0, None):
+        with pytest.raises(TypeError):
+            frac(bad)
 
 
 def test_kron_identity():

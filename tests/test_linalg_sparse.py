@@ -53,18 +53,23 @@ def systems(draw):
     return a, tuple(draw(entries) for _ in range(a.rows))
 
 
-def assert_sparse(m):
-    """No explicit zero is stored and every column index is in range."""
+def assert_sparse(m, canonical=False):
+    """No explicit zero is stored, every column index is in range and every
+    entry is an exact rational: an int or a Fraction, never a bool.  With
+    canonical, where the form is promised (`linalg.frac`), an integral
+    entry is an int.  The callers compare the entries with the oracle's."""
     assert len(m.sparse_rows) == m.rows
     for row in m.sparse_rows:
-        assert all(isinstance(x, Fraction) and x for x in row.values())
+        assert all(type(x) in (int, Fraction) and x for x in row.values())
         assert all(0 <= j < m.cols for j in row)
+        if canonical:
+            assert all(type(x) is int or x.denominator != 1 for x in row.values())
 
 
 @settings(max_examples=150)
 @given(matrices())
 def test_data_view_round_trips(a):
-    assert_sparse(a)
+    assert_sparse(a, canonical=True)
     view = a.data
     assert len(view) == a.rows and all(len(row) == a.cols for row in view)
     assert Matrix(view, a.rows, a.cols) == a

@@ -2,10 +2,12 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weakhopf import (
     QuantumGroupoid,
@@ -21,6 +23,7 @@ from weakhopf.errors import ParseError, WeakHopfError
 from weakhopf.serialization import (
     ParsedCocycle,
     ParsedQT,
+    _Reader,
     parse,
     serialize_cocycle,
     serialize_module,
@@ -324,6 +327,45 @@ def test_canonical_rationals_parse(diag2):
         assert H.counit == (1, value)
 
 
+def test_parsed_entries_are_ints_when_integral(corpus):
+    # the parser writes each rational as frac does: an int when it is
+    # integral, else a Fraction
+    for fx in corpus:
+        H = parse(serialize_quantum_groupoid(fx.algebra))
+        entries = [*H.unit, *H.counit]
+        for rows in (H.mul_rows.values(), H.comul_cols.values(), H.antipode.sparse_rows):
+            entries.extend(x for row in rows for x in row.values())
+        assert entries and all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                               for x in entries), fx.name
+
+
+# words separated by single spaces, as a regular expression: re's \s is
+# str.isspace, so a word holds no other whitespace
+_WORDS = re.compile(r"\S+(?: \S+)*")
+
+
+@settings(max_examples=500, deadline=None)
+@example("a\tb")
+@example("a\xa0b")
+@example("a\x1cb")
+@example("a  b")
+@example(" a")
+@example("a ")
+@example("")
+@given(st.one_of(
+    st.text(alphabet=st.sampled_from("ab/1 \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000"),
+            max_size=8),
+    st.text(max_size=8)))
+def test_words_are_separated_by_single_spaces(text):
+    # the parser's two-split test against the regular expression
+    reader = _Reader("")
+    if text and not _WORDS.fullmatch(text):
+        with pytest.raises(ParseError, match="is not single-space separated"):
+            reader.words(text, "basis")
+    else:
+        assert reader.words(text, "basis") == text.split()
+
+
 @pytest.mark.parametrize(
     "text, field",
     [
@@ -344,9 +386,6 @@ def test_parse_error_dimension_mismatch(diag2):
     text = serialize_qt(diag2.algebra, diag2.qt)
     with pytest.raises(ParseError):
         parse(text.replace("dim: 2", "dim: 3"))
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=60)

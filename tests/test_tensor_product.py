@@ -86,11 +86,14 @@ def test_sparse_mul_matches_oracle(data):
 
 
 def _assert_same(got, want):
-    """Equal sparse tensors with equal key order, every entry a reduced
-    Fraction."""
+    """Equal sparse tensors with equal key order, every entry a nonzero
+    exact rational in the one form the kernels promise: an int when it is
+    integral, else a Fraction, and never a bool."""
     assert got == want
     assert list(got) == list(want)
-    assert all(type(c) is Fraction for c in got.values())
+    for c in got.values():
+        assert c and type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
 
 
 def _product_index(H, a, b):

@@ -346,3 +346,25 @@ def test_document_layout_detector_sees_them():
                      '    return "\\n".join(lines) + " ".join(x)\n'
                      'class R:\n    def read(self):\n        return self.key_line("kind")\n')
     assert _document_layout(tree) == [(2, "write"), (3, "write")]
+
+
+def _divisions(tree):
+    """(line, scope) of each true division, x / y or x /= y."""
+    return _scoped(tree, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.Div))
+
+
+def test_the_one_division_of_the_package_is_linalg_div():
+    # an integral entry is an int, and a / between two ints makes a float;
+    # linalg._div divides exactly and writes the quotient as frac does
+    found = _package_scopes(lambda tree, _: _divisions(tree), None)
+    assert found == {("linalg.py", "_div")}
+
+
+def test_division_detector_sees_them():
+    tree = ast.parse("def f(x, y):\n    return x / y\n"
+                     "def g(x):\n    x /= 2\n    return x // 2 + x % 2\n"
+                     "class C:\n    def m(self, a):\n"
+                     "        return [(a / 2) / 3 for _ in a]\n"
+                     "path = 'a / b'\nq, r = divmod(7, 2)\n")
+    assert _divisions(tree) == [(2, "f"), (4, "g"), (8, "C.m"), (8, "C.m")]

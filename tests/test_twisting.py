@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+from fractions import Fraction
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_alpha_requires_canonical_structure(kd4):
     H = kd4.algebra
     bad = QTStructure(
         {ab: 2 * c for ab, c in canonical_r(H).r.items()},
-        {ab: c / 2 for ab, c in canonical_r(H).rinv.items()},
+        {ab: c * Fraction(1, 2) for ab, c in canonical_r(H).rinv.items()},
     )
     with pytest.raises(PreconditionUnmet):
         alpha_map(H, bad, kd4.cocycle)
