@@ -35,7 +35,7 @@ from .errors import (
     NonUniqueSolution,
 )
 from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _div, _fractions, _ints,
-                     _row_blocks, _whiskered, frac, kron)
+                     _row_blocks, _squared, _whiskered, frac)
 from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
@@ -772,7 +772,7 @@ def check_quantum_groupoid(H: QuantumGroupoid) -> VerificationReport:
     delta_s = H.comul_map * S
     cop = Matrix.from_entries(n * n, n, ((b * n + a, i, c) for i, col in H.comul_cols.items()
                                          for (a, b), c in col.items()))
-    s_cop = kron(S, S) * cop
+    s_cop = _squared(S, cop)
 
     def anticomul_pairs():  # scanned only when the maps differ
         if eps_s == H.counit_map and delta_s == s_cop:

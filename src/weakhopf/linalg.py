@@ -575,6 +575,12 @@ def _whiskered(a: Matrix, n, x: Matrix, first) -> Matrix:
     return Matrix._of(p * n, x.cols, out)
 
 
+def _squared(a: Matrix, x: Matrix) -> Matrix:
+    """kron(a, a) * x as two whiskered products: a (x) a is
+    (a (x) id)(id (x) a)."""
+    return _whiskered(a, a.rows, _whiskered(a, a.cols, x, first=False), first=True)
+
+
 def _row_blocks(x: Matrix, n) -> Matrix:
     """x, p x (m n), with each row cut into its m blocks of n columns: the
     (p m) x n matrix whose row i m + g is block g of row i.  Then

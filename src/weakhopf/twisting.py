@@ -25,7 +25,7 @@ from .errors import (
     PreconditionUnmet,
     TwistAxiomFailure,
 )
-from .linalg import Matrix, _product_sum, _restrict, _whiskered
+from .linalg import Matrix, _product_sum, _restrict, _squared
 from .modules import BraidContext, HModule, _module_map_identities, truncated_tensor
 from .quantize import quantize
 from .report import VerificationReport, Witness, comparison, decide, require
@@ -240,12 +240,6 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
 
     rep.extend(check_conjugator_coproduct(H, wc))
     return IsomorphismResult(rep, p_f, p_t, tw, alpha, alpha_inv)
-
-
-def _squared(a: Matrix, x: Matrix) -> Matrix:
-    """kron(a, a) * x as two whiskered products: a (x) a is
-    (a (x) id)(id (x) a)."""
-    return _whiskered(a, a.rows, _whiskered(a, a.cols, x, first=False), first=True)
 
 
 def tensor_action_identification(H, wc, M: HModule, N: HModule) -> VerificationReport:

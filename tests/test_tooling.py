@@ -291,6 +291,40 @@ def test_whiskered_kron_detector_sees_them():
     assert _kron_by_identity(tree) == [(2, "f"), (5, "C.m"), (7, ""), (12, "g.inner")]
 
 
+# (module file, scope) where a Kronecker product is built whole: the basis of
+# a tensor square and the carrier's product on it
+KRON_KEPT = {("linalg.py", "SubspaceBasis.square"), ("transmute.py", "_present")}
+
+
+def _kron_outside_kept(tree, module):
+    """(line, scope) of each call of `kron` in the tree of module that is not
+    in a scope of KRON_KEPT."""
+    return [(line, scope) for line, scope in _callers(tree, "kron")
+            if (module, scope) not in KRON_KEPT]
+
+
+def test_no_package_module_calls_kron_outside_the_kept_products():
+    # a product (A (x) B) X is two whiskered products (`_whiskered`,
+    # `linalg._squared`), and a vector u (x) u is an outer product
+    found = {p.name: _kron_outside_kept(ast.parse(p.read_text(encoding="utf-8")), p.name)
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_kron_call_detector_sees_them():
+    tree = ast.parse("from .linalg import kron\n"
+                     "def kron_sum(a):\n    return _kron_sum(a) + kron(a, a)\n"
+                     "class SubspaceBasis:\n    def square(self):\n        return kron(r, r)\n"
+                     "    def other(self):\n        return linalg.kron(r, r)\n"
+                     "def _present(e):\n    def inner():\n        return kron(e, e)\n"
+                     "    return kron(e, e)\n")
+    assert _kron_outside_kept(tree, "linalg.py") == [
+        (3, "kron_sum"), (8, "SubspaceBasis.other"), (11, "_present.inner"), (12, "_present")]
+    assert _kron_outside_kept(tree, "transmute.py") == [
+        (3, "kron_sum"), (6, "SubspaceBasis.square"), (8, "SubspaceBasis.other"),
+        (11, "_present.inner")]
+
+
 def _exit_codes_by_hand(tree):
     """(line, scope) of each int literal a `_cmd_*` handler or `_failed_check`
     returns, and of each call in one that passes `render` an argument."""
