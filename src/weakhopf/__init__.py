@@ -12,10 +12,6 @@ from .algebra import (
     check_quantum_groupoid,
     check_weak_bialgebra,
     convolve,
-    epsilon_s,
-    epsilon_s_bar,
-    epsilon_t,
-    epsilon_t_bar,
     solve_antipode,
     source_subalgebra,
     target_subalgebra,
@@ -99,10 +95,6 @@ __all__ = [
     "derived_r_identities",
     "drinfeld_element",
     "drinfeld_identities",
-    "epsilon_s",
-    "epsilon_s_bar",
-    "epsilon_t",
-    "epsilon_t_bar",
     "ht_module",
     "identity_morphism",
     "kron",

@@ -34,25 +34,12 @@ from .errors import (
     NonUniqueAntipode,
     NonUniqueSolution,
 )
-from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _div, _fractions, _ints,
-                     _row_blocks, _squared, _whiskered, frac)
+from .linalg import (Matrix, Q0, Q1, SubspaceBasis, _add_into, _fractions, _insert, _ints,
+                     _reduced, _row_blocks, _squared, _whiskered, frac)
 from .report import VerificationReport, comparison, decide
 
 # ---------------------------------------------------------------------------
 # sparse helpers for elements of H^(x)k, keyed by k-tuples of basis indices
-
-
-def sparse_of_dense(v, n, k):
-    out = {}
-    for flat, c in enumerate(v):
-        if c:
-            idx = []
-            rem = flat
-            for _ in range(k):
-                idx.append(rem % n)
-                rem //= n
-            out[tuple(reversed(idx))] = c
-    return out
 
 
 def sparse_mul(H, x, y, k, slots=None):
@@ -238,35 +225,21 @@ class WeakBialgebra:
         span H: an index joins S when its basis element lies outside the
         closure of span{1} under left multiplication by S so far, and the
         closure then grows.  Under the unit law S generates H as an algebra
-        with 1.  The closure is kept in sparse echelon form, each row scaled
-        to 1 at its pivot, its smallest index."""
-        echelon = {}  # pivot -> row
-
-        def residual(v):
-            while v:
-                p = min(v)
-                row = echelon.get(p)
-                if row is None:
-                    break
-                _add_into(v, -v[p], row)
-            return v
-
+        with 1.  The closure is kept as its reduced echelon basis
+        (`linalg._insert`); spanning holds the vectors that grew it."""
+        closure = {}  # pivot -> reduced row
         gens, spanning, pending = [], [], []
 
         def grow(v):
-            v = residual(v)
-            if v:
-                p = min(v)
-                c = v[p]
-                echelon[p] = v if c == 1 else {k: _div(x, c) for k, x in v.items()}
+            if _insert(closure, v):
                 spanning.append(v)
                 pending.extend((s, v) for s in gens)
 
         grow({i: c for i, c in enumerate(self.unit) if c})
         for i in range(self.dim):
-            if len(echelon) == self.dim:
+            if len(closure) == self.dim:
                 break
-            if not residual({i: Q1}):
+            if not _reduced(closure, {i: Q1}):
                 continue
             gens.append(i)
             pending.extend((i, v) for v in spanning)
@@ -472,22 +445,6 @@ class QuantumGroupoid(WeakBialgebra):
 
 # ---------------------------------------------------------------------------
 # target / source maps and subalgebras
-
-
-def epsilon_t(H, x):
-    return H.eps_t_mat.apply(x)
-
-
-def epsilon_s(H, x):
-    return H.eps_s_mat.apply(x)
-
-
-def epsilon_t_bar(H, x):
-    return H.eps_t_bar_mat.apply(x)
-
-
-def epsilon_s_bar(H, x):
-    return H.eps_s_bar_mat.apply(x)
 
 
 def target_subalgebra(H) -> SubspaceBasis:

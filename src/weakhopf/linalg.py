@@ -87,7 +87,7 @@ def format_frac(x) -> str:
     return str(x)
 
 
-def _sparse(values, n, what):
+def _sparse(values, n):
     """{index: rational} of the nonzero entries of a length-n sequence."""
     out = {}
     length = 0
@@ -97,7 +97,7 @@ def _sparse(values, n, what):
         if x:
             out[i] = x
     if length != n:
-        raise DimensionMismatch(what)
+        raise DimensionMismatch("ragged matrix rows")
     return out
 
 
@@ -239,32 +239,48 @@ def _combined(arows, brows):
     return out
 
 
+def _reduced(basis, row):
+    """The residual of the sparse row against basis, {pivot: row} kept fully
+    reduced (`_insert`): empty exactly when row lies in the span.  Basis
+    rows vanish at the other pivots, so one pass clears them all."""
+    residual = dict(row)
+    for p in [p for p in row if p in basis]:
+        _add_into(residual, -row[p], basis[p])
+    return residual
+
+
+def _insert(basis, row):
+    """Add the sparse row to basis, {pivot: row} kept fully reduced: each row
+    is 1 at its pivot, its smallest column, and 0 at every other pivot.
+    Returns whether the span grew.  It reduces row as `_reduced` does."""
+    row = dict(row)
+    for p in [p for p in row if p in basis]:
+        _add_into(row, -row[p], basis[p])
+    if not row:
+        return False
+    c = min(row)
+    pv = row[c]
+    if pv != 1:
+        row = {j: _div(x, pv) for j, x in row.items()}
+    for other in basis.values():
+        f = other.get(c)
+        if f is not None:
+            _add_into(other, -f, row)
+    basis[c] = row
+    return True
+
+
 def _rref_rows(rows):
     """Reduced row echelon form of the span of sparse rows.
 
     Returns (nonzero reduced rows in pivot order, pivot columns).  Rows are
-    inserted one at a time into a basis kept fully reduced: every basis row
-    has 1 at its pivot, its smallest column, and 0 at every other pivot
-    column.  The reduced echelon form of a row space is unique, so this is
-    the same matrix column-by-column Gauss-Jordan produces.
+    inserted one at a time (`_insert`).  The reduced echelon form of a row
+    space is unique, so this is the same matrix column-by-column
+    Gauss-Jordan produces.
     """
-    basis = {}  # pivot column -> reduced row
+    basis = {}
     for row in rows:
-        row = dict(row)
-        # basis rows vanish at the other pivots, so one pass clears them all
-        for p in [p for p in row if p in basis]:
-            _add_into(row, -row[p], basis[p])
-        if not row:
-            continue
-        c = min(row)
-        pv = row[c]
-        if pv != 1:
-            row = {j: _div(x, pv) for j, x in row.items()}
-        for other in basis.values():
-            f = other.get(c)
-            if f is not None:
-                _add_into(other, -f, row)
-        basis[c] = row
+        _insert(basis, row)
     pivots = tuple(sorted(basis))
     return [basis[p] for p in pivots], pivots
 
@@ -314,7 +330,7 @@ class Matrix:
             raise DimensionMismatch("matrix has %d rows, not %d" % (len(data), rows))
         self.rows = rows
         self.cols = cols
-        self.sparse_rows = [_sparse(row, cols, "ragged matrix rows") for row in data]
+        self.sparse_rows = [_sparse(row, cols) for row in data]
 
     @classmethod
     def _of(cls, rows, cols, sparse_rows):
@@ -335,10 +351,6 @@ class Matrix:
             y = row.get(c)
             row[c] = x if y is None else y + x
         return cls._of(rows, cols, [{j: x for j, x in row.items() if x} for row in out])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
@@ -363,21 +375,6 @@ class Matrix:
             else:
                 out.append(_scaled(*present[0]) if present else {})
         return cls._of(rows, cols, out)
-
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        columns = list(columns)
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        cols = [_sparse(c, rows, "column length mismatch") for c in columns]
-        return cls._of(rows, len(cols), _transpose(cols, rows))
-
-    @classmethod
-    def from_rows(cls, rws, cols=None):
-        rws = list(rws)
-        if cols is None:
-            cols = len(rws[0]) if rws else 0
-        return cls._of(len(rws), cols, [_sparse(r, cols, "row length mismatch") for r in rws])
 
     @classmethod
     def vstack(cls, mats, cols):
@@ -423,13 +420,6 @@ class Matrix:
     def __sub__(self, other):
         return self._plus(other, -Q1, "subtraction")
 
-    def scale(self, c):
-        c = frac(c)
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        return Matrix._of(self.rows, self.cols,
-                          [{j: c * x for j, x in row.items()} for row in self.sparse_rows])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -471,9 +461,6 @@ class Matrix:
         reduced, pivots = _rref_rows(self.sparse_rows)
         reduced.extend({} for _ in range(self.rows - len(reduced)))
         return Matrix._of(self.rows, self.cols, reduced), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def kernel_basis(self) -> "SubspaceBasis":
         """Canonical basis of the right null space {x : Ax = 0}."""
@@ -683,10 +670,6 @@ class SubspaceBasis:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_spanning(cls, ambient_dim, vectors) -> "SubspaceBasis":
-        return cls._spanned(Matrix.from_rows(vectors, ambient_dim))
-
-    @classmethod
     def _spanned(cls, m: Matrix) -> "SubspaceBasis":
         """Canonical basis of the span of the rows of m."""
         if not m.rows:
@@ -716,12 +699,7 @@ class SubspaceBasis:
     def _residual(self, row):
         """The sparse vector row minus its pivot entries times the basis
         rows: empty exactly when row lies in the span."""
-        residual = dict(row)
-        for p, brow in zip(self.pivots, self.sparse_rows):
-            c = row.get(p)
-            if c:
-                _add_into(residual, -c, brow)
-        return residual
+        return _reduced(dict(zip(self.pivots, self.sparse_rows)), row)
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None when v is outside."""
@@ -730,9 +708,6 @@ class SubspaceBasis:
         if self._residual({i: x for i, x in enumerate(v) if x}):
             return None
         return tuple(v[p] for p in self.pivots)
-
-    def contains(self, v) -> bool:
-        return self.coordinates(v) is not None
 
     def embedding(self) -> Matrix:
         """ambient_dim x dim matrix whose columns are the basis vectors."""

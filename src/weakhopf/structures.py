@@ -20,7 +20,6 @@ from .algebra import (
     sparse_coproduct_leg,
     sparse_embed,
     sparse_mul,
-    sparse_of_dense,
 )
 from .errors import (
     DimensionMismatch,
@@ -286,7 +285,7 @@ def _drinfeld_report(H, qt):
     comparison(rep, "square-antipode-conjugation", [((), s2, conj)],
                "S^2 vs conjugation by u")
 
-    du = sparse_coproduct_leg(sparse_of_dense(u, H.dim, 1), 0, H.comul_cols)
+    du = sparse_coproduct_leg({(i,): c for i, c in enumerate(u) if c}, 0, H.comul_cols)
     rhs = _mul2(H, qt.rinv, swap2(qt.rinv), _outer2(u, u))
     comparison(rep, "coproduct-of-u", [((), du, rhs)],
                "Delta(u) vs R^-1 R21^-1 (u (x) u)", (H.dim, 2))
@@ -406,7 +405,7 @@ def conjugator_coproduct_sides(H, wc, v_inv=None):
     """Both sides of Delta(v^-1) = ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1."""
     if v_inv is None:
         v_inv = conjugator_elements(H, wc)[1]
-    lhs = sparse_coproduct_leg(sparse_of_dense(v_inv, H.dim, 1), 0, H.comul_cols)
+    lhs = sparse_coproduct_leg({(i,): c for i, c in enumerate(v_inv) if c}, 0, H.comul_cols)
     S = H.antipode
     ss_f21inv = apply_to_leg(S, apply_to_leg(S, swap2(wc.finv), 0), 1)
     return lhs, _mul2(H, ss_f21inv, _outer2(v_inv, v_inv), wc.finv)

@@ -15,7 +15,7 @@ from functools import cached_property
 from .algebra import QuantumGroupoid, _on_generators, source_subalgebra, target_subalgebra
 from .errors import ClosureViolation, MismatchedAlgebra
 from .linalg import (Matrix, SubspaceBasis, _kron_sum, _product_sum, _restrict, _squared,
-                     _whiskered, kron)
+                     _whiskered)
 from .modules import (
     BraidContext,
     HModule,
@@ -118,18 +118,6 @@ class BraidedHopfPresentation:
             raise ClosureViolation("ambient unit is outside the carrier")
         return coords
 
-    def structurally_equal(self, other: "BraidedHopfPresentation") -> bool:
-        return (
-            self.carrier == other.carrier
-            and self.ht == other.ht
-            and self.action.mats == other.action.mats
-            and self.mul == other.mul
-            and self.unit == other.unit
-            and self.comul == other.comul
-            and self.counit == other.counit
-            and self.antipode == other.antipode
-        )
-
 
 def ambient_action(f: QGMorphism):
     """Matrices of h . l = f(h_1) l f(S(h_2)) on the target of f, one per
@@ -164,7 +152,8 @@ def _present(f: QGMorphism, ad, product, coproduct, antipode):
         for i, a in enumerate(ad)
     ], name="carrier")
     action.validate()
-    mul = _restrict(product * kron(emb, emb), carrier,
+    # product (emb (x) emb), as two whiskers on the transposes
+    mul = _restrict(_squared(emb.transpose(), product.transpose()).transpose(), carrier,
                     escaped("product", index=lambda j: divmod(j, carrier.dim)))
     unit = _restrict(f.matrix * ht.embedding(), carrier, escaped("unit image"))
     comul = _restrict(coproduct * emb, carrier.square(),

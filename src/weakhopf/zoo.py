@@ -234,10 +234,10 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
     """Sign-bicharacter cocycle on an elementary abelian 2-subgroup.
 
     generators: basis indices of commuting involutions generating the
-    subgroup (1 or 2 of them).  beta: a 2^k x 2^k matrix of +-1 indexed by
-    characters encoded as bitmasks; beta[v][w] is the pairing of the
-    characters determined by (-1)^(v.g) on generators g.  The cocycle is
-    F = sum beta(chi, psi) e_chi (x) e_psi over character idempotents; the
+    subgroup (1 or 2 of them).  beta: a 2^k x 2^k matrix of ints or Fractions
+    +-1 indexed by characters encoded as bitmasks; beta[v][w] is the pairing
+    of the characters determined by (-1)^(v.g) on generators g.  The cocycle
+    is F = sum beta(chi, psi) e_chi (x) e_psi over character idempotents; the
     checker is the acceptance oracle and is always run.
     """
     k = len(generators)
@@ -247,6 +247,8 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
     unit_support = [i for i, c in enumerate(H.unit) if c]
     gen = list(generators)
     for g in gen:
+        if g not in range(H.dim):
+            raise NotABicharacter("generator index %r is outside the algebra" % (g,))
         if H.comul_cols[g] != {(g, g): Q1} or H.counit[g] != 1:
             raise NotABicharacter("generators must be grouplike with counit 1")
     # subgroup elements indexed by bitmasks
@@ -273,11 +275,11 @@ def bicharacter_cocycle(H: QuantumGroupoid, generators, beta) -> WeakCocycle:
                 raise NotABicharacter("subgroup is not closed or not abelian")
 
     size = 2 ** k
-    bmat = [[int(beta[v][w]) for w in range(size)] for v in range(size)]
-    for v in range(size):
-        for w in range(size):
-            if bmat[v][w] not in (1, -1):
-                raise NotABicharacter("pairing values must be +-1")
+    if len(beta) != size or any(len(row) != size for row in beta):
+        raise NotABicharacter("beta must be a %d x %d matrix" % (size, size))
+    if not all(type(x) in (int, Q) and x in (1, -1) for row in beta for x in row):
+        raise NotABicharacter("pairing values must be the rationals +-1")
+    bmat = [[int(x) for x in row] for row in beta]
     for v1 in range(size):
         for v2 in range(size):
             for w in range(size):
@@ -448,7 +450,3 @@ def fixture(name: str) -> Fixture:
         H, wc = build()
         _cache[name] = Fixture(name, description, H, canonical_r(H), wc)
     return _cache[name]
-
-
-def all_fixtures():
-    return [fixture(name) for name in fixture_names()]

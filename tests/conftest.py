@@ -30,4 +30,4 @@ def kd4_diag2():
 
 @pytest.fixture(scope="session")
 def corpus():
-    return zoo.all_fixtures()
+    return [zoo.fixture(name) for name in zoo.fixture_names()]

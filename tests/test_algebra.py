@@ -11,14 +11,12 @@ from weakhopf import (
     check_quantum_groupoid,
     check_weak_bialgebra,
     convolve,
-    epsilon_s,
-    epsilon_t,
     solve_antipode,
     source_subalgebra,
     target_subalgebra,
     zoo,
 )
-from weakhopf.algebra import sparse_coproduct_leg, sparse_of_dense
+from weakhopf.algebra import sparse_coproduct_leg
 from weakhopf.errors import AntipodeNotInvertible, DimensionMismatch
 from weakhopf.linalg import Matrix, Q0, kron
 from weakhopf.report import dense_of_sparse
@@ -54,37 +52,37 @@ def test_pair_groupoid_passes(pair2):
 def test_epsilon_t_values(diag2, kz2, pair2):
     N = diag2.algebra
     for i in range(2):
-        assert epsilon_t(N, basis_vector(N, i)) == basis_vector(N, i)
+        assert N.eps_t_mat.apply(basis_vector(N, i)) == basis_vector(N, i)
     Z = kz2.algebra
-    assert epsilon_t(Z, basis_vector(Z, 1)) == Z.unit
+    assert Z.eps_t_mat.apply(basis_vector(Z, 1)) == Z.unit
     P = pair2.algebra
     names = P.basis_names
     e12 = basis_vector(P, names.index("e12"))
     e11 = basis_vector(P, names.index("e11"))
-    assert epsilon_t(P, e12) == e11
+    assert P.eps_t_mat.apply(e12) == e11
 
 
 def test_subalgebras(diag2, kz2, pair2):
     assert target_subalgebra(diag2.algebra).dim == 2
     assert source_subalgebra(diag2.algebra).dim == 2
     zt = target_subalgebra(kz2.algebra)
-    assert zt.dim == 1 and zt.contains(kz2.algebra.unit)
+    assert zt.dim == 1 and zt.coordinates(kz2.algebra.unit) is not None
     pt = target_subalgebra(pair2.algebra)
     names = pair2.algebra.basis_names
     assert pt.dim == 2
-    assert pt.contains(basis_vector(pair2.algebra, names.index("e11")))
-    assert pt.contains(basis_vector(pair2.algebra, names.index("e22")))
-    assert not pt.contains(basis_vector(pair2.algebra, names.index("e12")))
+    assert pt.coordinates(basis_vector(pair2.algebra, names.index("e11"))) is not None
+    assert pt.coordinates(basis_vector(pair2.algebra, names.index("e22"))) is not None
+    assert pt.coordinates(basis_vector(pair2.algebra, names.index("e12"))) is None
 
 
 def test_subalgebra_closure_under_product(corpus):
     for fx in corpus:
         H = fx.algebra
         for basis in (target_subalgebra(H), source_subalgebra(H)):
-            assert basis.contains(H.unit)
+            assert basis.coordinates(H.unit) is not None
             for x in dense.vectors(basis):
                 for y in dense.vectors(basis):
-                    assert basis.contains(mul_elem(H, x, y))
+                    assert basis.coordinates(mul_elem(H, x, y)) is not None
 
 
 def test_convolution_identities(diag2, kz2, corpus):
@@ -93,9 +91,7 @@ def test_convolution_identities(diag2, kz2, corpus):
     assert convolve(N, ident, N.antipode) == N.eps_t_mat
     Z = kz2.algebra
     conv = convolve(Z, Matrix.identity(Z.dim), Z.antipode)
-    rank_one = Matrix.from_columns(
-        [tuple(Z.counit[i] * u for u in Z.unit) for i in range(Z.dim)], Z.dim
-    )
+    rank_one = Matrix([tuple(Z.counit[i] * u for u in Z.unit) for i in range(Z.dim)]).transpose()
     assert conv == rank_one
     for fx in corpus:
         H = fx.algebra
@@ -124,7 +120,7 @@ def test_solve_antipode_oracle_equivalence(corpus):
 
 def test_negated_antipode_fails(diag2):
     H = diag2.algebra
-    bad = QuantumGroupoid(H, Matrix.identity(2).scale(-1))
+    bad = QuantumGroupoid(H, Matrix.lincomb([(-1, Matrix.identity(2))], 2, 2))
     rep = check_quantum_groupoid(bad)
     assert not rep.passed
     failing = rep["antipode-right-convolution"]
@@ -139,7 +135,7 @@ def test_kd4_inverse_antipode_passes(kd4):
 def test_singular_antipode_rejected(diag2):
     H = diag2.algebra
     with pytest.raises(AntipodeNotInvertible):
-        QuantumGroupoid(H, Matrix.zero(2, 2))
+        QuantumGroupoid(H, Matrix.from_entries(2, 2, ()))
 
 
 def test_commutativity_flags(diag2, kd4, pair2):
@@ -158,8 +154,6 @@ def test_epsilon_idempotence(corpus):
 def test_bar_counital_maps_formulas(corpus):
     # bar eps_s(h) = eps(h 1_1) 1_2 and bar eps_t(h) = 1_1 eps(1_2 h),
     # recomputed by brute force from the coproduct of 1
-    from weakhopf import epsilon_s_bar, epsilon_t_bar
-
     for fx in corpus:
         H = fx.algebra
         n = H.dim
@@ -170,8 +164,8 @@ def test_bar_counital_maps_formulas(corpus):
             for (a, b), c in H.delta_one.items():
                 sbar[b] += c * counit_of(H, mul_elem(H, e, basis_vector(H, a)))
                 tbar[a] += c * counit_of(H, mul_elem(H, basis_vector(H, b), e))
-            assert epsilon_s_bar(H, e) == tuple(sbar)
-            assert epsilon_t_bar(H, e) == tuple(tbar)
+            assert H.eps_s_bar_mat.apply(e) == tuple(sbar)
+            assert H.eps_t_bar_mat.apply(e) == tuple(tbar)
 
 
 def test_target_membership_characterization(corpus):
@@ -180,7 +174,7 @@ def test_target_membership_characterization(corpus):
         H = fx.algebra
         n = H.dim
         for i in range(n):
-            z = epsilon_t(H, basis_vector(H, i))
+            z = H.eps_t_mat.apply(basis_vector(H, i))
             lhs = comul_of(H, z)
             rhs = [Q0] * (n * n)
             for (a, b), c in H.delta_one.items():
@@ -189,7 +183,7 @@ def test_target_membership_characterization(corpus):
                     if cp:
                         rhs[p * n + b] += c * cp
             assert lhs == tuple(rhs)
-            y = epsilon_s(H, basis_vector(H, i))
+            y = H.eps_s_mat.apply(basis_vector(H, i))
             lhs = comul_of(H, y)
             rhs = [Q0] * (n * n)
             for (a, b), c in H.delta_one.items():
@@ -216,7 +210,7 @@ def test_sparse_coproduct_leg_matches_dense_kron(kd4_diag2, entries):
     x = [Q0] * (n * n)
     for i, j, c in entries:
         x[i * n + j] += c
-    s = sparse_of_dense(x, n, 2)
+    s = dense.sparse_of_dense(x, n, 2)
     ident = Matrix.identity(n)
     for leg, dense_map in ((0, kron(H.comul_map, ident)), (1, kron(ident, H.comul_map))):
         got = dense_of_sparse(sparse_coproduct_leg(s, leg, H.comul_cols), n, 3)

@@ -46,7 +46,7 @@ def _documents():
         docs[fx.name + ".qt"] = serialize_qt(fx.algebra, fx.qt)
         docs[fx.name + ".coc"] = serialize_cocycle(fx.algebra, fx.cocycle)
     docs["diag2-pair2.mor"] = serialize_morphism(
-        QGMorphism(H, L, Matrix.from_columns(cols, L.dim)))
+        QGMorphism(H, L, Matrix(cols, len(cols), L.dim).transpose()))
     docs["diag2.mod"] = serialize_module(regular_module(H))
     docs["broken-counit.qg"] = docs["diag2.qg"].replace("counit: 1 1", "counit: 0 0")
     docs["bad-r.qt"] = serialize_qt(H, QTStructure(_bumped(diag2.qt.r, (0, 0)), diag2.qt.rinv))

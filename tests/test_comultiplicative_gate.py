@@ -25,6 +25,7 @@ import pytest
 from weakhopf import zoo
 from weakhopf.algebra import QuantumGroupoid, WeakBialgebra, sparse_mul
 from weakhopf.errors import WeakHopfError
+from weakhopf.linalg import Matrix
 from weakhopf.modules import BraidContext, HModule, regular_module, truncated_tensor
 from weakhopf.quantize import quantize, verify_quantization
 from weakhopf.structures import WeakCocycle, canonical_r
@@ -117,7 +118,7 @@ def _bad_factor(M: HModule):
     k = max(i for i in range(H.dim)
             if i not in H.generators and all(i not in ab for ab in H.delta_one))
     mats = list(M.mats)
-    mats[k] = mats[k].scale(2)
+    mats[k] = Matrix.lincomb([(2, mats[k])], mats[k].rows, mats[k].cols)
     return HModule(M.algebra, mats, name="bad")
 
 

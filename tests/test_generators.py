@@ -14,7 +14,7 @@ import dense_oracle as dense
 import weakhopf.algebra as algebra_mod
 from weakhopf import QuantumGroupoid, check_quantum_groupoid, check_weak_bialgebra, zoo
 from weakhopf.algebra import WeakBialgebra, _action_identities, _multiplicativity
-from weakhopf.linalg import Matrix
+from weakhopf.linalg import Matrix, frac
 from weakhopf.modules import (
     BraidContext,
     HModule,
@@ -73,6 +73,57 @@ def test_generator_counts():
                      "Z1": 0, "Z2": 1, "Z8": 1}
     d4 = H["D4"]
     assert [d4.basis_names[i] for i in d4.generators] == ["r", "s"]
+
+
+# The exact generators of every ladder instance, and of a seeded copy of
+# each with one product entry of a generator changed: the greedy choice of
+# S depends only on the closure subspaces, not on the basis that holds them.
+GENERATORS = {
+    "D10": (1, 10), "D11": (1, 11), "D12": (1, 12), "D13": (1, 13), "D14": (1, 14),
+    "D15": (1, 15), "D16": (1, 16), "D2+P2": (0, 1, 2, 4, 5, 6), "D3": (1, 3), "D4": (1, 4),
+    "D5": (1, 5), "D6": (1, 6), "D7": (1, 7), "D8": (1, 8), "D9": (1, 9), "P2": (0, 1, 2),
+    "P3": (0, 1, 2, 3, 6), "P4": (0, 1, 2, 3, 4, 8, 12), "P5": (0, 1, 2, 3, 4, 5, 10, 15, 20),
+    "P6": (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30),
+    "P7": (0, 1, 2, 3, 4, 5, 6, 7, 14, 21, 28, 35, 42),
+    "P8": (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56), "Z1": (), "Z2": (1,), "Z3": (1,),
+    "Z4": (1,), "Z5": (1,), "Z6": (1,), "Z7": (1,), "Z8": (1,), "diag2": (0,),
+    "diag2+kz2": (0, 1, 3), "kd4": (1, 4), "kd4+diag2": (0, 1, 4, 8), "kd4_diag2": (0, 1, 4, 8),
+    "kz2": (1,), "pair2": (0, 1, 2), "pair2+kz2": (0, 1, 2, 5),
+}
+CORRUPTED_GENERATORS = {
+    "D10": (1, 10), "D11": (1, 11), "D12": (1, 12), "D13": (1, 13), "D14": (1, 14),
+    "D15": (1, 15), "D16": (1, 16), "D2+P2": (0, 1, 2, 4, 5), "D3": (1,), "D4": (1, 4),
+    "D5": (1, 5), "D6": (1, 6), "D7": (1, 7), "D8": (1, 8), "D9": (1, 9), "P2": (0, 1, 2),
+    "P3": (0, 1, 2, 3, 6), "P4": (0, 1, 2, 3, 4, 8, 12), "P5": (0, 1, 2, 3, 4, 5, 10, 15, 20),
+    "P6": (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30),
+    "P7": (0, 1, 2, 3, 4, 5, 6, 7, 14, 21, 28, 35, 42),
+    "P8": (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56), "Z1": (), "Z2": (1,), "Z3": (1,),
+    "Z4": (1,), "Z5": (1,), "Z6": (1,), "Z7": (1,), "Z8": (1,), "diag2": (0,),
+    "diag2+kz2": (0, 1, 3), "kd4": (1, 4), "kd4+diag2": (0, 1, 8), "kd4_diag2": (0, 1, 4, 8),
+    "kz2": (1,), "pair2": (0, 1, 2), "pair2+kz2": (0, 1, 2),
+}
+
+
+def corrupted(H, seed):
+    """A fresh weak bialgebra on H's tables with one entry of a product s e_j,
+    s a generator, changed by a nonzero amount; its unit law may fail."""
+    rng = random.Random(seed)
+    n = H.dim
+    i = rng.choice(H.generators or (0,))
+    j, k = rng.randrange(n), rng.randrange(n)
+    rows = dict(H.mul_rows)
+    row = dict(rows.get((i, j), {}))
+    old = row.get(k, 0)
+    row[k] = frac(old + rng.choice([d for d in (1, Fraction(-1, 2)) if old + d]))
+    rows[(i, j)] = row
+    return WeakBialgebra(H.basis_names, rows, H.unit, H.comul_cols, H.counit)
+
+
+def test_the_generators_are_pinned_on_the_ladder_and_on_corrupted_copies():
+    instances = sorted(ladder().items())
+    assert {name: H.generators for name, H in instances} == GENERATORS
+    assert {name: corrupted(H, seed).generators
+            for seed, (name, H) in enumerate(instances)} == CORRUPTED_GENERATORS
 
 
 def test_generators_are_computed_once_per_algebra(monkeypatch):

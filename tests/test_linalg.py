@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import vectors
 from weakhopf.errors import DimensionMismatch, NonUniqueSolution
-from weakhopf.linalg import Matrix, SubspaceBasis, _div, frac, kron
+from weakhopf.linalg import Matrix, _div, frac, kron
 
 rationals = st.builds(
     Fraction,
@@ -71,7 +71,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_zero_is_everything():
-    basis = Matrix.zero(2, 2).kernel_basis()
+    basis = Matrix.from_entries(2, 2, ()).kernel_basis()
     assert basis.dim == 2
     assert vectors(basis) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
@@ -93,7 +93,7 @@ def test_kernel_vectors_annihilate(entries):
     for v in vectors(basis):
         assert all(x == 0 for x in a.apply(v))
     # rank-nullity, exactly
-    assert a.rank() + basis.dim == a.cols
+    assert len(a.rref()[1]) + basis.dim == a.cols
 
 
 def test_solve_identity():
@@ -120,11 +120,11 @@ def test_solve_substitute_back(m, v):
 
 
 def test_subspace_membership_and_equality():
-    b1 = SubspaceBasis.from_spanning(3, [(1, 1, 0), (0, 0, 1)])
-    b2 = SubspaceBasis.from_spanning(3, [(2, 2, 2), (1, 1, -1)])
+    b1 = Matrix([(1, 1, 0), (0, 0, 1)]).transpose().column_space()
+    b2 = Matrix([(2, 2, 2), (1, 1, -1)]).transpose().column_space()
     assert b1 == b2
-    assert b1.contains((3, 3, 5))
-    assert not b1.contains((1, 0, 0))
+    assert b1.coordinates((3, 3, 5)) is not None
+    assert b1.coordinates((1, 0, 0)) is None
     coords = b1.coordinates((3, 3, 5))
     assert coords is not None
     rebuilt = [Fraction(0)] * 3
@@ -148,13 +148,13 @@ coefficients = st.one_of(st.just(Fraction(0)), rationals)
 @settings(max_examples=60)
 @given(st.lists(st.tuples(coefficients, matrices2), max_size=5))
 def test_matrix_lincomb_matches_scale_and_add(terms):
-    expected = Matrix.zero(2, 2)
+    expected = Matrix.from_entries(2, 2, ())
     for c, m in terms:
-        expected = expected + m.scale(c)
+        expected = expected + Matrix.lincomb([(c, m)], m.rows, m.cols)
     assert Matrix.lincomb(terms, 2, 2) == expected
 
 
 def test_lincomb_empty_and_shape_checks():
-    assert Matrix.lincomb([], 2, 3) == Matrix.zero(2, 3)
+    assert Matrix.lincomb([], 2, 3) == Matrix.from_entries(2, 3, ())
     with pytest.raises(DimensionMismatch):
         Matrix.lincomb([(Fraction(1), Matrix.identity(3))], 2, 2)

@@ -446,7 +446,7 @@ def _fixture_documents():
     from weakhopf import zoo
 
     docs = []
-    for fx in zoo.all_fixtures():
+    for fx in [zoo.fixture(name) for name in zoo.fixture_names()]:
         H = fx.algebra
         docs += [serialize_quantum_groupoid(H), serialize_qt(H, fx.qt),
                  serialize_cocycle(H, fx.cocycle)]

@@ -34,7 +34,7 @@ def _diag2_into_pair2():
     H, L = zoo.fixture("diag2").algebra, zoo.fixture("pair2").algebra
     names = L.basis_names
     cols = [dense.basis_vector(L, names.index(x)) for x in ("e11", "e22")]
-    return QGMorphism(H, L, Matrix.from_columns(cols, L.dim))
+    return QGMorphism(H, L, Matrix(cols, len(cols), L.dim).transpose())
 
 
 def _skewed_kd4():

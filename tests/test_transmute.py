@@ -17,7 +17,7 @@ from weakhopf import (
     verify_braided_hopf,
 )
 from weakhopf.errors import ClosureViolation
-from weakhopf.linalg import Matrix, Q0, Q1, SubspaceBasis, _restrict
+from weakhopf.linalg import Matrix, Q0, Q1, _restrict
 from weakhopf.transmute import _present, ambient_action
 from weakhopf.zoo import dihedral_group_algebra
 
@@ -28,9 +28,9 @@ def test_centralizer_examples(diag2, kd4, pair2):
     c = centralizer(pair2.algebra)
     names = pair2.algebra.basis_names
     assert c.dim == 2
-    assert c.contains(basis_vector(pair2.algebra, names.index("e11")))
-    assert c.contains(basis_vector(pair2.algebra, names.index("e22")))
-    assert not c.contains(basis_vector(pair2.algebra, names.index("e12")))
+    assert c.coordinates(basis_vector(pair2.algebra, names.index("e11"))) is not None
+    assert c.coordinates(basis_vector(pair2.algebra, names.index("e22"))) is not None
+    assert c.coordinates(basis_vector(pair2.algebra, names.index("e12"))) is None
 
 
 def test_centralizer_contains_unit_and_target(corpus):
@@ -38,9 +38,9 @@ def test_centralizer_contains_unit_and_target(corpus):
 
     for fx in corpus:
         c = centralizer(fx.algebra)
-        assert c.contains(fx.algebra.unit)
+        assert c.coordinates(fx.algebra.unit) is not None
         for z in vectors(target_subalgebra(fx.algebra)):
-            assert c.contains(z)
+            assert c.coordinates(z) is not None
 
 
 def test_identity_morphisms_pass(diag2, kd4):
@@ -152,7 +152,7 @@ def test_pipeline_on_identity_groupoids(k):
 
 
 def test_restrict_to_the_square_of_a_nonstandard_basis():
-    basis = SubspaceBasis.from_spanning(3, [(1, 0, 1), (0, 1, 1)])
+    basis = Matrix([(1, 0, 1), (0, 1, 1)]).transpose().column_space()
     b0, b1 = vectors(basis)
 
     def outer(u, v):
@@ -162,11 +162,11 @@ def test_restrict_to_the_square_of_a_nonstandard_basis():
         return ClosureViolation("outside", witness=(j, v))
 
     v2 = tuple(2 * x - y for x, y in zip(outer(b0, b1), outer(b1, b1)))
-    inside = Matrix.from_columns([v2], 9)
-    assert _restrict(inside, basis.square(), fail) == Matrix.from_columns([(0, 2, 0, -1)], 4)
+    inside = Matrix([v2]).transpose()
+    assert _restrict(inside, basis.square(), fail) == Matrix([(0, 2, 0, -1)]).transpose()
     stray = (v2[0] + 1,) + v2[1:]
     with pytest.raises(ClosureViolation) as err:
-        _restrict(Matrix.from_columns([v2, stray, stray], 9), basis.square(), fail)
+        _restrict(Matrix([v2, stray, stray]).transpose(), basis.square(), fail)
     assert err.value.witness == (1, stray)
 
 
@@ -181,7 +181,7 @@ def test_cross_algebra_transmutation(diag2, pair2):
         basis_vector(L, names.index("e11")),
         basis_vector(L, names.index("e22")),
     ]
-    f = QGMorphism(H, L, Matrix.from_columns(cols, L.dim))
+    f = QGMorphism(H, L, Matrix(cols, len(cols), L.dim).transpose())
     assert check_morphism(f).passed
     p = transmute(H, diag2.qt, L, f)
     assert p.carrier.dim == 2
@@ -257,7 +257,7 @@ def test_present_reports_the_counit_column_that_escapes(pair2, monkeypatch):
     H = pair2.algebra
     f = identity_morphism(H)
     monkeypatch.setattr(importlib.import_module("weakhopf.transmute"), "target_subalgebra",
-                        lambda H: SubspaceBasis.from_spanning(4, [(1, 0, 0, 0)]))
+                        lambda H: Matrix([(1, 0, 0, 0)]).transpose().column_space())
     _escape(lambda: _present(f, ambient_action(f), H.mul_map, H.comul_map, H.antipode),
             "counit escaped the target subalgebra", (1,), (0, 0, 0, 1), "counit")
 

@@ -17,7 +17,7 @@ from weakhopf import (
     zoo,
 )
 from weakhopf.errors import CarrierMismatch, PreconditionUnmet
-from weakhopf.linalg import SubspaceBasis
+from weakhopf.linalg import Matrix
 from weakhopf.serialization import parse, serialize_presentation, serialize_quantum_groupoid
 from weakhopf.structures import QTStructure
 from weakhopf.transmute import ambient_action, centralizer, identity_morphism
@@ -128,13 +128,10 @@ def test_presentations_byte_identical_on_diag2(diag2):
     left = serialize_presentation(res.quantized)
     right = serialize_presentation(res.twisted_transmuted)
     assert left == right
-    assert res.quantized.structurally_equal(res.twisted_transmuted)
 
 
 def test_presentations_differ_on_kd4(kd4):
     res = verify_isomorphism(kd4.algebra, kd4.qt, kd4.cocycle)
-    assert not res.quantized.structurally_equal(res.twisted_transmuted)
-    # structural equality and byte equality of the serialized form agree
     left = serialize_presentation(res.quantized)
     right = serialize_presentation(res.twisted_transmuted)
     assert left != right
@@ -306,7 +303,7 @@ def test_comparison_map_refuses_a_carrier_it_leaves(kd4):
     tw = twist(H, kd4.qt, kd4.cocycle)
     ad = ambient_action(identity_morphism(H))
     full = centralizer(H)
-    line = SubspaceBasis.from_spanning(H.dim, [dense.basis_vector(H, 0)])
+    line = Matrix([dense.basis_vector(H, 0)]).transpose().column_space()
     with pytest.raises(CarrierMismatch, match="^comparison map leaves the twisted carrier$"):
         _alpha_between(H, kd4.cocycle, tw, ad, full, line)
     with pytest.raises(CarrierMismatch, match="^inverse comparison map leaves the carrier$"):

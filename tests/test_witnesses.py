@@ -124,7 +124,8 @@ def test_coproduct_lands_in_tensor_witness(diag2_presentation):
 def test_unit_law_witness_is_a_column(diag2_presentation, name, leg):
     # a doubled unit doubles mu(eta (x) id) against the unitor, column by column
     p, ctx = diag2_presentation
-    rep = verify_braided_hopf(dataclasses.replace(p, unit=p.unit.scale(2)), ctx)
+    doubled = Matrix.lincomb([(2, p.unit)], p.unit.rows, p.unit.cols)
+    rep = verify_braided_hopf(dataclasses.replace(p, unit=doubled), ctx)
     unitor = unitors(p.action, ctx)[leg]
     w = rep[name].witness
     assert w.indices == (0,)

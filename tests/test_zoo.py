@@ -95,6 +95,28 @@ def test_bicharacter_rejects_non_involution(kd4):
         bicharacter_cocycle(H, [names.index("r")], beta)
 
 
+@pytest.mark.parametrize("generators, beta", [
+    ([1], [[1, 1], [1, -1.9]]),     # a float read as -1
+    ([1], [[1, 1], [1, 1.5]]),      # a float read as 1
+    ([1], [[True, 1], [1, -1]]),    # a bool
+    ([1], [[1, 1, -1], [1, -1]]),   # a ragged row with an extra entry
+    ([1], [[1, 1], [1, -1], [1, 1]]),  # an extra row
+    ([2], [[1, 1], [1, -1]]),       # a generator index past the basis
+    ([-1], [[1, 1], [1, -1]]),      # a negative generator index
+])
+def test_bicharacter_rejects_a_bad_pairing_or_generator(generators, beta):
+    with pytest.raises(NotABicharacter):
+        bicharacter_cocycle(cyclic_group_algebra(2), generators, beta)
+
+
+def test_bicharacter_accepts_fraction_signs():
+    from fractions import Fraction
+
+    H = cyclic_group_algebra(2)
+    signs = [[Fraction(1), 1], [1, Fraction(-1)]]
+    assert bicharacter_cocycle(H, [1], signs) == bicharacter_cocycle(H, [1], [[1, 1], [1, -1]])
+
+
 def test_direct_sum_target_dimension(diag2, kz2):
     H = direct_sum(diag2.algebra, kz2.algebra)
     assert H.dim == 4
@@ -169,9 +191,11 @@ def test_direct_sum_is_the_block_sum(a, b):
         assert p.mul == _pair_block_sum(pa.mul, pb.mul, False)
         assert p.comul == _pair_block_sum(pa.comul, pb.comul, True)
         for i in range(na):
-            assert p.action.mats[i] == _block_sum(pa.action.mats[i], Matrix.zero(mb, mb))
+            zero = Matrix.from_entries(mb, mb, ())
+            assert p.action.mats[i] == _block_sum(pa.action.mats[i], zero)
         for i in range(B.dim):
-            assert p.action.mats[na + i] == _block_sum(Matrix.zero(ma, ma), pb.action.mats[i])
+            zero = Matrix.from_entries(ma, ma, ())
+            assert p.action.mats[na + i] == _block_sum(zero, pb.action.mats[i])
 
 
 def test_direct_sum_weakness(kd4_diag2):
