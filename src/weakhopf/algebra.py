@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import lcm
 
 from .errors import (
@@ -53,36 +53,53 @@ def sparse_mul(H, x, y, k, slots=None):
     and the structure constants (`WeakBialgebra.mul_ints`) are written as
     integer numerators over their denominators once and the products are
     summed in int; each nonzero entry becomes one exact rational, an int when
-    it is integral (`_fractions`).
+    it is integral (`_fractions`).  The keys of a pair's product are written
+    in leg order, the first leg slowest: a full 2-tensor product is two
+    nested loops, any other one `itertools.product` over its rows.
     """
     if slots is not None and not H.unit_acts_right:
         y, slots = sparse_embed(y, k, slots, H.unit_sparse), None
     dm, rows = H.mul_ints
-    legs = list(range(k)) if slots is None else [None] * k
-    for j, p in enumerate(slots or ()):
-        legs[p] = j
     dx, x = _ints(x)
     dy, y = _ints(y)
     acc = {}
     get = acc.get
+    if k == 2 and slots is None:
+        for (i, j), cx in x.items():
+            for (p, q), cy in y.items():
+                first = rows.get((i, p))
+                if first is None:
+                    continue
+                second = rows.get((j, q))
+                if second is None:
+                    continue
+                c = cx * cy
+                for k0, v0 in first:
+                    c0 = c * v0
+                    for k1, v1 in second:
+                        key = k0, k1
+                        acc[key] = get(key, 0) + c0 * v1
+        return _fractions(acc, dx * dy * dm * dm, {})
+    # (leg of x, leg of y) for each multiplied leg, in leg order
+    legs = [(p, p) for p in range(k)] if slots is None else sorted(zip(slots, range(k)))
     for ix, cx in x.items():
+        key = list(ix)  # the unit legs keep x's index; each term writes the others
         for iy, cy in y.items():
             found = []
-            for p, j in enumerate(legs):
-                if j is None:
-                    found.append({ix[p]: 1})
-                    continue
+            for p, j in legs:
                 row = rows.get((ix[p], iy[j]))
                 if row is None:
                     break
                 found.append(row)
             else:
-                terms = [((), cx * cy)]
-                for row in found:
-                    terms = [(idx + (kk,), c * v) for idx, c in terms for kk, v in row.items()]
-                for idx, c in terms:
-                    acc[idx] = get(idx, 0) + c
-    return _fractions(acc, dx * dy * dm ** (k - legs.count(None)), {})
+                c = cx * cy
+                for terms in product(*found):
+                    v = c
+                    for (p, _), (key[p], vv) in zip(legs, terms):
+                        v *= vv
+                    t = tuple(key)
+                    acc[t] = get(t, 0) + v
+    return _fractions(acc, dx * dy * dm ** len(legs), {})
 
 
 def sparse_embed(s, k, slots, unit_sparse):
@@ -198,11 +215,12 @@ class WeakBialgebra:
 
     @cached_property
     def mul_ints(self):
-        """(d, rows) with rows[(i, j)][k] / d == mul_rows[(i, j)][k]: the
-        structure constants as integer numerators over d, the lcm of their
+        """(d, rows) with rows[(i, j)] the pairs (k, n) of mul_rows[(i, j)],
+        in its order, with n / d == mul_rows[(i, j)][k]: the structure
+        constants as integer numerators over d, the lcm of their
         denominators."""
         d = lcm(*{x.denominator for row in self.mul_rows.values() for x in row.values()})
-        return d, {ij: {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+        return d, {ij: tuple((k, x.numerator * (d // x.denominator)) for k, x in row.items())
                    for ij, row in self.mul_rows.items()}
 
     @cached_property

@@ -45,6 +45,7 @@ from .structures import (
     canonical_r,
     check_quasitriangular,
     check_weak_cocycle,
+    conjugator_coproduct_sides,
     conjugator_elements,
     derived_r_identities,
     drinfeld_identities,
@@ -217,10 +218,16 @@ def _cmd_check(args) -> int:
             H = find_algebra(pwc.basis_names, path)
             wc = pwc.structure
             yield path, lambda H=H, wc=wc: check_weak_cocycle(H, wc)
-            yield path, lambda H=H, wc=wc: check_conjugator_coproduct(H, wc)
+            elements = []
+
+            def conjugator(H=H, wc=wc, elements=elements):
+                elements.extend(conjugator_elements(H, wc))
+                sides = conjugator_coproduct_sides(H, wc, elements[1])
+                return check_conjugator_coproduct(H, wc, sides)
+
+            yield path, conjugator
             # the conjugator product is recorded, never asserted
-            _, _, product = conjugator_elements(H, wc)
-            value = " ".join(format_frac(x) for x in product)
+            value = " ".join(format_frac(x) for x in elements[2])
             out.note("conjugator product v v^-1 = [%s] (%s)" % (value, path))
             out.json_extra.setdefault("conjugator_products", []).append(
                 {"object": path, "value": value.split()}

@@ -10,7 +10,7 @@ on instead of assuming them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .algebra import (
@@ -78,12 +78,15 @@ class TwistElements:
     """Conjugator v and its named inverse, with v * v^{-1} recorded.
 
     The product is recorded rather than asserted to equal 1: nothing
-    downstream uses invertibility of v directly.
+    downstream uses invertibility of v directly.  coproduct_sides are the
+    two sides of the coproduct law of v^-1 (`conjugator_coproduct_sides`),
+    kept for the report that states it.
     """
 
     v: Tuple
     v_inv: Tuple
     product: Tuple
+    coproduct_sides: Tuple = field(compare=False, repr=False)
 
 
 def swap2(x2) -> dict:
@@ -384,12 +387,12 @@ def twist_elements(H: QuantumGroupoid, wc: WeakCocycle) -> TwistElements:
     is verified exactly; a failure means the cocycle input is inconsistent.
     """
     v, v_inv, product = conjugator_elements(H, wc)
-    lhs, rhs = conjugator_coproduct_sides(H, wc, v_inv)
-    if lhs != rhs:
+    sides = conjugator_coproduct_sides(H, wc, v_inv)
+    if sides[0] != sides[1]:
         raise InconsistentStructure(
             "coproduct law for the twist conjugator fails; invalid cocycle"
         )
-    return TwistElements(v, v_inv, product)
+    return TwistElements(v, v_inv, product, sides)
 
 
 def conjugator_elements(H: QuantumGroupoid, wc: WeakCocycle):

@@ -111,10 +111,12 @@ def _twist_failure(check):
     return TwistAxiomFailure(check.name, witness=check.witness)
 
 
-def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle) -> VerificationReport:
-    """Coproduct law of the twisted-antipode conjugator inverse."""
+def check_conjugator_coproduct(H: QuantumGroupoid, wc: WeakCocycle,
+                               sides=None) -> VerificationReport:
+    """Coproduct law of the twisted-antipode conjugator inverse; sides are
+    its two sides when they are already computed (`TwistElements`)."""
     rep = VerificationReport("twist-elements")
-    lhs, rhs = conjugator_coproduct_sides(H, wc)
+    lhs, rhs = sides or conjugator_coproduct_sides(H, wc)
     comparison(rep, "conjugator-coproduct", [((), lhs, rhs)],
                "Delta(v^-1) vs ((S (x) S)(F21^-1))(v^-1 (x) v^-1)F^-1", (H.dim, 2))
     return rep
@@ -238,7 +240,7 @@ def verify_isomorphism(H: QuantumGroupoid, qt: QTStructure, wc: WeakCocycle) -> 
     comparison(rep, "bijectivity", [((), alpha * alpha_inv, Matrix.identity(alpha.rows)),
                                     ((), alpha_inv * alpha, Matrix.identity(alpha.cols))])
 
-    rep.extend(check_conjugator_coproduct(H, wc))
+    rep.extend(check_conjugator_coproduct(H, wc, tw.v.coproduct_sides))
     return IsomorphismResult(rep, p_f, p_t, tw, alpha, alpha_inv)
 
 

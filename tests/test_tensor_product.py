@@ -7,12 +7,14 @@ keep.
 The algebras are the pair groupoid P2 and kd4 with their bases rescaled
 (`dense_oracle.rescaled`), quantum groupoids whose structure constants are 1
 and other rationals while the unit law holds (the kernel then skips the unit
-legs of a slotted factor), and algebras with random structure constants and
-a random "unit", where the unit law fails and the kernel has to multiply by
-the unit after all.
+legs of a slotted factor), Z2 in a basis where a product has two terms, so
+that the order a pair's keys are written in shows, and algebras with random
+structure constants and a random "unit", where the unit law fails and the
+kernel has to multiply by the unit after all.
 """
 
 import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle as dense
 from weakhopf import algebra, check_quantum_groupoid, check_weak_bialgebra, modules, structures, zoo
 from weakhopf.algebra import sparse_coproduct_leg, sparse_mul
+from weakhopf.cli import run
+from weakhopf.twisting import twist, verify_isomorphism
 from weakhopf.zoo import GroupoidSpec, groupoid_algebra
 
 quantize = importlib.import_module("weakhopf.quantize")
@@ -43,6 +47,11 @@ KD4_SCALES = (2, 3, 1, Fraction(-1, 2), 1, Fraction(4, 3), Fraction(1, 4), 1)
 PAIR2_SCALES = (1, 2, Fraction(-1, 3), Fraction(3, 2))
 KD4_SCALED = dense.rescaled(zoo.fixture("kd4").algebra, KD4_SCALES)
 PAIR2_SCALED = dense.rescaled(zoo.fixture("pair2").algebra, PAIR2_SCALES)
+# the group algebra of Z2 in the basis b0 = 1 + g, b1 = 1 + 2g: the unit is
+# 2 b0 - b1 and b1 b1 = 6 b0 - b1, a row of two terms, so the order a pair's
+# keys are written in shows
+Z2_SKEW = _algebra([[[Fraction(2), Q0], [Fraction(3), Q0]],
+                    [[Fraction(3), Q0], [Fraction(6), Fraction(-1)]]], [Fraction(2), Fraction(-1)])
 # coefficients with denominators up to 12
 RATIONALS = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
 
@@ -50,7 +59,7 @@ RATIONALS = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1
 @st.composite
 def algebras(draw):
     if draw(st.booleans()):
-        return draw(st.sampled_from((P2_SCALED, KD4_SCALED, PAIR2_SCALED)))
+        return draw(st.sampled_from((P2_SCALED, KD4_SCALED, PAIR2_SCALED, Z2_SKEW)))
     n = draw(st.integers(1, 3))
     mul = [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     return _algebra(mul, [draw(entries) for _ in range(n)])
@@ -83,6 +92,20 @@ def test_sparse_mul_matches_oracle(data):
     assert got == dense.sparse_mul(H, x, full, k)
     assert all(got.values())  # no stored zeros
     _assert_same(got, dense.fraction_sparse_mul(H, x, y, k, slots))
+
+
+def test_a_pair_writes_its_keys_in_leg_order():
+    # each multiplied leg is b1 b1 = 6 b0 - b1; the first leg varies slowest,
+    # whatever the order of the legs y stands on
+    assert Z2_SKEW.unit_acts_right
+    for x, y, k, slots in (({(1, 1): 1}, {(1, 1): 1}, 2, None),
+                           ({(1, 1): 1}, {(1, 1): 1}, 2, (1, 0)),
+                           ({(1, 0, 1): 1}, {(1, 1): 1}, 3, (2, 0))):
+        got = sparse_mul(Z2_SKEW, x, y, k, slots)
+        unit_leg = () if k == 2 else (0,)
+        assert list(got) == [(a,) + unit_leg + (b,) for a in (0, 1) for b in (0, 1)]
+        assert list(got.values()) == [36, -6, -6, 1]
+        _assert_same(got, dense.fraction_sparse_mul(Z2_SKEW, x, y, k, slots))
 
 
 def _assert_same(got, want):
@@ -175,6 +198,17 @@ def test_sparse_coproduct_leg_of_terms_that_cancel(data):
     assert sparse_coproduct_leg(s, leg, cols) == dense.fraction_coproduct_leg(s, leg, cols) == {}
 
 
+# the modules that bind the two kernels, each under its own name
+KERNEL_MODULES = {"weakhopf.algebra", "weakhopf.structures", "weakhopf.modules", "weakhopf.quantize"}
+
+
+def _bindings(name):
+    """Every loaded weakhopf module that binds the kernel algebra.<name>."""
+    kernel = getattr(algebra, name)
+    return [module for modname, module in sorted(sys.modules.items())
+            if modname.split(".")[0] == "weakhopf" and getattr(module, name, None) is kernel]
+
+
 def _checking(monkeypatch, calls):
     """Every binding of `sparse_mul` and `sparse_coproduct_leg` in the
     package, wrapped to compare each result with its Fraction oracle."""
@@ -188,10 +222,11 @@ def _checking(monkeypatch, calls):
 
     for name, oracle in (("sparse_mul", dense.fraction_sparse_mul),
                          ("sparse_coproduct_leg", dense.fraction_coproduct_leg)):
-        kernel = getattr(algebra, name)
-        for module in (algebra, structures, modules, quantize):
-            if getattr(module, name, None) is kernel:
-                monkeypatch.setattr(module, name, wrap(kernel, oracle, name))
+        found = _bindings(name)
+        assert {module.__name__ for module in found} == KERNEL_MODULES, name
+        checked = wrap(getattr(algebra, name), oracle, name)
+        for module in found:
+            monkeypatch.setattr(module, name, checked)
 
 
 @pytest.mark.parametrize("name", zoo.fixture_names())
@@ -230,6 +265,70 @@ def test_both_suites_pass_on_a_rescaled_basis(name, scales, monkeypatch):
         assert got.passed
         assert [c.name for c in got.checks] == [c.name for c in want.checks]
     assert {"sparse_mul", "sparse_coproduct_leg"} <= set(calls)
+
+
+def _klein(H, k):
+    """The Klein-four sign cocycle on {s, r^(k/2) s} of the dihedral algebra
+    D_k, as the benchmark's instances carry it."""
+    names = list(H.basis_names)
+    half = k // 2
+    gens = [names.index("s"), names.index("rs" if half == 1 else "r%ds" % half)]
+    beta = [[1, 1, 1, 1], [1, 1, -1, -1], [1, 1, 1, 1], [1, 1, -1, -1]]
+    return zoo.bicharacter_cocycle(H, gens, beta)
+
+
+def _kd4():
+    H = zoo.dihedral_group_algebra(4)
+    return H, _klein(H, 4)
+
+
+def _dihedral_plus_pair():
+    # the weak D2 (+) P2 of the groupoid-weak workload: Delta(1) is not 1 (x) 1
+    A = zoo.dihedral_group_algebra(2)
+    B = groupoid_algebra(GroupoidSpec.pair_groupoid(2))
+    H = zoo.direct_sum(A, B)
+    return H, zoo.direct_sum_cocycle(H, A, B, _klein(A, 2), zoo.trivial_cocycle(B))
+
+
+@pytest.mark.parametrize("build", [_kd4, _dihedral_plus_pair], ids=["kd4", "d2-plus-p2"])
+def test_kernels_match_the_fraction_oracle_on_the_command_paths(build, monkeypatch):
+    # a fresh instance (no cached verdicts or memo) through the twist, the
+    # quantization with its verifier and the comparison isomorphism, with
+    # every k-tensor product and coproduct checked on the way
+    calls = []
+    _checking(monkeypatch, calls)
+    H, wc = build()
+    qt = structures.canonical_r(H)
+    twist(H, qt, wc)
+    assert quantize.verify_quantization(quantize.quantize(H, wc), wc).passed
+    assert verify_isomorphism(H, qt, wc).report.passed
+    assert {"sparse_mul", "sparse_coproduct_leg"} <= set(calls)
+
+
+# `sparse_mul` calls of each command on the kd4 documents, D4 with its Klein
+# cocycle, parsed afresh; verify-iso states the conjugator's coproduct law
+# from the sides the twist computed, so its two products are made once
+KD4_SPARSE_MUL_CALLS = {"check": 82, "transmute": 38, "quantize": 76, "verify-iso": 71}
+
+
+@pytest.mark.parametrize("command", sorted(KD4_SPARSE_MUL_CALLS))
+def test_sparse_mul_calls_per_command_on_kd4(command, tmp_path, monkeypatch):
+    assert run(["zoo", "kd4", "--out-dir", str(tmp_path)]) == 0
+    qg, qt, coc = (str(tmp_path / ("kd4." + ext)) for ext in ("qg", "qt", "coc"))
+    argv = {"check": ["check", qg, qt, coc],
+            "transmute": ["transmute", "--algebra", qg, "--qt", qt],
+            "quantize": ["quantize", "--algebra", qg, "--cocycle", coc],
+            "verify-iso": ["verify-iso", "--algebra", qg, "--cocycle", coc]}[command]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sparse_mul(*args)
+
+    for module in _bindings("sparse_mul"):
+        monkeypatch.setattr(module, "sparse_mul", counted)
+    assert run(argv) == 0
+    assert len(calls) == KD4_SPARSE_MUL_CALLS[command]
 
 
 def test_unit_law_decides_the_unit_skip():

@@ -120,6 +120,6 @@ def test_comparison_maps_are_the_sums_over_the_terms_of_f(monkeypatch, H, wc):
 
     monkeypatch.setattr(twisting_mod, "_restrict", recording)
     whole = Matrix.identity(H.dim).column_space()
-    v = TwistElements(*conjugator_elements(H, wc))
+    v = TwistElements(*conjugator_elements(H, wc), None)
     _alpha_between(H, wc, SimpleNamespace(v=v), ambient_action(identity_morphism(H)), whole, whole)
     assert [m.data for m in images] == list(dense.alpha_rules(H, wc, v))

@@ -270,11 +270,12 @@ def test_verify_isomorphism_builds_each_carrier_once(kd4, monkeypatch):
     assert len(action_calls) == 2
 
 
-@pytest.mark.parametrize("name, left, right", [("kd4", 23, 25), ("kd4_diag2", 31, 35)])
+@pytest.mark.parametrize("name, left, right", [("kd4", 22, 25), ("kd4_diag2", 30, 35)])
 def test_verify_isomorphism_builds_each_right_multiplier_once(name, left, right, monkeypatch):
     # the comparison map reads R_S(e_b) from the identity morphism the
     # quantizer built on the same algebra, rather than building all dim H of
-    # them again; the algebra is parsed afresh, so nothing is cached on it
+    # them again, and builds L_v for v v^-1 once, in the twist; the algebra
+    # is parsed afresh, so nothing is cached on it
     algebra_mod = importlib.import_module("weakhopf.algebra")
     counts = {"left_mult": 0, "right_mult": 0}
 
