@@ -18,7 +18,7 @@ read, braiding tensor included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import Optional
 
 from .algebra import (
@@ -293,8 +293,9 @@ class BraidContext:
     (`_once`), keyed on the module objects and on values: each action of a
     2-tensor on M (x) N by ("action", M, N, its terms), each truncated
     tensor by ("tensor", M, N, coproduct_key), each plain braiding by
-    ("braiding", M, N, the terms of the 2-tensor that braids), the
-    bracketings of `coherence_report` by ("bracketing", M, N, P,
+    ("braiding", M, N, the terms of the 2-tensor that braids), the column
+    spaces of `coherence_report`'s bracketings, built when
+    `_bracketings_agree` does not decide them, by ("bracketing", M, N, P,
     coproduct_key), and its checks by ("coherence", M, N, P, coproduct_key,
     the terms of the 2-tensor that braids).  When F commutes with every
     Delta(h), as it does when F is trivial or H is commutative,
@@ -464,11 +465,12 @@ def _unitor_plain(M: HModule, ht: SubspaceBasis, left) -> Matrix:
 def coherence_report(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> VerificationReport:
     """Hexagon identities and bracketing consistency on a module triple.
 
-    Its cost is the bracketings' projectors and column spaces on
-    M (x) N (x) P.  On the regular module both hexagons are decided at one
-    vector, elsewhere as maps on that space.  The checks are decided once
-    per algebra, module triple, coproduct and braiding tensor, the values
-    they read; each call returns a new report.
+    Both bracketings are decided from two elements of H^(x)3 when the
+    coproduct and the modules allow it (`_bracketings_agree`), and as
+    subspaces of M (x) N (x) P otherwise.  On the regular module both
+    hexagons are decided at one vector, elsewhere as maps on that space.
+    The checks are decided once per algebra, module triple, coproduct and
+    braiding tensor, the values they read; each call returns a new report.
     """
     _, braid_terms = ctx._braid
     checks = _once(ctx.algebra, ("coherence", M, N, P, ctx.coproduct_key, braid_terms),
@@ -485,21 +487,28 @@ def _coherence_checks(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> 
     H = ctx.algebra
     t_mn = truncated_tensor(M, N, ctx, validate=False)
     t_np = truncated_tensor(N, P, ctx, validate=False)
-    left = truncated_tensor(t_mn.module, P, ctx, validate=False)
-    right = truncated_tensor(M, t_np.module, ctx, validate=False)
+
+    @cache
+    def lift_l():  # the left bracketing's basis in plain coordinates, built when read
+        left = truncated_tensor(t_mn.module, P, ctx, validate=False)
+        return _whiskered(t_mn.inclusion, P.dim, left.inclusion, first=True)
 
     # both bracketings must carve out the same subspace of M (x) N (x) P,
     # and so must the triple projector in plain coordinates
-    def bracketings():
-        lift_l = _whiskered(t_mn.inclusion, P.dim, left.inclusion, first=True)
-        lift_r = _whiskered(t_np.inclusion, M.dim, right.inclusion, first=False)
-        return (lift_l, lift_l.column_space(), lift_r.column_space(),
-                ctx.triple_projector(M, N, P).column_space())
+    if _bracketings_agree(ctx, M, N, P):
+        rep.add("bracketing-subspaces-equal", True)
+        rep.add("iterated-unit-projector-subspace", True)
+    else:
+        def bracketings():
+            right = truncated_tensor(M, t_np.module, ctx, validate=False)
+            lift_r = _whiskered(t_np.inclusion, M.dim, right.inclusion, first=False)
+            return (lift_l().column_space(), lift_r.column_space(),
+                    ctx.triple_projector(M, N, P).column_space())
 
-    lift_l, sub_l, sub_r, sub_3 = _once(H, ("bracketing", M, N, P, ctx.coproduct_key),
-                                        bracketings)
-    _same_subspace(rep, "bracketing-subspaces-equal", sub_l, sub_r)
-    _same_subspace(rep, "iterated-unit-projector-subspace", sub_3, sub_l)
+        sub_l, sub_r, sub_3 = _once(H, ("bracketing", M, N, P, ctx.coproduct_key),
+                                    bracketings)
+        _same_subspace(rep, "bracketing-subspaces-equal", sub_l, sub_r)
+        _same_subspace(rep, "iterated-unit-projector-subspace", sub_3, sub_l)
 
     if (H.unital_associative and M is N is P is regular_module(H) and rep.passed
             and _hexagons_at_cyclic_vector(ctx, M, t_mn, t_np)):
@@ -510,19 +519,20 @@ def _coherence_checks(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> 
         # realized on plain M (x) N (x) P coordinates (associators are the
         # identity there); both hexagons braid M past P.  Each side is applied
         # to lift_l, from the right
+        lift = lift_l()
         psi_m_p = ctx.braiding_plain(M, P)
         psi_m_np = ctx.braiding_plain(M, t_np.module)
-        lhs = _whiskered(t_np.projection, M.dim, lift_l, first=False)
+        lhs = _whiskered(t_np.projection, M.dim, lift, first=False)
         lhs = _whiskered(t_np.inclusion, M.dim, psi_m_np * lhs, first=True)
-        rhs = _whiskered(ctx.braiding_plain(M, N), P.dim, lift_l, first=True)
+        rhs = _whiskered(ctx.braiding_plain(M, N), P.dim, lift, first=True)
         rhs = _whiskered(psi_m_p, N.dim, rhs, first=False)
         comparison(rep, "hexagon-first", [((), lhs, rhs)])
 
         # hexagon 2: braiding M (x) N past P
         psi_mn_p = ctx.braiding_plain(t_mn.module, P)
-        lhs = _whiskered(t_mn.projection, P.dim, lift_l, first=True)
+        lhs = _whiskered(t_mn.projection, P.dim, lift, first=True)
         lhs = _whiskered(t_mn.inclusion, P.dim, psi_mn_p * lhs, first=False)
-        rhs = _whiskered(ctx.braiding_plain(N, P), M.dim, lift_l, first=False)
+        rhs = _whiskered(ctx.braiding_plain(N, P), M.dim, lift, first=False)
         rhs = _whiskered(psi_m_p, N.dim, rhs, first=True)
         comparison(rep, "hexagon-second", [((), lhs, rhs)])
 
@@ -533,6 +543,27 @@ def _coherence_checks(ctx: BraidContext, M: HModule, N: HModule, P: HModule) -> 
     rhs = _whiskered(_unitor_plain(M, ht, left=False), N.dim, triple_z, first=True)
     comparison(rep, "unitor-triangle", [((), lhs, rhs)])
     return rep
+
+
+def _bracketings_agree(ctx, M, N, P) -> bool:
+    """Both bracketings of M (x) N (x) P are the image of the triple
+    projector, decided from two elements of H^(x)3: c, the coproduct in
+    use, is multiplicative with c(1) the unit 2-tensor
+    (`BraidContext.comultiplicative`), M, N and P are modules
+    (`_modules_over`), and (c (x) id) c(1) = (id (x) c) c(1).  Let A be the
+    action of H^(x)3 on M (x) N (x) P, multiplicative as M, N and P are
+    modules, and P_mn = A_mn(c(1)) = incl proj on M (x) N.  As
+    c(1) c(x) = c(x) = c(x) c(1), A_mn(c(x)) = P_mn A_mn(c(x)) P_mn, so the
+    left bracketing's projector, lifted to plain coordinates, is
+    (P_mn (x) id) A((c (x) id) c(1)) (P_mn (x) id) = A((c (x) id) c(1)),
+    whose image is the column space of lift_l: the left bracketing is the
+    image of A((c (x) id) c(1)), which is the triple projector.  So, alike,
+    is the right one the image of A((id (x) c) c(1)), and equal elements
+    give equal subspaces.  A no decides nothing."""
+    columns, unit2 = ctx.coproduct
+    return (ctx.comultiplicative and _modules_over(ctx.algebra, M, N, P)
+            and sparse_coproduct_leg(unit2, 0, columns)
+            == sparse_coproduct_leg(unit2, 1, columns))
 
 
 def _hexagons_at_cyclic_vector(ctx, M, t_mn, t_np) -> bool:

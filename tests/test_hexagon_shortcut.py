@@ -15,7 +15,8 @@ H_t module the gate is closed and the helper is not asked.
 
 The structured report of `check --with-hexagons` on D8 with the Klein
 cocycle is pinned as well, a rung above the benchmark's, where the
-helper decides every hexagon of the report.
+helper decides every hexagon of the report, and so is the one on the
+weak pair groupoid P5 (dim 25).
 """
 
 from __future__ import annotations
@@ -131,21 +132,31 @@ def test_the_full_comparison_braids_five_times_where_the_helper_says_no(monkeypa
     assert calls == [(M, M), (M, M), (M, tensor), (M, M), (tensor, M), (M, M)]
 
 
-# D8 with the Klein-four sign cocycle on {s, r^4 s}: (exit code, SHA-256
-# of the structured stdout of `check --with-hexagons`)
+# D8 with the Klein-four sign cocycle on {s, r^4 s}, and P5 with
+# F = Delta(1): (exit code, SHA-256 of the structured stdout of
+# `check --with-hexagons`)
 D8_KLEIN_PIN = (0, "dcd8a009b3371baccec00cd82b5882046e4d85ef161b1d0402b4647a79da698e")
+P5_PIN = (0, "f26a2d0c55f38dce59aee0954749dcfbb7fcedcc41200bddba80fc55291d466f")
 
 
-def test_check_with_hexagons_bytes_on_d8_klein(tmp_path, capsys):
-    H, qt, wc = _dihedral_klein(8)
+def _check_with_hexagons(name, H, qt, wc, tmp_path, capsys):
     files = []
     for ext, text in (("qg", serialize_quantum_groupoid(H)), ("qt", serialize_qt(H, qt)),
                       ("coc", serialize_cocycle(H, wc))):
-        path = tmp_path / ("D8.%s" % ext)
+        path = tmp_path / ("%s.%s" % (name, ext))
         path.write_text(text, encoding="utf-8")
         files.append(str(path))
     code = run(["check"] + files + ["--with-hexagons", "--format", "structured"])
     captured = capsys.readouterr()
     assert captured.err == ""
     out = captured.out.replace(str(tmp_path), "TMP")
-    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == D8_KLEIN_PIN
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_check_with_hexagons_bytes_on_d8_klein(tmp_path, capsys):
+    got = _check_with_hexagons("D8", *_dihedral_klein(8), tmp_path, capsys)
+    assert got == D8_KLEIN_PIN
+
+
+def test_check_with_hexagons_bytes_on_p5(tmp_path, capsys):
+    assert _check_with_hexagons("P5", *_pair(5), tmp_path, capsys) == P5_PIN

@@ -218,14 +218,15 @@ def test_coherence_report_builds_each_braiding_once(kd4, monkeypatch):
 
 def test_coherence_report_builds_each_tensor_action_once(monkeypatch):
     # the algebra builds each action of a 2-tensor on M (x) N once, for both
-    # categories.  The plain report builds only what it reads: the three
-    # projectors, on M (x) M, (M (x) M) (x) M and M (x) (M (x) M), which are
-    # also the actions of its braiding tensor R_21 = Delta(1), and the
-    # actions of Delta(e_x), x a first leg of Delta^2(1), on M (x) M (read
-    # by the triple projector and by the induced actions of M (x) M that the
-    # braidings read) and on M (x) H_t (the unitor triangle).  On P3 with
-    # F = Delta(1) the twisted coproduct, unit and braiding tensor are the
-    # plain ones, so the twisted report builds none
+    # categories.  The plain report builds only what it reads: the projector
+    # on M (x) M, which is also the action of its braiding tensor
+    # R_21 = Delta(1), and the actions of Delta(e_x), x a leg of Delta(1),
+    # on M (x) M (read by the induced actions of M (x) M that the hexagons
+    # read at Delta^2(1)) and on M (x) H_t (the unitor triangle).
+    # Both bracketings are decided from two elements of H^(x)3, so the
+    # projectors on (M (x) M) (x) M and M (x) (M (x) M) are not built.  On
+    # P3 with F = Delta(1) the twisted coproduct, unit and braiding tensor
+    # are the plain ones, so the twisted report builds none
     real = modules_mod._componentwise_action
     calls = []
 
@@ -241,7 +242,7 @@ def test_coherence_report_builds_each_tensor_action_once(monkeypatch):
         before = len(calls)
         assert coherence_report(ctx, M, M, M).passed
         built.append(len(calls) - before)
-    assert built == [9, 0]
+    assert built == [7, 0]
     assert len(calls) == len(set(calls))
 
 
